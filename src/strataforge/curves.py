@@ -50,6 +50,11 @@ def curve_new(field: FieldDescriptor, f: FqPoly) -> HyperellipticCurve:
     return HyperellipticCurve(field, f)
 
 
+def _describe(curve: HyperellipticCurve) -> str:
+    """Field and f of a curve, enough to rebuild it from a log line."""
+    return f"curve over {curve.field!r} with f = {list(curve.f.coeffs)} (constant term first)"
+
+
 def infinity_points(ext: FieldDescriptor, lead: int, degree: int) -> int:
     """Points at infinity of the smooth model over the given field."""
     if degree % 2 == 1:
@@ -66,7 +71,8 @@ def point_count(curve: HyperellipticCurve, k: int = 1,
     ext_size = base.size**k
     if ext_size > field_cap:
         raise BudgetExceededError(
-            f"|F_q^k| = {ext_size} exceeds the point-count budget {field_cap}")
+            f"|F_q^k| = {ext_size} exceeds the point-count budget {field_cap} "
+            f"at k = {k}, {_describe(curve)}")
     ext = field_new(base.p, base.n * k)
     emb = base.embedding_into(ext)
     coeffs = [int(emb[c]) for c in curve.f.coeffs]
@@ -146,7 +152,10 @@ def l_polynomial(curve: HyperellipticCurve,
     the inputs; any mismatch means a counting bug and raises.
     """
     counts = [point_count(curve, k, field_cap) for k in range(1, curve.genus + 1)]
-    return l_polynomial_from_counts(curve.q, curve.genus, counts)
+    try:
+        return l_polynomial_from_counts(curve.q, curve.genus, counts)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{exc}: counts {counts}, {_describe(curve)}") from exc
 
 
 def l_polynomial_from_counts(q: int, genus: int, counts: list[int]) -> LPolynomial:

@@ -21,6 +21,13 @@ from .curves import LPolynomial, frobenius_power_sums
 
 _T = sympy.symbols("T")
 
+# Entries kept by each L-keyed cache below.  The invariants depend on L
+# alone and a census meets few distinct L (218 among the 1,458 genus-3
+# curves over F_3), but the caches live as long as the process, so they are
+# bounded.  One entry, its key L included, measured 360-460 bytes under
+# tracemalloc (genus 2 and 3, q <= 49), so a full cache holds under 2 MB.
+WEIL_CACHE_SIZE = 4096
+
 
 def frobenius_poly(L: LPolynomial) -> list[int]:
     """Coefficients of P(T) = T^2g L(1/T), constant term first, monic."""
@@ -108,9 +115,11 @@ def _squarefree_integer(n: int) -> bool:
     return all(e == 1 for e in sympy.factorint(n).values())
 
 
+@lru_cache(maxsize=WEIL_CACHE_SIZE)
 def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
     """("maximal", 48) when the splitting field provably has degree 2^3 * 3!,
-    else ("undetermined", None).  Never guesses.
+    else ("undetermined", None).  Never guesses.  Memoized on L in a bounded
+    LRU cache (see ``WEIL_CACHE_SIZE``).
 
     Certificate: L irreducible; the real Weil cubic h irreducible with
     squarefree nonsquare discriminant (so h has Galois group S_3 and K_0 is
@@ -153,16 +162,6 @@ def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
     return ("maximal", 48)
 
 
-def splitting_degree_or_class(L: LPolynomial):
-    """Uniform facade: exact integer degree for g <= 2, certificate for g = 3."""
-    if L.genus <= 2:
-        return splitting_degree(L)
-    if L.genus == 3:
-        label, deg = splitting_class_g3(L)
-        return deg if label == "maximal" else None
-    raise ValueError("splitting analysis supports genus <= 3")
-
-
 # ---------------------------------------------------------------------------
 # absolute simplicity
 
@@ -186,17 +185,33 @@ def power_charpoly(L: LPolynomial, d: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _power_degrees(g: int) -> tuple[int, ...]:
-    """All d >= 1 with phi(d) <= 2g; a root of unity of order d can live in a
-    degree-2g field only for these d."""
+    """The d that ``absolutely_simple`` tests: the maximal elements, under
+    divisibility, of {d >= 1 : phi(d) <= 2g}.
+
+    A root of unity of order d lives in a degree-2g field only if
+    phi(d) <= 2g.  That set is closed under divisors, and testing its
+    maximal elements suffices: if the d-th power polynomial is irreducible
+    then pi^d has degree 2g, and Q(pi^d) <= Q(pi^d') <= Q(pi) for every
+    d' | d forces the d'-th power polynomial to be irreducible as well
+    (d' = 1 gives P itself).  Genus 3 gives {8, 10, 12, 14, 18} out of 13
+    values, genus 2 gives {8, 10, 12} out of 9.
+    """
     bound = 2 * (2 * g) ** 2 + 1
-    return tuple(d for d in range(1, bound + 1) if sympy.totient(d) <= 2 * g)
+    small = [d for d in range(1, bound + 1) if sympy.totient(d) <= 2 * g]
+    return tuple(d for d in small if not any(e != d and e % d == 0 for e in small))
 
 
+@lru_cache(maxsize=WEIL_CACHE_SIZE)
 def absolutely_simple(L: LPolynomial) -> bool:
     """Certificate that the abelian variety with Frobenius polynomial P is
     absolutely simple: P irreducible and, for every d with phi(d) <= 2g, the
     minimal polynomial of pi^d still has degree 2g (i.e. the power polynomial
-    stays irreducible).  False means "not certified", not "not simple"."""
+    stays irreducible).  False means "not certified", not "not simple".
+
+    Only the divisor-maximal d of ``_power_degrees`` are tested; the answer
+    is the same as over every d with phi(d) <= 2g (see there).  Results are
+    memoized on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``).
+    """
     for d in _power_degrees(L.genus):
         if not _poly_is_irreducible(power_charpoly(L, d)):
             return False

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from strataforge.curves import (
     point_count,
     point_counts_from,
 )
-from strataforge.errors import BudgetExceededError
+from strataforge.errors import BudgetExceededError, ConsistencyError
 from strataforge.ffield import FqPoly, enumerate_monic, field_new
 
 
@@ -114,7 +115,8 @@ def test_point_count_odd_model_always_has_a_point():
 
 def test_point_count_budget():
     c = make_curve(7, [3, 2, 0, 1])
-    with pytest.raises(BudgetExceededError):
+    # the message names the field and f, so the failure reproduces from a log
+    with pytest.raises(BudgetExceededError, match=re.escape("GF(7) with f = [3, 2, 0, 1]")):
         point_count(c, 9)
 
 
@@ -134,6 +136,18 @@ def test_l_polynomial_functional_equation_and_leading_coeff():
         assert L.coeffs[2 * g] == q**g
         for i in range(g + 1):
             assert L.coeffs[2 * g - i] == q ** (g - i) * L.coeffs[i]
+
+
+def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
+    import strataforge.curves as curves
+    c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
+    true_count = curves.point_count
+    # N_2 off by one makes a_2 = (s_1^2 + s_2) / 2 a non-integer
+    monkeypatch.setattr(curves, "point_count",
+                        lambda curve, k, cap: true_count(curve, k, cap) + (k == 2))
+    with pytest.raises(ConsistencyError,
+                       match=re.escape("GF(3) with f = [1, 0, 1, 0, 0, 1]")):
+        l_polynomial(c)
 
 
 def test_lpolynomial_validation():
