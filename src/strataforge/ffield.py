@@ -20,7 +20,6 @@ import numpy as np
 from .errors import BudgetExceededError
 
 MAX_P = 97            # supported characteristic cap; desk-scale fields only
-CHI_TABLE_CAP = 10_000  # above this, quadratic characters use the Euler criterion
 
 NEG_INF = float("-inf")  # degree of the zero polynomial; never -1
 
@@ -156,11 +155,9 @@ class FieldDescriptor:
         self.modulus = modulus            # length n+1, constant term first, monic
         self.size = p**n
         self._embeddings: dict[tuple[int, int], np.ndarray] = {}
-        self._frob_maps: dict[int, np.ndarray] = {}
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._chi: np.ndarray | None = None
-        self._pair: tuple[np.ndarray, np.ndarray] | None = None
         if n > 1:
             # x^(n+k) mod modulus for k in [0, n-2]; used by _raw_mul
             red = []
@@ -249,6 +246,14 @@ class FieldDescriptor:
         return self.from_digits(out)
 
     def _ensure_exp_log(self) -> None:
+        """Discrete-log tables for a fixed generator g, built once per field.
+
+        ``_exp`` has 3(q-1) int32 entries: g^(i mod (q-1)) for i < 2(q-1),
+        then zeros.  ``_log[a]`` is the log of a != 0 and ``_log[0]`` is the
+        sentinel 2(q-1), so ``_exp[_log[a] + i]`` is a * g^i for every a and
+        every 0 <= i < q-1, zero included, with no modulo and no mask.
+        int32 holds these indices for fields of up to 7*10^8 elements.
+        """
         if self._exp is not None:
             return
         q = self.size
@@ -259,13 +264,25 @@ class FieldDescriptor:
                 gen = g
                 break
         assert gen is not None
-        exp = np.empty(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._raw_mul(cur, gen)
+        # g^0..g^(b-1) one at a time, then block by block: the next block is
+        # this one times g^b, a linear map on base-p digit vectors whose rows
+        # are the digits of g^b * x^i
+        p, n, b = self.p, self.n, math.isqrt(q - 1) + 1
+        block = [1]
+        for _ in range(b - 1):
+            block.append(self._raw_mul(block[-1], gen))
+        g_b = self._raw_mul(block[-1], gen)
+        times_g_b = np.array([self.digits(self._raw_mul(g_b, p**i)) for i in range(n)])
+        place = p ** np.arange(n)
+        digits = np.array([self.digits(a) for a in block])
+        exp = np.zeros(3 * (q - 1), dtype=np.int32)
+        for start in range(0, q - 1, b):
+            exp[start:min(start + b, q - 1)] = (digits @ place)[:q - 1 - start]
+            digits = digits @ times_g_b % p
+        exp[q - 1:2 * (q - 1)] = exp[:q - 1]
+        log = np.empty(q, dtype=np.int32)
+        log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int32)
+        log[0] = 2 * (q - 1)
         self._exp, self._log = exp, log
 
     def _raw_pow(self, a: int, e: int) -> int:
@@ -283,7 +300,7 @@ class FieldDescriptor:
         if a == 0 or b == 0:
             return 0
         self._ensure_exp_log()
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.size - 1)])
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -291,7 +308,7 @@ class FieldDescriptor:
         if self.n == 1:
             return pow(a, -1, self.p)
         self._ensure_exp_log()
-        return int(self._exp[(-self._log[a]) % (self.size - 1)])
+        return int(self._exp[-int(self._log[a]) % (self.size - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -301,7 +318,8 @@ class FieldDescriptor:
         if self.n == 1:
             return pow(a, e, self.p)
         self._ensure_exp_log()
-        return int(self._exp[(self._log[a] * e) % (self.size - 1)])
+        # int(): the int32 log times a large e would wrap in numpy
+        return int(self._exp[int(self._log[a]) * e % (self.size - 1)])
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(p^k)."""
@@ -309,58 +327,25 @@ class FieldDescriptor:
 
     def chi(self, a: int) -> int:
         """Quadratic character: 0 at 0, +1 on squares, -1 on nonsquares."""
-        if self.size <= CHI_TABLE_CAP:
-            return int(self.chi_table[a])
-        if a == 0:
-            return 0
-        return 1 if self.pow(a, (self.size - 1) // 2) == 1 else -1
+        return int(self.chi_table[a])
 
     # -- numpy views (built lazily, used by census hot loops) ----------------
 
     @property
+    def exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """(``_exp``, ``_log``): the vector-step layout of :meth:`_ensure_exp_log`."""
+        self._ensure_exp_log()
+        return self._exp, self._log
+
+    @property
     def chi_table(self) -> np.ndarray:
+        """Quadratic character of every element as int8: chi(g^i) = (-1)^i."""
         if self._chi is None:
-            q = self.size
-            t = np.full(q, -1, dtype=np.int8)
+            _, log = self.exp_log
+            t = (1 - 2 * (log & 1)).astype(np.int8)
             t[0] = 0
-            for a in range(1, q):
-                t[self.mul(a, a)] = 1
             self._chi = t
         return self._chi
-
-    def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add_table, mul_table) as dense q-by-q int32 arrays."""
-        if self._pair is not None:
-            return self._pair
-        q, p, n = self.size, self.p, self.n
-        if n == 1:
-            idx = np.arange(q, dtype=np.int64)
-            add = ((idx[:, None] + idx[None, :]) % p).astype(np.int32)
-            mul = ((idx[:, None] * idx[None, :]) % p).astype(np.int32)
-        else:
-            dig = np.empty((q, n), dtype=np.int64)
-            vals = np.arange(q, dtype=np.int64)
-            tmp = vals.copy()
-            for i in range(n):
-                dig[:, i] = tmp % p
-                tmp //= p
-            powers = p ** np.arange(n, dtype=np.int64)
-            sums = (dig[:, None, :] + dig[None, :, :]) % p
-            add = (sums @ powers).astype(np.int32)
-            self._ensure_exp_log()
-            lg, ex = self._log, self._exp
-            mul = np.zeros((q, q), dtype=np.int32)
-            nz = np.arange(1, q, dtype=np.int64)
-            mul[1:, 1:] = ex[(lg[nz][:, None] + lg[nz][None, :]) % (q - 1)].astype(np.int32)
-        self._pair = (add, mul)
-        return self._pair
-
-    def frob_map(self, k: int = 1) -> np.ndarray:
-        """Array sending every element to its p^k-th power."""
-        if k not in self._frob_maps:
-            self._frob_maps[k] = np.array(
-                [self.frobenius(a, k) for a in range(self.size)], dtype=np.int64)
-        return self._frob_maps[k]
 
     def embedding_into(self, ext: "FieldDescriptor") -> np.ndarray:
         """Index map realizing the inclusion of this field into ``ext``.

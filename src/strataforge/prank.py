@@ -149,10 +149,6 @@ class NewtonPolygon:
     def total_length(self) -> int:
         return sum(length for _, length in self.segments)
 
-    @property
-    def slope_multiset(self) -> tuple[tuple[Fraction, int], ...]:
-        return self.segments
-
     def as_triples(self) -> list[list[int]]:
         """Serialization format: [slope_num, slope_den, length] per segment."""
         return [[s.numerator, s.denominator, ln] for s, ln in self.segments]

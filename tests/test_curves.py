@@ -1,9 +1,11 @@
 import itertools
 import re
+import tracemalloc
 
 import pytest
 
 from strataforge.curves import (
+    POINTCOUNT_BYTES_PER_ELEMENT,
     HyperellipticCurve,
     LPolynomial,
     curve_new,
@@ -42,6 +44,31 @@ def brute_count(curve, k=1):
         lead = coeffs[-1]
         count += sum(1 for y in range(ext.size) if y and ext.mul(y, y) == lead) and 2
     return count
+
+
+def scalar_count(curve, k=1):
+    """Oracle: the scalar Horner loop, one x at a time, with the quadratic
+    character from Euler's criterion instead of the parity of a log."""
+    base = curve.field
+    ext = field_new(base.p, base.n * k)
+    emb = base.embedding_into(ext)
+    coeffs = [int(emb[c]) for c in curve.f.coeffs]
+    half = (ext.size - 1) // 2
+    total = ext.size
+    for x in range(ext.size):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ext.add(ext.mul(acc, x), c)
+        if acc:
+            total += 1 if ext.pow(acc, half) == 1 else -1
+    if curve.model_degree % 2 == 1:
+        return total + 1
+    return total + (2 if ext.pow(coeffs[-1], half) == 1 else 0)
+
+
+def nonsquare(field):
+    return next(a for a in range(1, field.size)
+                if all(field.mul(y, y) != a for y in range(field.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +135,49 @@ def test_point_count_over_extension_base_field():
     assert point_count(c, 1) == brute_count(c, 1)
 
 
+@pytest.mark.parametrize("p,n,ints,lead,ks", [
+    (3, 2, [1, 0, 1, 1], None, (2,)),
+    (3, 2, [1, 3, 0, 0, 5], "nonsquare", (1, 2)),  # even degree, lead not in F_3
+    (5, 2, [1, 7, 0, 1], None, (1,)),
+    (5, 2, [2, 0, 1, 0, 1], "square", (1,)),
+    (5, 2, [2, 0, 1, 0, 1], "nonsquare", (1,)),
+    (5, 1, [1, 1, 0, 0, 1], "nonsquare", (1, 2)),
+    (7, 1, [3, 0, 1, 0, 0, 0, 1], "square", (1, 2)),
+])
+def test_point_count_matches_brute_force_on_leads_and_base_fields(p, n, ints, lead, ks):
+    field = field_new(p, n)
+    coeffs = [c % field.size for c in ints]
+    if lead == "square":
+        coeffs[-1] = field.mul(2, 2)
+    elif lead == "nonsquare":
+        coeffs[-1] = nonsquare(field)
+    # built directly: curve_new accepts monic f only
+    c = HyperellipticCurve(field, FqPoly(field, tuple(coeffs)))
+    for k in ks:
+        assert point_count(c, k) == brute_count(c, k)
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_point_count_matches_scalar_loop_on_exhaustive_genus2_f3(degree):
+    field = field_new(3)
+    for f in enumerate_monic(field, degree, squarefree_only=True):
+        c = curve_new(field, f)
+        for k in (1, 2, 3):
+            assert point_count(c, k) == scalar_count(c, k), (f.coeffs, k)
+
+
+def test_point_count_memory_per_element():
+    c = make_curve(47, [1, 1, 0, 1])       # F_47^3: 103,823 elements
+    field_new(47, 3)                       # the descriptor is not a point_count table
+    tracemalloc.start()
+    try:
+        point_count(c, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < POINTCOUNT_BYTES_PER_ELEMENT * 47**3
+
+
 def test_point_count_odd_model_always_has_a_point():
     for f in itertools.islice(enumerate_monic(field_new(3), 3, squarefree_only=True), 6):
         assert point_count(curve_new(field_new(3), f)) >= 1
@@ -150,6 +220,26 @@ def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
         l_polynomial(c)
 
 
+@pytest.mark.parametrize("delta,cause", [
+    (-4, "predicts N_3 = 38, counted 18"),     # a valid-looking L = (1, -2, 6, -6, 9)
+    (30, "Weil bound"),                        # no LPolynomial at all
+])
+def test_l_polynomial_miscounted_n1_raises(monkeypatch, delta, cause):
+    import strataforge.curves as curves
+    c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
+    true_count = curves.point_count
+    monkeypatch.setattr(curves, "point_count",
+                        lambda curve, k, cap: true_count(curve, k, cap) + delta * (k == 1))
+    with pytest.raises(ConsistencyError,
+                       match=re.escape(cause) + ".*" + re.escape("GF(3) with f = [1, 0, 1, 0, 0, 1]")):
+        l_polynomial(c)
+
+
+def test_l_polynomial_skips_the_check_count_above_the_budget():
+    c = make_curve(3, [1, 0, 1, 0, 0, 1])
+    assert l_polynomial(c, field_cap=9).coeffs == l_polynomial(c).coeffs == (1, 2, 6, 6, 9)
+
+
 def test_lpolynomial_validation():
     with pytest.raises(ValueError):
         LPolynomial(3, 1, (1, 1, 5))       # functional equation fails
@@ -164,9 +254,9 @@ def test_lpolynomial_validation():
 def test_base_change_consistency_genus1():
     c = make_curve(3, [1, 0, 1, 1])
     L = l_polynomial(c)
-    predicted = point_counts_from(L, 3)
+    predicted = point_counts_from(L, 9)
     assert predicted[0] == 6
-    for k in (2, 3):
+    for k in range(2, 10):  # up to F_3^9, 19,683 elements
         assert point_count(c, k) == predicted[k - 1]
 
 
