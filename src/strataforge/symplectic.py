@@ -1,6 +1,12 @@
 """Exact linear algebra over Z/l for Sp_2g and GSp_2g: membership,
-multipliers, exhaustive enumeration, random sampling, and the fixed-vector /
-characteristic-polynomial statistics used as equidistribution baselines.
+multipliers, enumeration of small groups, random sampling, and the
+fixed-vector / characteristic-polynomial statistics used as equidistribution
+baselines.
+
+The exact fixed-vector proportion is a closed form (Moebius inversion over
+the subspaces an element fixes pointwise) and enumerates nothing; only the
+exact characteristic-polynomial distribution enumerates Sp_2g(Z/l), under a
+memory cap.
 
 The symplectic form is the antidiagonal split form J: J[i, 2g+1-i] = +1 for
 i <= g and -1 for i > g (1-indexed).  All matrices are tuples of row tuples
@@ -13,12 +19,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .curves import LPolynomial
 from .errors import BudgetExceededError
 from .ffield import is_prime
 
-SP_ENUM_CAP = 10_000_000  # largest group order exact mode will enumerate
+SP_ENUM_CAP = 250_000  # largest group order the BFS closure will enumerate
+# Bound on the tracemalloc peak of the BFS closure per element of Sp_2g(Z/l)
+# (the set of tuple-of-tuple matrices plus the frontier lists).  Measured
+# 411.2 B per element at Sp_4(Z/3) (51,840 elements) and 279 / 250 / 218 B
+# at Sp_2(Z/l) for l = 13 / 31 / 47; no Sp_6 fits under the cap.  So the
+# cap admits a peak of about 103 MB, and refuses Sp_4(Z/5) (9,360,000
+# elements, about 3.6 GiB) before enumerating.  Time is some 250 us per
+# element at g = 2 and 25 us at g = 1 (Sp_4(Z/3) in 13 s).
+SP_ENUM_BYTES_PER_ELEMENT = 412
 DEFAULT_WALK_LENGTH = 50  # transvections per random-sample walk
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -89,10 +104,16 @@ def pairing(x: tuple[int, ...], y: tuple[int, ...], g: int, l: int) -> int:
     return total % l
 
 
+def _jv(v, g: int) -> list[int]:
+    """The vector Jv, unreduced: <x, v> = sum_j x[j] * Jv[j], so
+    Jv[j] = v[d-1-j] for j < g and -v[d-1-j] otherwise."""
+    return [*v[:g - 1:-1]] + [-x for x in v[g - 1::-1]]
+
+
 def transvection(v: tuple[int, ...], g: int, l: int) -> Matrix:
-    """T_v: x -> x + <x, v> v.  Always symplectic."""
+    """T_v = 1 + v (Jv)^T: x -> x + <x, v> v.  Always symplectic."""
     d = 2 * g
-    jv = [pairing(tuple(1 if k == j else 0 for k in range(d)), v, g, l) for j in range(d)]
+    jv = _jv(v, g)
     return tuple(
         tuple((int(i == j) + v[i] * jv[j]) % l for j in range(d))
         for i in range(d))
@@ -139,12 +160,17 @@ def is_symplectic(m: Matrix, l: int) -> bool:
         return False
 
 
+def _sp_card(n: int, l: int) -> int:
+    """|Sp_2n(Z/l)|, with |Sp_0| = 1."""
+    return l ** (n * n) * math.prod(l ** (2 * i) - 1 for i in range(1, n + 1))
+
+
 def sp_order(g: int, l: int) -> int:
     """|Sp_2g(Z/l)| = l^(g^2) * prod_{i=1..g} (l^(2i) - 1)."""
     if g < 1:
         raise ValueError("g must be >= 1")
     _check_l(l)
-    return l ** (g * g) * math.prod(l ** (2 * i) - 1 for i in range(1, g + 1))
+    return _sp_card(g, l)
 
 
 def weyl_order(g: int) -> int:
@@ -154,15 +180,16 @@ def weyl_order(g: int) -> int:
     return 2**g * math.factorial(g)
 
 
-def group_bfs(generators: list[Matrix], l: int, cap: int = SP_ENUM_CAP) -> int | None:
-    """Order of the generated subgroup by breadth-first closure, or None if
-    the closure grows past ``cap``.  Generators must be symplectic."""
+def _closure(generators: list[Matrix], l: int, cap: int) -> set[Matrix] | None:
+    """The subgroup generated by symplectic ``generators``, by breadth-first
+    closure from the identity, or None once it grows past ``cap``."""
     _check_l(l)
     for m in generators:
         if multiplier(m, l) != 1:
             raise ValueError("generator is not symplectic")
-    d = len(generators[0]) if generators else 0
-    seen = {identity(d)} if d else set()
+    if not generators:
+        return set()
+    seen = {identity(len(generators[0]))}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -175,29 +202,28 @@ def group_bfs(generators: list[Matrix], l: int, cap: int = SP_ENUM_CAP) -> int |
                     if len(seen) > cap:
                         return None
         frontier = nxt
-    return len(seen)
+    return seen
 
 
-@lru_cache(maxsize=8)
+def group_bfs(generators: list[Matrix], l: int, cap: int = SP_ENUM_CAP) -> int | None:
+    """Order of the generated subgroup by breadth-first closure, or None if
+    the closure grows past ``cap``.  Generators must be symplectic."""
+    elements = _closure(generators, l, cap)
+    return None if elements is None else len(elements)
+
+
+@lru_cache(maxsize=1)
 def _sp_elements(g: int, l: int, cap: int = SP_ENUM_CAP) -> tuple[Matrix, ...]:
+    """All of Sp_2g(Z/l); refuses a group larger than ``cap`` before
+    enumerating.  The cache holds one group, so the cap bounds what stays
+    resident as well as the peak."""
     order = sp_order(g, l)
     if order > cap:
         raise BudgetExceededError(f"|Sp_{2*g}(Z/{l})| = {order} exceeds cap {cap}")
-    gens = standard_generators(g, l)
-    seen = {identity(2 * g)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gmat in gens:
-                prod = mat_mul(m, gmat, l)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    if len(seen) != order:
+    elements = _closure(standard_generators(g, l), l, cap)
+    if elements is None or len(elements) != order:
         raise AssertionError("transvection generators failed to generate Sp")
-    return tuple(seen)
+    return tuple(elements)
 
 
 def multiplier_coset_rep(g: int, l: int, m: int) -> Matrix:
@@ -221,18 +247,24 @@ def random_sp(g: int, l: int, seed: int, walk_length: int = DEFAULT_WALK_LENGTH)
 
 
 def _random_sp_step(g: int, l: int, rng: random.Random, walk_length: int) -> Matrix:
+    # Each step is the rank-1 update M T_v = M + (M v)(J v)^T: O(d^2) in
+    # place of the O(d^3) product with the transvection matrix.
     d = 2 * g
-    m = identity(d)
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(walk_length):
         code = rng.randrange(l**d)
         if code == 0:
             continue
         v = []
         for _ in range(d):
-            v.append(code % l)
-            code //= l
-        m = mat_mul(m, transvection(tuple(v), g, l), l)
-    return m
+            code, digit = divmod(code, l)
+            v.append(digit)
+        jv = _jv(v, g)
+        for row in m:
+            c = sum(map(mul, row, v)) % l
+            if c:
+                row[:] = [(x + c * y) % l for x, y in zip(row, jv)]
+    return tuple(map(tuple, m))
 
 
 def has_nonzero_fixed_vector(m: Matrix, l: int) -> bool:
@@ -246,35 +278,89 @@ class MonteCarloEstimate:
     ci_high: float
     n: int
 
+    @classmethod
+    def from_hits(cls, hits: int, n: int) -> MonteCarloEstimate:
+        """hits/n with the 95% Wilson score interval, which keeps a nonzero
+        width inside [0, 1] when hits is 0 or n."""
+        z = 1.96
+        p_hat = hits / n
+        shrink = 1 + z * z / n
+        center = (p_hat + z * z / (2 * n)) / shrink
+        half = z * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / shrink
+        # min/max with p_hat only absorb rounding at hits in {0, n}
+        return cls(p_hat, max(0.0, min(center - half, p_hat)),
+                   min(1.0, max(center + half, p_hat)), n)
+
+
+def _check_multiplier(l: int, m: int) -> None:
+    _check_l(l)
+    if not 1 <= m < l:
+        raise ValueError(f"multiplier must be a unit mod {l}")
+
+
+def _isotropic_count(n: int, t: int, l: int) -> int:
+    """Number of t-dimensional isotropic subspaces of a symplectic space of
+    dimension 2n over Z/l."""
+    return (math.prod(l ** (2 * n - 2 * i) - 1 for i in range(t))
+            // math.prod(l ** (i + 1) - 1 for i in range(t)))
+
+
+def _subspace_types(g: int, l: int):
+    """(s, t, count): the subspaces W of a 2g-dimensional symplectic space on
+    which the form has rank 2s and a radical of dimension t, and how many
+    there are: choose the radical R, then a nondegenerate W/R in R^perp/R."""
+    for s in range(g + 1):
+        for t in range(g - s + 1):
+            yield s, t, (_isotropic_count(g, t, l) * _sp_card(g - t, l)
+                         // (_sp_card(s, l) * _sp_card(g - t - s, l)))
+
+
+def _fixed_point_free_count(g: int, l: int, m: int) -> int:
+    """Elements of the multiplier-m coset Sp_2g(Z/l) D_m with no nonzero
+    fixed vector, by Moebius inversion over the subspaces W they fix
+    pointwise (mu(0, W) = (-1)^k l^(k(k-1)/2) with k = dim W).
+
+    An element of Sp fixing W pointwise preserves the orthogonal complement,
+    of dimension 2n = 2(g - s), of the nondegenerate part of W, and in
+    there fixes the t-dimensional radical pointwise: l^(t(2n-2t) + t(t+1)/2)
+    |Sp_2(n-t)| elements.  For m != 1, <Mx, My> = m <x, y> forces W to be
+    isotropic (s = 0); an isotropic W is fixed pointwise by an element of
+    multiplier m (scale a complementary Lagrangian by m), so the coset holds
+    as many such elements as Sp does.
+    """
+    total = 0
+    for s, t, count in _subspace_types(g, l):
+        if s and m != 1:
+            continue
+        k, n = 2 * s + t, g - s
+        stabilizer = l ** (t * (2 * n - 2 * t) + t * (t + 1) // 2) * _sp_card(n - t, l)
+        total += (-1) ** k * l ** (k * (k - 1) // 2) * count * stabilizer
+    return total
+
 
 def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
                             n: int = 100_000, seed: int = 0,
-                            cap: int = SP_ENUM_CAP,
                             walk_length: int = DEFAULT_WALK_LENGTH):
     """Proportion of the multiplier-m coset of GSp_2g(Z/l) fixing a nonzero
     vector (equivalently det(M - 1) = 0).
 
-    "exact" enumerates Sp * D_m and returns a Fraction; "montecarlo" returns
-    a MonteCarloEstimate with a 95% normal-approximation interval.
+    "exact" returns a Fraction from a closed form in l (a sum over the types
+    of subspace an element can fix pointwise; no group is enumerated, so any
+    g and l are cheap); "montecarlo" samples the coset by transvection walks
+    and returns a MonteCarloEstimate with a 95% Wilson interval.
     """
-    _check_l(l)
-    if not 1 <= m < l:
-        raise ValueError(f"multiplier must be a unit mod {l}")
-    rep = multiplier_coset_rep(g, l, m)
+    _check_multiplier(l, m)
     if mode == "exact":
-        elements = _sp_elements(g, l, cap)
-        hits = sum(1 for s in elements if has_nonzero_fixed_vector(mat_mul(s, rep, l), l))
-        return Fraction(hits, len(elements))
+        return 1 - Fraction(_fixed_point_free_count(g, l, m), sp_order(g, l))
     if mode == "montecarlo":
+        rep = multiplier_coset_rep(g, l, m)
         rng = random.Random(seed)
         hits = 0
         for _ in range(n):
             s = _random_sp_step(g, l, rng, walk_length)
             if has_nonzero_fixed_vector(mat_mul(s, rep, l), l):
                 hits += 1
-        p_hat = hits / n
-        half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n)
-        return MonteCarloEstimate(p_hat, max(p_hat - half, 0.0), min(p_hat + half, 1.0), n)
+        return MonteCarloEstimate.from_hits(hits, n)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -332,7 +418,11 @@ def matrix_charpoly(m: Matrix, l: int) -> tuple[int, ...]:
 def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
                                 n: int = 100_000, seed: int = 0,
                                 cap: int = SP_ENUM_CAP) -> dict[tuple[int, ...], Fraction]:
-    """Distribution of characteristic polynomials over the multiplier-m coset."""
+    """Distribution of characteristic polynomials over the multiplier-m coset.
+
+    "exact" enumerates Sp_2g(Z/l) and refuses a group larger than ``cap``
+    before it starts."""
+    _check_multiplier(l, m)
     rep = multiplier_coset_rep(g, l, m)
     counts: dict[tuple[int, ...], int] = {}
     if mode == "exact":

@@ -6,16 +6,24 @@ import pytest
 from strataforge.curves import LPolynomial
 from strataforge.errors import BudgetExceededError
 from strataforge.symplectic import (
+    SP_ENUM_BYTES_PER_ELEMENT,
+    SP_ENUM_CAP,
     MonteCarloEstimate,
+    _random_sp_step,
+    _sp_elements,
+    _subspace_types,
     charpoly_mod,
     coset_charpoly_distribution,
     fixed_vector_proportion,
     group_bfs,
+    has_nonzero_fixed_vector,
     identity,
+    is_symplectic,
     mat_mul,
     matrix_charpoly,
     multiplier,
     multiplier_coset_rep,
+    pairing,
     random_sp,
     sp_order,
     standard_generators,
@@ -121,11 +129,50 @@ def test_random_sp_is_symplectic_and_deterministic():
         assert random_sp(2, 3, seed=seed) == m
 
 
+def _product_walk(g, l, rng, walk_length):
+    """The walk as a product of transvection matrices: the rank-1 walk's
+    reference."""
+    d = 2 * g
+    m = identity(d)
+    for _ in range(walk_length):
+        code = rng.randrange(l**d)
+        if code == 0:
+            continue
+        v = []
+        for _ in range(d):
+            v.append(code % l)
+            code //= l
+        m = mat_mul(m, transvection(tuple(v), g, l), l)
+    return m
+
+
+@pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7)])
+def test_rank1_walk_equals_transvection_product(g, l):
+    import random as _random
+    for seed in range(30):
+        assert _random_sp_step(g, l, _random.Random(seed), 50) == \
+            _product_walk(g, l, _random.Random(seed), 50)
+
+
+def test_transvection_is_x_plus_pairing_times_v():
+    import itertools
+    for g, l in [(1, 3), (2, 3), (1, 5)]:
+        d = 2 * g
+        units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        for v in itertools.product(range(l), repeat=d):
+            t = transvection(v, g, l)
+            expected = tuple(
+                tuple((int(i == j) + v[i] * pairing(units[j], v, g, l)) % l
+                      for j in range(d))
+                for i in range(d))
+            assert t == expected
+            assert is_symplectic(t, l)
+
+
 def test_random_sp_uniformity_chi_square():
     """20k walk samples over the 24 elements of SL_2(Z/3); fixed seed keeps
     the 3-sigma per-element check deterministic."""
     import random as _random
-    from strataforge.symplectic import _random_sp_step
 
     n = 20_000
     rng = _random.Random(11)
@@ -163,9 +210,77 @@ def test_fixed_vector_proportion_m_not_one_leading_term():
         assert abs(v - Fraction(1, l - 1)) <= Fraction(2, l**3)
 
 
-def test_fixed_vector_proportion_cap():
+def test_coset_charpoly_distribution_cap():
     with pytest.raises(BudgetExceededError):
-        fixed_vector_proportion(2, 7, 1, cap=1000)
+        coset_charpoly_distribution(2, 7, 1, cap=1000)
+
+
+def test_enumeration_cap_refuses_sp4_mod_5_up_front():
+    # 9,360,000 elements, about 3.6 GiB: refused before the closure starts
+    assert sp_order(2, 5) > SP_ENUM_CAP
+    with pytest.raises(BudgetExceededError, match="9360000"):
+        coset_charpoly_distribution(2, 5, 1)
+
+
+def test_enumeration_memory_per_element():
+    import tracemalloc
+    standard_generators(1, 13)  # warm caches outside the measurement
+    _sp_elements.cache_clear()
+    tracemalloc.start()
+    try:
+        elements = _sp_elements(1, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _sp_elements.cache_clear()
+    assert len(elements) == sp_order(1, 13)
+    assert peak < SP_ENUM_BYTES_PER_ELEMENT * len(elements)
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 11])
+def test_fixed_vector_proportion_equals_enumeration_g1(l):
+    elements = _sp_elements(1, l)
+    for m in range(1, l):
+        rep = multiplier_coset_rep(1, l, m)
+        hits = sum(has_nonzero_fixed_vector(mat_mul(s, rep, l), l) for s in elements)
+        assert fixed_vector_proportion(1, l, m) == Fraction(hits, len(elements))
+
+
+def test_fixed_vector_proportion_sp4_mod_3_recorded():
+    # recorded by enumerating all 51,840 elements of Sp_4(Z/3)
+    assert fixed_vector_proportion(2, 3, 1) == Fraction(231, 640)
+    assert fixed_vector_proportion(2, 3, 2) == Fraction(7, 16)
+
+
+def test_fixed_vector_proportion_closed_forms_g1():
+    for l in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        assert fixed_vector_proportion(1, l, 1) == Fraction(l, l * l - 1)
+        for m in range(2, l):
+            assert fixed_vector_proportion(1, l, m) == Fraction(1, l - 1)
+
+
+def test_subspace_types_count_every_subspace():
+    """Summed by dimension 2s + t, the subspace types give the Gaussian
+    binomials [2g choose k]_l."""
+    def gaussian_binomial(n, k, l):
+        num = math.prod(l ** (n - i) - 1 for i in range(k))
+        return num // math.prod(l ** (i + 1) - 1 for i in range(k))
+
+    for g, l in [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7), (4, 5)]:
+        by_dim = [0] * (2 * g + 1)
+        for s, t, count in _subspace_types(g, l):
+            by_dim[2 * s + t] += count
+        assert by_dim == [gaussian_binomial(2 * g, k, l) for k in range(2 * g + 1)]
+
+
+def test_multiplier_must_be_a_unit():
+    for m in (0, 3, 4):
+        with pytest.raises(ValueError):
+            fixed_vector_proportion(1, 3, m)
+        with pytest.raises(ValueError):
+            coset_charpoly_distribution(1, 3, m)
+    with pytest.raises(ValueError):
+        coset_charpoly_distribution(1, 9, 1)
 
 
 def test_fixed_vector_proportion_montecarlo():
@@ -173,6 +288,35 @@ def test_fixed_vector_proportion_montecarlo():
     assert isinstance(est, MonteCarloEstimate)
     assert est.n == 4000
     assert est.ci_low <= 3 / 8 <= est.ci_high
+
+
+def test_montecarlo_intervals_contain_sp4_mod_3_values():
+    for m, exact, (low, high) in [(1, Fraction(231, 640), (0.324, 0.418)),
+                                  (2, Fraction(7, 16), (0.373, 0.469))]:
+        est = fixed_vector_proportion(2, 3, m, mode="montecarlo", n=400, seed=7)
+        assert est.ci_low <= exact <= est.ci_high
+        assert round(est.ci_low, 3) == low and round(est.ci_high, 3) == high
+
+
+def test_wilson_interval_at_the_ends():
+    for n in (1, 10, 400):
+        for hits in (0, n):
+            est = MonteCarloEstimate.from_hits(hits, n)
+            assert est.estimate == hits / n
+            assert 0 <= est.ci_low <= est.estimate <= est.ci_high <= 1
+            assert est.ci_high - est.ci_low > 0
+    est = MonteCarloEstimate.from_hits(0, 400)
+    assert est.ci_low == 0 and 0 < est.ci_high < 0.01
+
+
+def test_wilson_bounds_solve_the_score_equation():
+    """The Wilson bounds are the p with |p_hat - p| = z sqrt(p (1 - p) / n)."""
+    z = 1.96
+    for hits, n in [(0, 50), (7, 50), (25, 50), (148, 400), (400, 400)]:
+        est = MonteCarloEstimate.from_hits(hits, n)
+        for p in (est.ci_low, est.ci_high):
+            if 0 < p < 1:
+                assert n * (hits / n - p) ** 2 == pytest.approx(z * z * p * (1 - p))
 
 
 # ---------------------------------------------------------------------------
