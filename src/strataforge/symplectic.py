@@ -378,41 +378,46 @@ def charpoly_mod(L: LPolynomial, l: int) -> tuple[int, ...]:
 
 
 def matrix_charpoly(m: Matrix, l: int) -> tuple[int, ...]:
-    """det(T*1 - M) mod l by cofactor expansion, constant term first."""
+    """det(T*1 - M) mod the prime l, constant term first, in O(d^3).
+
+    M is brought to upper Hessenberg form H by similarities over F_l (row
+    and column swaps, then row_r -= c row_k paired with col_k += c col_r,
+    dividing only by a pivot), and the characteristic polynomials p_k of
+    the leading k x k blocks of H follow by expanding along the last column:
+    p_k = (T - h_kk) p_(k-1) - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1).
+    """
     d = len(m)
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % l
-        return out
-
-    def det(rows, cols):
-        if len(cols) == 1:
-            i, j = rows[0], cols[0]
-            return [(-m[i][j]) % l, 1] if i == j else [(-m[i][j]) % l]
-        total = [0]
-        i = rows[0]
-        for idx, j in enumerate(cols):
-            entry = [(-m[i][j]) % l, 1] if i == j else [(-m[i][j]) % l]
-            if entry != [0]:
-                minor = det(rows[1:], cols[:idx] + cols[idx + 1:])
-                term = poly_mul(entry, minor)
-                if idx % 2:
-                    term = [(-x) % l for x in term]
-                out = [0] * max(len(total), len(term))
-                for k, x in enumerate(total):
-                    out[k] = x
-                for k, x in enumerate(term):
-                    out[k] = (out[k] + x) % l
-                total = out
-        return total
-
-    poly = det(tuple(range(d)), tuple(range(d)))
-    poly = poly + [0] * (d + 1 - len(poly))
-    return tuple(poly)
+    a = [[x % l for x in row] for row in m]
+    for k in range(1, d - 1):
+        piv = next((r for r in range(k, d) if a[r][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(a[k][k - 1], -1, l)
+        for r in range(k + 1, d):
+            c = a[r][k - 1] * inv % l
+            if c:
+                a[r] = [(x - c * y) % l for x, y in zip(a[r], a[k])]
+                for row in a:
+                    row[k] = (row[k] + c * row[r]) % l
+    polys = [[1]]  # polys[k] = charpoly of the leading k x k block
+    for k in range(d):
+        new = [0] + polys[k]
+        for j, x in enumerate(polys[k]):
+            new[j] = (new[j] - a[k][k] * x) % l
+        chain = 1
+        for i in range(k - 1, -1, -1):
+            chain = chain * a[i + 1][i] % l
+            if not chain:
+                break
+            c = a[i][k] * chain % l
+            for j, x in enumerate(polys[i]):
+                new[j] = (new[j] - c * x) % l
+        polys.append(new)
+    return tuple(polys[d])
 
 
 def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",

@@ -7,8 +7,13 @@ where K_0 splits h and d_i = b_i^2 - 4q for the roots b_i of h.  Since the
 b_i are real of absolute value <= 2 sqrt(q), every d_i is a negative real,
 so no odd product of the d_i can become a square in the real field K_0;
 only even products need testing, and those reduce to exact integer
-square tests (g <= 2) or to factorization of resultant-built minimal
-polynomials (g = 3).
+square tests (g <= 2) or, at g = 3, to closed-form integer invariants of the
+real Weil cubic and irreducibility tests of the cubic with roots d_i d_j and
+of its substitution T -> T^2.
+
+Factorization runs only where no cheaper exact test is equivalent: an
+integer root of h certifies that L is reducible, and absolute simplicity of
+an irreducible L needs only squarefreeness of its power polynomials.
 """
 from __future__ import annotations
 
@@ -21,11 +26,16 @@ from .curves import LPolynomial, frobenius_power_sums
 
 _T = sympy.symbols("T")
 
-# Entries kept by each L-keyed cache below.  The invariants depend on L
-# alone and a census meets few distinct L (218 among the 1,458 genus-3
+# Entries kept by each of the three L-keyed caches below (``l_reducible``,
+# ``absolutely_simple``, ``splitting_class_g3``).  The invariants depend on
+# L alone and a census meets few distinct L (218 among the 1,458 genus-3
 # curves over F_3), but the caches live as long as the process, so they are
-# bounded.  One entry, its key L included, measured 360-460 bytes under
-# tracemalloc (genus 2 and 3, q <= 49), so a full cache holds under 2 MB.
+# bounded.  Measured under tracemalloc on 1,434 genus-2 and genus-3 L
+# (q <= 49): an ``l_reducible`` entry with its key L takes 343 B, and an
+# entry of either other cache whose L is already held adds 282 B
+# (``absolutely_simple``) or 210 B (``splitting_class_g3``); one genus-3 L
+# in all three caches takes 772 B.  Even with no key shared, three full
+# caches stay under 3 * 4096 * 650 B, about 8 MB.
 WEIL_CACHE_SIZE = 4096
 
 
@@ -103,8 +113,24 @@ def _poly_is_irreducible(coeffs: list[int]) -> bool:
     return sympy.Poly(list(reversed(coeffs)), _T).is_irreducible
 
 
+@lru_cache(maxsize=WEIL_CACHE_SIZE)
 def l_reducible(L: LPolynomial) -> bool:
-    """True iff L factors over the integers."""
+    """True iff L factors over the integers.  Memoized on L in a bounded LRU
+    cache (see ``WEIL_CACHE_SIZE``), which ``absolutely_simple`` and
+    ``splitting_class_g3`` share.
+
+    For g >= 2 an integer root b of the real Weil polynomial h gives the
+    proper factor T^2 - bT + q of P, so L is reducible without factoring;
+    the roots of h are real with |b| <= 2 sqrt(q), so only |b| <= isqrt(4q)
+    is scanned.  At g = 1 that factor is P itself (h is linear and its root
+    always an integer), so genus 1 goes straight to the factorization, as
+    does every L whose h has no integer root.
+    """
+    if L.genus >= 2:
+        h = real_weil_coeffs(L)
+        bound = math.isqrt(4 * L.q)
+        if any(sum(c * b**m for m, c in enumerate(h)) == 0 for b in range(-bound, bound + 1)):
+            return True
     return not _poly_is_irreducible(list(L.coeffs))
 
 
@@ -115,47 +141,59 @@ def _squarefree_integer(n: int) -> bool:
     return all(e == 1 for e in sympy.factorint(n).values())
 
 
+def _cubic_invariants(h: list[int], q: int) -> tuple[int, int, int, int]:
+    """(disc h, e1, e2, e3) for the monic real Weil cubic h = [c0, c1, c2, 1],
+    where e_k is the k-th elementary symmetric function of the d_i =
+    b_i^2 - 4q over the roots b_i of h, so that
+    D(T) = prod (T - d_i) = T^3 - e1 T^2 + e2 T - e3.
+
+    Closed forms: disc = c2^2 c1^2 - 4 c1^3 - 4 c2^3 c0 - 27 c0^2 + 18 c2 c1 c0;
+    the squares b_i^2 have symmetric functions (one Graeffe step)
+    s1 = c2^2 - 2 c1, s2 = c1^2 - 2 c0 c2, s3 = c0^2, and shifting them by
+    -4q gives e1 = s1 - 12q, e2 = s2 - 8q s1 + 48q^2,
+    e3 = s3 - 4q s2 + 16q^2 s1 - 64q^3.
+    """
+    c0, c1, c2, _ = h
+    disc = c2 * c2 * c1 * c1 - 4 * c1**3 - 4 * c2**3 * c0 - 27 * c0 * c0 + 18 * c2 * c1 * c0
+    s1, s2, s3 = c2 * c2 - 2 * c1, c1 * c1 - 2 * c0 * c2, c0 * c0
+    e1 = s1 - 12 * q
+    e2 = s2 - 8 * q * s1 + 48 * q * q
+    e3 = s3 - 4 * q * s2 + 16 * q * q * s1 - 64 * q**3
+    return disc, e1, e2, e3
+
+
 @lru_cache(maxsize=WEIL_CACHE_SIZE)
 def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
     """("maximal", 48) when the splitting field provably has degree 2^3 * 3!,
     else ("undetermined", None).  Never guesses.  Memoized on L in a bounded
     LRU cache (see ``WEIL_CACHE_SIZE``).
 
-    Certificate: L irreducible; the real Weil cubic h irreducible with
-    squarefree nonsquare discriminant (so h has Galois group S_3 and K_0 is
-    a real sextic field whose only quadratic subfield is Q(sqrt(disc)));
-    and the even products d_i d_j stay nonsquare in K_0, decided by
-    factoring C(T^2) and C_disc(T^2) for the cubic C with roots d_i d_j.
+    Certificate: L irreducible (so the real Weil cubic h is irreducible too,
+    since a factor of h gives a factor of P); disc h squarefree and not a
+    square (so h has Galois group S_3 and K_0 is a real sextic field whose
+    only quadratic subfield is Q(sqrt(disc))); and the even products d_i d_j
+    stay nonsquare in K_0, decided by the irreducibility of the cubic C with
+    roots d_i d_j and of C(T^2) and C_disc(T^2), where
+    C_disc(T) = disc^3 C(T / disc) has roots disc * d_i d_j and is
+    irreducible exactly when C is.  disc and the symmetric functions
+    e1, e2, e3 of the d_i are integer closed forms in the coefficients of h
+    (``_cubic_invariants``), and C(T) = T^3 - e2 T^2 + e1 e3 T - e3^2.
     """
     if L.genus != 3:
         raise ValueError("this classification path is for genus 3")
-    q = L.q
     if l_reducible(L):
         return ("undetermined", None)
-    h = real_weil_coeffs(L)
-    hpoly = sympy.Poly(list(reversed(h)), _T)
-    if not hpoly.is_irreducible:
-        return ("undetermined", None)
-    disc = int(sympy.discriminant(hpoly.as_expr(), _T))
+    disc, e1, e2, e3 = _cubic_invariants(real_weil_coeffs(L), L.q)
     if disc <= 0 or is_perfect_square(disc) or not _squarefree_integer(disc):
         return ("undetermined", None)
-    # D(T) = prod (T - d_i) via the resultant Res_y(h(y), T - y^2 + 4q)
-    y = sympy.symbols("y")
-    dpoly = sympy.Poly(sympy.resultant(hpoly.as_expr().subs(_T, y), _T - y**2 + 4 * q, y), _T)
-    dpoly = dpoly.monic()
-    e3 = -int(dpoly.nth(0))          # d_1 d_2 d_3
-    e2 = int(dpoly.nth(1))           # sum of pair products
-    e1 = -int(dpoly.nth(2))          # sum of d_i
-    # C(T) = prod (T - d_i d_j), the pair-product transform
-    def pair_cubic(scale: int) -> sympy.Poly:
-        return sympy.Poly([1, -e2 * scale, e1 * e3 * scale**2, -e3 * e3 * scale**3], _T)
-
+    pair_cubic = [-e3 * e3, e1 * e3, -e2, 1]  # C(T), constant term first
+    if not _poly_is_irreducible(pair_cubic):
+        return ("undetermined", None)  # degenerate pair products; stay conservative
     for scale in (1, disc):
-        c = pair_cubic(scale)
-        if not c.is_irreducible:
-            return ("undetermined", None)  # degenerate pair products; stay conservative
-        doubled = sympy.Poly(c.as_expr().subs(_T, _T**2), _T)
-        if not doubled.is_irreducible:
+        doubled = [0] * 7  # C_scale(T^2)
+        for k, c in enumerate(pair_cubic):
+            doubled[2 * k] = c * scale ** (3 - k)
+        if not _poly_is_irreducible(doubled):
             # some d_i d_j (times scale) is a square in the cubic field,
             # so the sign extensions are not independent
             return ("undetermined", None)
@@ -206,13 +244,18 @@ def absolutely_simple(L: LPolynomial) -> bool:
     """Certificate that the abelian variety with Frobenius polynomial P is
     absolutely simple: P irreducible and, for every d with phi(d) <= 2g, the
     minimal polynomial of pi^d still has degree 2g (i.e. the power polynomial
-    stays irreducible).  False means "not certified", not "not simple".
+    P_d stays irreducible).  False means "not certified", not "not simple".
 
-    Only the divisor-maximal d of ``_power_degrees`` are tested; the answer
-    is the same as over every d with phi(d) <= 2g (see there).  Results are
-    memoized on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``).
+    Decided as: L irreducible (``l_reducible``) and P_d squarefree for each
+    divisor-maximal d of ``_power_degrees``; the answer is the same as over
+    every d with phi(d) <= 2g (see there).  For irreducible P, P_d is the
+    characteristic polynomial of pi^d acting on Q(pi) by multiplication, which
+    equals minpoly(pi^d)^[Q(pi) : Q(pi^d)]; so P_d is irreducible exactly when
+    it is squarefree.  Conversely an irreducible P_d at any d forces P to be
+    irreducible, so this agrees with requiring every P_d irreducible.
+    Results are memoized on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``).
     """
-    for d in _power_degrees(L.genus):
-        if not _poly_is_irreducible(power_charpoly(L, d)):
-            return False
-    return True
+    if l_reducible(L):
+        return False
+    return all(sympy.Poly(list(reversed(power_charpoly(L, d))), _T).is_sqf
+               for d in _power_degrees(L.genus))

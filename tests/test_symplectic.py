@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,52 @@ def test_matrix_charpoly_trace_det_consistency():
         assert poly[3] == (-tr) % 3
         from strataforge.symplectic import det_mod
         assert poly[0] == det_mod(m, 3)
+
+
+def cofactor_charpoly(m, l):
+    """det(T*1 - M) mod l by cofactor expansion along the first row, O(d!):
+    the reference for the Hessenberg route of ``matrix_charpoly``."""
+    d = len(m)
+
+    def poly_mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % l
+        return out
+
+    def det(rows, cols):
+        if not cols:
+            return [1]
+        i, total = rows[0], [0] * (len(cols) + 1)
+        for idx, j in enumerate(cols):
+            entry = [(-m[i][j]) % l, 1] if i == j else [(-m[i][j]) % l]
+            term = poly_mul(entry, det(rows[1:], cols[:idx] + cols[idx + 1:]))
+            sign = -1 if idx % 2 else 1
+            for k, x in enumerate(term):
+                total[k] = (total[k] + sign * x) % l
+        return total
+
+    return tuple(det(tuple(range(d)), tuple(range(d))))
+
+
+@pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7)])
+def test_matrix_charpoly_matches_cofactor_expansion(g, l):
+    """Walk samples in every multiplier coset, dense random matrices, and
+    sparse ones (zero pivots, a zero subdiagonal) that take the swap and
+    skip branches of the Hessenberg reduction."""
+    rng = random.Random(100 * g + l)
+    d = 2 * g
+    samples = [mat_mul(random_sp(g, l, seed=s), multiplier_coset_rep(g, l, 1 + s % (l - 1)), l)
+               for s in range(12)]
+    for density in (1.0, 0.3):
+        for _ in range(40):
+            samples.append(tuple(
+                tuple(rng.randrange(l) if rng.random() < density else 0 for _ in range(d))
+                for _ in range(d)))
+    samples.append(identity(d))
+    for m in samples:
+        assert matrix_charpoly(m, l) == cofactor_charpoly(m, l), m
 
 
 def test_coset_charpoly_distribution_sl2_frozen():

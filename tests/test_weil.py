@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 import sympy
@@ -118,9 +119,10 @@ def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls):
             full = all(weil._poly_is_irreducible(weil.power_charpoly(L, d))
                        for d in full_power_degrees(L.genus))
             assert weil.absolutely_simple(L) == weil.absolutely_simple.__wrapped__(L) == full, L
+            assert weil.l_reducible(L) == weil.l_reducible.__wrapped__(L), L
             if L.genus == 3:
                 assert weil.splitting_class_g3(L) == weil.splitting_class_g3.__wrapped__(L), L
-    for cached in (weil.absolutely_simple, weil.splitting_class_g3):
+    for cached in (weil.absolutely_simple, weil.splitting_class_g3, weil.l_reducible):
         assert cached.cache_info().maxsize == weil.WEIL_CACHE_SIZE  # bounded
 
 
@@ -134,3 +136,57 @@ def test_splitting_degree_matches_sympy_galois_group(census_Ls):
             assert weil.splitting_degree(L) == group.order(), L
             checked += 1
     assert checked > 50
+
+
+def factors_over_q(L):
+    """True iff sympy's factorization of L has more than one irreducible
+    factor, counted with multiplicity."""
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(L.coeffs)), T).as_expr())
+    return sum(e for _, e in factors) > 1
+
+
+def genus1_Ls():
+    """Every Weil polynomial 1 + aT + qT^2 over F_3 ... F_13 and over
+    F_9, F_25, F_49, where a = +-2 sqrt(q) gives the reducible (1 +- sqrt(q) T)^2."""
+    return [LPolynomial(q, 1, (1, a, q)) for q in (3, 5, 7, 9, 11, 13, 25, 49)
+            for a in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1)]
+
+
+def test_l_reducible_matches_factorization(census_Ls):
+    """The integer-root shortcut of genus >= 2 and the factorization both
+    agree with sympy's factor_list; at genus 1 the real Weil polynomial is
+    linear with an integer root, and L is reducible only when a^2 = 4q."""
+    for key in CENSUS:
+        for L in census_Ls[key]:
+            assert weil.l_reducible(L) == factors_over_q(L), L
+    reducible = []
+    for L in genus1_Ls():
+        assert weil.l_reducible(L) == factors_over_q(L), L
+        if weil.l_reducible(L):
+            reducible.append((L.q, L.coeffs[1]))
+    assert reducible == [(9, -6), (9, 6), (25, -10), (25, 10), (49, -14), (49, 14)]
+
+
+def sympy_cubic_invariants(L):
+    """(disc h, e1, e2, e3) from sympy: the discriminant of h and the monic
+    resultant D(T) = Res_y(h(y), T - y^2 + 4q) = T^3 - e1 T^2 + e2 T - e3."""
+    h = sympy.Poly(list(reversed(weil.real_weil_coeffs(L))), y).as_expr()
+    disc = int(sympy.discriminant(h, y))
+    dpoly = sympy.Poly(sympy.resultant(h, T - y**2 + 4 * L.q, y), T).monic()
+    return disc, -int(dpoly.nth(2)), int(dpoly.nth(1)), -int(dpoly.nth(0))
+
+
+def test_cubic_invariants_match_sympy(census_Ls):
+    for L in census_Ls[3, 7]:
+        closed = weil._cubic_invariants(weil.real_weil_coeffs(L), L.q)
+        assert closed == sympy_cubic_invariants(L), L
+
+
+def test_maximal_genus3_class_has_galois_group_of_order_48(census_Ls):
+    """``splitting_class_g3`` never guesses: every L it certifies as maximal
+    has a Frobenius polynomial whose Galois group has order 2^3 * 3! = 48."""
+    maximal = [L for L in census_Ls[3, 7] if weil.splitting_class_g3(L) == ("maximal", 48)]
+    for L in maximal:
+        group, _ = galois_group(sympy.Poly(frobenius_expr(L), T))
+        assert group.order() == 48, L
+    assert len(maximal) > 50
