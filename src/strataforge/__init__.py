@@ -1,10 +1,12 @@
 """strata-forge: invariants and desk-scale statistics of hyperelliptic curves
 over small finite fields.
 
-The library computes, exactly, the quantities a p-rank/Newton-polygon census
-needs (zeta numerators, Hasse-Witt matrices, symplectic baselines, boundary
-combinatorics) and runs reproducible experiments over exhaustive or sampled
-families of curves.
+The library computes, exactly and one curve at a time, the quantities a
+p-rank/Newton-polygon census needs: zeta numerators, Hasse-Witt matrices,
+Newton polygons, splitting-field and absolute-simplicity certificates,
+symplectic baselines, the boundary-divisor catalog and degeneration
+witnesses.  ``enumerate_monic`` lists the exhaustive families; there is no
+census runner yet.
 """
 
 SCHEMA_VERSION = "strata-forge/1"

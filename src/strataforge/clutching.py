@@ -1,19 +1,18 @@
-"""Clutching trees, dual graphs, p-rank labelings and boundary-stratum
-dimension bookkeeping.
+"""Clutching trees, p-rank labelings, the boundary-divisor catalog and
+degeneration witnesses.
 
 A clutching tree is a finite tree with a genus label g_v >= 1 at each vertex
-and deg(v) <= 2 g_v + 2.  Gluing two adjacent components merges their genus
-labels (coalesce); a labeling assigns each component its p-rank.  Everything
-here is exact combinatorics on tiny structures.
+and deg(v) <= 2 g_v + 2; a labeling assigns each component its p-rank.
+Everything here is exact combinatorics on tiny structures.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .curves import HyperellipticCurve, curve_new
-from .ffield import FieldDescriptor, FqPoly, enumerate_monic
+from .ffield import FieldDescriptor, enumerate_monic
 from .prank import p_rank
 
 
@@ -115,89 +114,6 @@ def stratum_dim(tree: ClutchingTree, f: int) -> int:
     return g + f - tree_size(tree)
 
 
-def coalesce(tree: ClutchingTree, edge: tuple[int, int]) -> ClutchingTree:
-    """Merge the endpoints of an edge; the new vertex carries the genus sum."""
-    a, b = edge
-    if (a, b) not in tree.edges and (b, a) not in tree.edges:
-        raise ValueError(f"({a}, {b}) is not an edge of the tree")
-    keep, drop = min(a, b), max(a, b)
-
-    def remap(v: int) -> int:
-        if v == drop:
-            return keep
-        return v - 1 if v > drop else v
-
-    genera = list(tree.genera)
-    genera[keep] += genera[drop]
-    del genera[drop]
-    edges = []
-    for u, v in tree.edges:
-        if {u, v} == {a, b}:
-            continue
-        edges.append((remap(u), remap(v)))
-    merged = ClutchingTree(tuple(genera), tuple(edges))
-    # cannot fail when the input is valid: deg drops by 2 while 2g+2 grows
-    assert len(merged.adjacency()[keep]) <= 2 * merged.genera[keep] + 2
-    return merged
-
-
-def canonical_form(tree: ClutchingTree):
-    """Label-aware canonical form (rooted encodings at the centroid)."""
-    n = tree_size(tree)
-    adj = tree.adjacency()
-
-    def centroids() -> list[int]:
-        if n == 1:
-            return [0]
-        deg = [len(a) for a in adj]
-        size = [1] * n
-        order, parent = [], [-1] * n
-        stack = [(0, -1)]
-        while stack:
-            v, par = stack.pop()
-            order.append(v)
-            parent[v] = par
-            for w in adj[v]:
-                if w != par:
-                    stack.append((w, v))
-        for v in reversed(order):
-            if parent[v] >= 0:
-                size[parent[v]] += size[v]
-        best, cands = n + 1, []
-        for v in range(n):
-            heaviest = max([size[w] for w in adj[v] if parent[w] == v]
-                           + ([n - size[v]] if parent[v] >= 0 else [0]))
-            if heaviest < best:
-                best, cands = heaviest, [v]
-            elif heaviest == best:
-                cands.append(v)
-        return cands
-
-    def encode(v: int, par: int):
-        return (tree.genera[v], tuple(sorted(encode(w, v) for w in adj[v] if w != par)))
-
-    return min(encode(c, -1) for c in centroids())
-
-
-def refines(tree: ClutchingTree, target: ClutchingTree) -> bool:
-    """True iff some sequence of coalesce steps turns ``tree`` into a tree
-    isomorphic (with labels) to ``target``; reflexive."""
-    goal = canonical_form(target)
-    goal_size = tree_size(target)
-    seen: set = set()
-
-    def walk(t: ClutchingTree) -> bool:
-        c = canonical_form(t)
-        if tree_size(t) == goal_size:
-            return c == goal
-        if tree_size(t) < goal_size or c in seen:
-            return False
-        seen.add(c)
-        return any(walk(coalesce(t, e)) for e in t.edges)
-
-    return walk(tree)
-
-
 def prank_compact(tree: ClutchingTree, labeling: Sequence[int]) -> int:
     """p-rank of a compact-type configuration: the label sum."""
     if len(labeling) != tree_size(tree):
@@ -206,55 +122,6 @@ def prank_compact(tree: ClutchingTree, labeling: Sequence[int]) -> int:
         if not 0 <= fv <= gv:
             raise ValueError("labeling violates 0 <= f_v <= g_v")
     return sum(labeling)
-
-
-# ---------------------------------------------------------------------------
-# dual graphs (multi-edges and self-loops allowed)
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Vertices carry (genus, component p-rank); edges are nodes of the curve."""
-
-    vertices: tuple[tuple[int, int], ...]  # (g_v, f_v)
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        if n == 0:
-            raise ValueError("dual graph needs at least one vertex")
-        for g, f in self.vertices:
-            if not 0 <= f <= g:
-                raise ValueError("component p-rank must satisfy 0 <= f_v <= g_v")
-        for a, b in self.edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError("edge endpoint out of range")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        stack, reach = [0], {0}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        if len(reach) != n:
-            raise ValueError("dual graph must be connected")
-
-    @property
-    def betti(self) -> int:
-        return len(self.edges) - len(self.vertices) + 1
-
-
-def prank_stable(graph: DualGraph) -> int:
-    """p-rank of a stable configuration: sum of component p-ranks plus b_1.
-
-    Each independent cycle contributes a one-dimensional torus, hence one
-    unit of p-rank.
-    """
-    return sum(f for _, f in graph.vertices) + graph.betti
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ thing across runs and machines.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,98 +48,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over Z/p on raw digit tuples (bootstrap layer, used
-# before a FieldDescriptor exists)
-
-
-def _pm_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pm_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pm_trim(out)
-
-
-def _pm_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        if lead:
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _pm_trim(a)
-
-
-def _pm_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pm_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pm_mod(_pm_mul(result, base, p), m, p)
-        base = _pm_mod(_pm_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pm_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = pow(b[-1], -1, p)
-        monic_b = [(c * inv) % p for c in b]
-        a = _pm_mod(a, monic_b, p)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _pm_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _pm_trim(out)
-
-
-def _modp_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over Z/p (Rabin's test)."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    xq = _pm_powmod(x, p**n, coeffs, p)
-    if _pm_sub(xq, x, p):
-        return False
-    for r in _prime_factors(n):
-        xqr = _pm_powmod(x, p ** (n // r), coeffs, p)
-        g = _pm_gcd(_pm_sub(xqr, x, p), list(coeffs), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 
 
 class FieldDescriptor:
@@ -379,9 +288,6 @@ class FieldDescriptor:
         self._embeddings[key] = table
         return table
 
-    def elements(self) -> range:
-        return range(self.size)
-
 
 @lru_cache(maxsize=None)
 def field_new(p: int, n: int = 1) -> FieldDescriptor:
@@ -396,24 +302,15 @@ def field_new(p: int, n: int = 1) -> FieldDescriptor:
         raise ValueError(f"extension degree must be >= 1, got {n}")
     if n == 1:
         return FieldDescriptor(p, 1, (0, 1))  # modulus x
+    # imported here so that importing strataforge does not load sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
     # least (c_0, c_1, ..., c_{n-1}) lexicographically, constant term first;
     # c_0 = 0 would make x a factor, so the search starts at c_0 = 1
-    def cands():
-        idx = [0] * n
-        idx[0] = 1
-        while True:
-            yield idx
-            j = n - 1
-            while j >= 0 and idx[j] == p - 1:
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                return
-            idx[j] += 1
-
-    for vec in cands():
+    for vec in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         coeffs = list(vec) + [1]
-        if _modp_irreducible(coeffs, p):
+        if gf_irreducible_p(coeffs[::-1], p, ZZ):
             return FieldDescriptor(p, n, tuple(coeffs))
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -482,15 +379,6 @@ def poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def poly_add(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = field.add(out[i], x)
-    return poly_trim(out)
-
-
 def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -545,13 +433,6 @@ def poly_deriv(field: FieldDescriptor, a: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def poly_eval(field: FieldDescriptor, a: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
     if not a:
         raise ValueError("squarefree is undefined for the zero polynomial")
@@ -586,32 +467,8 @@ class FqPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "FqPoly") -> "FqPoly":
-        self._check(other)
-        return FqPoly(self.field, tuple(poly_add(self.field, list(self.coeffs), list(other.coeffs))))
-
-    def __mul__(self, other: "FqPoly") -> "FqPoly":
-        self._check(other)
-        return FqPoly(self.field, tuple(poly_mul(self.field, list(self.coeffs), list(other.coeffs))))
-
-    def __divmod__(self, other: "FqPoly") -> tuple["FqPoly", "FqPoly"]:
-        self._check(other)
-        q, r = poly_divmod(self.field, list(self.coeffs), list(other.coeffs))
-        return FqPoly(self.field, tuple(q)), FqPoly(self.field, tuple(r))
-
-    def _check(self, other: "FqPoly") -> None:
-        if other.field != self.field:
-            raise ValueError("polynomials over different fields")
-
     def derivative(self) -> "FqPoly":
         return FqPoly(self.field, tuple(poly_deriv(self.field, list(self.coeffs))))
-
-    def gcd(self, other: "FqPoly") -> "FqPoly":
-        self._check(other)
-        return FqPoly(self.field, tuple(poly_gcd(self.field, list(self.coeffs), list(other.coeffs))))
-
-    def __call__(self, x: int) -> int:
-        return poly_eval(self.field, list(self.coeffs), x)
 
 
 def squarefree(f: FqPoly) -> bool:
@@ -634,8 +491,8 @@ def poly_pow(f: FqPoly, e: int) -> FqPoly:
     return FqPoly(f.field, tuple(result))
 
 
-def monic_coeff_vectors(field: FieldDescriptor, degree: int):
-    """Raw enumeration behind :func:`enumerate_monic` (yields coefficient tuples).
+def enumerate_monic(field: FieldDescriptor, degree: int, squarefree_only: bool = False):
+    """Yield every monic degree-d polynomial over the field exactly once.
 
     Order is part of the external contract: lexicographic on coefficient
     vectors with the constant term varying fastest.
@@ -643,19 +500,12 @@ def monic_coeff_vectors(field: FieldDescriptor, degree: int):
     if degree < 1:
         raise ValueError("degree must be >= 1")
     q = field.size
-    total = q**degree
-    for idx in range(total):
+    for idx in range(q**degree):
         rest, coeffs = idx, []
         for _ in range(degree):
             coeffs.append(rest % q)
             rest //= q
         coeffs.append(1)
-        yield coeffs
-
-
-def enumerate_monic(field: FieldDescriptor, degree: int, squarefree_only: bool = False):
-    """Yield every monic degree-d polynomial over the field exactly once."""
-    for coeffs in monic_coeff_vectors(field, degree):
-        if squarefree_only and not poly_squarefree(field, list(coeffs)):
+        if squarefree_only and not poly_squarefree(field, coeffs):
             continue
         yield FqPoly(field, tuple(coeffs))

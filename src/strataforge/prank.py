@@ -96,16 +96,20 @@ def _mat_rank(field: FieldDescriptor, a) -> int:
 
 
 def stable_rank(hw: HasseWittMatrix) -> int:
-    """Rank of A * A^(p) * ... * A^(p^(g-1)), the Frobenius-twisted product.
+    """Rank of A^(p^(g-1)) * ... * A^(p) * A, the Frobenius-twisted product.
 
-    g twist factors suffice for a g-dimensional Jacobian; over a prime field
-    the twists are trivial and the product is A^g.
+    With A[i][j] = c_{i*p-j} the p-linear Hasse-Witt map acts on row
+    vectors, x -> x^(p) A, so its g-th iterate is x -> x^(p^g) times this
+    product.  The other order has the same rank over F_p and F_{p^2} only;
+    over F_{p^n} with n >= 3 it gives wrong p-ranks.  g twist factors
+    suffice for a g-dimensional Jacobian; over a prime field the twists are
+    trivial and the product is A^g.
     """
     field, g = hw.field, hw.genus
     prod = hw.entries
     for k in range(1, g):
         twisted = hw.entries if field.n == 1 else _mat_frobenius(field, hw.entries, k)
-        prod = _mat_mul(field, prod, twisted)
+        prod = _mat_mul(field, twisted, prod)
     return _mat_rank(field, prod)
 
 

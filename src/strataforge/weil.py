@@ -69,11 +69,6 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def _rational_square_class_trivial(n: int) -> bool:
-    """True iff the nonzero integer n is a square in Q (n = 0 counts trivial)."""
-    return n == 0 or is_perfect_square(n)
-
-
 def splitting_degree(L: LPolynomial) -> int:
     """Exact degree over Q of the splitting field of L, for genus <= 2.
 
@@ -85,7 +80,7 @@ def splitting_degree(L: LPolynomial) -> int:
     g, q = L.genus, L.q
     if g == 1:
         delta = L.coeffs[1] ** 2 - 4 * q
-        return 1 if _rational_square_class_trivial(delta) else 2
+        return 1 if is_perfect_square(delta) else 2
     if g != 2:
         raise ValueError("exact splitting degrees are implemented for genus <= 2")
     b1, b0 = L.coeffs[1], L.coeffs[2] - 2 * q
@@ -96,7 +91,7 @@ def splitting_degree(L: LPolynomial) -> int:
     if is_perfect_square(disc):
         s = math.isqrt(disc)
         deltas = [((-b1 + s) // 2) ** 2 - 4 * q, ((-b1 - s) // 2) ** 2 - 4 * q]
-        classes = [d for d in deltas if not _rational_square_class_trivial(d)]
+        classes = [d for d in deltas if not is_perfect_square(d)]
         if len(classes) < 2:
             return 2 ** len(classes)
         return 2 if is_perfect_square(classes[0] * classes[1]) else 4

@@ -1,22 +1,15 @@
-import itertools
 import math
-import random
 
 import pytest
 
 from strataforge.clutching import (
     BoundaryDivisor,
     ClutchingTree,
-    DualGraph,
     boundary_catalog,
-    canonical_form,
-    coalesce,
     degeneration_witness,
     labelings,
     path_tree,
     prank_compact,
-    prank_stable,
-    refines,
     stratum_dim,
     tree_genus,
     tree_size,
@@ -116,55 +109,6 @@ def test_stratum_dim_elliptic_tree():
     assert stratum_dim(path_tree([1, 1, 1]), 0) == 0
 
 
-def test_stratum_dim_increases_by_one_under_coalesce():
-    tree = ClutchingTree((2, 1, 1, 1), ((0, 1), (1, 2), (1, 3)))
-    for f in range(4):
-        for e in tree.edges:
-            assert stratum_dim(coalesce(tree, e), f) == stratum_dim(tree, f) + 1
-
-
-# ---------------------------------------------------------------------------
-# coalesce / refines
-
-
-def test_coalesce_path_examples():
-    assert coalesce(path_tree([1, 1, 1]), (0, 1)).genera == (2, 1)
-    assert coalesce(path_tree([1, 1]), (0, 1)).genera == (2,)
-
-
-def test_coalesce_to_single_vertex():
-    for tree in [path_tree([1, 2, 1, 3]), star_tree(3, [1, 2, 1])]:
-        g = tree_genus(tree)
-        while tree_size(tree) > 1:
-            tree = coalesce(tree, tree.edges[0])
-        assert tree.genera == (g,)
-
-
-def test_coalesce_invalid_edge():
-    with pytest.raises(ValueError):
-        coalesce(path_tree([1, 1, 1]), (0, 2))
-
-
-def test_refines_examples():
-    assert refines(path_tree([1, 1, 1]), path_tree([2, 1]))
-    assert refines(path_tree([1, 1, 1]), ClutchingTree((3,), ()))
-    assert not refines(path_tree([2, 1]), path_tree([1, 1, 1]))
-    assert refines(path_tree([2, 1]), path_tree([1, 2]))  # isomorphic relabeling
-
-
-def test_refines_needs_matching_genus():
-    assert not refines(path_tree([1, 1, 1]), ClutchingTree((4,), ()))
-
-
-def test_canonical_form_is_isomorphism_invariant():
-    a = ClutchingTree((1, 2, 1), ((0, 1), (1, 2)))
-    b = ClutchingTree((2, 1, 1), ((0, 1), (0, 2)))
-    c = ClutchingTree((1, 1, 2), ((0, 2), (1, 2)))
-    assert canonical_form(a) == canonical_form(b) == canonical_form(c)
-    d = star_tree(2, [1, 1, 1])
-    assert canonical_form(a) != canonical_form(d)
-
-
 # ---------------------------------------------------------------------------
 # p-rank arithmetic
 
@@ -175,28 +119,6 @@ def test_prank_compact_cases():
     g, f = 6, 4
     tree = path_tree([1, g - 2, 1])
     assert prank_compact(tree, (1, f - 2, 1)) == f
-
-
-def test_prank_stable_cases():
-    g, f = 4, 2
-    loop = DualGraph(((g - 1, f - 1),), ((0, 0),))
-    assert prank_stable(loop) == f
-    two = DualGraph(((1, 1), (g - 2, 0)), ((0, 1), (0, 1)))
-    assert prank_stable(two) == 1 + 0 + 1
-    tree_graph = DualGraph(((1, 1), (2, 1)), ((0, 1),))
-    assert prank_stable(tree_graph) == prank_compact(path_tree([1, 2]), (1, 1))
-
-
-def test_prank_stable_matches_spanning_tree_plus_betti():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        genera = [rng.randint(1, 3) for _ in range(n)]
-        pranks = [rng.randint(0, g) for g in genera]
-        tree_edges = [(i, rng.randrange(i)) for i in range(1, n)]
-        extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
-        graph = DualGraph(tuple(zip(genera, pranks)), tuple(tree_edges + extra))
-        assert prank_stable(graph) == sum(pranks) + len(extra)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from strataforge.ffield import (
     enumerate_monic,
     field_new,
     is_square,
+    poly_mul,
     poly_pow,
     squarefree,
 )
@@ -24,13 +28,14 @@ def poly_from_ints(field, ints):
 # field_new
 
 
-def brute_least_irreducible_quadratic(p):
-    """Oracle: enumerate all monic quadratics in canonical order, keep the
-    first with no root (quadratic => irreducible iff rootless)."""
-    for c0 in range(p):
-        for c1 in range(p):
-            if all((x * x + c1 * x + c0) % p != 0 for x in range(p)):
-                return (c0, c1, 1)
+def brute_least_rootless(p, n):
+    """Oracle: enumerate all monic degree-n polynomials in canonical order
+    (constant term first, compared lexicographically) and keep the first
+    with no root in F_p; for n <= 3 that is the least irreducible one."""
+    assert n in (2, 3)
+    for c in itertools.product(range(p), repeat=n):
+        if all((sum(ci * x**i for i, ci in enumerate(c)) + x**n) % p for x in range(p)):
+            return c + (1,)
     raise AssertionError
 
 
@@ -39,13 +44,52 @@ def test_field_new_prime_field_modulus_is_x():
 
 
 def test_field_new_canonical_quadratic_over_f3():
-    oracle = brute_least_irreducible_quadratic(3)
+    oracle = brute_least_rootless(3, 2)
     assert field_new(3, 2).modulus == oracle == (1, 0, 1)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_field_new_canonical_quadratic_matches_oracle(p):
-    assert field_new(p, 2).modulus == brute_least_irreducible_quadratic(p)
+    assert field_new(p, 2).modulus == brute_least_rootless(p, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_field_new_canonical_cubic_matches_oracle(p):
+    assert field_new(p, 3).modulus == brute_least_rootless(p, 3)
+
+
+# canonical moduli as first recorded; serialized elements depend on them
+PINNED_MODULI = {
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+    (3, 13): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (7, 5): (1, 0, 0, 0, 3, 1),
+    (97, 2): (1, 3, 1),
+    (97, 3): (1, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(PINNED_MODULI))
+def test_field_new_modulus_is_pinned(p, n):
+    assert field_new(p, n).modulus == PINNED_MODULI[(p, n)]
+
+
+def test_import_does_not_load_sympy():
+    """field_new imports sympy only when it searches for a modulus."""
+    code = "import strataforge, sys; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def test_field_new_rejects_bad_parameters():
@@ -213,10 +257,10 @@ def test_poly_pow_degree_law(e):
     f = poly_from_ints(field, [2, 0, 1, 3])
     assert poly_pow(f, e).degree == e * f.degree
     # repeated multiplication oracle
-    acc = poly_from_ints(field, [1])
+    acc = [1]
     for _ in range(e):
-        acc = acc * f
-    assert poly_pow(f, e) == acc
+        acc = poly_mul(field, acc, list(f.coeffs))
+    assert poly_pow(f, e).coeffs == tuple(acc)
 
 
 def test_zero_poly_degree_sentinel():

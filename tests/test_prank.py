@@ -1,9 +1,11 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from strataforge.curves import curve_new, l_polynomial
-from strataforge.ffield import FqPoly, enumerate_monic, field_new
+from strataforge.ffield import FqPoly, enumerate_monic, field_new, squarefree
 from strataforge.prank import (
     NewtonPolygon,
     classify,
@@ -47,6 +49,21 @@ def test_hasse_witt_of_pure_monomial_is_strictly_lower_triangular(p, g):
 def test_p_rank_frozen_examples():
     assert p_rank(make_curve(3, [0, 1, 0, 1])) == 0
     assert p_rank(make_curve(3, [1, 0, 1, 1])) == 1
+
+
+@pytest.mark.parametrize("ints,L_coeffs,rank", [
+    ([13, 12, 5, 10, 14, 1], (1, 9, 54, 243, 729), 0),    # supersingular
+    ([7, 3, 16, 14, 22, 1], (1, -4, 36, -108, 729), 1),
+])
+def test_p_rank_frozen_examples_over_f27(ints, L_coeffs, rank):
+    """Over F_{p^n} with n >= 3 the order of the twisted Hasse-Witt
+    product matters; both curves get the wrong p-rank from A A^(p)."""
+    field = field_new(3, 3)
+    c = curve_new(field, FqPoly(field, tuple(ints)))   # element encodings
+    L = l_polynomial(c)
+    assert L.coeffs == L_coeffs
+    assert slope_zero_length(newton_polygon(L, 3, 3)) == rank
+    assert p_rank(c) == rank
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -164,6 +181,40 @@ def test_two_route_agreement(p, n, d):
         c = curve_new(field, f)
         L = l_polynomial(c)
         assert p_rank(c) == slope_zero_length(newton_polygon(L, p, n)), f.coeffs
+
+
+def _det(field, m):
+    """Leibniz determinant over the field (g <= 3 here)."""
+    acc = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = field.mul(term, m[i][j])
+        sign = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m)))
+        acc = field.sub(acc, term) if sign % 2 else field.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_two_route_agreement_nonordinary_f27(g):
+    """Seeded non-ordinary curves over F_27, where the twisted product is
+    not A^g.  det(A) = 0 selects them without depending on the product
+    order, since det of the product is det(A)^(1 + p + ... + p^(g-1))."""
+    field = field_new(3, 3)
+    rng = random.Random(1)
+    checked = 0
+    while checked < 80:
+        coeffs = [rng.randrange(field.size) for _ in range(2 * g + 1)] + [1]
+        f = FqPoly(field, tuple(coeffs))
+        if not squarefree(f):
+            continue
+        c = curve_new(field, f)
+        if _det(field, hasse_witt(c).entries):
+            continue
+        # N_{g+1} over F_{27^(g+1)} only re-checks L; N_1..N_g determine it
+        L = l_polynomial(c, field_cap=field.size**g)
+        assert p_rank(c) == slope_zero_length(newton_polygon(L, 3, 3)) < g, coeffs
+        checked += 1
 
 
 def test_supersingular_implies_p_rank_zero():
