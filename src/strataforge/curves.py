@@ -199,6 +199,8 @@ def l_polynomial(curve: HyperellipticCurve,
 def l_polynomial_from_counts(q: int, genus: int, counts: list[int]) -> LPolynomial:
     """L(T) from N_1..N_g; counts past N_g must match the ones L predicts."""
     g = genus
+    if len(counts) < g:
+        raise ValueError(f"genus {g} needs the counts N_1..N_{g}, got {len(counts)}")
     s = [n_k - (q**k + 1) for k, n_k in enumerate(counts[:g], start=1)]
     a = [1] + [0] * (2 * g)
     for k in range(1, g + 1):

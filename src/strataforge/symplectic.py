@@ -242,6 +242,7 @@ def random_sp(g: int, l: int, seed: int, walk_length: int = DEFAULT_WALK_LENGTH)
     product of honest transvections stays inside one coset of the derived
     subgroup and can never be uniform.
     """
+    _check_l(l)
     rng = random.Random(seed)
     return _random_sp_step(g, l, rng, walk_length)
 
@@ -290,6 +291,11 @@ class MonteCarloEstimate:
         # min/max with p_hat only absorb rounding at hits in {0, n}
         return cls(p_hat, max(0.0, min(center - half, p_hat)),
                    min(1.0, max(center + half, p_hat)), n)
+
+
+def _check_samples(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"a Monte Carlo run needs n >= 1 samples, got {n}")
 
 
 def _check_multiplier(l: int, m: int) -> None:
@@ -353,6 +359,7 @@ def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
     if mode == "exact":
         return 1 - Fraction(_fixed_point_free_count(g, l, m), sp_order(g, l))
     if mode == "montecarlo":
+        _check_samples(n)
         rep = multiplier_coset_rep(g, l, m)
         rng = random.Random(seed)
         hits = 0
@@ -437,6 +444,7 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
             counts[key] = counts.get(key, 0) + 1
         total = len(elements)
     elif mode == "montecarlo":
+        _check_samples(n)
         rng = random.Random(seed)
         for _ in range(n):
             s = _random_sp_step(g, l, rng, DEFAULT_WALK_LENGTH)

@@ -3,13 +3,11 @@
 Everything works on the Frobenius polynomial P(T) = T^2g * L(1/T) (monic,
 integer coefficients).  Writing P(T) = T^g * h(T + q/T) for the real Weil
 polynomial h, the splitting field of P is K_0(sqrt(d_1), ..., sqrt(d_g)),
-where K_0 splits h and d_i = b_i^2 - 4q for the roots b_i of h.  Since the
-b_i are real of absolute value <= 2 sqrt(q), every d_i is a negative real,
-so no odd product of the d_i can become a square in the real field K_0;
-only even products need testing, and those reduce to exact integer
-square tests (g <= 2) or, at g = 3, to closed-form integer invariants of the
-real Weil cubic and irreducibility tests of the cubic with roots d_i d_j and
-of its substitution T -> T^2.
+where K_0 splits h and d_i = b_i^2 - 4q for the roots b_i of h.  So the
+Galois group G of an irreducible P lies in W_g = (Z/2)^g x| S_g, which
+permutes the b_i and flips pairs {pi, q/pi}.  Exact splitting degrees
+(g <= 2) reduce to integer square tests; at any genus, G = W_g is certified
+from the signed cycle types of Frobenius at small primes.
 
 Factorization runs only where no cheaper exact test is equivalent: an
 integer root of h certifies that L is reducible, and absolute simplicity of
@@ -21,22 +19,24 @@ import math
 from functools import lru_cache
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 
 from .curves import LPolynomial, frobenius_power_sums
 
 _T = sympy.symbols("T")
 
 # Entries kept by each of the three L-keyed caches below (``l_reducible``,
-# ``absolutely_simple``, ``splitting_class_g3``).  The invariants depend on
-# L alone and a census meets few distinct L (218 among the 1,458 genus-3
+# ``absolutely_simple``, ``splitting_class``).  The invariants depend on L
+# alone and a census meets few distinct L (218 among the 1,458 genus-3
 # curves over F_3), but the caches live as long as the process, so they are
-# bounded.  Measured under tracemalloc on 1,434 genus-2 and genus-3 L
-# (q <= 49): an ``l_reducible`` entry with its key L takes 343 B, and an
-# entry of either other cache whose L is already held adds 282 B
-# (``absolutely_simple``) or 210 B (``splitting_class_g3``); one genus-3 L
-# in all three caches takes 772 B.  Even with no key shared, three full
-# caches stay under 3 * 4096 * 650 B, about 8 MB.
+# bounded.  Measured under tracemalloc on genus-2 and genus-3 L (q <= 49):
+# an ``l_reducible`` entry with its key L takes 343 B, and an entry of
+# either other cache whose L is already held adds 282 B (1,434 L) for
+# ``absolutely_simple``, 178-213 B (1,038 L) for ``splitting_class``.  Even
+# with no key shared, three full caches stay under 3 * 4096 * 650 B, 8 MB.
 WEIL_CACHE_SIZE = 4096
+WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
 
 
 def frobenius_poly(L: LPolynomial) -> list[int]:
@@ -112,7 +112,7 @@ def _poly_is_irreducible(coeffs: list[int]) -> bool:
 def l_reducible(L: LPolynomial) -> bool:
     """True iff L factors over the integers.  Memoized on L in a bounded LRU
     cache (see ``WEIL_CACHE_SIZE``), which ``absolutely_simple`` and
-    ``splitting_class_g3`` share.
+    ``splitting_class`` share.
 
     For g >= 2 an integer root b of the real Weil polynomial h gives the
     proper factor T^2 - bT + q of P, so L is reducible without factoring;
@@ -129,70 +129,67 @@ def l_reducible(L: LPolynomial) -> bool:
     return not _poly_is_irreducible(list(L.coeffs))
 
 
-def _squarefree_integer(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    return all(e == 1 for e in sympy.factorint(n).values())
-
-
-def _cubic_invariants(h: list[int], q: int) -> tuple[int, int, int, int]:
-    """(disc h, e1, e2, e3) for the monic real Weil cubic h = [c0, c1, c2, 1],
-    where e_k is the k-th elementary symmetric function of the d_i =
-    b_i^2 - 4q over the roots b_i of h, so that
-    D(T) = prod (T - d_i) = T^3 - e1 T^2 + e2 T - e3.
-
-    Closed forms: disc = c2^2 c1^2 - 4 c1^3 - 4 c2^3 c0 - 27 c0^2 + 18 c2 c1 c0;
-    the squares b_i^2 have symmetric functions (one Graeffe step)
-    s1 = c2^2 - 2 c1, s2 = c1^2 - 2 c0 c2, s3 = c0^2, and shifting them by
-    -4q gives e1 = s1 - 12q, e2 = s2 - 8q s1 + 48q^2,
-    e3 = s3 - 4q s2 + 16q^2 s1 - 64q^3.
-    """
-    c0, c1, c2, _ = h
-    disc = c2 * c2 * c1 * c1 - 4 * c1**3 - 4 * c2**3 * c0 - 27 * c0 * c0 + 18 * c2 * c1 * c0
-    s1, s2, s3 = c2 * c2 - 2 * c1, c1 * c1 - 2 * c0 * c2, c0 * c0
-    e1 = s1 - 12 * q
-    e2 = s2 - 8 * q * s1 + 48 * q * q
-    e3 = s3 - 4 * q * s2 + 16 * q * q * s1 - 64 * q**3
-    return disc, e1, e2, e3
-
-
 @lru_cache(maxsize=WEIL_CACHE_SIZE)
-def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
-    """("maximal", 48) when the splitting field provably has degree 2^3 * 3!,
-    else ("undetermined", None).  Never guesses.  Memoized on L in a bounded
-    LRU cache (see ``WEIL_CACHE_SIZE``).
+def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
+    """("maximal", 2^g g!) when G is provably all of W_g, else
+    ("undetermined", None).  Never guesses, given a genuine Weil polynomial
+    L (as from ``l_polynomial``).  Memoized on L (see ``WEIL_CACHE_SIZE``).
 
-    Certificate: L irreducible (so the real Weil cubic h is irreducible too,
-    since a factor of h gives a factor of P); disc h squarefree and not a
-    square (so h has Galois group S_3 and K_0 is a real sextic field whose
-    only quadratic subfield is Q(sqrt(disc))); and the even products d_i d_j
-    stay nonsquare in K_0, decided by the irreducibility of the cubic C with
-    roots d_i d_j and of C(T^2) and C_disc(T^2), where
-    C_disc(T) = disc^3 C(T / disc) has roots disc * d_i d_j and is
-    irreducible exactly when C is.  disc and the symmetric functions
-    e1, e2, e3 of the d_i are integer closed forms in the coefficients of h
-    (``_cubic_invariants``), and C(T) = T^3 - e2 T^2 + e1 e3 T - e3^2.
+    L must be irreducible (``l_reducible``), so h is too.  At a good prime r
+    (odd, prime to q, P squarefree mod r) a degree-k factor f of h mod r is
+    a k-cycle of Frobenius on the b_i.  It flips its pairs an odd number of
+    times iff b^2 - 4q is a nonsquare in F_{r^k}, iff the norm
+    f(s) f(-s) = E(4q)^2 - 4q O(4q)^2 (s^2 = 4q, f = E(T^2) + T O(T^2)) is a
+    nonsquare mod r; a zero norm means P is not squarefree mod r.  Certified
+    once ``WITNESS_PRIMES`` good primes show a transposition (one 2-cycle,
+    all other cycles odd), a (g-1)-cycle (type [1, g-1]) and a pure flip
+    sigma^K, K the lcm of the cycle lengths, of weight 0 < w < g, w odd if g
+    is even.  Proof: Gal(h) is transitive, the (g-1)-cycle makes it
+    primitive, and with a transposition it is S_g (Jordan).  The flips in G
+    form an S_g-stable subspace of F_2^g: 0, <1>, the even-weight one or
+    F_2^g.  Complex conjugation gives 1 (an irreducible Weil P has no real
+    root), w rules out 0 and <1>, and odd weight (w, or 1 at odd g) the
+    even-weight one.  The first two witnesses are free for g < 3, the third
+    at g = 1.
     """
-    if L.genus != 3:
-        raise ValueError("this classification path is for genus 3")
+    g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
-    disc, e1, e2, e3 = _cubic_invariants(real_weil_coeffs(L), L.q)
-    if disc <= 0 or is_perfect_square(disc) or not _squarefree_integer(disc):
-        return ("undetermined", None)
-    pair_cubic = [-e3 * e3, e1 * e3, -e2, 1]  # C(T), constant term first
-    if not _poly_is_irreducible(pair_cubic):
-        return ("undetermined", None)  # degenerate pair products; stay conservative
-    for scale in (1, disc):
-        doubled = [0] * 7  # C_scale(T^2)
-        for k, c in enumerate(pair_cubic):
-            doubled[2 * k] = c * scale ** (3 - k)
-        if not _poly_is_irreducible(doubled):
-            # some d_i d_j (times scale) is a square in the cubic field,
-            # so the sign extensions are not independent
-            return ("undetermined", None)
-    return ("maximal", 48)
+    h = real_weil_coeffs(L)[::-1]
+    transposition = cycle = g < 3
+    flip = g == 1
+    good, r = 0, 2
+    while not (transposition and cycle and flip) and good < WITNESS_PRIMES:
+        r = sympy.nextprime(r)
+        hr, u, signed = gf_from_int_poly(h, r), 4 * q % r, []
+        if u == 0 or not gf_sqf_p(hr, r, ZZ):
+            continue
+        for f in gf_factor_sqf(hr, r, ZZ)[1]:
+            low = f[::-1]  # constant term first
+            even = sum(c * pow(u, i, r) for i, c in enumerate(low[0::2]))
+            odd = sum(c * pow(u, i, r) for i, c in enumerate(low[1::2]))
+            norm = (even * even - u * odd * odd) % r
+            if norm == 0:
+                break
+            signed.append((len(f) - 1, pow(norm, (r - 1) // 2, r) != 1))
+        else:
+            good += 1
+            lengths = sorted(k for k, _ in signed)
+            transposition |= lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2)
+            cycle |= lengths == [1, g - 1]
+            K = math.lcm(*lengths)
+            w = sum(k for k, flipped in signed if flipped and (K // k) % 2)
+            flip |= 0 < w < g and (g % 2 == 1 or w % 2 == 1)
+    if transposition and cycle and flip:
+        return ("maximal", 2**g * math.factorial(g))
+    return ("undetermined", None)
+
+
+def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
+    """``splitting_class`` at genus 3, where "maximal" means order 48."""
+    if L.genus != 3:
+        raise ValueError("this classification path is for genus 3")
+    return splitting_class(L)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from strataforge.curves import (
     LPolynomial,
     curve_new,
     l_polynomial,
+    l_polynomial_from_counts,
     picard_order,
     point_count,
     point_counts_from,
@@ -238,6 +239,13 @@ def test_l_polynomial_miscounted_n1_raises(monkeypatch, delta, cause):
 def test_l_polynomial_skips_the_check_count_above_the_budget():
     c = make_curve(3, [1, 0, 1, 0, 0, 1])
     assert l_polynomial(c, field_cap=9).coeffs == l_polynomial(c).coeffs == (1, 2, 6, 6, 9)
+
+
+def test_l_polynomial_from_counts_needs_g_counts():
+    with pytest.raises(ValueError, match="genus 3 needs the counts N_1..N_3, got 2"):
+        l_polynomial_from_counts(3, 3, [4, 10])
+    L = LPolynomial(3, 2, (1, 2, 6, 6, 9))
+    assert l_polynomial_from_counts(3, 2, point_counts_from(L, 2)) == L
 
 
 def test_lpolynomial_validation():

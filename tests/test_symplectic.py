@@ -130,6 +130,12 @@ def test_random_sp_is_symplectic_and_deterministic():
         assert random_sp(2, 3, seed=seed) == m
 
 
+@pytest.mark.parametrize("l", [2, 4, 9])
+def test_random_sp_rejects_a_modulus_that_is_not_an_odd_prime(l):
+    with pytest.raises(ValueError, match="odd prime"):
+        random_sp(2, l, 0)
+
+
 def _product_walk(g, l, rng, walk_length):
     """The walk as a product of transvection matrices: the rank-1 walk's
     reference."""
@@ -289,6 +295,14 @@ def test_fixed_vector_proportion_montecarlo():
     assert isinstance(est, MonteCarloEstimate)
     assert est.n == 4000
     assert est.ci_low <= 3 / 8 <= est.ci_high
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_montecarlo_needs_a_sample(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        fixed_vector_proportion(2, 3, 1, mode="montecarlo", n=n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        coset_charpoly_distribution(2, 3, 1, mode="montecarlo", n=n)
 
 
 def test_montecarlo_intervals_contain_sp4_mod_3_values():

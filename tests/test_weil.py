@@ -120,9 +120,8 @@ def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls):
                        for d in full_power_degrees(L.genus))
             assert weil.absolutely_simple(L) == weil.absolutely_simple.__wrapped__(L) == full, L
             assert weil.l_reducible(L) == weil.l_reducible.__wrapped__(L), L
-            if L.genus == 3:
-                assert weil.splitting_class_g3(L) == weil.splitting_class_g3.__wrapped__(L), L
-    for cached in (weil.absolutely_simple, weil.splitting_class_g3, weil.l_reducible):
+            assert weil.splitting_class(L) == weil.splitting_class.__wrapped__(L), L
+    for cached in (weil.absolutely_simple, weil.splitting_class, weil.l_reducible):
         assert cached.cache_info().maxsize == weil.WEIL_CACHE_SIZE  # bounded
 
 
@@ -167,26 +166,80 @@ def test_l_reducible_matches_factorization(census_Ls):
     assert reducible == [(9, -6), (9, 6), (25, -10), (25, 10), (49, -14), (49, 14)]
 
 
-def sympy_cubic_invariants(L):
-    """(disc h, e1, e2, e3) from sympy: the discriminant of h and the monic
-    resultant D(T) = Res_y(h(y), T - y^2 + 4q) = T^3 - e1 T^2 + e2 T - e3."""
-    h = sympy.Poly(list(reversed(weil.real_weil_coeffs(L))), y).as_expr()
-    disc = int(sympy.discriminant(h, y))
-    dpoly = sympy.Poly(sympy.resultant(h, T - y**2 + 4 * L.q, y), T).monic()
-    return disc, -int(dpoly.nth(2)), int(dpoly.nth(1)), -int(dpoly.nth(0))
-
-
-def test_cubic_invariants_match_sympy(census_Ls):
-    for L in census_Ls[3, 7]:
-        closed = weil._cubic_invariants(weil.real_weil_coeffs(L), L.q)
-        assert closed == sympy_cubic_invariants(L), L
-
-
 def test_maximal_genus3_class_has_galois_group_of_order_48(census_Ls):
-    """``splitting_class_g3`` never guesses: every L it certifies as maximal
-    has a Frobenius polynomial whose Galois group has order 2^3 * 3! = 48."""
-    maximal = [L for L in census_Ls[3, 7] if weil.splitting_class_g3(L) == ("maximal", 48)]
-    for L in maximal:
-        group, _ = galois_group(sympy.Poly(frobenius_expr(L), T))
-        assert group.order() == 48, L
-    assert len(maximal) > 50
+    """``splitting_class_g3`` never guesses, and it certifies every genus-3 L
+    over F_3 whose Frobenius polynomial has Galois group of order
+    2^3 * 3! = 48 within ``WITNESS_PRIMES``."""
+    maximal = 0
+    for L in census_Ls[3, 7]:
+        certified = weil.splitting_class_g3(L) == ("maximal", 48)
+        if not weil.l_reducible(L):
+            group, _ = galois_group(sympy.Poly(frobenius_expr(L), T))
+            assert certified == (group.order() == 48), L
+        else:
+            assert not certified, L
+        maximal += certified
+    assert maximal == 120
+
+
+def test_splitting_class_genus1_certifies_exactly_the_irreducible_L():
+    for L in genus1_Ls():
+        expected = ("undetermined", None) if weil.l_reducible(L) else ("maximal", 2)
+        assert weil.splitting_class(L) == expected, L
+
+
+@pytest.fixture(scope="module")
+def genus2_f7_Ls():
+    """Distinct L of genus 2 over F_7.  x -> x + b keeps the curve, and every
+    monic quintic is a translate of exactly one without an x^4 term (7 does
+    not divide 5), so those give every L of the exhaustive family."""
+    field = field_new(7)
+    return {l_polynomial(curve_new(field, f))
+            for f in enumerate_monic(field, 5, squarefree_only=True) if f.coeffs[4] == 0}
+
+
+def test_splitting_class_genus2_certifies_exactly_splitting_degree_8(census_Ls, genus2_f7_Ls):
+    irreducible = 0
+    for L in [*census_Ls[3, 5], *census_Ls[5, 5], *genus2_f7_Ls]:
+        certified = weil.splitting_class(L) == ("maximal", 8)
+        if weil.l_reducible(L):
+            assert not certified, L
+            continue
+        assert certified == (weil.splitting_degree(L) == 8), L
+        irreducible += 1
+    assert irreducible == 185
+
+
+# Irreducible Weil L of genus 4 over F_5 whose Galois group is provably
+# smaller than W_4 (order 384), with the order of Gal(h) for the real Weil
+# quartic h each comes from.
+GENUS4_SMALL_GROUP = {
+    # h = x^4 - 12 x^2 + 1 is even: its roots come in pairs +-b with one
+    # b^2 - 4q, so the flips of a pair move together
+    "even h": ((1, 0, 8, 0, 31, 0, 200, 0, 625), 4),
+    # h = x^4 + 3x^3 - 9x^2 - 12x - 2 has Gal(h) = S_4, but
+    # prod (b_i^2 - 4q) = Res(h, T^2 - 4q) is a square, so every flip
+    # vector has even weight
+    "square norm": ((1, 3, 11, 33, 58, 165, 275, 375, 625), 24),
+    # h = x^4 + 4x^3 - x^2 - 7x - 2 has Gal(h) = A_4: no transposition
+    "A_4": ((1, 4, 19, 53, 138, 265, 475, 500, 625), 12),
+    # h = x^4 - 18x^2 - 15x + 31 has Gal(h) = D_4: no 3-cycle
+    "D_4": ((1, 0, 2, -15, 1, -75, 50, 0, 625), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENUS4_SMALL_GROUP))
+def test_splitting_class_genus4_never_certifies_a_smaller_group(name):
+    coeffs, h_order = GENUS4_SMALL_GROUP[name]
+    L = LPolynomial(5, 4, coeffs)
+    assert not weil.l_reducible(L)  # the gate is not what refuses it
+    h = sympy.Poly(list(reversed(weil.real_weil_coeffs(L))), y)
+    assert galois_group(h)[0].order() == h_order
+    if h_order == 24:
+        assert weil.is_perfect_square(int(sympy.resultant(h.as_expr(), y**2 - 4 * L.q, y)))
+    assert weil.splitting_class(L) == ("undetermined", None)
+
+
+def test_splitting_class_g3_is_genus3_only():
+    with pytest.raises(ValueError):
+        weil.splitting_class_g3(LPolynomial(3, 1, (1, 1, 3)))
