@@ -1,33 +1,47 @@
 """Hyperelliptic curves y^2 = f(x) over F_q: point counts, zeta numerator,
 Jacobian group order.
 
-Point counting evaluates f at every x of F_{q^k} in one numpy Horner pass:
-x runs over the powers g^i of the field's generator, multiplication by x is
-an addition of discrete logs, a coefficient is added one base-p digit at a
-time, and the quadratic character of f(x) is the parity of its log.  The
-zeta numerator L(T) is recovered from N_1..N_g through Newton's identities
-and the functional equation, then checked against a separately counted
-N_{g+1} (when that field is within budget), so that a miscount raises
-instead of propagating.
+Point counting evaluates f at every x of F_{q^k}^*, for every requested k,
+in one numpy Horner pass over the concatenation F_q^* + F_{q^2}^* + ...
+Everything runs in the log domain: x runs over the powers g^i of each
+field's generator, multiplying by x adds i, and adding a coefficient c is
+a lookup in a per-field Zech table (log(1 + g^n), Huber 1990) shifted by
+log c.  The quadratic character of f(x) is the parity of its final log.
+The zeta numerator L(T) is recovered from N_1..N_g through Newton's
+identities and the functional equation, then checked against N_{g+1},
+counted in the same pass (when that field is within budget), so that a
+miscount raises instead of propagating.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
 from .ffield import FieldDescriptor, FqPoly, field_new, poly_squarefree
 
-POINTCOUNT_FIELD_CAP = 2_000_000  # largest |F_{q^k}| point_count will walk
-# Bound on the tracemalloc peak of one point_count per element of F_{q^k},
-# on a field whose tables are not built yet: 17 B of cached tables (int32
-# exp and log, int8 chi) plus the int32 Horner temporaries.  Measured
-# 45.1 B per element at 1,594,323 elements, 45.2 B at 103,823 and 45.5 B at
-# 59,049 (a fixed part of some 40 kB included), so the cap admits a peak of
-# about 92 MB.
-POINTCOUNT_BYTES_PER_ELEMENT = 46
+# Largest |F_{q^k}| a point count will walk, for each k it counts.  At the
+# cap one segment peaks at about 132 MB (POINTCOUNT_BYTES_PER_ELEMENT
+# below); the l_polynomial pass over k = 1..g+1 holds at most q/(q-1) <= 3/2
+# times the elements of its largest segment, so about 198 MB.
+POINTCOUNT_FIELD_CAP = 2_000_000
+# Bound on the tracemalloc peak of one point count per element counted (the
+# sum of |F_{q^k}| over the k of the pass), on fields whose tables are not
+# built yet: 16 B of the fields' int32 exp and log tables, 25 B of the
+# pass's Zech and character tables (5 int32 and 5 int8 entries per
+# element), 4 B for each cached log(x^r) array and 16 B of Horner
+# temporaries (int32 state and index, and the intp copy of the index that
+# ``take`` makes).  Measured 65.1-65.3 B for y^2 = x^3 + x + 1 (r = 1, 2)
+# at 103,823 elements (F_47^3 alone), 106,079 (F_47, F_47^2, F_47^3 in one
+# pass) and 1,594,323 (F_3^13); each further distinct gap r between
+# nonzero coefficients adds 4 B.
+POINTCOUNT_BYTES_PER_ELEMENT = 66
+# Pass tables (see _ExtensionPass) kept per process; a census meets one
+# (base field, k range) pair per field.
+PASS_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -75,46 +89,133 @@ def infinity_points(ext: FieldDescriptor, lead: int, degree: int) -> int:
     return 2 if ext.chi(lead) == 1 else 0
 
 
+class _ExtensionPass:
+    """Tables for one log-domain Horner pass over F_{q^k}^*, k in ``ks``.
+
+    The elements x = g^i (g the generator of F_{q^k}, 0 <= i < m = q^k - 1)
+    of all the segments are laid end to end.  The Horner state of an element
+    is a code z = b + u into ``zech``, b the segment's table offset: with c
+    the coefficient added last, u < m means the partial value is c * g^u,
+    and u = 3m means it is zero.  One step, acc * x^r + c' with
+    d = log c - log c' mod m, is ``zech[z + log(x^r) + d]``:
+
+      zech[b + t] = b + log(1 + g^(t mod m)) for t < 3m  (acc + c' = c' (1 + g^t)),
+                  = b + 3m                   at g^t = -1  (acc + c' = 0),
+                  = b                        for t >= 3m  (acc = 0, so acc + c' = c').
+
+    Since log(x^r) and d lie in [0, m), t <= 3m - 3 for a nonzero partial
+    value and t <= 5m - 2 for a zero one, so a segment takes 5m entries and
+    the lookup needs no modulo and no mask.  At the end
+    f(x) = c_j x^j * g^u, c_j the lowest nonzero coefficient, and its
+    quadratic character is (-1)^(log c_j + u + j i): ``chi[z]`` (plus i when
+    j is odd) reads the parity of u, 0 at the zero code (b is even).
+    """
+
+    def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
+        self.exts = [field_new(base.p, base.n * k) for k in ks]
+        self.sizes = np.array([ext.size - 1 for ext in self.exts], dtype=np.int32)
+        self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        self.offsets = (5 * self.starts).astype(np.int32)
+        self.coef_logs = np.empty((base.size, len(ks)), dtype=np.int32)
+        self.zech = np.zeros(5 * int(self.sizes.sum()), dtype=np.int32)
+        self.chi = np.zeros(len(self.zech), dtype=np.int8)
+        self._x_logs: dict[int, np.ndarray] = {}
+        for seg, (ext, m, b) in enumerate(zip(self.exts, self.sizes.tolist(),
+                                               self.offsets.tolist())):
+            exp, log = ext.exp_log
+            self.coef_logs[:, seg] = log.take(base.embedding_into(ext))
+            wraps = exp[:m] % ext.p == ext.p - 1
+            one_plus = exp[:m] + 1        # 1 + g^t: digit 0 goes up by one, p wraps to 0
+            np.subtract(one_plus, ext.p, out=one_plus, where=wraps)
+            seg_zech = self.zech[b:b + 5 * m]
+            seg_zech[:m] = log.take(one_plus)
+            seg_zech[m // 2] = 3 * m      # g^(m/2) = -1
+            seg_zech[m:2 * m] = seg_zech[:m]
+            seg_zech[2 * m:3 * m] = seg_zech[:m]
+            seg_zech += b
+            self.chi[b:b + 3 * m:2] = 1
+            self.chi[b + 1:b + 3 * m:2] = -1
+
+    def x_log(self, r: int) -> np.ndarray:
+        """log(x^r) = r i mod m at every element; built once per r."""
+        if r not in self._x_logs:
+            out = np.empty(int(self.sizes.sum()), dtype=np.int32)
+            for m, start in zip(self.sizes.tolist(), self.starts.tolist()):
+                part = np.arange(0, r * m, r, dtype=np.int64)
+                part %= m
+                out[start:start + m] = part
+            self._x_logs[r] = out
+        return self._x_logs[r]
+
+    def counts(self, curve: HyperellipticCurve) -> list[int]:
+        """N_k of the curve for every k of the pass."""
+        coeffs = curve.f.coeffs
+        support = [j for j, c in enumerate(coeffs) if c]
+        logs = self.coef_logs[[coeffs[j] for j in support]]   # lowest degree first
+        signs = self.chi.take(self._horner(support, logs))
+        sums = np.add.reduceat(signs, self.starts, dtype=np.int32).tolist()
+        out = []
+        for ext, total, log_cj in zip(self.exts, sums, logs[0].tolist()):
+            sign = 1 - 2 * (log_cj & 1)                        # chi(c_j)
+            at_zero = sign if coeffs[0] else 0                 # chi(f(0)) = chi(c_0)
+            lead = int(curve.field.embedding_into(ext)[coeffs[-1]])
+            out.append(ext.size + sign * total + at_zero
+                       + infinity_points(ext, lead, curve.model_degree))
+        return out
+
+    def _horner(self, support: list[int], logs: np.ndarray) -> np.ndarray:
+        """Final codes z, shifted by i when the lowest degree j is odd."""
+        steps = (logs[1:] - logs[:-1]) % self.sizes           # log c - log c' per segment
+        # built before the Horner arrays, so that their set-up adds no peak
+        x_logs = [self.x_log(b - a) for a, b in zip(support, support[1:])]
+        x = self.x_log(1)
+        z = np.repeat(self.offsets, self.sizes)               # acc = lead
+        for s in range(len(support) - 2, -1, -1):
+            t = np.repeat(steps[s], self.sizes)
+            t += z
+            t += x_logs[s]
+            # in range by construction; "clip" writes in place, unbuffered
+            self.zech.take(t, out=z, mode="clip")
+            del t                                             # before the next one is made
+        if support[0] % 2:
+            z += x
+        return z
+
+
+@lru_cache(maxsize=PASS_CACHE_SIZE)
+def _extension_pass(base: FieldDescriptor, ks: tuple[int, ...]) -> _ExtensionPass:
+    return _ExtensionPass(base, ks)
+
+
+def _count(curve: HyperellipticCurve, ks: tuple[int, ...], field_cap: int) -> list[int]:
+    for k in ks:
+        ext_size = curve.q**k
+        if ext_size > field_cap:
+            raise BudgetExceededError(
+                f"|F_q^k| = {ext_size} exceeds the point-count budget {field_cap} "
+                f"at k = {k}, {_describe(curve)}")
+    return _extension_pass(curve.field, ks).counts(curve)
+
+
+def point_counts(curve: HyperellipticCurve, upto: int,
+                 field_cap: int = POINTCOUNT_FIELD_CAP) -> list[int]:
+    """[N_1, ..., N_upto], all counted in one log-domain Horner pass.
+
+    Raises :class:`BudgetExceededError` at the first k with q^k above
+    ``field_cap``.
+    """
+    if upto < 1:
+        raise ValueError("extension degree must be >= 1")
+    return _count(curve, tuple(range(1, upto + 1)), field_cap)
+
+
 def point_count(curve: HyperellipticCurve, k: int = 1,
                 field_cap: int = POINTCOUNT_FIELD_CAP) -> int:
-    """N_k: number of points of the smooth model over F_{q^k}.
-
-    One numpy Horner pass evaluates f at every x = g^i of F_{q^k}^* at once
-    (g the field's generator, i = 0..q^k-2); x = 0 is the constant term.
-    """
+    """N_k: number of points of the smooth model over F_{q^k}; the
+    one-segment case of :func:`point_counts`."""
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    base = curve.field
-    ext_size = base.size**k
-    if ext_size > field_cap:
-        raise BudgetExceededError(
-            f"|F_q^k| = {ext_size} exceeds the point-count budget {field_cap} "
-            f"at k = {k}, {_describe(curve)}")
-    ext = field_new(base.p, base.n * k)
-    emb = base.embedding_into(ext)
-    coeffs = [int(emb[c]) for c in curve.f.coeffs]
-    exp, log = ext.exp_log
-    chi = ext.chi_table
-    p = ext.p
-    log_x = np.arange(ext_size - 1, dtype=np.int32)
-    acc = np.full(ext_size - 1, coeffs[-1], dtype=np.int32)
-    for c in reversed(coeffs[:-1]):
-        la = log.take(acc)
-        la += log_x
-        acc = exp.take(la)                    # acc * x
-        place = 1
-        while c:                              # acc + c, one nonzero digit at a time
-            c, d = divmod(c, p)
-            if d:
-                # the digit at `place` carries iff the digits up to it reach
-                # (p - d) * place; a // b * b is much faster than % on int32
-                span = place * p
-                low = acc - acc // span * span
-                acc += d * place
-                acc -= (low >= (p - d) * place) * np.int32(span)
-            place *= p
-    total = ext_size + int(chi.take(acc).sum()) + int(chi[coeffs[0]])
-    return total + infinity_points(ext, coeffs[-1], curve.model_degree)
+    return _count(curve, (k,), field_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -181,15 +282,16 @@ def l_polynomial(curve: HyperellipticCurve,
     """Recover L(T) from N_1..N_g via Newton's identities, checked on N_{g+1}.
 
     N_1..N_g determine L.  Whenever q^(g+1) <= ``field_cap``, N_{g+1} is
-    counted as well and must equal the count L predicts, so a miscount raises
-    instead of returning a valid-looking L.  Above that budget only the
-    integrality of the Newton steps and the :class:`LPolynomial` checks
-    (functional equation, L(1) > 0, Weil bound on a_1) run.  Any failure is a
+    counted as well, in the same :func:`point_counts` pass, and must equal
+    the count L predicts, so a miscount raises instead of returning a
+    valid-looking L.  Above that budget only the integrality of the Newton
+    steps and the :class:`LPolynomial` checks (functional equation,
+    L(1) > 0, Weil bound on a_1) run.  Any failure is a
     :class:`ConsistencyError` naming the counts, the field and f.
     """
     g = curve.genus
     top = g + 1 if curve.q ** (g + 1) <= field_cap else g
-    counts = [point_count(curve, k, field_cap) for k in range(1, top + 1)]
+    counts = point_counts(curve, top, field_cap)
     try:
         return l_polynomial_from_counts(curve.q, g, counts)
     except ConsistencyError as exc:

@@ -236,7 +236,9 @@ class FieldDescriptor:
 
     def chi(self, a: int) -> int:
         """Quadratic character: 0 at 0, +1 on squares, -1 on nonsquares."""
-        return int(self.chi_table[a])
+        if a == 0:
+            return 0
+        return 1 - 2 * (int(self.exp_log[1][a]) & 1)
 
     # -- numpy views (built lazily, used by census hot loops) ----------------
 

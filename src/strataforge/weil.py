@@ -18,13 +18,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
-
 from .curves import LPolynomial, frobenius_power_sums
-
-_T = sympy.symbols("T")
 
 # Entries kept by each of the three L-keyed caches below (``l_reducible``,
 # ``absolutely_simple``, ``splitting_class``).  The invariants depend on L
@@ -104,8 +98,15 @@ def splitting_degree(L: LPolynomial) -> int:
     return 4 if merged else 8
 
 
+def _poly(coeffs: list[int]):
+    """sympy Poly in T from integer coefficients, constant term first."""
+    # imported here so that importing strataforge.weil does not load sympy
+    import sympy
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("T"))
+
+
 def _poly_is_irreducible(coeffs: list[int]) -> bool:
-    return sympy.Poly(list(reversed(coeffs)), _T).is_irreducible
+    return _poly(coeffs).is_irreducible
 
 
 @lru_cache(maxsize=WEIL_CACHE_SIZE)
@@ -152,6 +153,10 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     even-weight one.  The first two witnesses are free for g < 3, the third
     at g = 1.
     """
+    from sympy import nextprime
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
+
     g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
@@ -160,7 +165,7 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     flip = g == 1
     good, r = 0, 2
     while not (transposition and cycle and flip) and good < WITNESS_PRIMES:
-        r = sympy.nextprime(r)
+        r = nextprime(r)
         hr, u, signed = gf_from_int_poly(h, r), 4 * q % r, []
         if u == 0 or not gf_sqf_p(hr, r, ZZ):
             continue
@@ -227,7 +232,8 @@ def _power_degrees(g: int) -> tuple[int, ...]:
     values, genus 2 gives {8, 10, 12} out of 9.
     """
     bound = 2 * (2 * g) ** 2 + 1
-    small = [d for d in range(1, bound + 1) if sympy.totient(d) <= 2 * g]
+    small = [d for d in range(1, bound + 1)
+             if sum(math.gcd(a, d) == 1 for a in range(1, d + 1)) <= 2 * g]  # phi(d)
     return tuple(d for d in small if not any(e != d and e % d == 0 for e in small))
 
 
@@ -249,5 +255,4 @@ def absolutely_simple(L: LPolynomial) -> bool:
     """
     if l_reducible(L):
         return False
-    return all(sympy.Poly(list(reversed(power_charpoly(L, d))), _T).is_sqf
-               for d in _power_degrees(L.genus))
+    return all(_poly(power_charpoly(L, d)).is_sqf for d in _power_degrees(L.genus))

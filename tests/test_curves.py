@@ -13,6 +13,7 @@ from strataforge.curves import (
     l_polynomial_from_counts,
     picard_order,
     point_count,
+    point_counts,
     point_counts_from,
 )
 from strataforge.errors import BudgetExceededError, ConsistencyError
@@ -154,8 +155,10 @@ def test_point_count_matches_brute_force_on_leads_and_base_fields(p, n, ints, le
         coeffs[-1] = nonsquare(field)
     # built directly: curve_new accepts monic f only
     c = HyperellipticCurve(field, FqPoly(field, tuple(coeffs)))
+    brute = {k: brute_count(c, k) for k in range(1, max(ks) + 1)}
     for k in ks:
-        assert point_count(c, k) == brute_count(c, k)
+        assert point_count(c, k) == brute[k]
+    assert point_counts(c, max(ks)) == [brute[k] for k in range(1, max(ks) + 1)]
 
 
 @pytest.mark.parametrize("degree", [5, 6])
@@ -163,8 +166,32 @@ def test_point_count_matches_scalar_loop_on_exhaustive_genus2_f3(degree):
     field = field_new(3)
     for f in enumerate_monic(field, degree, squarefree_only=True):
         c = curve_new(field, f)
+        expected = [scalar_count(c, k) for k in (1, 2, 3)]
         for k in (1, 2, 3):
-            assert point_count(c, k) == scalar_count(c, k), (f.coeffs, k)
+            assert point_count(c, k) == expected[k - 1], (f.coeffs, k)
+        assert point_counts(c, 3) == expected, f.coeffs
+
+
+@pytest.mark.parametrize("p,n,ints,upto", [
+    (3, 1, [1, 0, 0, 0, 0, 0, 0, 1], 3),        # x^7 + 1: one gap of 7
+    (3, 1, [0, 1, 0, 0, 0, 0, 0, 0, 1], 3),     # x^8 + x: a gap of 7, then a factor x
+    (5, 1, [1, 0, 0, 0, 0, 0, 0, 1], 3),
+    (7, 1, [0, 1, 0, 0, 0, 0, 0, 0, 1], 2),
+    (3, 2, [1, 0, 0, 0, 0, 0, 0, 1], 2),
+    (3, 1, [1, 0, 0, 0, 0, 0, 1, 1], 3),        # x + 1 = 0 at x = -1, then a gap of 6
+    (5, 1, [0, 3, 1, 0, 0, 1], 3),              # x^3 + 1 = 0 at x = -1; roots 0 and 1
+    (7, 1, [0, 5, 0, 1, 1], 3),                 # even degree, x + 1 = 0; roots 0 and 1
+    (3, 2, [2, 3, 0, 1, 1], 2),                 # even degree over F_9, x + 1 = 0
+])
+def test_point_counts_on_zero_runs_and_vanishing_partial_values(p, n, ints, upto):
+    """Runs of zero coefficients multiply by x^r in one step, and a Horner
+    value that vanishes midway (x = -c_{d-1}, or a root of f in the base
+    field) must go through the zero code and come back at the next term."""
+    field = field_new(p, n)
+    c = HyperellipticCurve(field, FqPoly(field, tuple(x % field.size for x in ints)))
+    expected = [scalar_count(c, k) for k in range(1, upto + 1)]
+    assert point_counts(c, upto) == expected
+    assert [point_count(c, k) for k in range(1, upto + 1)] == expected
 
 
 def test_point_count_memory_per_element():
@@ -179,6 +206,20 @@ def test_point_count_memory_per_element():
     assert peak < POINTCOUNT_BYTES_PER_ELEMENT * 47**3
 
 
+def test_point_counts_memory_per_element():
+    field_new.cache_clear()                # fresh descriptors: no tables built yet
+    c = make_curve(47, [1, 1, 0, 1])
+    for k in (1, 2, 3):
+        field_new(47, k)
+    tracemalloc.start()
+    try:
+        point_counts(c, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < POINTCOUNT_BYTES_PER_ELEMENT * (47 + 47**2 + 47**3)
+
+
 def test_point_count_odd_model_always_has_a_point():
     for f in itertools.islice(enumerate_monic(field_new(3), 3, squarefree_only=True), 6):
         assert point_count(curve_new(field_new(3), f)) >= 1
@@ -189,6 +230,10 @@ def test_point_count_budget():
     # the message names the field and f, so the failure reproduces from a log
     with pytest.raises(BudgetExceededError, match=re.escape("GF(7) with f = [3, 2, 0, 1]")):
         point_count(c, 9)
+    # the pass stops at the first k over the budget
+    with pytest.raises(BudgetExceededError, match=re.escape("= 5764801 exceeds the point-count "
+                                                            "budget 2000000 at k = 8")):
+        point_counts(c, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +257,10 @@ def test_l_polynomial_functional_equation_and_leading_coeff():
 def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
     import strataforge.curves as curves
     c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
-    true_count = curves.point_count
+    true_counts = curves.point_counts
     # N_2 off by one makes a_2 = (s_1^2 + s_2) / 2 a non-integer
-    monkeypatch.setattr(curves, "point_count",
-                        lambda curve, k, cap: true_count(curve, k, cap) + (k == 2))
+    monkeypatch.setattr(curves, "point_counts", lambda curve, upto, cap: [
+        n + (k == 2) for k, n in enumerate(true_counts(curve, upto, cap), start=1)])
     with pytest.raises(ConsistencyError,
                        match=re.escape("GF(3) with f = [1, 0, 1, 0, 0, 1]")):
         l_polynomial(c)
@@ -228,9 +273,9 @@ def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
 def test_l_polynomial_miscounted_n1_raises(monkeypatch, delta, cause):
     import strataforge.curves as curves
     c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
-    true_count = curves.point_count
-    monkeypatch.setattr(curves, "point_count",
-                        lambda curve, k, cap: true_count(curve, k, cap) + delta * (k == 1))
+    true_counts = curves.point_counts
+    monkeypatch.setattr(curves, "point_counts", lambda curve, upto, cap: [
+        n + delta * (k == 1) for k, n in enumerate(true_counts(curve, upto, cap), start=1)])
     with pytest.raises(ConsistencyError,
                        match=re.escape(cause) + ".*" + re.escape("GF(3) with f = [1, 0, 1, 0, 0, 1]")):
         l_polynomial(c)

@@ -226,3 +226,63 @@ def test_supersingular_implies_p_rank_zero():
         if classify(np_) == "supersingular":
             assert slope_zero_length(np_) == 0
             assert p_rank(c) == 0
+
+
+# ---------------------------------------------------------------------------
+# Manin's congruence: L(T) = det(I - T A_pi) mod p, a_1..a_g against the
+# Hasse-Witt route, coefficient by coefficient
+
+
+def _manin_coeffs(c):
+    """(-1)^k e_k(A_pi), k = 1..g, with A_pi = A^(p^(n-1)) ... A^(p) A
+    (the product order of ``prank.stable_rank``) and e_k the sum of the
+    principal k-by-k minors; each must lie in F_p."""
+    field, g = c.field, c.genus
+    a = hasse_witt(c).entries
+    prod = a
+    for k in range(1, field.n):
+        twisted = [[field.frobenius(x, k) for x in row] for row in a]
+        prod = [[_sum(field, (field.mul(twisted[i][m], prod[m][j]) for m in range(g)))
+                 for j in range(g)] for i in range(g)]
+    out = []
+    for k in range(1, g + 1):
+        e_k = _sum(field, (_det(field, [[prod[i][j] for j in rows] for i in rows])
+                           for rows in itertools.combinations(range(g), k)))
+        assert e_k < field.p, "det(I - T A_pi) has a coefficient outside F_p"
+        out.append(e_k if k % 2 == 0 else field.neg(e_k))
+    return out
+
+
+def _sum(field, xs):
+    acc = 0
+    for x in xs:
+        acc = field.add(acc, x)
+    return acc
+
+
+def _assert_manin(c):
+    L = l_polynomial(c, field_cap=c.q**c.genus)   # a_1..a_g need only N_1..N_g
+    p = c.field.p
+    assert [a % p for a in L.coeffs[1:c.genus + 1]] == _manin_coeffs(c), c.f.coeffs
+
+
+@pytest.mark.parametrize("p,degree", [(3, 5), (3, 6), (5, 5), (5, 6), (3, 7), (3, 8)])
+def test_manin_congruence_exhaustive(p, degree):
+    field = field_new(p)
+    for f in enumerate_monic(field, degree, squarefree_only=True):
+        _assert_manin(curve_new(field, f))
+
+
+@pytest.mark.parametrize("n,g,samples", [(2, 2, 150), (2, 3, 80), (3, 2, 100), (3, 3, 60)])
+def test_manin_congruence_seeded_extension_fields(n, g, samples):
+    """F_9 and F_27, where A_pi is a twisted product and its order matters
+    (n = 3)."""
+    field = field_new(3, n)
+    rng = random.Random(n * 10 + g)
+    checked = 0
+    while checked < samples:
+        coeffs = [rng.randrange(field.size) for _ in range(2 * g + 1)] + [1]
+        f = FqPoly(field, tuple(coeffs))
+        if squarefree(f):
+            _assert_manin(curve_new(field, f))
+            checked += 1

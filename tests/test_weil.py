@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -243,3 +247,15 @@ def test_splitting_class_genus4_never_certifies_a_smaller_group(name):
 def test_splitting_class_g3_is_genus3_only():
     with pytest.raises(ValueError):
         weil.splitting_class_g3(LPolynomial(3, 1, (1, 1, 3)))
+
+
+def test_import_loads_no_sympy():
+    """sympy is imported by the functions that factor, not at import, so
+    code that never factors (the symplectic baselines) does not pay for it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, strataforge.weil, strataforge.symplectic; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
