@@ -9,9 +9,12 @@ permutes the b_i and flips pairs {pi, q/pi}.  Exact splitting degrees
 (g <= 2) reduce to integer square tests; at any genus, G = W_g is certified
 from the signed cycle types of Frobenius at small primes.
 
-Factorization runs only where no cheaper exact test is equivalent: an
-integer root of h certifies that L is reducible, and absolute simplicity of
-an irreducible L needs only squarefreeness of its power polynomials.
+Nothing here factors a polynomial at genus <= 3: L is reducible iff h has
+an integer root (or L = (1 - qT^2)^2), the signed cycle types come from
+distinct-degree counts mod r (``ffield.zp_ddf``), and absolute simplicity
+of an irreducible L needs only squarefreeness of its power polynomials,
+decided mod small primes with an exact integer fallback.  sympy is imported
+only to decide whether h is irreducible at genus >= 4.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import math
 from functools import lru_cache
 
 from .curves import LPolynomial, frobenius_power_sums
+from .ffield import is_prime, poly_trim, zp_ddf, zp_deriv, zp_gcd
 
 # Entries kept by each of the three L-keyed caches below (``l_reducible``,
 # ``absolutely_simple``, ``splitting_class``).  The invariants depend on L
@@ -31,6 +35,7 @@ from .curves import LPolynomial, frobenius_power_sums
 # with no key shared, three full caches stay under 3 * 4096 * 650 B, 8 MB.
 WEIL_CACHE_SIZE = 4096
 WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
+SQUAREFREE_PRIMES = 6  # primes ``squarefree_over_q`` tries before the exact test
 
 
 def frobenius_poly(L: LPolynomial) -> list[int]:
@@ -98,36 +103,69 @@ def splitting_degree(L: LPolynomial) -> int:
     return 4 if merged else 8
 
 
-def _poly(coeffs: list[int]):
-    """sympy Poly in T from integer coefficients, constant term first."""
-    # imported here so that importing strataforge.weil does not load sympy
-    import sympy
-    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("T"))
-
-
 def _poly_is_irreducible(coeffs: list[int]) -> bool:
-    return _poly(coeffs).is_irreducible
+    """Irreducibility over Q by sympy's factorizer, constant term first."""
+    # imported here so that only genus >= 4 reducibility loads sympy
+    import sympy
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("T")).is_irreducible
 
 
 @lru_cache(maxsize=WEIL_CACHE_SIZE)
 def l_reducible(L: LPolynomial) -> bool:
-    """True iff L factors over the integers.  Memoized on L in a bounded LRU
-    cache (see ``WEIL_CACHE_SIZE``), which ``absolutely_simple`` and
-    ``splitting_class`` share.
+    """True iff L factors over the integers, for a Weil polynomial L (all
+    roots of absolute value 1/sqrt(q), as from ``l_polynomial``).  Memoized
+    on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``), which
+    ``absolutely_simple`` and ``splitting_class`` share.
 
-    For g >= 2 an integer root b of the real Weil polynomial h gives the
-    proper factor T^2 - bT + q of P, so L is reducible without factoring;
-    the roots of h are real with |b| <= 2 sqrt(q), so only |b| <= isqrt(4q)
-    is scanned.  At g = 1 that factor is P itself (h is linear and its root
-    always an integer), so genus 1 goes straight to the factorization, as
-    does every L whose h has no integer root.
+    Genus 1: P = T^2 + a_1 T + q splits iff a_1^2 - 4q is a square.  For
+    g >= 2, P is reducible iff h is, or g = 2 and h = T^2 - 4q (that is,
+    L = (1 - qT^2)^2).  Proof: a root b of an irreducible h has degree g;
+    for pi with pi + q/pi = b, either [Q(pi) : Q(b)] = 2 and P, of degree
+    2g, is the minimal polynomial of pi, or pi lies in the totally real
+    field Q(b), so pi = +-sqrt(q), b = +-2 sqrt(q) and h = T^2 - 4q.  The
+    roots of h are real with |b| <= 2 sqrt(q), so an integer root is found
+    by scanning |b| <= isqrt(4q); at g <= 3 a reducible monic h has one.
+    Only h of degree g >= 4 goes to a factorization.
     """
-    if L.genus >= 2:
-        h = real_weil_coeffs(L)
-        bound = math.isqrt(4 * L.q)
-        if any(sum(c * b**m for m, c in enumerate(h)) == 0 for b in range(-bound, bound + 1)):
-            return True
-    return not _poly_is_irreducible(list(L.coeffs))
+    g, q = L.genus, L.q
+    if g == 1:
+        return is_perfect_square(L.coeffs[1] ** 2 - 4 * q)
+    h = real_weil_coeffs(L)
+    bound = math.isqrt(4 * q)
+    if any(sum(c * b**m for m, c in enumerate(h)) == 0 for b in range(-bound, bound + 1)):
+        return True
+    if g <= 3:
+        return h == [-4 * q, 0, 1]
+    return not _poly_is_irreducible(h)
+
+
+def _next_prime(r: int) -> int:
+    r += 1
+    while not is_prime(r):
+        r += 1
+    return r
+
+
+def signed_cycle_type(h: list[int], P: list[int], r: int) -> list[tuple[int, bool]]:
+    """Signed cycle type of Frobenius at r on the roots of P = T^g h(T + q/T):
+    one (k, flipped) per k-cycle on the roots b of h, flipped when the cycle
+    moves pi to q/pi after k steps (a 2k-cycle on the roots of P).  Needs P
+    squarefree mod r.
+
+    Read from distinct-degree counts alone: with n_k the k-cycles on the b
+    (from h) and m_j the j-cycles on the roots of P, an unflipped k-cycle
+    gives two k-cycles on the roots of P and a flipped one a 2k-cycle, so
+    m_j = 2 a_j + f_(j/2) and n_j = a_j + f_j (f_(j/2) = 0 for odd j), solved
+    for a_j, f_j in increasing j.
+    """
+    n, m = zp_ddf(h, r), zp_ddf(P, r)
+    signed, flipped = [], {}
+    for j in range(1, len(h)):
+        halves = flipped[j // 2] if j % 2 == 0 else 0
+        unflipped = (m.get(j, 0) - halves) // 2
+        flipped[j] = n.get(j, 0) - unflipped
+        signed += [(j, False)] * unflipped + [(j, True)] * flipped[j]
+    return signed
 
 
 @lru_cache(maxsize=WEIL_CACHE_SIZE)
@@ -137,54 +175,40 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     L (as from ``l_polynomial``).  Memoized on L (see ``WEIL_CACHE_SIZE``).
 
     L must be irreducible (``l_reducible``), so h is too.  At a good prime r
-    (odd, prime to q, P squarefree mod r) a degree-k factor f of h mod r is
-    a k-cycle of Frobenius on the b_i.  It flips its pairs an odd number of
-    times iff b^2 - 4q is a nonsquare in F_{r^k}, iff the norm
-    f(s) f(-s) = E(4q)^2 - 4q O(4q)^2 (s^2 = 4q, f = E(T^2) + T O(T^2)) is a
-    nonsquare mod r; a zero norm means P is not squarefree mod r.  Certified
-    once ``WITNESS_PRIMES`` good primes show a transposition (one 2-cycle,
-    all other cycles odd), a (g-1)-cycle (type [1, g-1]) and a pure flip
-    sigma^K, K the lcm of the cycle lengths, of weight 0 < w < g, w odd if g
-    is even.  Proof: Gal(h) is transitive, the (g-1)-cycle makes it
-    primitive, and with a transposition it is S_g (Jordan).  The flips in G
-    form an S_g-stable subspace of F_2^g: 0, <1>, the even-weight one or
-    F_2^g.  Complex conjugation gives 1 (an irreducible Weil P has no real
-    root), w rules out 0 and <1>, and odd weight (w, or 1 at odd g) the
-    even-weight one.  The first two witnesses are free for g < 3, the third
-    at g = 1.
+    (odd, prime to q, P squarefree mod r) Frobenius has a signed cycle type
+    on the roots (``signed_cycle_type``): a k-cycle on the b_i flips its
+    pairs {pi, q/pi} an odd number of times iff it is a 2k-cycle on the
+    roots of P.  Certified once ``WITNESS_PRIMES`` good primes show a
+    transposition (one 2-cycle, all other cycles odd), a (g-1)-cycle (type
+    [1, g-1]) and a pure flip sigma^K, K the lcm of the cycle lengths, of
+    weight 0 < w < g, w odd if g is even.  Proof: Gal(h) is transitive, the
+    (g-1)-cycle makes it primitive, and with a transposition it is S_g
+    (Jordan).  The flips in G form an S_g-stable subspace of F_2^g: 0, <1>,
+    the even-weight one or F_2^g.  Complex conjugation gives 1 (an
+    irreducible Weil P has no real root), w rules out 0 and <1>, and odd
+    weight (w, or 1 at odd g) the even-weight one.  The first two witnesses
+    are free for g < 3, the third at g = 1.
     """
-    from sympy import nextprime
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
-
     g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
-    h = real_weil_coeffs(L)[::-1]
+    h, P = real_weil_coeffs(L), frobenius_poly(L)
     transposition = cycle = g < 3
     flip = g == 1
     good, r = 0, 2
     while not (transposition and cycle and flip) and good < WITNESS_PRIMES:
-        r = nextprime(r)
-        hr, u, signed = gf_from_int_poly(h, r), 4 * q % r, []
-        if u == 0 or not gf_sqf_p(hr, r, ZZ):
+        r = _next_prime(r)
+        Pr = [c % r for c in P]
+        if q % r == 0 or len(zp_gcd(Pr, zp_deriv(Pr, r), r)) > 1:
             continue
-        for f in gf_factor_sqf(hr, r, ZZ)[1]:
-            low = f[::-1]  # constant term first
-            even = sum(c * pow(u, i, r) for i, c in enumerate(low[0::2]))
-            odd = sum(c * pow(u, i, r) for i, c in enumerate(low[1::2]))
-            norm = (even * even - u * odd * odd) % r
-            if norm == 0:
-                break
-            signed.append((len(f) - 1, pow(norm, (r - 1) // 2, r) != 1))
-        else:
-            good += 1
-            lengths = sorted(k for k, _ in signed)
-            transposition |= lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2)
-            cycle |= lengths == [1, g - 1]
-            K = math.lcm(*lengths)
-            w = sum(k for k, flipped in signed if flipped and (K // k) % 2)
-            flip |= 0 < w < g and (g % 2 == 1 or w % 2 == 1)
+        good += 1
+        signed = signed_cycle_type(h, Pr, r)
+        lengths = sorted(k for k, _ in signed)
+        transposition |= lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2)
+        cycle |= lengths == [1, g - 1]
+        K = math.lcm(*lengths)
+        w = sum(k for k, flipped in signed if flipped and (K // k) % 2)
+        flip |= 0 < w < g and (g % 2 == 1 or w % 2 == 1)
     if transposition and cycle and flip:
         return ("maximal", 2**g * math.factorial(g))
     return ("undetermined", None)
@@ -204,8 +228,11 @@ def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
 def power_charpoly(L: LPolynomial, d: int) -> list[int]:
     """Monic integer polynomial with roots the d-th powers of the Frobenius
     eigenvalues, constant term first (degree 2g)."""
-    g2 = 2 * L.genus
-    ps = frobenius_power_sums(L, g2 * d)
+    return _power_charpoly(frobenius_power_sums(L, 2 * L.genus * d), 2 * L.genus, d)
+
+
+def _power_charpoly(ps: list[int], g2: int, d: int) -> list[int]:
+    """``power_charpoly`` from the power sums p_1..p_(g2 d) of the eigenvalues."""
     ps_d = [ps[d * k - 1] for k in range(1, g2 + 1)]
     # invert Newton's identities for the power-composed polynomial
     e = [1] + [0] * g2
@@ -251,8 +278,62 @@ def absolutely_simple(L: LPolynomial) -> bool:
     equals minpoly(pi^d)^[Q(pi) : Q(pi^d)]; so P_d is irreducible exactly when
     it is squarefree.  Conversely an irreducible P_d at any d forces P to be
     irreducible, so this agrees with requiring every P_d irreducible.
-    Results are memoized on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``).
+    Squarefreeness is decided by ``squarefree_over_q``.  The power sums are
+    computed once, up to the largest d.  Results are memoized on L in a
+    bounded LRU cache (see ``WEIL_CACHE_SIZE``).
     """
     if l_reducible(L):
         return False
-    return all(_poly(power_charpoly(L, d)).is_sqf for d in _power_degrees(L.genus))
+    g2, degrees = 2 * L.genus, _power_degrees(L.genus)
+    ps = frobenius_power_sums(L, g2 * max(degrees))
+    return all(squarefree_over_q(_power_charpoly(ps, g2, d), L.q) for d in degrees)
+
+
+def squarefree_over_q(a: list[int], q: int) -> bool:
+    """True iff the monic integer polynomial a (constant term first) has no
+    repeated root.  Squarefree mod a prime r implies squarefree over Q (a
+    square factor over Z stays one mod r), so up to ``SQUAREFREE_PRIMES``
+    primes r prime to q are tried first (one of each pair pi^d, (q/pi)^d
+    vanishes mod p, so at g >= 2 the prime r = p always fails); when all
+    fail, the exact ``squarefree_over_z`` decides."""
+    tried, r = 0, 2
+    while tried < SQUAREFREE_PRIMES:
+        r = _next_prime(r)
+        if q % r == 0:
+            continue
+        tried += 1
+        ar = [c % r for c in a]
+        if len(zp_gcd(ar, zp_deriv(ar, r), r)) == 1:
+            return True
+    return squarefree_over_z(a)
+
+
+def squarefree_over_z(a: list[int]) -> bool:
+    """Exact: gcd(a, a') is constant, by a primitive pseudo-remainder
+    sequence over Z (constant term first, a nonconstant)."""
+    a, b = _primitive(a), _primitive([k * c for k, c in enumerate(a)][1:])
+    while len(b) > 1:
+        rem = _pseudo_rem(a, b)
+        if not rem:
+            return False            # gcd(a, a') = b has positive degree
+        a, b = b, _primitive(rem)
+    return True
+
+
+def _primitive(a: list[int]) -> list[int]:
+    content = math.gcd(*a)
+    return [c // content for c in a]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^e a mod b over Z, e the number of elimination steps; trimmed."""
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(a) > db:
+        coef = a.pop()
+        shift = len(a) - db
+        a = [lead * c for c in a]
+        for i in range(db):
+            a[shift + i] -= coef * b[i]
+        poly_trim(a)
+    return a

@@ -1,22 +1,45 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (
+    gf_factor_sqf,
+    gf_gcd,
+    gf_irreducible_p,
+    gf_mul,
+    gf_pow_mod,
+    gf_rem,
+    gf_sqf_p,
+)
 
+from strataforge import ffield
+from strataforge.errors import BudgetExceededError
 from strataforge.ffield import (
+    ENUMERATE_CAP,
     FieldDescriptor,
     FqElement,
     FqPoly,
     enumerate_monic,
     field_new,
     is_square,
+    poly_divmod,
+    poly_gcd,
     poly_mul,
     poly_pow,
     squarefree,
+    zp_ddf,
+    zp_gcd,
+    zp_mulmod,
+    zp_powmod,
+    zp_rem,
 )
 
 
@@ -86,10 +109,29 @@ def test_field_new_modulus_is_pinned(p, n):
 
 
 def test_import_does_not_load_sympy():
-    """field_new imports sympy only when it searches for a modulus."""
-    code = "import strataforge, sys; assert 'sympy' not in sys.modules"
+    """Neither the import nor the modulus search of field_new loads sympy."""
+    code = ("import strataforge, sys; strataforge.field_new(3, 2); strataforge.field_new(7, 3); "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'sympy']")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+ODD_PRIMES_TO_97 = [p for p in range(3, 98, 2) if sympy.isprime(p)]
+
+
+def sympy_least_irreducible(p, n):
+    """Oracle: the canonical search of field_new run on sympy's test."""
+    for vec in itertools.product(range(1, p), *[range(p)] * (n - 1)):
+        coeffs = list(vec) + [1]
+        if gf_irreducible_p(coeffs[::-1], p, ZZ):
+            return tuple(coeffs)
+    raise AssertionError
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_field_new_moduli_match_sympy_search_for_every_p(n):
+    for p in ODD_PRIMES_TO_97:
+        assert field_new(p, n).modulus == sympy_least_irreducible(p, n), (p, n)
 
 
 def test_field_new_rejects_bad_parameters():
@@ -240,6 +282,66 @@ def test_squarefree_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
+# the Z/r layer and the prime-field fast paths
+
+
+def random_poly(rng, r, degree):
+    return [rng.randrange(r) for _ in range(degree)] + [rng.randrange(1, r)]
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 31, 101, 65537])
+def test_zp_ddf_counts_match_sympy_factor_degrees(r):
+    """Seeded random squarefree polynomials mod r, r past MAX_P included:
+    the distinct-degree counts are the degrees of sympy's factorization."""
+    rng, checked = random.Random(r), 0
+    while checked < 60:
+        f = random_poly(rng, r, rng.randrange(1, 10))
+        if not gf_sqf_p(f[::-1], r, ZZ):
+            continue
+        degrees = Counter(len(g) - 1 for g in gf_factor_sqf(f[::-1], r, ZZ)[1])
+        assert zp_ddf(f, r) == dict(degrees), (f, r)
+        checked += 1
+
+
+@pytest.mark.parametrize("r", [3, 13, 101])
+def test_zp_arithmetic_matches_sympy(r):
+    rng = random.Random(r)
+    for _ in range(50):
+        a, b = random_poly(rng, r, rng.randrange(0, 9)), random_poly(rng, r, rng.randrange(0, 6))
+        f, e = random_poly(rng, r, rng.randrange(1, 7)), rng.randrange(0, 3 * r)
+        assert zp_rem(a, b, r)[::-1] == gf_rem(a[::-1], b[::-1], r, ZZ)
+        assert zp_gcd(a, b, r)[::-1] == gf_gcd(a[::-1], b[::-1], r, ZZ)
+        assert zp_mulmod(a, b, f, r)[::-1] == gf_rem(gf_mul(a[::-1], b[::-1], r, ZZ),
+                                                     f[::-1], r, ZZ)
+        assert zp_powmod(a, e, f, r)[::-1] == gf_pow_mod(a[::-1], e, f[::-1], r, ZZ)
+
+
+def test_zp_ddf_decides_irreducibility_of_any_polynomial():
+    """field_new reads {n: 1} as irreducible, squarefree or not."""
+    for f in enumerate_monic(field_new(3), 4):
+        coeffs = list(f.coeffs)
+        assert (zp_ddf(coeffs, 3) == {4: 1}) == gf_irreducible_p(coeffs[::-1], 3, ZZ), coeffs
+
+
+@pytest.mark.parametrize("field", [field_new(5), field_new(3, 2)], ids=repr)
+def test_poly_divmod_and_gcd_reconstruct(field):
+    """The prime-field fast path and the descriptor path both satisfy
+    a = quot * b + rem with deg rem < deg b, and the gcd divides both."""
+    rng = random.Random(field.size)
+    for _ in range(40):
+        a = random_poly(rng, field.size, rng.randrange(0, 8))
+        b = random_poly(rng, field.size, rng.randrange(0, 5))
+        quot, rem = poly_divmod(field, a, b)
+        assert len(rem) < len(b)
+        prod = poly_mul(field, quot, b) + [0] * len(a)
+        rebuilt = [field.add(x, y) for x, y in itertools.zip_longest(prod, rem, fillvalue=0)]
+        assert rebuilt[:len(a)] == a and not any(rebuilt[len(a):])
+        common = poly_gcd(field, a, b)
+        assert common[-1] == 1
+        assert not poly_divmod(field, a, common)[1] and not poly_divmod(field, b, common)[1]
+
+
+# ---------------------------------------------------------------------------
 # poly_pow
 
 
@@ -291,6 +393,16 @@ def test_enumerate_monic_squarefree_cardinality(field, d):
     q = field.size
     count = sum(1 for _ in enumerate_monic(field, d, squarefree_only=True))
     assert count == q**d - q ** (d - 1)
+
+
+def test_enumerate_monic_refuses_families_over_the_budget(monkeypatch):
+    with pytest.raises(BudgetExceededError, match=r"97\^9 .* degree 9 over GF\(97\)"):
+        enumerate_monic(field_new(97), 9)   # raised by the call, before any item
+    assert 9**7 <= ENUMERATE_CAP < 11**7    # F_9 at degree 7 fits, F_11 does not
+    monkeypatch.setattr(ffield, "ENUMERATE_CAP", 9)
+    with pytest.raises(BudgetExceededError, match=r"over GF\(3\^2\)"):
+        enumerate_monic(field_new(3, 2), 2)
+    assert sum(1 for _ in enumerate_monic(field_new(3), 2)) == 9
 
 
 def test_enumerate_monic_is_deterministic_and_duplicate_free():

@@ -1,17 +1,20 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 from sympy.polys.numberfields.galoisgroups import galois_group
 
 from strataforge import weil
 from strataforge.curves import LPolynomial, curve_new, l_polynomial
-from strataforge.ffield import FqPoly, enumerate_monic, field_new
+from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
 
 T, y = sympy.symbols("T y")
 
@@ -29,6 +32,25 @@ def census_Ls():
             {l_polynomial(curve_new(field, f))
              for f in enumerate_monic(field, degree, squarefree_only=True)},
             key=lambda L: L.coeffs)
+    return out
+
+
+# (p, n, model degree, curves): seeded samples of genus 3 over F_5 and
+# genus 2 and 3 over F_9
+SAMPLED = ((5, 1, 7, 300), (3, 2, 5, 300), (3, 2, 7, 200))
+
+
+@pytest.fixture(scope="module")
+def sampled_Ls():
+    """Distinct L of a seeded sample of each SAMPLED family."""
+    out = {}
+    for p, n, degree, size in SAMPLED:
+        field, rng, Ls = field_new(p, n), random.Random(p * n * degree), set()
+        for _ in range(size):
+            coeffs = [rng.randrange(field.size) for _ in range(degree)] + [1]
+            if poly_squarefree(field, coeffs):
+                Ls.add(l_polynomial(curve_new(field, FqPoly(field, tuple(coeffs)))))
+        out[field.size, degree] = sorted(Ls, key=lambda L: L.coeffs)
     return out
 
 
@@ -170,6 +192,77 @@ def test_l_reducible_matches_factorization(census_Ls):
     assert reducible == [(9, -6), (9, 6), (25, -10), (25, 10), (49, -14), (49, 14)]
 
 
+def test_l_reducible_matches_factorization_on_sampled_fields(sampled_Ls):
+    """The closed-form test (integer root of h, or the genus-2 corner)
+    against sympy's factor_list on genus 3 over F_5 and genus 2, 3 over F_9."""
+    reducible = 0
+    for Ls in sampled_Ls.values():
+        for L in Ls:
+            assert weil.l_reducible(L) == factors_over_q(L), L
+            reducible += weil.l_reducible(L)
+    assert 0 < reducible < sum(len(Ls) for Ls in sampled_Ls.values())
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_l_reducible_genus2_corner(q):
+    """L = (1 - qT^2)^2: h = T^2 - 4q is irreducible for q not a square, yet
+    P = (T^2 - q)^2 is not."""
+    L = LPolynomial(q, 2, (1, 0, -2 * q, 0, q * q))
+    assert weil.real_weil_coeffs(L) == [-4 * q, 0, 1]
+    assert weil.l_reducible(L) and factors_over_q(L)
+    assert weil.splitting_class(L) == ("undetermined", None)
+    assert not weil.absolutely_simple(L)
+
+
+def sympy_signed_cycle_type(L, r):
+    """Oracle for ``weil.signed_cycle_type``: factor h mod r with sympy and
+    read the flip of each factor f from the norm f(s) f(-s), s^2 = 4q (a
+    nonsquare norm means an odd number of flips).  None when r is bad."""
+    P = weil.frobenius_poly(L)
+    if L.q % r == 0 or not gf_sqf_p(gf_from_int_poly(P[::-1], r), r, ZZ):
+        return None
+    u, signed = 4 * L.q % r, []
+    for f in gf_factor_sqf(gf_from_int_poly(weil.real_weil_coeffs(L)[::-1], r), r, ZZ)[1]:
+        low = f[::-1]
+        even = sum(c * pow(u, i, r) for i, c in enumerate(low[0::2]))
+        odd = sum(c * pow(u, i, r) for i, c in enumerate(low[1::2]))
+        norm = (even * even - u * odd * odd) % r
+        assert norm, "P squarefree mod r leaves no root b with b^2 = 4q"
+        signed.append((len(f) - 1, pow(norm, (r - 1) // 2, r) != 1))
+    return sorted(signed)
+
+
+def test_signed_cycle_type_matches_sympy_factorization(census_Ls, sampled_Ls):
+    """The cycle types read from distinct-degree counts equal the ones read
+    from full factorizations mod r, at every good prime r < 30."""
+    compared = 0
+    for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
+        P = weil.frobenius_poly(L)
+        for r in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+            expected = sympy_signed_cycle_type(L, r)
+            if expected is not None:
+                Pr = [c % r for c in P]
+                assert sorted(weil.signed_cycle_type(weil.real_weil_coeffs(L), Pr, r)) \
+                    == expected, (L, r)
+                compared += 1
+    assert compared > 5000
+
+
+def test_squarefree_tests_match_sympy_on_every_power_polynomial(census_Ls, sampled_Ls):
+    """Both the mod-r-first test and the exact primitive-remainder test
+    agree with sympy's is_sqf on every P_d that ``absolutely_simple`` reads,
+    the non-squarefree ones included."""
+    verdicts = []
+    for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
+        for d in weil._power_degrees(L.genus):
+            Pd = weil.power_charpoly(L, d)
+            expected = sympy.Poly(Pd[::-1], T).is_sqf
+            assert weil.squarefree_over_z(Pd) == expected, (L, d)
+            assert weil.squarefree_over_q(Pd, L.q) == expected, (L, d)
+            verdicts.append(expected)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 1000
+
+
 def test_maximal_genus3_class_has_galois_group_of_order_48(census_Ls):
     """``splitting_class_g3`` never guesses, and it certifies every genus-3 L
     over F_3 whose Frobenius polynomial has Galois group of order
@@ -242,6 +335,78 @@ def test_splitting_class_genus4_never_certifies_a_smaller_group(name):
     if h_order == 24:
         assert weil.is_perfect_square(int(sympy.resultant(h.as_expr(), y**2 - 4 * L.q, y)))
     assert weil.splitting_class(L) == ("undetermined", None)
+
+
+def coprime_to_its_reflection(L):
+    """P(T) and P(-T) coprime: then no root of P is minus another, and
+    Gal(P_2) = Gal(P) for the base change P_2 of L to F_(q^2)."""
+    P = frobenius_expr(L)
+    return sympy.degree(sympy.gcd(P, P.subs(T, -T)), T) == 0
+
+
+def base_change(L):
+    """L of the same variety over F_(q^2): its Frobenius polynomial is P_2."""
+    return LPolynomial(L.q**2, L.genus, tuple(reversed(weil.power_charpoly(L, 2))))
+
+
+# "even h" is left out: its P is even, P(T) = Q(T^2), so P_2 = Q^2 is reducible
+@pytest.mark.parametrize("name", sorted(set(GENUS4_SMALL_GROUP) - {"even h"}))
+def test_splitting_class_genus4_never_certifies_a_base_change_of_a_smaller_group(name):
+    L = LPolynomial(5, 4, GENUS4_SMALL_GROUP[name][0])
+    assert coprime_to_its_reflection(L)       # so Gal(P_2) = Gal(P), not W_4
+    L2 = base_change(L)
+    assert not weil.l_reducible(L2) and not factors_over_q(L2)
+    assert weil.splitting_class(L2) == ("undetermined", None)
+
+
+def test_splitting_class_genus4_never_certifies_power_polynomials():
+    """P(T) = Q(T^k) has the roots zeta pi with pi, for zeta^k = 1, a structure
+    W_4 does not keep: the restriction of scalars from F_9 of a genus-2 L
+    (k = 2) and twists of genus-1 L over F_81 (k = 4)."""
+    F9, irreducible = field_new(3, 2), 0
+    restricted = []
+    for f in itertools.islice(enumerate_monic(F9, 5, squarefree_only=True), 0, 2000, 50):
+        m = l_polynomial(curve_new(F9, f)).coeffs
+        restricted.append((1, 0, m[1], 0, m[2], 0, 9 * m[1], 0, 81))
+    twisted = [(1, 0, 0, 0, -a, 0, 0, 0, 81) for a in range(-17, 18, 3)]
+    for coeffs in restricted + twisted:
+        L = LPolynomial(3, 4, coeffs)
+        assert weil.l_reducible(L) == factors_over_q(L), coeffs
+        if not weil.l_reducible(L):
+            irreducible += 1
+            assert weil.splitting_class(L) == ("undetermined", None), coeffs
+    assert irreducible >= 20
+
+
+def test_census_pass_loads_no_sympy():
+    """The whole per-curve record at genus 3 (curve, L, p-rank, Newton
+    polygon, Galois certificate, absolute simplicity) runs without sympy:
+    every curve over F_3 and a seeded sample over F_9."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = """if True:
+        import random, sys
+        from strataforge import curves, ffield, prank, weil
+        def record(field, coeffs):
+            curve = curves.curve_new(field, ffield.FqPoly(field, coeffs))
+            L = curves.l_polynomial(curve)
+            prank.p_rank(curve)
+            prank.newton_polygon(L, field.p, field.n)
+            weil.splitting_class_g3(L)
+            weil.absolutely_simple(L)
+        F3, F9 = ffield.field_new(3), ffield.field_new(3, 2)
+        for f in ffield.enumerate_monic(F3, 7, squarefree_only=True):
+            record(F3, f.coeffs)
+        rng = random.Random(9)
+        for degree in (7, 8) * 20:
+            coeffs = [rng.randrange(9) for _ in range(degree)] + [1]
+            if ffield.poly_squarefree(F9, coeffs):
+                record(F9, tuple(coeffs))
+        print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "[]"
 
 
 def test_splitting_class_g3_is_genus3_only():
