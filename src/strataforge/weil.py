@@ -35,7 +35,12 @@ from .ffield import is_prime, poly_trim, zp_ddf, zp_deriv, zp_gcd
 # with no key shared, three full caches stay under 3 * 4096 * 650 B, 8 MB.
 WEIL_CACHE_SIZE = 4096
 WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
-SQUAREFREE_PRIMES = 6  # primes ``squarefree_over_q`` tries before the exact test
+# Primes ``squarefree_over_q`` tries before the exact test.  Over the power
+# polynomials of 2,937 distinct genus-2 and genus-3 L (q <= 9), 10,348 of the
+# 10,358 squarefree ones are squarefree mod one of the first 6 primes prime to
+# q (10,319 within 5).  With the exact test alone, census_g3_full took 3% more
+# wall time (median 0.536 -> 0.553 s, slower in 9 of 10 interleaved rounds).
+SQUAREFREE_PRIMES = 6
 
 
 def frobenius_poly(L: LPolynomial) -> list[int]:
