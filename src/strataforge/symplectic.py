@@ -6,7 +6,10 @@ baselines.
 The exact fixed-vector proportion is a closed form (Moebius inversion over
 the subspaces an element fixes pointwise) and enumerates nothing; only the
 exact characteristic-polynomial distribution enumerates Sp_2g(Z/l), under a
-memory cap.
+memory cap.  The Monte Carlo baselines advance their transvection walks in
+numpy blocks of ``SP_WALK_BLOCK`` walks, one batched update per step, and
+draw the same random codes in the same order as one walk at a time, so a
+seed gives the same matrices and the same estimates as the scalar walk.
 
 The symplectic form is the antidiagonal split form J: J[i, 2g+1-i] = +1 for
 i <= g and -1 for i > g (1-indexed).  All matrices are tuples of row tuples
@@ -19,7 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from typing import Iterator
+
+import numpy as np
 
 from .curves import LPolynomial
 from .errors import BudgetExceededError
@@ -35,6 +40,18 @@ SP_ENUM_CAP = 250_000  # largest group order the BFS closure will enumerate
 # element at g = 2 and 25 us at g = 1 (Sp_4(Z/3) in 13 s).
 SP_ENUM_BYTES_PER_ELEMENT = 412
 DEFAULT_WALK_LENGTH = 50  # transvections per random-sample walk
+# Walks advanced together as one numpy block, so that the memory of a Monte
+# Carlo run is flat in n: a block holds its random codes (8 B per step) and a
+# few (block, 2g, 2g) arrays.  Without blocks, n = 100,000 walks at g = 3
+# would need arrays of about 40 MB each.
+SP_WALK_BLOCK = 256
+# Bound on the tracemalloc peak of a fixed_vector_proportion Monte Carlo run
+# per walk of a block, at g = 3 and the default walk length.  Measured
+# 1,659 B per walk at n = SP_WALK_BLOCK and 1,948 B at n = 10 blocks (the
+# last finished block is still referenced while the next one is built);
+# 603 / 1,036 / 2,548 B at g = 1 / 2 / 4 and n = SP_WALK_BLOCK.  So a g = 3
+# run peaks near 0.5 MB whatever n is.
+SP_WALK_BYTES_PER_WALK = 2048
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -242,34 +259,96 @@ def random_sp(g: int, l: int, seed: int, walk_length: int = DEFAULT_WALK_LENGTH)
     product of honest transvections stays inside one coset of the derived
     subgroup and can never be uniform.
     """
+    (block,) = _random_sp_blocks(g, l, random.Random(seed), 1, walk_length)
+    return tuple(map(tuple, block[0].tolist()))
+
+
+def _check_walk(g: int, l: int, walk_length: int) -> None:
     _check_l(l)
-    rng = random.Random(seed)
-    return _random_sp_step(g, l, rng, walk_length)
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    if walk_length < 1:
+        raise ValueError(f"a walk needs walk_length >= 1 steps, got {walk_length}")
 
 
-def _random_sp_step(g: int, l: int, rng: random.Random, walk_length: int) -> Matrix:
-    # Each step is the rank-1 update M T_v = M + (M v)(J v)^T: O(d^2) in
-    # place of the O(d^3) product with the transvection matrix.
+def _random_sp_blocks(g: int, l: int, rng: random.Random, n: int,
+                      walk_length: int) -> Iterator[np.ndarray]:
+    """``n`` walks of ``random_sp`` from ``rng``, yielded as (b, 2g, 2g)
+    arrays of at most ``SP_WALK_BLOCK`` walks each, entries reduced mod l.
+    Each block is built in its own call, so that its codes are freed before
+    the next block draws."""
+    _check_walk(g, l, walk_length)
+    for start in range(0, n, SP_WALK_BLOCK):
+        yield _random_sp_block(g, l, rng, min(SP_WALK_BLOCK, n - start), walk_length)
+
+
+def _random_sp_block(g: int, l: int, rng: random.Random, b: int,
+                     walk_length: int) -> np.ndarray:
+    """``b`` walks advanced together.  Walk i takes the codes
+    rng.randrange(l^2g) numbered i*walk_length to (i+1)*walk_length - 1 in
+    the stream, as b scalar walks would, and code digit i (base l, least
+    significant first) is v[i].  Each step is the rank-1 update
+    M T_v = M + (M v)(J v)^T over the whole block; code 0 gives v = 0, an
+    identity step."""
     d = 2 * g
-    m = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(walk_length):
-        code = rng.randrange(l**d)
-        if code == 0:
-            continue
-        v = []
-        for _ in range(d):
-            code, digit = divmod(code, l)
-            v.append(digit)
-        jv = _jv(v, g)
-        for row in m:
-            c = sum(map(mul, row, v)) % l
-            if c:
-                row[:] = [(x + c * y) % l for x, y in zip(row, jv)]
-    return tuple(map(tuple, m))
+    top = l**d
+    # int64 holds a code below 2^63 and a sum of d products of residues,
+    # below d l^2; past either bound those arrays hold Python ints
+    dtype = np.int64 if d * l * l < 2**63 else object
+    code_type = np.int64 if top <= 2**63 else object
+    draws = (rng.randrange(top) for _ in range(b * walk_length))
+    if code_type is object:
+        codes = np.array(list(draws), dtype=object)
+    else:
+        codes = np.fromiter(draws, np.int64, b * walk_length)
+    codes = codes.reshape(b, walk_length, 1)
+    places = np.array([l**i for i in range(d)], dtype=code_type)
+    sign = np.array([1] * g + [-1] * g, dtype=dtype)
+    m = np.zeros((b, d, d), dtype=dtype)
+    m[:, range(d), range(d)] = 1
+    for t in range(walk_length):
+        v = (codes[:, t] // places % l).astype(dtype, copy=False)
+        c = np.matmul(m, v[:, :, None]) % l
+        m += c * (v[:, None, ::-1] * sign)  # Jv[j] = +-v[d-1-j]
+        m %= l
+    return m
+
+
+def _coset_sample_blocks(g: int, l: int, m: int, n: int, seed: int,
+                         walk_length: int) -> Iterator[np.ndarray]:
+    """The blocks of ``_random_sp_blocks`` from ``seed``, each walk sample M
+    times the coset rep D_m mod l: M D_m scales the first g columns by m."""
+    scale = np.array([m] * g + [1] * g)
+    for block in _random_sp_blocks(g, l, random.Random(seed), n, walk_length):
+        block *= scale
+        block %= l
+        yield block
 
 
 def has_nonzero_fixed_vector(m: Matrix, l: int) -> bool:
     return det_mod(mat_sub(m, identity(len(m)), l), l) == 0
+
+
+def _singular_mod(a: np.ndarray, l: int) -> np.ndarray:
+    """For each matrix of the (b, d, d) stack ``a``, whether its determinant
+    is 0 mod the prime l.  Elimination without division: row_r <- p row_r -
+    a_rc row_c multiplies the determinant by the pivot p, a unit, so it
+    vanishes exactly when some column finds no pivot."""
+    a = a % l
+    b, d, _ = a.shape
+    stack = np.arange(b)
+    singular = np.zeros(b, dtype=bool)
+    for col in range(d):
+        nonzero = a[:, col:, col] != 0
+        singular |= ~nonzero.any(axis=1)
+        piv = col + nonzero.argmax(axis=1)  # col itself when there is none
+        top = a[stack, piv]
+        a[stack, piv] = a[:, col].copy()
+        a[:, col] = top
+        below = a[:, col + 1:, col:]
+        a[:, col + 1:, col:] = (top[:, col, None, None] * below
+                                - below[:, :, :1] * top[:, None, col:]) % l
+    return singular
 
 
 @dataclass(frozen=True)
@@ -360,13 +439,9 @@ def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
         return 1 - Fraction(_fixed_point_free_count(g, l, m), sp_order(g, l))
     if mode == "montecarlo":
         _check_samples(n)
-        rep = multiplier_coset_rep(g, l, m)
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(n):
-            s = _random_sp_step(g, l, rng, walk_length)
-            if has_nonzero_fixed_vector(mat_mul(s, rep, l), l):
-                hits += 1
+        one = np.eye(2 * g, dtype=np.int64)
+        hits = sum(int(_singular_mod(block - one, l).sum())
+                   for block in _coset_sample_blocks(g, l, m, n, seed, walk_length))
         return MonteCarloEstimate.from_hits(hits, n)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -435,9 +510,9 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
     "exact" enumerates Sp_2g(Z/l) and refuses a group larger than ``cap``
     before it starts."""
     _check_multiplier(l, m)
-    rep = multiplier_coset_rep(g, l, m)
     counts: dict[tuple[int, ...], int] = {}
     if mode == "exact":
+        rep = multiplier_coset_rep(g, l, m)
         elements = _sp_elements(g, l, cap)
         for s in elements:
             key = matrix_charpoly(mat_mul(s, rep, l), l)
@@ -445,11 +520,10 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
         total = len(elements)
     elif mode == "montecarlo":
         _check_samples(n)
-        rng = random.Random(seed)
-        for _ in range(n):
-            s = _random_sp_step(g, l, rng, DEFAULT_WALK_LENGTH)
-            key = matrix_charpoly(mat_mul(s, rep, l), l)
-            counts[key] = counts.get(key, 0) + 1
+        for block in _coset_sample_blocks(g, l, m, n, seed, DEFAULT_WALK_LENGTH):
+            for s in block.tolist():
+                key = matrix_charpoly(s, l)
+                counts[key] = counts.get(key, 0) + 1
         total = n
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from strataforge.curves import LPolynomial
@@ -9,18 +10,23 @@ from strataforge.errors import BudgetExceededError
 from strataforge.symplectic import (
     SP_ENUM_BYTES_PER_ELEMENT,
     SP_ENUM_CAP,
+    SP_WALK_BLOCK,
+    SP_WALK_BYTES_PER_WALK,
     MonteCarloEstimate,
-    _random_sp_step,
+    _random_sp_blocks,
+    _singular_mod,
     _sp_elements,
     _subspace_types,
     charpoly_mod,
     coset_charpoly_distribution,
+    det_mod,
     fixed_vector_proportion,
     group_bfs,
     has_nonzero_fixed_vector,
     identity,
     is_symplectic,
     mat_mul,
+    mat_sub,
     matrix_charpoly,
     multiplier,
     multiplier_coset_rep,
@@ -153,12 +159,46 @@ def _product_walk(g, l, rng, walk_length):
     return m
 
 
+def _kernel_walks(g, l, rng, n, walk_length=50):
+    """The n walks of the block kernel, as tuple-of-tuple matrices."""
+    return [tuple(map(tuple, m))
+            for block in _random_sp_blocks(g, l, rng, n, walk_length)
+            for m in block.tolist()]
+
+
 @pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7)])
 def test_rank1_walk_equals_transvection_product(g, l):
     import random as _random
     for seed in range(30):
-        assert _random_sp_step(g, l, _random.Random(seed), 50) == \
-            _product_walk(g, l, _random.Random(seed), 50)
+        assert _kernel_walks(g, l, _random.Random(seed), 1) == \
+            [_product_walk(g, l, _random.Random(seed), 50)]
+
+
+# (7, 31): codes l^14 > 2^63 are split into digits as Python ints;
+# (1, 4294967311): d l^2 > 2^63, so the matrices hold Python ints too
+@pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7), (7, 31),
+                                 (1, 4294967311)])
+def test_walk_blocks_equal_consecutive_product_walks(g, l, monkeypatch):
+    """n walks in blocks of 3 (n = 1, one block, one block + 1) equal n
+    consecutive reference walks on one stream, and leave the stream where
+    those walks leave it."""
+    from strataforge import symplectic
+    monkeypatch.setattr(symplectic, "SP_WALK_BLOCK", 3)
+    walk_length = 50 if g < 7 else 6
+    for n in (1, 3, 4):
+        rng, ref = random.Random(n), random.Random(n)
+        assert _kernel_walks(g, l, rng, n, walk_length) == \
+            [_product_walk(g, l, ref, walk_length) for _ in range(n)]
+        assert rng.random() == ref.random()
+
+
+def test_walk_blocks_cross_the_real_block_boundary():
+    n = SP_WALK_BLOCK + 1
+    blocks = list(_random_sp_blocks(1, 3, random.Random(4), n, 50))
+    assert [len(b) for b in blocks] == [SP_WALK_BLOCK, 1]
+    rng, ref = random.Random(4), random.Random(4)
+    assert _kernel_walks(1, 3, rng, n) == [_product_walk(1, 3, ref, 50) for _ in range(n)]
+    assert rng.random() == ref.random()
 
 
 def test_transvection_is_x_plus_pairing_times_v():
@@ -184,8 +224,7 @@ def test_random_sp_uniformity_chi_square():
     n = 20_000
     rng = _random.Random(11)
     counts: dict = {}
-    for _ in range(n):
-        m = _random_sp_step(1, 3, rng, 50)
+    for m in _kernel_walks(1, 3, rng, n, 50):
         counts[m] = counts.get(m, 0) + 1
     assert len(counts) == 24
     expected = n / 24
@@ -244,6 +283,27 @@ def test_enumeration_memory_per_element():
     assert peak < SP_ENUM_BYTES_PER_ELEMENT * len(elements)
 
 
+@pytest.mark.parametrize("g", [1, 3])
+def test_walk_memory_is_flat_in_n(g):
+    """The tracemalloc peak of a Monte Carlo run is set by one block, not by
+    n, and at g = 3 stays under SP_WALK_BYTES_PER_WALK per walk of it."""
+    import tracemalloc
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            fixed_vector_proportion(g, 3, 1, mode="montecarlo", n=n, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fixed_vector_proportion(g, 3, 1, mode="montecarlo", n=2, seed=1)  # warm numpy
+    one, ten = peak(SP_WALK_BLOCK), peak(10 * SP_WALK_BLOCK)
+    assert ten <= 1.25 * one
+    if g == 3:
+        assert ten <= SP_WALK_BYTES_PER_WALK * SP_WALK_BLOCK
+
+
 @pytest.mark.parametrize("l", [3, 5, 7, 11])
 def test_fixed_vector_proportion_equals_enumeration_g1(l):
     elements = _sp_elements(1, l)
@@ -251,6 +311,40 @@ def test_fixed_vector_proportion_equals_enumeration_g1(l):
         rep = multiplier_coset_rep(1, l, m)
         hits = sum(has_nonzero_fixed_vector(mat_mul(s, rep, l), l) for s in elements)
         assert fixed_vector_proportion(1, l, m) == Fraction(hits, len(elements))
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 11])
+def test_singular_mod_matches_det_mod_on_the_cosets_of_sp2(l):
+    elements = _sp_elements(1, l)
+    for m in range(1, l):
+        rep = multiplier_coset_rep(1, l, m)
+        stack = [mat_sub(mat_mul(s, rep, l), identity(2), l) for s in elements]
+        assert _singular_mod(np.array(stack), l).tolist() == \
+            [det_mod(a, l) == 0 for a in stack]
+
+
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("l", [3, 5, 7])
+def test_singular_mod_matches_det_mod_on_random_matrices(d, l):
+    """2,000 matrices: dense, sparse, with a zero leading column, and with
+    one row a combination of two others."""
+    rng = random.Random(10 * d + l)
+    stack = []
+    for k in range(2000):
+        a = [[rng.randrange(l) if rng.random() < (1.0, 0.3)[k % 2] else 0 for _ in range(d)]
+             for _ in range(d)]
+        if k % 4 == 1:
+            for row in a:
+                row[0] = 0
+        if k % 4 == 2:
+            x, y = rng.randrange(l), rng.randrange(l)
+            a[rng.randrange(d)] = [(x * u + y * w) % l for u, w in zip(a[0], a[1])]
+        stack.append(a)
+    expected = [det_mod(a, l) == 0 for a in stack]
+    assert _singular_mod(np.array(stack), l).tolist() == expected
+    zero_lead = [e for a, e in zip(stack, expected) if not any(row[0] for row in a)]
+    assert all(zero_lead) and len(zero_lead) >= 500
+    assert 0 < sum(expected) < len(expected)
 
 
 def test_fixed_vector_proportion_sp4_mod_3_recorded():
@@ -303,6 +397,21 @@ def test_montecarlo_needs_a_sample(n):
         fixed_vector_proportion(2, 3, 1, mode="montecarlo", n=n)
     with pytest.raises(ValueError, match="n >= 1"):
         coset_charpoly_distribution(2, 3, 1, mode="montecarlo", n=n)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: random_sp(0, 3, 1), "g must be"),
+    (lambda: random_sp(2, 3, 1, walk_length=0), "walk_length >= 1"),
+    (lambda: fixed_vector_proportion(0, 3, 1), "g must be"),
+    (lambda: fixed_vector_proportion(0, 3, 1, mode="montecarlo", n=5), "g must be"),
+    (lambda: fixed_vector_proportion(2, 3, 1, mode="montecarlo", walk_length=0), "walk_length >= 1"),
+    (lambda: fixed_vector_proportion(2, 3, 1, mode="montecarlo", walk_length=-3), "walk_length >= 1"),
+    (lambda: coset_charpoly_distribution(0, 3, 1, mode="montecarlo", n=5), "g must be"),
+], ids=["random_sp-g0", "random_sp-walk0", "exact-g0", "montecarlo-g0", "montecarlo-walk0",
+        "montecarlo-walk-neg", "charpoly-g0"])
+def test_walks_need_a_genus_and_a_step(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_montecarlo_intervals_contain_sp4_mod_3_values():
