@@ -32,7 +32,6 @@ class ClutchingTree:
         if len(self.edges) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
         seen = set()
-        adj = self.adjacency()
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad edge ({a}, {b})")
@@ -40,6 +39,7 @@ class ClutchingTree:
             if key in seen:
                 raise ValueError("duplicate edge")
             seen.add(key)
+        adj = self.adjacency()
         if n > 1:
             stack, reach = [0], {0}
             while stack:

@@ -272,6 +272,21 @@ def frobenius_power_sums(L: LPolynomial, upto: int) -> list[int]:
     return ps
 
 
+def coeffs_from_power_sums(ps: list[int]) -> list[int]:
+    """The integer coefficients 1, a_1, ..., a_n (constant term first) of
+    prod (1 - alpha T) over the numbers alpha whose power sums are
+    ps = [p_1, ..., p_n], by Newton's identities
+    k a_k = -(p_1 a_(k-1) + ... + p_k a_0).  Raises ArithmeticError at the
+    first a_k that is not an integer."""
+    a = [1]
+    for k in range(1, len(ps) + 1):
+        total = -sum(ps[i - 1] * a[k - i] for i in range(1, k + 1))
+        if total % k:
+            raise ArithmeticError(f"Newton identity gave a non-integer a_{k}")
+        a.append(total // k)
+    return a
+
+
 def point_counts_from(L: LPolynomial, upto: int) -> list[int]:
     """N_1..N_upto predicted by L (exact, any extension degree)."""
     return [L.q**k + 1 - p for k, p in enumerate(frobenius_power_sums(L, upto), start=1)]
@@ -303,13 +318,12 @@ def l_polynomial_from_counts(q: int, genus: int, counts: list[int]) -> LPolynomi
     g = genus
     if len(counts) < g:
         raise ValueError(f"genus {g} needs the counts N_1..N_{g}, got {len(counts)}")
-    s = [n_k - (q**k + 1) for k, n_k in enumerate(counts[:g], start=1)]
-    a = [1] + [0] * (2 * g)
-    for k in range(1, g + 1):
-        total = sum(s[i - 1] * a[k - i] for i in range(1, k + 1))
-        if total % k:
-            raise ConsistencyError(f"Newton identity gave a non-integer a_{k}")
-        a[k] = total // k
+    # sum of alpha^k over the Frobenius eigenvalues: q^k + 1 - N_k
+    ps = [q**k + 1 - n_k for k, n_k in enumerate(counts[:g], start=1)]
+    try:
+        a = coeffs_from_power_sums(ps) + [0] * g
+    except ArithmeticError as exc:
+        raise ConsistencyError(str(exc)) from exc
     for i in range(g):
         a[2 * g - i] = q ** (g - i) * a[i]
     try:

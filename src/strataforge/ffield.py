@@ -76,7 +76,7 @@ class FieldDescriptor:
         self.n = n
         self.modulus = modulus            # length n+1, constant term first, monic
         self.size = p**n
-        self._embeddings: dict[tuple[int, int], np.ndarray] = {}
+        self._embeddings: dict[FieldDescriptor, np.ndarray] = {}
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._chi: np.ndarray | None = None
@@ -275,32 +275,31 @@ class FieldDescriptor:
         """Index map realizing the inclusion of this field into ``ext``.
 
         Deterministic: the power basis generator is sent to the least root
-        of this field's modulus inside ``ext``.
+        of this field's modulus inside ``ext``.  The table depends on the
+        model of ``ext`` (its modulus), so it is cached per descriptor.
+        Every root lies in the image of this field, the subfield
+        {0} u {G^(step i)} of ``ext`` with step = (|ext| - 1) / (|self| - 1)
+        and G the generator of ``ext.exp_log``, and the modulus has no root
+        0; so only those |self| - 1 elements are tried.
         """
-        key = (ext.p, ext.n)
-        if key in self._embeddings:
-            return self._embeddings[key]
+        if ext in self._embeddings:
+            return self._embeddings[ext]
         if ext.p != self.p or ext.n % self.n != 0:
             raise ValueError(f"{ext!r} is not an extension of {self!r}")
         if self.n == 1:
             table = np.arange(self.p, dtype=np.int64)  # constants encode identically
         else:
-            root = None
-            for cand in range(ext.size):
+            def at(coeffs, x: int) -> int:
                 acc = 0
-                for c in reversed(self.modulus):
-                    acc = ext.add(ext.mul(acc, cand), c)
-                if acc == 0:
-                    root = cand
-                    break
-            assert root is not None, "modulus must split in any extension of its degree"
-            table = np.empty(self.size, dtype=np.int64)
-            for a in range(self.size):
-                acc = 0
-                for d in reversed(self.digits(a)):
-                    acc = ext.add(ext.mul(acc, root), d)
-                table[a] = acc
-        self._embeddings[key] = table
+                for c in reversed(coeffs):
+                    acc = ext.add(ext.mul(acc, x), c)
+                return acc
+
+            exp, _ = ext.exp_log
+            step = (ext.size - 1) // (self.size - 1)
+            root = min(x for x in exp[:ext.size - 1:step].tolist() if at(self.modulus, x) == 0)
+            table = np.array([at(self.digits(a), root) for a in range(self.size)], dtype=np.int64)
+        self._embeddings[ext] = table
         return table
 
 

@@ -11,6 +11,14 @@ numpy blocks of ``SP_WALK_BLOCK`` walks, one batched update per step, and
 draw the same random codes in the same order as one walk at a time, so a
 seed gives the same matrices and the same estimates as the scalar walk.
 
+Every statistic of a coset element reads one kernel, ``_charpolys``: the
+characteristic polynomials mod l of a whole block of matrices by
+Berkowitz's division-free recurrence.  ``matrix_charpoly`` is its
+one-matrix case, a fixed vector of M is a zero of its charpoly at 1, and
+both charpoly distributions count its rows.  ``det_mod`` and
+``has_nonzero_fixed_vector`` stay as scalar eliminations, the independent
+references for the kernel.
+
 The symplectic form is the antidiagonal split form J: J[i, 2g+1-i] = +1 for
 i <= g and -1 for i > g (1-indexed).  All matrices are tuples of row tuples
 with entries reduced mod l.
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,9 +56,9 @@ DEFAULT_WALK_LENGTH = 50  # transvections per random-sample walk
 SP_WALK_BLOCK = 256
 # Bound on the tracemalloc peak of a fixed_vector_proportion Monte Carlo run
 # per walk of a block, at g = 3 and the default walk length.  Measured
-# 1,659 B per walk at n = SP_WALK_BLOCK and 1,948 B at n = 10 blocks (the
+# 1,658 B per walk at n = SP_WALK_BLOCK and 1,947 B at n = 10 blocks (the
 # last finished block is still referenced while the next one is built);
-# 603 / 1,036 / 2,548 B at g = 1 / 2 / 4 and n = SP_WALK_BLOCK.  So a g = 3
+# 602 / 1,034 / 2,155 B at g = 1 / 2 / 4 and n = SP_WALK_BLOCK.  So a g = 3
 # run peaks near 0.5 MB whatever n is.
 SP_WALK_BYTES_PER_WALK = 2048
 
@@ -271,6 +280,12 @@ def _check_walk(g: int, l: int, walk_length: int) -> None:
         raise ValueError(f"a walk needs walk_length >= 1 steps, got {walk_length}")
 
 
+def _entry_dtype(d: int, l: int) -> type:
+    """int64 while it holds a sum of d products of residues mod l, below
+    d l^2; Python ints (object arrays) past that bound."""
+    return np.int64 if d * l * l < 2**63 else object
+
+
 def _random_sp_blocks(g: int, l: int, rng: random.Random, n: int,
                       walk_length: int) -> Iterator[np.ndarray]:
     """``n`` walks of ``random_sp`` from ``rng``, yielded as (b, 2g, 2g)
@@ -292,9 +307,8 @@ def _random_sp_block(g: int, l: int, rng: random.Random, b: int,
     identity step."""
     d = 2 * g
     top = l**d
-    # int64 holds a code below 2^63 and a sum of d products of residues,
-    # below d l^2; past either bound those arrays hold Python ints
-    dtype = np.int64 if d * l * l < 2**63 else object
+    dtype = _entry_dtype(d, l)
+    # int64 holds a code below 2^63; past that the codes are Python ints
     code_type = np.int64 if top <= 2**63 else object
     draws = (rng.randrange(top) for _ in range(b * walk_length))
     if code_type is object:
@@ -314,41 +328,57 @@ def _random_sp_block(g: int, l: int, rng: random.Random, b: int,
     return m
 
 
-def _coset_sample_blocks(g: int, l: int, m: int, n: int, seed: int,
-                         walk_length: int) -> Iterator[np.ndarray]:
-    """The blocks of ``_random_sp_blocks`` from ``seed``, each walk sample M
-    times the coset rep D_m mod l: M D_m scales the first g columns by m."""
+def _times_coset_rep(blocks: Iterator[np.ndarray], g: int, l: int,
+                     m: int) -> Iterator[np.ndarray]:
+    """Each (b, 2g, 2g) block of ``blocks``, in place, times the coset rep
+    D_m mod l: M D_m scales the first g columns by m."""
     scale = np.array([m] * g + [1] * g)
-    for block in _random_sp_blocks(g, l, random.Random(seed), n, walk_length):
+    for block in blocks:
         block *= scale
         block %= l
         yield block
+
+
+def _coset_sample_blocks(g: int, l: int, m: int, n: int, seed: int,
+                         walk_length: int) -> Iterator[np.ndarray]:
+    """The blocks of ``_random_sp_blocks`` from ``seed``, each walk sample M
+    times the coset rep D_m."""
+    return _times_coset_rep(
+        _random_sp_blocks(g, l, random.Random(seed), n, walk_length), g, l, m)
 
 
 def has_nonzero_fixed_vector(m: Matrix, l: int) -> bool:
     return det_mod(mat_sub(m, identity(len(m)), l), l) == 0
 
 
-def _singular_mod(a: np.ndarray, l: int) -> np.ndarray:
-    """For each matrix of the (b, d, d) stack ``a``, whether its determinant
-    is 0 mod the prime l.  Elimination without division: row_r <- p row_r -
-    a_rc row_c multiplies the determinant by the pivot p, a unit, so it
-    vanishes exactly when some column finds no pivot."""
+def _charpolys(a: np.ndarray, l: int) -> np.ndarray:
+    """det(T*1 - M) mod the prime l for each M of the (b, d, d) stack ``a``
+    (int64 as ``_entry_dtype`` allows, else object), as a (b, d+1) array,
+    constant term first.
+
+    Berkowitz's recurrence, with products only: split M around its trailing
+    k x k block S as [[a_rr, R], [C, S]]; then, coefficients highest degree
+    first, charpoly(M) = X charpoly(S) with X the (k+2) x (k+1) lower
+    triangular Toeplitz matrix of first column (1, -a_rr, -RC, -RSC, ...,
+    -RS^(k-1)C).  Every product is reduced mod l, so an entry never exceeds
+    a sum of d products of residues.
+    """
     a = a % l
     b, d, _ = a.shape
-    stack = np.arange(b)
-    singular = np.zeros(b, dtype=bool)
-    for col in range(d):
-        nonzero = a[:, col:, col] != 0
-        singular |= ~nonzero.any(axis=1)
-        piv = col + nonzero.argmax(axis=1)  # col itself when there is none
-        top = a[stack, piv]
-        a[stack, piv] = a[:, col].copy()
-        a[:, col] = top
-        below = a[:, col + 1:, col:]
-        a[:, col + 1:, col:] = (top[:, col, None, None] * below
-                                - below[:, :, :1] * top[:, None, col:]) % l
-    return singular
+    poly = np.ones((b, 1), dtype=a.dtype)  # charpoly of the empty block
+    for r in range(d - 1, -1, -1):
+        k = d - 1 - r
+        row, v, sub = a[:, r:r + 1, r + 1:], a[:, r + 1:, r:r + 1], a[:, r + 1:, r + 1:]
+        col = [np.ones_like(a[:, r, r]), -a[:, r, r]]
+        for _ in range(k):
+            col.append(-np.matmul(row, v)[:, 0, 0])
+            v = np.matmul(sub, v) % l
+        col = np.stack(col, axis=1) % l
+        new = np.zeros_like(col)  # X poly: column j of X is col shifted down j
+        for j in range(k + 1):
+            new[:, j:] += poly[:, j, None] * col[:, :k + 2 - j]
+        poly = new % l
+    return poly[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -439,8 +469,8 @@ def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
         return 1 - Fraction(_fixed_point_free_count(g, l, m), sp_order(g, l))
     if mode == "montecarlo":
         _check_samples(n)
-        one = np.eye(2 * g, dtype=np.int64)
-        hits = sum(int(_singular_mod(block - one, l).sum())
+        # charpoly(1) = det(1 - M): zero exactly when M fixes a vector
+        hits = sum(int((_charpolys(block, l).sum(axis=1) % l == 0).sum())
                    for block in _coset_sample_blocks(g, l, m, n, seed, walk_length))
         return MonteCarloEstimate.from_hits(hits, n)
     raise ValueError(f"unknown mode {mode!r}")
@@ -460,46 +490,10 @@ def charpoly_mod(L: LPolynomial, l: int) -> tuple[int, ...]:
 
 
 def matrix_charpoly(m: Matrix, l: int) -> tuple[int, ...]:
-    """det(T*1 - M) mod the prime l, constant term first, in O(d^3).
-
-    M is brought to upper Hessenberg form H by similarities over F_l (row
-    and column swaps, then row_r -= c row_k paired with col_k += c col_r,
-    dividing only by a pivot), and the characteristic polynomials p_k of
-    the leading k x k blocks of H follow by expanding along the last column:
-    p_k = (T - h_kk) p_(k-1) - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1).
-    """
-    d = len(m)
-    a = [[x % l for x in row] for row in m]
-    for k in range(1, d - 1):
-        piv = next((r for r in range(k, d) if a[r][k - 1]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        inv = pow(a[k][k - 1], -1, l)
-        for r in range(k + 1, d):
-            c = a[r][k - 1] * inv % l
-            if c:
-                a[r] = [(x - c * y) % l for x, y in zip(a[r], a[k])]
-                for row in a:
-                    row[k] = (row[k] + c * row[r]) % l
-    polys = [[1]]  # polys[k] = charpoly of the leading k x k block
-    for k in range(d):
-        new = [0] + polys[k]
-        for j, x in enumerate(polys[k]):
-            new[j] = (new[j] - a[k][k] * x) % l
-        chain = 1
-        for i in range(k - 1, -1, -1):
-            chain = chain * a[i + 1][i] % l
-            if not chain:
-                break
-            c = a[i][k] * chain % l
-            for j, x in enumerate(polys[i]):
-                new[j] = (new[j] - c * x) % l
-        polys.append(new)
-    return tuple(polys[d])
+    """det(T*1 - M) mod the prime l, constant term first: the one-matrix
+    case of ``_charpolys``."""
+    a = np.array([m], dtype=object) % l
+    return tuple(_charpolys(a.astype(_entry_dtype(len(m), l)), l)[0].tolist())
 
 
 def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
@@ -510,21 +504,19 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
     "exact" enumerates Sp_2g(Z/l) and refuses a group larger than ``cap``
     before it starts."""
     _check_multiplier(l, m)
-    counts: dict[tuple[int, ...], int] = {}
     if mode == "exact":
-        rep = multiplier_coset_rep(g, l, m)
         elements = _sp_elements(g, l, cap)
-        for s in elements:
-            key = matrix_charpoly(mat_mul(s, rep, l), l)
-            counts[key] = counts.get(key, 0) + 1
-        total = len(elements)
+        dtype = _entry_dtype(2 * g, l)
+        chunks = (np.array(elements[i:i + SP_WALK_BLOCK], dtype=dtype)
+                  for i in range(0, len(elements), SP_WALK_BLOCK))
+        blocks, total = _times_coset_rep(chunks, g, l, m), len(elements)
     elif mode == "montecarlo":
         _check_samples(n)
-        for block in _coset_sample_blocks(g, l, m, n, seed, DEFAULT_WALK_LENGTH):
-            for s in block.tolist():
-                key = matrix_charpoly(s, l)
-                counts[key] = counts.get(key, 0) + 1
+        blocks = _coset_sample_blocks(g, l, m, n, seed, DEFAULT_WALK_LENGTH)
         total = n
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    counts: Counter[tuple[int, ...]] = Counter()
+    for block in blocks:
+        counts.update(map(tuple, _charpolys(block, l).tolist()))
     return {k: Fraction(v, total) for k, v in counts.items()}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .curves import LPolynomial, frobenius_power_sums
+from .curves import LPolynomial, coeffs_from_power_sums, frobenius_power_sums
 from .ffield import is_prime, poly_trim, zp_ddf, zp_deriv, zp_gcd
 
 # Entries kept by each of the three L-keyed caches below (``l_reducible``,
@@ -238,16 +238,8 @@ def power_charpoly(L: LPolynomial, d: int) -> list[int]:
 
 def _power_charpoly(ps: list[int], g2: int, d: int) -> list[int]:
     """``power_charpoly`` from the power sums p_1..p_(g2 d) of the eigenvalues."""
-    ps_d = [ps[d * k - 1] for k in range(1, g2 + 1)]
-    # invert Newton's identities for the power-composed polynomial
-    e = [1] + [0] * g2
-    for k in range(1, g2 + 1):
-        total = sum((-1) ** (i - 1) * e[k - i] * ps_d[i - 1] for i in range(1, k + 1))
-        if total % k:
-            raise ArithmeticError("power-sum transform gave a non-integer coefficient")
-        e[k] = total // k
-    coeffs = [(-1) ** k * e[k] for k in range(g2 + 1)]  # e_k -> T^(2g-k) coefficient
-    return list(reversed(coeffs))
+    # prod (1 - alpha^d T), reversed: the T^(2g-k) coefficient is its a_k
+    return coeffs_from_power_sums([ps[d * k - 1] for k in range(1, g2 + 1)])[::-1]
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -45,6 +46,13 @@ def test_tree_validation():
         ClutchingTree((0,), ())                        # genus 0 vertex
     with pytest.raises(ValueError):
         star_tree(1, [1, 1, 1, 1, 1])                  # degree 5 > 2*1+2
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-1, 0), (1, 1)],
+                         ids=["0-5", "5-0", "negative", "loop"])
+def test_tree_rejects_an_edge_off_the_vertices(edge):
+    with pytest.raises(ValueError, match=re.escape(f"bad edge {edge}")):
+        ClutchingTree((1, 1), (edge,))
 
 
 # ---------------------------------------------------------------------------

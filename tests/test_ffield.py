@@ -434,3 +434,35 @@ def test_embedding_of_extension_field():
     for a, b in itertools.product(range(9), repeat=2):
         assert emb[base.add(a, b)] == ext.add(int(emb[a]), int(emb[b]))
         assert emb[base.mul(a, b)] == ext.mul(int(emb[a]), int(emb[b]))
+
+
+def _full_scan_embedding(base, ext):
+    """The embedding by its definition: the least root of base's modulus
+    over all of ext, and each element's digits evaluated at that root."""
+    def evaluate(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ext.add(ext.mul(acc, x), c)
+        return acc
+
+    root = next(x for x in range(ext.size) if evaluate(base.modulus, x) == 0)
+    return [evaluate(base.digits(a), root) for a in range(base.size)]
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 2, 4), (3, 2, 6), (5, 2, 4), (3, 3, 6)])
+def test_embedding_equals_the_full_root_scan(p, n, m):
+    base, ext = field_new(p, n), field_new(p, m)
+    assert base.embedding_into(ext).tolist() == _full_scan_embedding(base, ext)
+
+
+def test_embedding_is_cached_per_model_of_the_extension():
+    base, canonical = field_new(3, 2), field_new(3, 4)
+    other = FieldDescriptor(3, 4, (1, 0, 1, 2, 1))  # x^4 + 2x^3 + x^2 + 1
+    assert other != canonical
+    first = base.embedding_into(canonical)
+    emb = base.embedding_into(other)
+    assert emb is not first
+    assert emb.tolist() == _full_scan_embedding(base, other)
+    for a, b in itertools.product(range(9), repeat=2):
+        assert emb[base.mul(a, b)] == other.mul(int(emb[a]), int(emb[b]))
+    assert base.embedding_into(FieldDescriptor(3, 4, (1, 0, 1, 2, 1))) is emb

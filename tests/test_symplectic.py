@@ -13,8 +13,9 @@ from strataforge.symplectic import (
     SP_WALK_BLOCK,
     SP_WALK_BYTES_PER_WALK,
     MonteCarloEstimate,
+    _charpolys,
+    _entry_dtype,
     _random_sp_blocks,
-    _singular_mod,
     _sp_elements,
     _subspace_types,
     charpoly_mod,
@@ -313,21 +314,31 @@ def test_fixed_vector_proportion_equals_enumeration_g1(l):
         assert fixed_vector_proportion(1, l, m) == Fraction(hits, len(elements))
 
 
+def _vanish_at_one(stack, l):
+    """Whether the kernel's charpoly of each matrix of ``stack`` vanishes at
+    T = 1, i.e. whether det(1 - M) = 0: its coefficient sum mod l."""
+    return (_charpolys(np.array(stack), l).sum(axis=1) % l == 0).tolist()
+
+
 @pytest.mark.parametrize("l", [3, 5, 7, 11])
 def test_singular_mod_matches_det_mod_on_the_cosets_of_sp2(l):
+    """On every element M of every coset Sp_2(Z/l) D_m, the kernel's
+    charpoly vanishes at 1 exactly when det_mod(M - 1) = 0."""
     elements = _sp_elements(1, l)
     for m in range(1, l):
         rep = multiplier_coset_rep(1, l, m)
-        stack = [mat_sub(mat_mul(s, rep, l), identity(2), l) for s in elements]
-        assert _singular_mod(np.array(stack), l).tolist() == \
-            [det_mod(a, l) == 0 for a in stack]
+        stack = [mat_mul(s, rep, l) for s in elements]
+        assert _vanish_at_one(stack, l) == \
+            [det_mod(mat_sub(a, identity(2), l), l) == 0 for a in stack]
 
 
 @pytest.mark.parametrize("d", [4, 6])
 @pytest.mark.parametrize("l", [3, 5, 7])
 def test_singular_mod_matches_det_mod_on_random_matrices(d, l):
-    """2,000 matrices: dense, sparse, with a zero leading column, and with
-    one row a combination of two others."""
+    """2,000 matrices A: dense, sparse, with a zero leading column, and with
+    one row a combination of two others.  The kernel's charpoly of M = A + 1
+    vanishes at 1 exactly when det_mod(A) = 0, and its first 240 rows (every
+    kind of A) are the cofactor charpolys."""
     rng = random.Random(10 * d + l)
     stack = []
     for k in range(2000):
@@ -341,10 +352,14 @@ def test_singular_mod_matches_det_mod_on_random_matrices(d, l):
             a[rng.randrange(d)] = [(x * u + y * w) % l for u, w in zip(a[0], a[1])]
         stack.append(a)
     expected = [det_mod(a, l) == 0 for a in stack]
-    assert _singular_mod(np.array(stack), l).tolist() == expected
+    shifted = [[[(x + (i == j)) % l for j, x in enumerate(row)] for i, row in enumerate(a)]
+               for a in stack]
+    assert _vanish_at_one(shifted, l) == expected
     zero_lead = [e for a, e in zip(stack, expected) if not any(row[0] for row in a)]
     assert all(zero_lead) and len(zero_lead) >= 500
     assert 0 < sum(expected) < len(expected)
+    rows = _charpolys(np.array(shifted[:240]), l).tolist()
+    assert list(map(tuple, rows)) == [cofactor_charpoly(a, l) for a in shifted[:240]]
 
 
 def test_fixed_vector_proportion_sp4_mod_3_recorded():
@@ -497,7 +512,7 @@ def test_matrix_charpoly_trace_det_consistency():
 
 def cofactor_charpoly(m, l):
     """det(T*1 - M) mod l by cofactor expansion along the first row, O(d!):
-    the reference for the Hessenberg route of ``matrix_charpoly``."""
+    the reference for the Berkowitz kernel ``_charpolys``."""
     d = len(m)
 
     def poly_mul(a, b):
@@ -525,8 +540,7 @@ def cofactor_charpoly(m, l):
 @pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7)])
 def test_matrix_charpoly_matches_cofactor_expansion(g, l):
     """Walk samples in every multiplier coset, dense random matrices, and
-    sparse ones (zero pivots, a zero subdiagonal) that take the swap and
-    skip branches of the Hessenberg reduction."""
+    sparse ones."""
     rng = random.Random(100 * g + l)
     d = 2 * g
     samples = [mat_mul(random_sp(g, l, seed=s), multiplier_coset_rep(g, l, 1 + s % (l - 1)), l)
@@ -539,6 +553,35 @@ def test_matrix_charpoly_matches_cofactor_expansion(g, l):
     samples.append(identity(d))
     for m in samples:
         assert matrix_charpoly(m, l) == cofactor_charpoly(m, l), m
+
+
+@pytest.mark.parametrize("g,l", [(2, 65537), (1, 4294967311)])
+def test_matrix_charpoly_matches_cofactor_expansion_at_large_l(g, l):
+    """At l = 4294967311, d l^2 > 2^63 and the kernel runs on Python ints."""
+    assert _entry_dtype(2 * g, l) is (object if l > 2**32 else np.int64)
+    rng = random.Random(l)
+    d = 2 * g
+    samples = [mat_mul(random_sp(g, l, seed=s), multiplier_coset_rep(g, l, 1 + s), l)
+               for s in range(10)]
+    samples += [tuple(tuple(rng.randrange(-l, 2 * l) for _ in range(d)) for _ in range(d))
+                for _ in range(20)]
+    for m in samples:
+        assert matrix_charpoly(m, l) == cofactor_charpoly(m, l), m
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 11])
+def test_exact_coset_charpoly_distribution_counts_cofactor_charpolys(l):
+    """Every coset of Sp_2(Z/l): the distribution, keys in first-seen order,
+    is the histogram of the cofactor charpolys of s D_m over the group."""
+    elements = _sp_elements(1, l)
+    for m in range(1, l):
+        rep = multiplier_coset_rep(1, l, m)
+        counts = {}
+        for s in elements:
+            key = cofactor_charpoly(mat_mul(s, rep, l), l)
+            counts[key] = counts.get(key, 0) + 1
+        expected = [(k, Fraction(v, len(elements))) for k, v in counts.items()]
+        assert list(coset_charpoly_distribution(1, l, m).items()) == expected
 
 
 def test_coset_charpoly_distribution_sl2_frozen():
