@@ -1,16 +1,20 @@
 """Hyperelliptic curves y^2 = f(x) over F_q: point counts, zeta numerator,
 Jacobian group order.
 
-Point counting evaluates f at every x of F_{q^k}^*, for every requested k,
-in one numpy Horner pass over the concatenation F_q^* + F_{q^2}^* + ...
-Everything runs in the log domain: x runs over the powers g^i of each
-field's generator, multiplying by x adds i, and adding a coefficient c is
-a lookup in a per-field Zech table (log(1 + g^n), Huber 1990) shifted by
-log c.  The quadratic character of f(x) is the parity of its final log.
-The zeta numerator L(T) is recovered from N_1..N_g through Newton's
-identities and the functional equation, then checked against N_{g+1},
-counted in the same pass (when that field is within budget), so that a
-miscount raises instead of propagating.
+Point counting evaluates f once per Frobenius orbit: for every degree d
+that divides a requested k, at one x of each orbit of exact degree d in
+F_{q^d}^* (about q^d / d of them), all in one numpy Horner pass over the
+concatenated representatives.  Conjugate x give the same character value,
+and an x of degree d | k counts d times in N_k with character
+chi_{q^d}(f(x))^(k/d), so each degree contributes two sums (of chi and of
+chi^2) that every N_k reuses.  Everything runs in the log domain: x runs
+over powers g^i of each field's generator, multiplying by x adds i, and
+adding a coefficient c is a lookup in a per-field Zech table
+(log(1 + g^n), Huber 1990) shifted by log c.  The quadratic character of
+f(x) is the parity of its final log.  The zeta numerator L(T) is recovered
+from N_1..N_g through Newton's identities and the functional equation,
+then checked against N_{g+1}, counted in the same pass (when that field is
+within budget), so that a miscount raises instead of propagating.
 """
 from __future__ import annotations
 
@@ -30,18 +34,27 @@ from .ffield import FieldDescriptor, FqPoly, field_new, poly_squarefree
 POINTCOUNT_FIELD_CAP = 2_000_000
 # Bound on the tracemalloc peak of one point count per element counted (the
 # sum of |F_{q^k}| over the k of the pass), on fields whose tables are not
-# built yet: 16 B of the fields' int32 exp and log tables, 25 B of the
-# pass's Zech and character tables (5 int32 and 5 int8 entries per
-# element), 4 B for each cached log(x^r) array and 16 B of Horner
-# temporaries (int32 state and index, and the intp copy of the index that
-# ``take`` makes).  Measured 65.1-65.3 B for y^2 = x^3 + x + 1 (r = 1, 2)
-# at 103,823 elements (F_47^3 alone), 106,079 (F_47, F_47^2, F_47^3 in one
-# pass) and 1,594,323 (F_3^13); each further distinct gap r between
-# nonzero coefficients adds 4 B.
+# built yet.  The pass holds 16 B of the fields' int32 exp and log tables and
+# 25 B of Zech and character tables (5 int32 and 5 int8 entries per
+# element); building the Zech tables and the orbit representatives costs
+# about 16 B more of temporaries.  The Horner state runs over R_d, so a
+# segment of degree d adds 4/d B for each cached log(x^r) array and 16/d B
+# of Horner temporaries (int32 state and index, and the intp copy of the
+# index that ``take`` makes).  Measured for y^2 = x^3 + x + 1 (r = 1, 2):
+# 58.3 B at 103,823 elements (F_47^3 alone, segments d = 1, 3), 57.7 B at
+# 106,079 (F_47, F_47^2, F_47^3 in one pass) and 58.1 B at 1,594,323
+# (F_3^13 over F_3), all peaking in the build.  Over a base field that
+# large itself (d = 1, every element walked) the count peaks at 61.0 B:
+# the base's exp and log tables are built before (by ``curve_new``), but
+# its int64 self-embedding and coefficient logs add 12 B.  Each further
+# distinct gap r between nonzero coefficients adds 4/d B.
 POINTCOUNT_BYTES_PER_ELEMENT = 66
 # Pass tables (see _ExtensionPass) kept per process; a census meets one
 # (base field, k range) pair per field.
 PASS_CACHE_SIZE = 4
+# Logs that ``_orbit_representatives`` tests at a time: its int64
+# temporaries then peak near 18 B * 32,768 = 0.6 MB.
+ORBIT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,28 +95,61 @@ def _describe(curve: HyperellipticCurve) -> str:
     return f"curve over {curve.field!r} with f = {list(curve.f.coeffs)} (constant term first)"
 
 
-def infinity_points(ext: FieldDescriptor, lead: int, degree: int) -> int:
-    """Points at infinity of the smooth model over the given field."""
-    if degree % 2 == 1:
-        return 1
-    return 2 if ext.chi(lead) == 1 else 0
+def _orbit_representatives(q: int, d: int) -> np.ndarray:
+    """R_d: the least log i of each Frobenius orbit of exact degree d in
+    F_{q^d}^*, increasing, as int32.
+
+    x = g^i goes to x^q = g^(i q mod m), m = q^d - 1, so i is the least of an
+    orbit of exactly d elements iff i < i q^t mod m for 0 < t < d.  (In base
+    q, multiplying by q mod m rotates the d digits of i: R_d is the set of
+    Lyndon words of length d, and |R_d| is the necklace count, less one at
+    d = 1, where the word q - 1 is m, no log.)  The logs are tested
+    ``ORBIT_BLOCK`` at a time, so the int64 temporaries stay bounded
+    whatever the field.
+    """
+    m = q**d - 1
+    reps = []
+    for start in range(0, m, ORBIT_BLOCK):
+        i = np.arange(start, min(start + ORBIT_BLOCK, m), dtype=np.int64)
+        least = np.ones(len(i), dtype=bool)
+        turned = i.copy()
+        for _ in range(d - 1):
+            turned *= q
+            turned %= m
+            least &= i < turned
+        reps.append(i[least].astype(np.int32))
+    return np.concatenate(reps)
 
 
 class _ExtensionPass:
-    """Tables for one log-domain Horner pass over F_{q^k}^*, k in ``ks``.
+    """Tables for one log-domain Horner pass that counts N_k, k in ``ks``,
+    from one x per Frobenius orbit.
 
-    The elements x = g^i (g the generator of F_{q^k}, 0 <= i < m = q^k - 1)
+    An x of exact degree d over F_q (d | k) has d conjugates, all with the
+    same character value, and chi_{q^k}(f(x)) = chi_{q^d}(f(x))^(k/d), since
+    chi_{q^k} restricted to F_{q^d} is chi_{q^d} of the norm.  So
+
+      N_k = q^k + #infinity_k + chi_q(c_0)^k + sum over d | k of d S_d,
+
+    where S_d sums chi_{q^d}(f(x)) (k/d odd) or chi_{q^d}(f(x))^2 (k/d even,
+    the number of x with f(x) != 0) over the set R_d of one x per orbit of
+    exact degree d (``_orbit_representatives``); #infinity_k is 1 for an odd
+    model, and for an even one 2 when chi_q(lead)^k = 1 and 0 otherwise.
+    The pass has one segment per degree d dividing some k, and holds the
+    full tables of F_{q^d} there, but its Horner state runs over R_d only.
+
+    The elements x = g^i (g the generator of F_{q^d}, i in R_d, m = q^d - 1)
     of all the segments are laid end to end.  The Horner state of an element
     is a code z = b + u into ``zech``, b the segment's table offset: with c
     the coefficient added last, u < m means the partial value is c * g^u,
     and u = 3m means it is zero.  One step, acc * x^r + c' with
-    d = log c - log c' mod m, is ``zech[z + log(x^r) + d]``:
+    e = log c - log c' mod m, is ``zech[z + log(x^r) + e]``:
 
       zech[b + t] = b + log(1 + g^(t mod m)) for t < 3m  (acc + c' = c' (1 + g^t)),
                   = b + 3m                   at g^t = -1  (acc + c' = 0),
                   = b                        for t >= 3m  (acc = 0, so acc + c' = c').
 
-    Since log(x^r) and d lie in [0, m), t <= 3m - 3 for a nonzero partial
+    Since log(x^r) and e lie in [0, m), t <= 3m - 3 for a nonzero partial
     value and t <= 5m - 2 for a zero one, so a segment takes 5m entries and
     the lookup needs no modulo and no mask.  At the end
     f(x) = c_j x^j * g^u, c_j the lowest nonzero coefficient, and its
@@ -112,15 +158,18 @@ class _ExtensionPass:
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
-        self.exts = [field_new(base.p, base.n * k) for k in ks]
-        self.sizes = np.array([ext.size - 1 for ext in self.exts], dtype=np.int32)
-        self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
-        self.offsets = (5 * self.starts).astype(np.int32)
-        self.coef_logs = np.empty((base.size, len(ks)), dtype=np.int32)
+        self.q, self.ks = base.size, ks
+        degrees = sorted({d for k in ks for d in range(1, k + 1) if k % d == 0})
+        # per k, the (segment, d, k/d odd) terms of its sum; segment 0 is d = 1
+        self.terms = [[(seg, d, (k // d) % 2 == 1) for seg, d in enumerate(degrees) if k % d == 0]
+                      for k in ks]
+        exts = [field_new(base.p, base.n * d) for d in degrees]
+        self.sizes = np.array([ext.size - 1 for ext in exts], dtype=np.int32)
+        self.offsets = (5 * np.concatenate(([0], np.cumsum(self.sizes)[:-1]))).astype(np.int32)
+        self.coef_logs = np.empty((base.size, len(degrees)), dtype=np.int32)
         self.zech = np.zeros(5 * int(self.sizes.sum()), dtype=np.int32)
         self.chi = np.zeros(len(self.zech), dtype=np.int8)
-        self._x_logs: dict[int, np.ndarray] = {}
-        for seg, (ext, m, b) in enumerate(zip(self.exts, self.sizes.tolist(),
+        for seg, (ext, m, b) in enumerate(zip(exts, self.sizes.tolist(),
                                                self.offsets.tolist())):
             exp, log = ext.exp_log
             self.coef_logs[:, seg] = log.take(base.embedding_into(ext))
@@ -135,15 +184,21 @@ class _ExtensionPass:
             seg_zech += b
             self.chi[b:b + 3 * m:2] = 1
             self.chi[b + 1:b + 3 * m:2] = -1
+        reps = [_orbit_representatives(self.q, d) for d in degrees]
+        self.lengths = np.array([len(r) for r in reps], dtype=np.int32)
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
+        self._x_logs = {1: np.concatenate(reps)}
 
     def x_log(self, r: int) -> np.ndarray:
-        """log(x^r) = r i mod m at every element; built once per r."""
+        """log(x^r) = r i mod m at every representative; built once per r."""
         if r not in self._x_logs:
-            out = np.empty(int(self.sizes.sum()), dtype=np.int32)
-            for m, start in zip(self.sizes.tolist(), self.starts.tolist()):
-                part = np.arange(0, r * m, r, dtype=np.int64)
+            out = np.empty_like(self._x_logs[1])
+            for m, start, stop in zip(self.sizes.tolist(), self.starts.tolist(),
+                                      (self.starts + self.lengths).tolist()):
+                part = self._x_logs[1][start:stop].astype(np.int64)
+                part *= r
                 part %= m
-                out[start:start + m] = part
+                out[start:stop] = part
             self._x_logs[r] = out
         return self._x_logs[r]
 
@@ -153,14 +208,20 @@ class _ExtensionPass:
         support = [j for j, c in enumerate(coeffs) if c]
         logs = self.coef_logs[[coeffs[j] for j in support]]   # lowest degree first
         signs = self.chi.take(self._horner(support, logs))
-        sums = np.add.reduceat(signs, self.starts, dtype=np.int32).tolist()
+        chis = np.add.reduceat(signs, self.starts, dtype=np.int32)
+        chis *= 1 - 2 * (logs[0] & 1)                       # times chi_{q^d}(c_j)
+        nonzero = np.add.reduceat(signs != 0, self.starts, dtype=np.int32)
+        chis, nonzero = chis.tolist(), nonzero.tolist()
+        at_zero = 1 - 2 * (int(logs[0, 0]) & 1) if coeffs[0] else 0   # chi_q(c_0)
+        lead_square = int(logs[-1, 0]) % 2 == 0                      # chi_q(lead) = 1
+        odd_model = curve.model_degree % 2 == 1
         out = []
-        for ext, total, log_cj in zip(self.exts, sums, logs[0].tolist()):
-            sign = 1 - 2 * (log_cj & 1)                        # chi(c_j)
-            at_zero = sign if coeffs[0] else 0                 # chi(f(0)) = chi(c_0)
-            lead = int(curve.field.embedding_into(ext)[coeffs[-1]])
-            out.append(ext.size + sign * total + at_zero
-                       + infinity_points(ext, lead, curve.model_degree))
+        for k, terms in zip(self.ks, self.terms):
+            total = self.q**k + at_zero**k
+            total += 1 if odd_model else 2 * (lead_square or k % 2 == 0)
+            for seg, d, odd in terms:
+                total += d * (chis[seg] if odd else nonzero[seg])
+            out.append(total)
         return out
 
     def _horner(self, support: list[int], logs: np.ndarray) -> np.ndarray:
@@ -169,9 +230,9 @@ class _ExtensionPass:
         # built before the Horner arrays, so that their set-up adds no peak
         x_logs = [self.x_log(b - a) for a, b in zip(support, support[1:])]
         x = self.x_log(1)
-        z = np.repeat(self.offsets, self.sizes)               # acc = lead
+        z = np.repeat(self.offsets, self.lengths)             # acc = lead
         for s in range(len(support) - 2, -1, -1):
-            t = np.repeat(steps[s], self.sizes)
+            t = np.repeat(steps[s], self.lengths)
             t += z
             t += x_logs[s]
             # in range by construction; "clip" writes in place, unbuffered

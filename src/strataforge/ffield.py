@@ -286,8 +286,10 @@ class FieldDescriptor:
             return self._embeddings[ext]
         if ext.p != self.p or ext.n % self.n != 0:
             raise ValueError(f"{ext!r} is not an extension of {self!r}")
-        if self.n == 1:
-            table = np.arange(self.p, dtype=np.int64)  # constants encode identically
+        if self.n == 1 or ext == self:
+            # constants encode identically; and x, the code p, is the least
+            # root of a field's own modulus (smaller codes are constants)
+            table = np.arange(self.size, dtype=np.int64)
         else:
             def at(coeffs, x: int) -> int:
                 acc = 0
@@ -495,13 +497,12 @@ def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
     if field.n == 1:
-        p = field.p
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        return poly_trim(out)
+                    out[i + j] += ai * bj
+        return poly_trim([c % field.p for c in out])
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -59,6 +59,10 @@ def hasse_witt(curve: HyperellipticCurve) -> HasseWittMatrix:
 
 
 def _mat_mul(field: FieldDescriptor, a, b):
+    if field.n == 1:
+        p, cols = field.p, list(zip(*b))
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+                     for row in a)
     g = len(a)
     out = []
     for i in range(g):
@@ -77,6 +81,8 @@ def _mat_frobenius(field: FieldDescriptor, a, k: int):
 
 
 def _mat_rank(field: FieldDescriptor, a) -> int:
+    """Rank by row reduction; over a prime field on plain ints mod p."""
+    p, prime = field.p, field.n == 1
     rows = [list(r) for r in a]
     g = len(rows)
     rank = 0
@@ -85,11 +91,17 @@ def _mat_rank(field: FieldDescriptor, a) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        if prime:
+            inv = pow(rows[rank][col], -1, p)
+            rows[rank] = [inv * v % p for v in rows[rank]]
+        else:
+            inv = field.inv(rows[rank][col])
+            rows[rank] = [field.mul(inv, v) for v in rows[rank]]
         for r in range(rank + 1, g):
-            if rows[r][col]:
-                c = rows[r][col]
+            c = rows[r][col]
+            if c and prime:
+                rows[r] = [(v - c * w) % p for v, w in zip(rows[r], rows[rank])]
+            elif c:
                 rows[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
@@ -133,19 +145,23 @@ class NewtonPolygon:
     segments: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
+        # on integers: slope = num/den in lowest terms, den > 0; a breakpoint
+        # is integral iff each segment's rise num * length / den is
         prev = None
-        rise = Fraction(0)
+        rise = 0
         for slope, length in self.segments:
-            if not 0 <= slope <= 1:
+            num, den = slope.numerator, slope.denominator
+            if not 0 <= num <= den:
                 raise ValueError(f"slope {slope} outside [0, 1]")
             if length < 1:
                 raise ValueError("segment lengths must be positive")
-            if prev is not None and slope <= prev:
+            if prev is not None and num * prev[1] <= prev[0] * den:
                 raise ValueError("slopes must strictly increase")
-            rise += slope * length
-            if rise.denominator != 1:
+            seg_rise, rest = divmod(num * length, den)
+            if rest:
                 raise ValueError("breakpoints must have integer coordinates")
-            prev = slope
+            rise += seg_rise
+            prev = num, den
         if 2 * rise != self.total_length:
             raise ValueError("total rise must be half the total length")
 
@@ -208,10 +224,14 @@ def slope_zero_length(polygon: NewtonPolygon) -> int:
 
 
 def classify(polygon: NewtonPolygon) -> Classification:
-    """ordinary: only slopes 0 and 1; supersingular: only slope 1/2."""
-    slopes = {s for s, _ in polygon.segments}
-    if slopes <= {Fraction(0), Fraction(1)}:
+    """ordinary: only slopes 0 and 1; supersingular: only slope 1/2.
+
+    Read off the denominators: the slopes lie in [0, 1], so denominator 1
+    means 0 or 1, and denominator 2 means 1/2.
+    """
+    dens = {s.denominator for s, _ in polygon.segments}
+    if dens <= {1}:
         return "ordinary"
-    if slopes == {Fraction(1, 2)}:
+    if dens == {2}:
         return "supersingular"
     return "other"

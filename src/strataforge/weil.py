@@ -144,6 +144,43 @@ def l_reducible(L: LPolynomial) -> bool:
     return not _poly_is_irreducible(h)
 
 
+def discriminant(h: list[int]) -> int:
+    """Exact discriminant over Z of a monic integer h (constant term first).
+
+    With b_i the roots and s_k their power sums, disc(h) = prod_(i<j)
+    (b_i - b_j)^2 = det(V V^T) for the Vandermonde matrix V = (b_i^j), and
+    V V^T is the Hankel matrix (s_(i+j)), i, j < deg h.  The s_k come from
+    Newton's identities, the determinant from Bareiss's fraction-free
+    elimination; every step is exact in Z.
+    """
+    g = len(h) - 1
+    a = h[::-1]                                  # a_0 = 1, h = sum a_i T^(g-i)
+    s = [g]
+    for k in range(1, 2 * g - 1):
+        total = k * a[k] if k <= g else 0
+        total += sum(a[i] * s[k - i] for i in range(1, min(k, g + 1)))
+        s.append(-total)
+    return _det_z([[s[i + j] for j in range(g)] for i in range(g)])
+
+
+def _det_z(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss's algorithm: each
+    division is exact, so every entry stays an integer minor."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
 def _next_prime(r: int) -> int:
     r += 1
     while not is_prime(r):
@@ -192,13 +229,18 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     the even-weight one or F_2^g.  Complex conjugation gives 1 (an
     irreducible Weil P has no real root), w rules out 0 and <1>, and odd
     weight (w, or 1 at odd g) the even-weight one.  The first two witnesses
-    are free for g < 3, the third at g = 1.
+    are free for g < 3, the third at g = 1.  When disc(h) is a square
+    (``discriminant``), Gal(h) lies in A_g, so no Frobenius is the odd
+    permutation a transposition witness is, and the answer is
+    "undetermined" without reading a prime.
     """
     g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
     h, P = real_weil_coeffs(L), frobenius_poly(L)
     transposition = cycle = g < 3
+    if not transposition and is_perfect_square(discriminant(h)):
+        return ("undetermined", None)   # Gal(h) lies in A_g: no witness is odd
     flip = g == 1
     good, r = 0, 2
     while not (transposition and cycle and flip) and good < WITNESS_PRIMES:

@@ -1,11 +1,14 @@
 import itertools
+import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from strataforge.curves import (
     POINTCOUNT_BYTES_PER_ELEMENT,
+    POINTCOUNT_FIELD_CAP,
     HyperellipticCurve,
     LPolynomial,
     curve_new,
@@ -68,6 +71,34 @@ def scalar_count(curve, k=1):
     return total + (2 if ext.pow(coeffs[-1], half) == 1 else 0)
 
 
+def full_field_count(curve, k=1):
+    """Oracle for large fields: f at every x of F_{q^k} in numpy, x = G^i
+    multiplied through the exp/log tables and each coefficient added digit
+    by digit in base p (no Zech table, no Frobenius orbit)."""
+    base = curve.field
+    ext = field_new(base.p, base.n * k)
+    emb = base.embedding_into(ext)
+    coeffs = [int(emb[c]) for c in curve.f.coeffs]
+    exp, log = ext.exp_log
+    i = np.arange(ext.size - 1, dtype=np.int32)
+    acc = np.zeros(ext.size - 1, dtype=np.int32)
+    for c in reversed(coeffs):
+        acc = exp[log[acc] + i]                          # acc * x, zero included
+        change, place = np.zeros_like(acc), 1
+        while c:
+            c, digit = divmod(c, ext.p)
+            if digit:
+                low = acc // place % ext.p
+                change += ((low + digit) % ext.p - low) * place
+            place *= ext.p
+        acc += change
+    signs = np.where(acc == 0, 0, 1 - 2 * (log[acc] & 1))
+    count = ext.size + int(signs.sum()) + ext.chi(coeffs[0])
+    if curve.model_degree % 2 == 1:
+        return count + 1
+    return count + (2 if ext.chi(coeffs[-1]) == 1 else 0)
+
+
 def nonsquare(field):
     return next(a for a in range(1, field.size)
                 if all(field.mul(y, y) != a for y in range(field.size)))
@@ -122,14 +153,6 @@ def test_point_count_matches_brute_force(p, ints):
     c = make_curve(p, ints)
     for k in (1, 2):
         assert point_count(c, k) == brute_count(c, k)
-
-
-def test_infinity_points_rule():
-    from strataforge.curves import infinity_points
-    f5 = field_new(5)
-    assert infinity_points(f5, 1, 3) == 1       # odd degree: one point
-    assert infinity_points(f5, 1, 4) == 2       # even degree, square lead
-    assert infinity_points(f5, 2, 4) == 0       # even degree, nonsquare lead
 
 
 def test_point_count_over_extension_base_field():
@@ -192,6 +215,105 @@ def test_point_counts_on_zero_runs_and_vanishing_partial_values(p, n, ints, upto
     expected = [scalar_count(c, k) for k in range(1, upto + 1)]
     assert point_counts(c, upto) == expected
     assert [point_count(c, k) for k in range(1, upto + 1)] == expected
+
+
+def necklace_count(q, d):
+    """Number of aperiodic necklaces of length d over q letters:
+    (1/d) sum over e | d of mu(d/e) q^e."""
+    def mobius(n):
+        sign, r = 1, 2
+        while n > 1:
+            if n % r == 0:
+                n //= r
+                if n % r == 0:
+                    return 0
+                sign = -sign
+            r += 1
+        return sign
+    return sum(mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
+
+
+# R_d is built only for fields a point count may walk, q^d <= the budget;
+# at (27, 6) it would hold 64.6 million representatives
+@pytest.mark.parametrize("q,d", [(q, d) for q in (3, 5, 7, 9, 25, 27) for d in range(1, 7)
+                                 if q**d <= POINTCOUNT_FIELD_CAP])
+def test_orbit_representatives_are_counted_by_necklaces(q, d):
+    from strataforge.curves import _orbit_representatives
+    reps = _orbit_representatives(q, d)
+    assert len(reps) == necklace_count(q, d) - (d == 1)
+    assert reps.dtype == np.int32 and np.all(np.diff(reps) > 0)
+
+
+@pytest.mark.parametrize("q,d", [(3, d) for d in range(1, 7)] + [(5, 4), (9, 3), (7, 2)])
+def test_orbit_representatives_are_the_least_of_each_exact_orbit(q, d):
+    from strataforge.curves import _orbit_representatives
+    m = q**d - 1
+    orbits = {frozenset(i * q**t % m for t in range(d)) for i in range(m)}
+    expected = sorted(min(orbit) for orbit in orbits if len(orbit) == d)
+    assert _orbit_representatives(q, d).tolist() == expected
+
+
+def test_orbit_representatives_span_blocks(monkeypatch):
+    import strataforge.curves as curves
+    expected = curves._orbit_representatives(5, 4).tolist()
+    monkeypatch.setattr(curves, "ORBIT_BLOCK", 7)
+    assert curves._orbit_representatives(5, 4).tolist() == expected
+
+
+def test_point_counts_match_scalar_loop_on_exhaustive_genus3_f3():
+    field = field_new(3)
+    for f in enumerate_monic(field, 7, squarefree_only=True):
+        c = curve_new(field, f)
+        assert point_counts(c, 4) == [scalar_count(c, k) for k in range(1, 5)], f.coeffs
+
+
+@pytest.mark.parametrize("p,n,ints,k", [
+    (3, 1, [1, 0, 1, 0, 0, 1], 4),
+    (3, 1, [1, 0, 1, 0, 0, 1], 6),
+    (3, 1, [2, 1, 0, 2, 1, 0, 1], 6),           # even model
+    (5, 1, [1, 1, 0, 0, 0, 1], 4),
+    (3, 2, [1, 0, 1, 1], 4),
+    (7, 1, [0, 5, 0, 1, 1], 4),                 # even model with roots 0 and 1
+])
+def test_point_count_at_composite_degree(p, n, ints, k):
+    """N_4 sums the segments d = 1, 2 (as chi^2) and 4; N_6 sums d = 1, 3
+    (as chi^2) and 2, 6."""
+    c = make_curve(p, ints, n)
+    expected = scalar_count(c, k)
+    assert point_count(c, k) == expected
+    assert point_counts(c, k)[-1] == expected
+
+
+@pytest.mark.parametrize("p,n,ints", [
+    (3, 1, [1, 0, 1, 0, 2]),
+    (5, 1, [1, 1, 0, 0, 0, 0, 2]),
+    (7, 1, [3, 0, 1, 0, 3]),
+    (3, 2, [2, 3, 0, 1, 1]),
+])
+def test_even_models_with_a_nonsquare_lead(p, n, ints):
+    """No point at infinity at odd k, two at even k, where the lead becomes
+    a square."""
+    field = field_new(p, n)
+    coeffs = [x % field.size for x in ints]
+    coeffs[-1] = nonsquare(field)
+    c = HyperellipticCurve(field, FqPoly(field, tuple(coeffs)))
+    expected = [scalar_count(c, k) for k in range(1, 5)]
+    assert point_counts(c, 4) == expected
+    assert [point_count(c, k) for k in range(1, 5)] == expected
+
+
+def test_l_polynomial_checks_n4_on_seeded_genus3_curves_over_f27():
+    field, rng, curves_ = field_new(3, 3), random.Random(27), []
+    while len(curves_) < 5:
+        coeffs = [rng.randrange(27) for _ in range(7)] + [1]
+        try:
+            curves_.append(curve_new(field, FqPoly(field, tuple(coeffs))))
+        except ValueError:
+            continue
+    for c in curves_:
+        L = l_polynomial(c)                      # counts N_4 over F_3^12 and checks it
+        assert l_polynomial(c, field_cap=27**3) == L
+        assert point_counts_from(L, 4)[3] == full_field_count(c, 4), c.f.coeffs
 
 
 def test_point_count_memory_per_element():

@@ -449,7 +449,8 @@ def _full_scan_embedding(base, ext):
     return [evaluate(base.digits(a), root) for a in range(base.size)]
 
 
-@pytest.mark.parametrize("p,n,m", [(3, 2, 4), (3, 2, 6), (5, 2, 4), (3, 3, 6)])
+@pytest.mark.parametrize("p,n,m", [(3, 2, 4), (3, 2, 6), (5, 2, 4), (3, 3, 6),
+                                   (3, 2, 2), (5, 2, 2), (3, 3, 3)])
 def test_embedding_equals_the_full_root_scan(p, n, m):
     base, ext = field_new(p, n), field_new(p, m)
     assert base.embedding_into(ext).tolist() == _full_scan_embedding(base, ext)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strataforge.curves import curve_new, l_polynomial
 from strataforge.ffield import FqPoly, enumerate_monic, field_new, squarefree
@@ -161,6 +163,57 @@ def test_polygon_validation():
         seg((0, 1, 1), (1, 2, 2))          # rise != length/2
     with pytest.raises(ValueError):
         NewtonPolygon(((Fraction(3, 2), 2),))  # slope above 1
+
+
+def fraction_validation_error(segments):
+    """The validation NewtonPolygon ran on Fraction sums before it went to
+    integers, kept as the oracle: its ValueError message, or None."""
+    prev = None
+    rise = Fraction(0)
+    for slope, length in segments:
+        if not 0 <= slope <= 1:
+            return f"slope {slope} outside [0, 1]"
+        if length < 1:
+            return "segment lengths must be positive"
+        if prev is not None and slope <= prev:
+            return "slopes must strictly increase"
+        rise += slope * length
+        if rise.denominator != 1:
+            return "breakpoints must have integer coordinates"
+        prev = slope
+    if 2 * rise != sum(length for _, length in segments):
+        return "total rise must be half the total length"
+    return None
+
+
+any_segments = st.lists(st.tuples(
+    st.fractions(min_value=-1, max_value=2, max_denominator=6),
+    st.integers(min_value=-1, max_value=7)), max_size=5)
+
+
+@st.composite
+def symmetric_segments(draw):
+    """Slopes s < 1/2 with lengths that are multiples of their denominators,
+    mirrored to 1 - s, with 1/2 in the middle or not: valid polygons, which
+    the arbitrary lists above seldom give."""
+    low = draw(st.lists(st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=6)
+                        .filter(lambda s: s < Fraction(1, 2)), unique=True, max_size=3))
+    lows = [(s, s.denominator * draw(st.integers(1, 3))) for s in sorted(low)]
+    middle = [(Fraction(1, 2), 2 * draw(st.integers(1, 3)))] if draw(st.booleans()) else []
+    return tuple(lows + middle + [(1 - s, ln) for s, ln in reversed(lows)])
+
+
+@given(st.one_of(any_segments, symmetric_segments()))
+@settings(max_examples=200, deadline=None)
+def test_polygon_validation_matches_the_fraction_validator(segments):
+    segments = tuple(segments)
+    expected = fraction_validation_error(segments)
+    if expected is None:
+        assert NewtonPolygon(segments).segments == segments
+    else:
+        with pytest.raises(ValueError) as err:
+            NewtonPolygon(segments)
+        assert str(err.value) == expected
 
 
 def test_polygon_triple_serialization_roundtrip():

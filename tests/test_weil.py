@@ -279,6 +279,39 @@ def test_maximal_genus3_class_has_galois_group_of_order_48(census_Ls):
     assert maximal == 120
 
 
+def test_discriminant_matches_sympy_on_every_census_h(census_Ls, sampled_Ls):
+    for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
+        h = weil.real_weil_coeffs(L)
+        assert weil.discriminant(h) == sympy.discriminant(sympy.Poly(h[::-1], T)), L
+    for coeffs, _ in GENUS4_SMALL_GROUP.values():
+        h = weil.real_weil_coeffs(LPolynomial(5, 4, coeffs))
+        assert weil.discriminant(h) == sympy.discriminant(sympy.Poly(h[::-1], T))
+
+
+def test_square_discriminant_leaves_no_transposition_witness(census_Ls, sampled_Ls):
+    """Where disc(h) is a square ``splitting_class`` stops at once; on each
+    such irreducible L, WITNESS_PRIMES good primes show no transposition,
+    so reading them would have given "undetermined" as well."""
+    square = 0
+    for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
+        h, P = weil.real_weil_coeffs(L), weil.frobenius_poly(L)
+        if L.genus < 3 or weil.l_reducible(L) or not weil.is_perfect_square(weil.discriminant(h)):
+            continue
+        square += 1
+        assert weil.splitting_class(L) == ("undetermined", None), L
+        good, r = 0, 2
+        while good < weil.WITNESS_PRIMES:
+            r = weil._next_prime(r)
+            Pr = [c % r for c in P]
+            if L.q % r == 0 or sympy_signed_cycle_type(L, r) is None:
+                continue
+            good += 1
+            lengths = sorted(k for k, _ in weil.signed_cycle_type(h, Pr, r))
+            assert sum(k - 1 for k in lengths) % 2 == 0, (L, r, lengths)   # even
+            assert not (lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2))
+    assert square >= 14
+
+
 def test_splitting_class_genus1_certifies_exactly_the_irreducible_L():
     for L in genus1_Ls():
         expected = ("undetermined", None) if weil.l_reducible(L) else ("maximal", 2)
