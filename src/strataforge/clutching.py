@@ -7,7 +7,6 @@ Everything here is exact combinatorics on tiny structures.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,13 +82,15 @@ def tree_size(tree: ClutchingTree) -> int:
     return len(tree.genera)
 
 
-def labelings(tree: ClutchingTree, f: int) -> list[tuple[int, ...]]:
-    """All p-rank labelings: 0 <= f_v <= g_v with sum f_v = f, vertex order."""
-    g = tree_genus(tree)
+def _check_prank(f: int, g: int) -> None:
     if not 0 <= f <= g:
         raise ValueError(f"f = {f} outside [0, {g}]")
+
+
+def _labelings(genera: Sequence[int], total: int) -> list[tuple[int, ...]]:
+    """Every tuple with 0 <= f_v <= g_v and sum f_v = total, in
+    lexicographic order ([] when total is negative)."""
     out: list[tuple[int, ...]] = []
-    genera = tree.genera
 
     def rec(i: int, remaining: int, acc: list[int]):
         if i == len(genera):
@@ -102,15 +103,20 @@ def labelings(tree: ClutchingTree, f: int) -> list[tuple[int, ...]]:
         for fv in range(min(genera[i], remaining) + 1):
             rec(i + 1, remaining - fv, acc + [fv])
 
-    rec(0, f, [])
+    rec(0, total, [])
     return out
+
+
+def labelings(tree: ClutchingTree, f: int) -> list[tuple[int, ...]]:
+    """All p-rank labelings: 0 <= f_v <= g_v with sum f_v = f, vertex order."""
+    _check_prank(f, tree_genus(tree))
+    return _labelings(tree.genera, f)
 
 
 def stratum_dim(tree: ClutchingTree, f: int) -> int:
     """Dimension of the p-rank-f stratum glued along the tree: g + f - |tree|."""
     g = tree_genus(tree)
-    if not 0 <= f <= g:
-        raise ValueError(f"f = {f} outside [0, {g}]")
+    _check_prank(f, g)
     return g + f - tree_size(tree)
 
 
@@ -149,15 +155,13 @@ class BoundaryDivisor:
         return f"{self.kind}_{self.index}"
 
     def stratum_dim(self, f: int) -> int:
+        _check_prank(f, self.genus)
         return self.genus - 2 + f
 
     def admissible_labelings(self, f: int) -> list[tuple[int, ...]]:
-        target = f - self.prank_offset
-        out = []
-        for combo in itertools.product(*(range(g + 1) for g in self.component_genera)):
-            if sum(combo) == target:
-                out.append(combo)
-        return out
+        """Component p-ranks summing to f - ``prank_offset``, lexicographic."""
+        _check_prank(f, self.genus)
+        return _labelings(self.component_genera, f - self.prank_offset)
 
 
 def boundary_catalog(g: int) -> list[BoundaryDivisor]:

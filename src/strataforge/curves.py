@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -314,20 +315,21 @@ class LPolynomial:
         return acc
 
 
-def frobenius_power_sums(L: LPolynomial, upto: int) -> list[int]:
-    """p_k = sum of k-th powers of the Frobenius eigenvalues, k = 1..upto."""
-    g2 = 2 * L.genus
-    a = L.coeffs
+def power_sums(a: Sequence[int], upto: int) -> list[int]:
+    """p_k = sum of alpha^k, k = 1..upto, over the alpha with prod (1 - alpha T)
+    = a_0 + ... + a_n T^n, a_0 = 1 (for L.coeffs, the Frobenius eigenvalues),
+    by Newton's identities; past k = n the k a_k term drops out."""
+    n = len(a) - 1
     ps: list[int] = []
     for k in range(1, upto + 1):
-        if k <= g2:
+        if k <= n:
             s = k * a[k]
             for i in range(1, k):
                 s += a[i] * ps[k - i - 1]
             ps.append(-s)
         else:
             s = 0
-            for i in range(1, g2 + 1):
+            for i in range(1, n + 1):
                 s += a[i] * ps[k - i - 1]
             ps.append(-s)
     return ps
@@ -350,7 +352,7 @@ def coeffs_from_power_sums(ps: list[int]) -> list[int]:
 
 def point_counts_from(L: LPolynomial, upto: int) -> list[int]:
     """N_1..N_upto predicted by L (exact, any extension degree)."""
-    return [L.q**k + 1 - p for k, p in enumerate(frobenius_power_sums(L, upto), start=1)]
+    return [L.q**k + 1 - p for k, p in enumerate(power_sums(L.coeffs, upto), start=1)]
 
 
 def l_polynomial(curve: HyperellipticCurve,

@@ -7,19 +7,20 @@ arithmetic is exact integer arithmetic; no floats anywhere.
 Fields are built through :func:`field_new`, which picks the canonical
 modulus (the lexicographically least monic irreducible, coefficients
 compared constant term first) so that serialized elements mean the same
-thing across runs and machines.
+thing across runs and machines.  Products in F_{p^n} read discrete-log
+tables built with multiply-by-c matrices over F_p.
 
-The ``zp_*`` helpers are a second, smaller polynomial layer: integer lists
-over Z/r for a prime r given as a plain int, because the Weil layer's
-witness primes may exceed ``MAX_P``.  They give remainders, gcds, modular
-powers and distinct-degree factor counts; the modulus search and the
-prime-field fast paths of ``poly_gcd``/``poly_deriv`` run on them.  No
-path here imports sympy.
+The ``zp_*`` helpers are the polynomial layer over Z/r for a prime r given
+as a plain int, because the Weil layer's witness primes may exceed
+``MAX_P``: products, remainders, gcds, squarefreeness, modular powers and
+distinct-degree factor counts.  The modulus search runs on them, and on F_p
+the ``poly_*`` helpers only delegate to them.  No path here imports sympy.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,14 +54,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 class FieldDescriptor:
@@ -80,18 +74,6 @@ class FieldDescriptor:
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._chi: np.ndarray | None = None
-        if n > 1:
-            # x^(n+k) mod modulus for k in [0, n-2]; used by _raw_mul
-            red = []
-            cur = [(-c) % p for c in modulus[:-1]]  # x^n
-            red.append(list(cur))
-            for _ in range(n - 2):
-                cur = [0] + cur
-                lead = cur.pop()
-                if lead:
-                    cur = [(c + lead * r) % p for c, r in zip(cur, red[0])]
-                red.append(list(cur))
-            self._red = red
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
@@ -113,12 +95,6 @@ class FieldDescriptor:
             out.append(a % p)
             a //= p
         return tuple(out)
-
-    def from_digits(self, ds) -> int:
-        v = 0
-        for d in reversed(list(ds)):
-            v = v * self.p + d % self.p
-        return v
 
     # -- scalar arithmetic on element encodings ------------------------------
 
@@ -148,24 +124,25 @@ class FieldDescriptor:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        p = self.p
-        if self.n == 1:
-            return (a * b) % p
-        da, db = self.digits(a), self.digits(b)
-        conv = [0] * (2 * self.n - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = list(conv[: self.n])
-        for k in range(self.n - 1):
-            c = conv[self.n + k]
-            if c:
-                row = self._red[k]
-                for i in range(self.n):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.from_digits(out)
+    def _times(self, c: int) -> np.ndarray:
+        """The n x n matrix over F_p whose row i holds the digits of c * x^i
+        (shift and reduce by the modulus), so digits @ it multiply by c."""
+        p, rows = self.p, [list(self.digits(c))]
+        for _ in range(self.n - 1):
+            row = rows[-1]
+            rows.append([(s - row[-1] * m) % p for s, m in zip([0] + row[:-1], self.modulus)])
+        return np.array(rows, dtype=np.int64)
+
+    def _times_pow(self, c: int, e: int) -> np.ndarray:
+        """``_times(c^e)``, by square-and-multiply on the matrices (e >= 0)."""
+        p, base, result = self.p, self._times(c), np.eye(self.n, dtype=np.int64)
+        while e:
+            if e & 1:
+                result = result @ base % p
+            e >>= 1
+            if e:
+                base = base @ base % p
+        return result
 
     def _ensure_exp_log(self) -> None:
         """Discrete-log tables for a fixed generator g, built once per field.
@@ -175,46 +152,32 @@ class FieldDescriptor:
         sentinel 2(q-1), so ``_exp[_log[a] + i]`` is a * g^i for every a and
         every 0 <= i < q-1, zero included, with no modulo and no mask.
         int32 holds these indices for fields of up to 7*10^8 elements.
+
+        g is the least primitive encoding.  Every product is digits times a
+        multiply-by-c matrix (``_times_pow``): the first block g^0..g^(b-1),
+        b = isqrt(q-1) + 1, doubles in length, and each later block is the
+        one before it times the matrix of g^b.
         """
         if self._exp is not None:
             return
-        q = self.size
-        facs = _prime_factors(q - 1)
-        gen = None
-        for g in range(2, q):
-            if all(self._raw_pow(g, (q - 1) // r) != 1 for r in facs):
-                gen = g
-                break
-        assert gen is not None
-        # g^0..g^(b-1) one at a time, then block by block: the next block is
-        # this one times g^b, a linear map on base-p digit vectors whose rows
-        # are the digits of g^b * x^i
-        p, n, b = self.p, self.n, math.isqrt(q - 1) + 1
-        block = [1]
-        for _ in range(b - 1):
-            block.append(self._raw_mul(block[-1], gen))
-        g_b = self._raw_mul(block[-1], gen)
-        times_g_b = np.array([self.digits(self._raw_mul(g_b, p**i)) for i in range(n)])
-        place = p ** np.arange(n)
-        digits = np.array([self.digits(a) for a in block])
+        q, p, n = self.size, self.p, self.n
+        facs, one = _prime_factors(q - 1), list(self.digits(1))
+        gen = next(g for g in range(2, q)            # row 0 holds the digits of g^((q-1)/r)
+                   if all(self._times_pow(g, (q - 1) // r)[0].tolist() != one for r in facs))
+        b = math.isqrt(q - 1) + 1
+        digits = np.eye(1, n, dtype=np.int64)                # g^0
+        while len(digits) < b:
+            digits = np.vstack([digits, digits @ self._times_pow(gen, len(digits)) % p])
+        digits, step, place = digits[:b], self._times_pow(gen, b), p ** np.arange(n)
         exp = np.zeros(3 * (q - 1), dtype=np.int32)
         for start in range(0, q - 1, b):
             exp[start:min(start + b, q - 1)] = (digits @ place)[:q - 1 - start]
-            digits = digits @ times_g_b % p
+            digits = digits @ step % p
         exp[q - 1:2 * (q - 1)] = exp[:q - 1]
         log = np.empty(q, dtype=np.int32)
         log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int32)
         log[0] = 2 * (q - 1)
         self._exp, self._log = exp, log
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
 
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
@@ -331,6 +294,16 @@ def field_new(p: int, n: int = 1) -> FieldDescriptor:
 # element and polynomial value types
 
 
+def _encodings(xs) -> list[int]:
+    """The encodings xs as plain ints (numpy integers included); a TypeError
+    names the first that is not an integer."""
+    try:
+        return list(map(operator.index, xs))
+    except TypeError:
+        bad = next(x for x in xs if not hasattr(type(x), "__index__"))
+        raise TypeError(f"element encodings are integers, got {bad!r}") from None
+
+
 @dataclass(frozen=True)
 class FqElement:
     """A field element: a descriptor plus its integer encoding."""
@@ -339,6 +312,7 @@ class FqElement:
     value: int
 
     def __post_init__(self):
+        object.__setattr__(self, "value", _encodings([self.value])[0])
         if not 0 <= self.value < self.field.size:
             raise ValueError(f"element encoding {self.value} out of range")
 
@@ -346,29 +320,33 @@ class FqElement:
     def coeffs(self) -> tuple[int, ...]:
         return self.field.digits(self.value)
 
-    def _coerce(self, other) -> int:
+    def _apply(self, op, other):
+        """op on the encodings; an int is a prime-field constant, and any
+        other type gives NotImplemented."""
         if isinstance(other, FqElement):
             if other.field != self.field:
                 raise ValueError("elements of different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented  # pragma: no cover
+            return FqElement(self.field, op(self.value, other.value))
+        try:
+            b = operator.index(other) % self.field.p
+        except TypeError:
+            return NotImplemented
+        return FqElement(self.field, op(self.value, b))
 
     def __add__(self, other):
-        return FqElement(self.field, self.field.add(self.value, self._coerce(other)))
+        return self._apply(self.field.add, other)
 
     def __sub__(self, other):
-        return FqElement(self.field, self.field.sub(self.value, self._coerce(other)))
+        return self._apply(self.field.sub, other)
 
     def __neg__(self):
         return FqElement(self.field, self.field.neg(self.value))
 
     def __mul__(self, other):
-        return FqElement(self.field, self.field.mul(self.value, self._coerce(other)))
+        return self._apply(self.field.mul, other)
 
     def __truediv__(self, other):
-        return FqElement(self.field, self.field.mul(self.value, self.field.inv(self._coerce(other))))
+        return self._apply(lambda a, b: self.field.mul(a, self.field.inv(b)), other)
 
     def __pow__(self, e: int):
         return FqElement(self.field, self.field.pow(self.value, e))
@@ -424,8 +402,15 @@ def zp_deriv(a: list[int], r: int) -> list[int]:
     return poly_trim([k * c % r for k, c in enumerate(a)][1:])
 
 
-def zp_mulmod(a: list[int], b: list[int], f: list[int], r: int) -> list[int]:
-    """a * b mod f over Z/r."""
+def zp_squarefree(a: list[int], r: int) -> bool:
+    """True iff a mod r is nonzero with no repeated factor over Z/r, that
+    is gcd(a, a') is constant; the entries of a may be any integers."""
+    a = poly_trim([c % r for c in a])
+    return len(zp_gcd(a, zp_deriv(a, r), r)) == 1
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer coefficient lists over Z, unreduced."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -433,7 +418,12 @@ def zp_mulmod(a: list[int], b: list[int], f: list[int], r: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return zp_rem(out, f, r)
+    return out
+
+
+def zp_mulmod(a: list[int], b: list[int], f: list[int], r: int) -> list[int]:
+    """a * b mod f over Z/r."""
+    return zp_rem(_convolve(a, b), f, r)
 
 
 def zp_powmod(a: list[int], e: int, f: list[int], r: int) -> list[int]:
@@ -494,15 +484,10 @@ def zp_ddf(f: list[int], r: int) -> dict[int, int]:
 
 
 def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
+    if field.n == 1:
+        return poly_trim([c % field.p for c in _convolve(a, b)])
     if not a or not b:
         return []
-    if field.n == 1:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return poly_trim([c % field.p for c in out])
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -553,6 +538,8 @@ def poly_deriv(field: FieldDescriptor, a: list[int]) -> list[int]:
 def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
     if not a:
         raise ValueError("squarefree is undefined for the zero polynomial")
+    if field.n == 1:
+        return zp_squarefree(a, field.p)
     return len(poly_gcd(field, a, poly_deriv(field, a))) == 1
 
 
@@ -564,10 +551,8 @@ class FqPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = list(self.coeffs)
-        if c and c[-1] == 0:
-            poly_trim(c)
-            object.__setattr__(self, "coeffs", tuple(c))
+        c = poly_trim(_encodings(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(c))
         for x in self.coeffs:
             if not 0 <= x < self.field.size:
                 raise ValueError(f"coefficient encoding {x} out of range for {self.field!r}")

@@ -13,16 +13,16 @@ Nothing here factors a polynomial at genus <= 3: L is reducible iff h has
 an integer root (or L = (1 - qT^2)^2), the signed cycle types come from
 distinct-degree counts mod r (``ffield.zp_ddf``), and absolute simplicity
 of an irreducible L needs only squarefreeness of its power polynomials,
-decided mod small primes with an exact integer fallback.  sympy is imported
-only to decide whether h is irreducible at genus >= 4.
+decided mod small primes with the integer discriminant as exact fallback.
+sympy is imported only to decide whether h is irreducible at genus >= 4.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .curves import LPolynomial, coeffs_from_power_sums, frobenius_power_sums
-from .ffield import is_prime, poly_trim, zp_ddf, zp_deriv, zp_gcd
+from .curves import LPolynomial, coeffs_from_power_sums, power_sums
+from .ffield import is_prime, zp_ddf, zp_squarefree
 
 # Entries kept by each of the three L-keyed caches below (``l_reducible``,
 # ``absolutely_simple``, ``splitting_class``).  The invariants depend on L
@@ -38,8 +38,9 @@ WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
 # Primes ``squarefree_over_q`` tries before the exact test.  Over the power
 # polynomials of 2,937 distinct genus-2 and genus-3 L (q <= 9), 10,348 of the
 # 10,358 squarefree ones are squarefree mod one of the first 6 primes prime to
-# q (10,319 within 5).  With the exact test alone, census_g3_full took 3% more
-# wall time (median 0.536 -> 0.553 s, slower in 9 of 10 interleaved rounds).
+# q (10,319 within 5).  With the exact test (the discriminant) alone,
+# census_g3_full took 7% more wall time (median 0.455 -> 0.486 s, slower in 5
+# of 6 interleaved rounds).
 SQUAREFREE_PRIMES = 6
 
 
@@ -150,16 +151,11 @@ def discriminant(h: list[int]) -> int:
     With b_i the roots and s_k their power sums, disc(h) = prod_(i<j)
     (b_i - b_j)^2 = det(V V^T) for the Vandermonde matrix V = (b_i^j), and
     V V^T is the Hankel matrix (s_(i+j)), i, j < deg h.  The s_k come from
-    Newton's identities, the determinant from Bareiss's fraction-free
-    elimination; every step is exact in Z.
+    ``power_sums`` (h reversed is prod (1 - b_i T)), the determinant from
+    Bareiss's fraction-free elimination; every step is exact in Z.
     """
     g = len(h) - 1
-    a = h[::-1]                                  # a_0 = 1, h = sum a_i T^(g-i)
-    s = [g]
-    for k in range(1, 2 * g - 1):
-        total = k * a[k] if k <= g else 0
-        total += sum(a[i] * s[k - i] for i in range(1, min(k, g + 1)))
-        s.append(-total)
+    s = [g] + power_sums(h[::-1], 2 * g - 2)
     return _det_z([[s[i + j] for j in range(g)] for i in range(g)])
 
 
@@ -245,11 +241,10 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     good, r = 0, 2
     while not (transposition and cycle and flip) and good < WITNESS_PRIMES:
         r = _next_prime(r)
-        Pr = [c % r for c in P]
-        if q % r == 0 or len(zp_gcd(Pr, zp_deriv(Pr, r), r)) > 1:
+        if q % r == 0 or not zp_squarefree(P, r):
             continue
         good += 1
-        signed = signed_cycle_type(h, Pr, r)
+        signed = signed_cycle_type(h, P, r)
         lengths = sorted(k for k, _ in signed)
         transposition |= lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2)
         cycle |= lengths == [1, g - 1]
@@ -275,7 +270,7 @@ def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
 def power_charpoly(L: LPolynomial, d: int) -> list[int]:
     """Monic integer polynomial with roots the d-th powers of the Frobenius
     eigenvalues, constant term first (degree 2g)."""
-    return _power_charpoly(frobenius_power_sums(L, 2 * L.genus * d), 2 * L.genus, d)
+    return _power_charpoly(power_sums(L.coeffs, 2 * L.genus * d), 2 * L.genus, d)
 
 
 def _power_charpoly(ps: list[int], g2: int, d: int) -> list[int]:
@@ -324,7 +319,7 @@ def absolutely_simple(L: LPolynomial) -> bool:
     if l_reducible(L):
         return False
     g2, degrees = 2 * L.genus, _power_degrees(L.genus)
-    ps = frobenius_power_sums(L, g2 * max(degrees))
+    ps = power_sums(L.coeffs, g2 * max(degrees))
     return all(squarefree_over_q(_power_charpoly(ps, g2, d), L.q) for d in degrees)
 
 
@@ -334,45 +329,13 @@ def squarefree_over_q(a: list[int], q: int) -> bool:
     square factor over Z stays one mod r), so up to ``SQUAREFREE_PRIMES``
     primes r prime to q are tried first (one of each pair pi^d, (q/pi)^d
     vanishes mod p, so at g >= 2 the prime r = p always fails); when all
-    fail, the exact ``squarefree_over_z`` decides."""
+    fail, ``discriminant(a)``, zero exactly at a repeated root, decides."""
     tried, r = 0, 2
     while tried < SQUAREFREE_PRIMES:
         r = _next_prime(r)
         if q % r == 0:
             continue
         tried += 1
-        ar = [c % r for c in a]
-        if len(zp_gcd(ar, zp_deriv(ar, r), r)) == 1:
+        if zp_squarefree(a, r):
             return True
-    return squarefree_over_z(a)
-
-
-def squarefree_over_z(a: list[int]) -> bool:
-    """Exact: gcd(a, a') is constant, by a primitive pseudo-remainder
-    sequence over Z (constant term first, a nonconstant)."""
-    a, b = _primitive(a), _primitive([k * c for k, c in enumerate(a)][1:])
-    while len(b) > 1:
-        rem = _pseudo_rem(a, b)
-        if not rem:
-            return False            # gcd(a, a') = b has positive degree
-        a, b = b, _primitive(rem)
-    return True
-
-
-def _primitive(a: list[int]) -> list[int]:
-    content = math.gcd(*a)
-    return [c // content for c in a]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^e a mod b over Z, e the number of elimination steps; trimmed."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) > db:
-        coef = a.pop()
-        shift = len(a) - db
-        a = [lead * c for c in a]
-        for i in range(db):
-            a[shift + i] -= coef * b[i]
-        poly_trim(a)
-    return a
+    return discriminant(a) != 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -155,6 +156,17 @@ def test_boundary_catalog_dimensions_and_labelings():
                 assert sum(div.component_genera) == g - 1
                 for combo in div.admissible_labelings(2):
                     assert sum(combo) == 1
+                assert div.admissible_labelings(0) == []
+            for f in range(g + 1):
+                # oracle: every tuple in the box, filtered, in product order
+                box = itertools.product(*(range(gv + 1) for gv in div.component_genera))
+                assert div.admissible_labelings(f) == [
+                    c for c in box if sum(c) == f - div.prank_offset]
+            for f in (-1, g + 1, 9):
+                with pytest.raises(ValueError, match=f"f = {f} outside"):
+                    div.admissible_labelings(f)
+                with pytest.raises(ValueError, match=f"f = {f} outside"):
+                    div.stratum_dim(f)
 
 
 def test_boundary_catalog_delta1_pairs_genus3():

@@ -18,6 +18,7 @@ from strataforge.curves import (
     point_count,
     point_counts,
     point_counts_from,
+    power_sums,
 )
 from strataforge.errors import BudgetExceededError, ConsistencyError
 from strataforge.ffield import FqPoly, enumerate_monic, field_new
@@ -413,6 +414,19 @@ def test_l_polynomial_from_counts_needs_g_counts():
         l_polynomial_from_counts(3, 3, [4, 10])
     L = LPolynomial(3, 2, (1, 2, 6, 6, 9))
     assert l_polynomial_from_counts(3, 2, point_counts_from(L, 2)) == L
+
+
+def test_power_sums_of_integer_roots():
+    """Newton's identities on prod (1 - alpha T) give the power sums of the
+    alpha, past the degree as well (the recurrence branch for k > n)."""
+    rng = random.Random(11)
+    for _ in range(200):
+        roots = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 7))]
+        a = [1]
+        for alpha in roots:                     # times (1 - alpha T)
+            a = [x - alpha * y for x, y in zip(a + [0], [0] + a)]
+        upto = len(roots) + rng.randrange(1, 8)
+        assert power_sums(a, upto) == [sum(x**k for x in roots) for k in range(1, upto + 1)]
 
 
 def test_lpolynomial_validation():

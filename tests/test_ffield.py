@@ -1,10 +1,12 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,12 +14,14 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
     gf_factor_sqf,
+    gf_from_int_poly,
     gf_gcd,
     gf_irreducible_p,
     gf_mul,
     gf_pow_mod,
     gf_rem,
     gf_sqf_p,
+    gf_strip,
 )
 
 from strataforge import ffield
@@ -40,6 +44,7 @@ from strataforge.ffield import (
     zp_mulmod,
     zp_powmod,
     zp_rem,
+    zp_squarefree,
 )
 
 
@@ -197,6 +202,46 @@ def test_fqelement_operators_match_descriptor(a, b):
         assert ((x / y) * y).value == a
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3), (3, 7)])
+def test_exp_walks_the_powers_of_the_least_primitive_element(p, n):
+    """exp[1] is the least primitive encoding and exp[i+1] = exp[i] * exp[1],
+    with products taken by sympy mod the field's modulus; log inverts exp."""
+    field = field_new(p, n)
+    q, modulus = field.size, list(field.modulus)[::-1]
+    exp, log = (t.tolist() for t in field.exp_log)
+
+    def poly(a):
+        return gf_strip(list(field.digits(a))[::-1])
+
+    def times(a, b):
+        product = gf_rem(gf_mul(poly(a), poly(b), p, ZZ), modulus, p, ZZ)
+        return sum(int(d) * p**i for i, d in enumerate(reversed(product)))
+
+    for i in range(q - 2):
+        assert exp[i + 1] == times(exp[i], exp[1]), i
+    assert exp[0] == 1 and sorted(exp[:q - 1]) == list(range(1, q))   # exp[1] is primitive
+    for c in range(2, exp[1]):
+        assert any(gf_pow_mod(poly(c), (q - 1) // r, modulus, p, ZZ) == [1]
+                   for r in sympy.primefactors(q - 1)), c
+    assert exp[q - 1:2 * (q - 1)] == exp[:q - 1] and not any(exp[2 * (q - 1):])
+    assert log[0] == 2 * (q - 1) and all(log[exp[i]] == i for i in range(q - 1))
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, "1", None])
+def test_encodings_must_be_integers(bad):
+    """Floats and other non-integers are refused where they enter, naming
+    the value; numpy integers are accepted and stored as int."""
+    field = field_new(3)
+    for make in (lambda: FqPoly(field, (bad, 1, 0, 1)), lambda: FqElement(field, bad)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            make()
+    with pytest.raises(TypeError, match="unsupported operand"):
+        FqElement(field, 1) + bad
+    f = FqPoly(field, (np.int64(2), 1, 0, np.int8(1)))
+    assert f.coeffs == (2, 1, 0, 1) and all(type(c) is int for c in f.coeffs)
+    assert FqElement(field, np.int64(2)) + np.int64(2) == FqElement(field, 1)
+
+
 # ---------------------------------------------------------------------------
 # is_square
 
@@ -314,6 +359,10 @@ def test_zp_arithmetic_matches_sympy(r):
         assert zp_mulmod(a, b, f, r)[::-1] == gf_rem(gf_mul(a[::-1], b[::-1], r, ZZ),
                                                      f[::-1], r, ZZ)
         assert zp_powmod(a, e, f, r)[::-1] == gf_pow_mod(a[::-1], e, f[::-1], r, ZZ)
+        # a and a * b^2, shifted by multiples of r, some of them negative
+        for c in (a, gf_mul(gf_mul(a[::-1], b[::-1], r, ZZ), b[::-1], r, ZZ)[::-1]):
+            raw = [x + r * rng.randrange(-3, 3) for x in c]
+            assert zp_squarefree(raw, r) == gf_sqf_p(gf_from_int_poly(raw[::-1], r), r, ZZ)
 
 
 def test_zp_ddf_decides_irreducibility_of_any_polynomial():
