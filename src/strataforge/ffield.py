@@ -348,6 +348,15 @@ class FqElement:
     def __truediv__(self, other):
         return self._apply(lambda a, b: self.field.mul(a, self.field.inv(b)), other)
 
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return self._apply(lambda a, b: self.field.sub(b, a), other)
+
+    def __rtruediv__(self, other):
+        return self._apply(lambda a, b: self.field.mul(b, self.field.inv(a)), other)
+
     def __pow__(self, e: int):
         return FqElement(self.field, self.field.pow(self.value, e))
 
@@ -560,10 +569,6 @@ class FqPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def is_monic(self) -> bool:

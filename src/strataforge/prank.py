@@ -1,6 +1,11 @@
 """p-rank via the Hasse-Witt (Cartier-Manin) matrix, and Newton polygons of
 zeta numerators.
 
+The p-rank is the dimension of the stable image of the p-linear Hasse-Witt
+map x -> x^(p) A on row vectors over F_q: a row basis of the image is
+pushed through the map until its dimension stops dropping.  One path, on
+the field descriptor's scalar ops, serves every F_{p^n}.
+
 The two computations are independent routes to the same invariant: the
 p-rank equals the length of the slope-0 part of the Newton polygon.  The
 census layer enforces that agreement on every record.
@@ -9,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Literal
 
 from .curves import HyperellipticCurve, LPolynomial
@@ -58,71 +64,48 @@ def hasse_witt(curve: HyperellipticCurve) -> HasseWittMatrix:
     return hasse_witt_from_poly(curve.field, list(curve.f.coeffs), curve.genus)
 
 
-def _mat_mul(field: FieldDescriptor, a, b):
-    if field.n == 1:
-        p, cols = field.p, list(zip(*b))
-        return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-                     for row in a)
-    g = len(a)
-    out = []
-    for i in range(g):
-        row = []
-        for j in range(g):
-            acc = 0
-            for k in range(g):
-                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _mat_mul(field: FieldDescriptor, a, b) -> list[list[int]]:
+    """The product a * b of an r x m and an m x c matrix over the field."""
+    cols = list(zip(*b))
+    return [[reduce(field.add, map(field.mul, row, col), 0) for col in cols] for row in a]
 
 
-def _mat_frobenius(field: FieldDescriptor, a, k: int):
-    return tuple(tuple(field.frobenius(x, k) for x in row) for row in a)
-
-
-def _mat_rank(field: FieldDescriptor, a) -> int:
-    """Rank by row reduction; over a prime field on plain ints mod p."""
-    p, prime = field.p, field.n == 1
+def _row_basis(field: FieldDescriptor, a) -> list[list[int]]:
+    """The nonzero rows of a row echelon form of a, a basis of its row space."""
     rows = [list(r) for r in a]
-    g = len(rows)
     rank = 0
-    for col in range(g):
-        piv = next((r for r in range(rank, g) if rows[r][col]), None)
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        if prime:
-            inv = pow(rows[rank][col], -1, p)
-            rows[rank] = [inv * v % p for v in rows[rank]]
-        else:
-            inv = field.inv(rows[rank][col])
-            rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for r in range(rank + 1, g):
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        for r in range(rank + 1, len(rows)):
             c = rows[r][col]
-            if c and prime:
-                rows[r] = [(v - c * w) % p for v, w in zip(rows[r], rows[rank])]
-            elif c:
+            if c:
                 rows[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]
 
 
 def stable_rank(hw: HasseWittMatrix) -> int:
-    """Rank of A^(p^(g-1)) * ... * A^(p) * A, the Frobenius-twisted product.
+    """Dimension of the stable image of the Hasse-Witt map V: x -> x^(p) A.
 
-    With A[i][j] = c_{i*p-j} the p-linear Hasse-Witt map acts on row
-    vectors, x -> x^(p) A, so its g-th iterate is x -> x^(p^g) times this
-    product.  The other order has the same rank over F_p and F_{p^2} only;
-    over F_{p^n} with n >= 3 it gives wrong p-ranks.  g twist factors
-    suffice for a g-dimensional Jacobian; over a prime field the twists are
-    trivial and the product is A^g.
+    With A[i][j] = c_{i*p-j}, V is p-linear on row vectors, so it maps the
+    span of rows b_i onto the span of the rows b_i^(p) A.  Starting from
+    image(V), the row space of A, each step applies V to a basis of the
+    current image and reduces; the images shrink until two consecutive ones
+    have the same dimension, and from then on they are equal.  A full-rank
+    A (an ordinary curve) stops after the first reduction.
     """
-    field, g = hw.field, hw.genus
-    prod = hw.entries
-    for k in range(1, g):
-        twisted = hw.entries if field.n == 1 else _mat_frobenius(field, hw.entries, k)
-        prod = _mat_mul(field, twisted, prod)
-    return _mat_rank(field, prod)
+    field, a = hw.field, hw.entries
+    dim, basis = hw.genus, _row_basis(field, a)
+    while len(basis) < dim:
+        dim = len(basis)
+        raised = [[field.frobenius(x) for x in row] for row in basis]
+        basis = _row_basis(field, _mat_mul(field, raised, a))
+    return dim
 
 
 def p_rank(curve: HyperellipticCurve) -> int:

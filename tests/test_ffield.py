@@ -202,6 +202,26 @@ def test_fqelement_operators_match_descriptor(a, b):
         assert ((x / y) * y).value == a
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_int_on_the_left_is_a_prime_field_constant(n):
+    """k + x, k - x, k * x and k / x read the int k as a constant of F_p,
+    as x + k does; any other type on the left still raises TypeError."""
+    field = field_new(3, n)
+    for a in range(field.size):
+        x = FqElement(field, a)
+        for k in range(-4, 5):
+            c = FqElement(field, k % 3)
+            assert k + x == c + x and k - x == c - x and k * x == c * x
+            if a:
+                assert k / x == c / x
+        with pytest.raises(TypeError, match="unsupported operand"):
+            1.5 * x
+        with pytest.raises(TypeError, match="unsupported operand"):
+            1.5 - x
+    with pytest.raises(ZeroDivisionError):
+        2 / FqElement(field, 0)
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3), (3, 7)])
 def test_exp_walks_the_powers_of_the_least_primitive_element(p, n):
     """exp[1] is the least primitive encoding and exp[i+1] = exp[i] * exp[1],

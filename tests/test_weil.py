@@ -177,6 +177,30 @@ def genus1_Ls():
             for a in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1)]
 
 
+def quadratic_factors_degree(L):
+    """Oracle for the splitting degree of an L whose P has no irreducible
+    factor of degree above 2: the degree of Q(sqrt(disc)) over P's quadratic
+    factors, read as the degree of the minimal polynomial of the sum of
+    those square roots, or 1 when P splits into linear factors."""
+    _, factors = sympy.factor_list(frobenius_expr(L))
+    assert all(sympy.degree(f, T) <= 2 for f, _ in factors), L
+    quadratics = [sympy.Poly(f, T) for f, _ in factors if sympy.degree(f, T) == 2]
+    if not quadratics:
+        return 1
+    root_sum = sum(sympy.sqrt(f.discriminant()) for f in quadratics)
+    return sympy.degree(sympy.minimal_polynomial(root_sum, y), y)
+
+
+def test_splitting_degree_of_genus1_and_reducible_genus2_matches_factorization(census_Ls):
+    """Genus 1, genus 2 with h reducible over Z, and P = (T^2 - q)^2: the
+    branches the Galois-group test skips, since it takes irreducible L only."""
+    reducible = [L for key in ((3, 5), (5, 5)) for L in census_Ls[key] if weil.l_reducible(L)]
+    for L in genus1_Ls() + reducible:
+        assert weil.splitting_degree(L) == quadratic_factors_degree(L), L
+    assert {1, 2} <= {weil.splitting_degree(L) for L in genus1_Ls()}
+    assert LPolynomial(5, 2, (1, 0, -10, 0, 25)) in reducible   # P = (T^2 - 5)^2
+
+
 def test_l_reducible_matches_factorization(census_Ls):
     """The integer-root shortcut of genus >= 2 and the factorization both
     agree with sympy's factor_list; at genus 1 the real Weil polynomial is
