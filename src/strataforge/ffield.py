@@ -587,15 +587,26 @@ def poly_pow(f: FqPoly, e: int) -> FqPoly:
     """Exact e-th power of f; degree multiplies by e."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    result = [1]
-    base = list(f.coeffs)
-    while e:
-        if e & 1:
-            result = poly_mul(f.field, result, base)
+    if e == 0:
+        return FqPoly(f.field, (1,))
+    return FqPoly(f.field, tuple(pow_coeffs(f.field, list(f.coeffs), e, poly_mul)))
+
+
+def pow_coeffs(field: FieldDescriptor, base: list[int], e: int, mul) -> list[int]:
+    """base^e for e >= 1 by square-and-multiply with the product ``mul``.
+    The result starts as the power of base at the lowest set bit of e, so
+    no product by 1 is formed (e = 1 forms none)."""
+    while not e & 1:
+        base = mul(field, base, base)
         e >>= 1
-        if e:
-            base = poly_mul(f.field, base, base)
-    return FqPoly(f.field, tuple(result))
+    result = base
+    e >>= 1
+    while e:
+        base = mul(field, base, base)
+        if e & 1:
+            result = mul(field, result, base)
+        e >>= 1
+    return result
 
 
 def enumerate_monic(field: FieldDescriptor, degree: int, squarefree_only: bool = False):

@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Literal
 
 from .curves import HyperellipticCurve, LPolynomial
-from .ffield import FieldDescriptor, FqPoly, poly_mul
+from .ffield import FieldDescriptor, FqPoly, poly_mul, pow_coeffs
 
 Classification = Literal["ordinary", "supersingular", "other"]
 
@@ -34,16 +34,10 @@ class HasseWittMatrix:
 
 
 def half_power_coeffs(field: FieldDescriptor, f_coeffs: list[int]) -> list[int]:
-    e = (field.p - 1) // 2
-    result = [1]
-    base = list(f_coeffs)
-    while e:
-        if e & 1:
-            result = poly_mul(field, result, base)
-        e >>= 1
-        if e:
-            base = poly_mul(field, base, base)
-    return result
+    """f^((p-1)/2) on raw coefficients; at p = 3 that is f itself and no
+    product is formed.  The products go through this module's ``poly_mul``,
+    the name the perfbench tracer wraps."""
+    return pow_coeffs(field, list(f_coeffs), (field.p - 1) // 2, poly_mul)
 
 
 def hasse_witt_from_poly(field: FieldDescriptor, f_coeffs: list[int], genus: int) -> HasseWittMatrix:

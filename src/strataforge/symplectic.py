@@ -9,7 +9,11 @@ exact characteristic-polynomial distribution enumerates Sp_2g(Z/l), under a
 memory cap.  The Monte Carlo baselines advance their transvection walks in
 numpy blocks of ``SP_WALK_BLOCK`` walks, one batched update per step, and
 draw the same random codes in the same order as one walk at a time, so a
-seed gives the same matrices and the same estimates as the scalar walk.
+seed gives the same matrices and the same estimates as the scalar walk.  A
+block draws all its codes at once, replaying randrange's getrandbits
+rejection loop on one bulk read of the stream (``_randbelow_many``), and
+reduces its matrices mod l only every few steps, as often as int64 needs
+(``_reduction_interval``).
 
 Every statistic of a coset element reads one kernel, ``_charpolys``: the
 characteristic polynomials mod l of a whole block of matrices by
@@ -50,16 +54,18 @@ SP_ENUM_CAP = 250_000  # largest group order the BFS closure will enumerate
 SP_ENUM_BYTES_PER_ELEMENT = 412
 DEFAULT_WALK_LENGTH = 50  # transvections per random-sample walk
 # Walks advanced together as one numpy block, so that the memory of a Monte
-# Carlo run is flat in n: a block holds its random codes (8 B per step) and a
-# few (block, 2g, 2g) arrays.  Without blocks, n = 100,000 walks at g = 3
-# would need arrays of about 40 MB each.
+# Carlo run is flat in n: a block holds its random codes (8 B per step, and
+# while the bulk draw runs another 8 B per step of stream words and their
+# bytes, below 2^32) and a few (block, 2g, 2g) arrays.  Without blocks,
+# n = 100,000 walks at g = 3 would need arrays of about 40 MB each.
 SP_WALK_BLOCK = 256
 # Bound on the tracemalloc peak of a fixed_vector_proportion Monte Carlo run
 # per walk of a block, at g = 3 and the default walk length.  Measured
-# 1,658 B per walk at n = SP_WALK_BLOCK and 1,947 B at n = 10 blocks (the
+# 1,656 B per walk at n = SP_WALK_BLOCK and 1,945 B at n = 10 blocks (the
 # last finished block is still referenced while the next one is built);
-# 602 / 1,034 / 2,155 B at g = 1 / 2 / 4 and n = SP_WALK_BLOCK.  So a g = 3
-# run peaks near 0.5 MB whatever n is.
+# 824 / 1,033 / 2,153 B at g = 1 / 2 / 4 and n = SP_WALK_BLOCK, the bulk
+# draw setting the peak at g = 1 only.  So a g = 3 run peaks near 0.5 MB
+# whatever n is.
 SP_WALK_BYTES_PER_WALK = 2048
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -86,7 +92,6 @@ def identity(d: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix, l: int) -> Matrix:
-    d = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % l for col in bt)
@@ -148,17 +153,8 @@ def transvection(v: tuple[int, ...], g: int, l: int) -> Matrix:
 def standard_generators(g: int, l: int) -> list[Matrix]:
     """Transvections along all weight-1 and weight-2 0/1 vectors."""
     d = 2 * g
-    vecs = []
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        vecs.append(tuple(e))
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = [0] * d
-            e[i] = e[j] = 1
-            vecs.append(tuple(e))
-    return [transvection(v, g, l) for v in vecs]
+    supports = [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return [transvection(tuple(int(k in s) for k in range(d)), g, l) for s in supports]
 
 
 def multiplier(m: Matrix, l: int) -> int:
@@ -286,6 +282,15 @@ def _entry_dtype(d: int, l: int) -> type:
     return np.int64 if d * l * l < 2**63 else object
 
 
+def _reduction_interval(d: int, l: int) -> int:
+    """K, the steps an int64 walk takes between reductions of M mod l, and 0
+    for a Python-int walk.  After j unreduced steps an entry of M is below
+    (l-1) + j (l-1)^2, so M v stays below d l^2 (1 + j l): K is the largest
+    interval that keeps this under the int64 bound of ``_entry_dtype`` for
+    j < K, and 1 where that bound is tight."""
+    return 1 + ((2**63 - 1) // (d * l * l) - 1) // l
+
+
 def _random_sp_blocks(g: int, l: int, rng: random.Random, n: int,
                       walk_length: int) -> Iterator[np.ndarray]:
     """``n`` walks of ``random_sp`` from ``rng``, yielded as (b, 2g, 2g)
@@ -297,34 +302,60 @@ def _random_sp_blocks(g: int, l: int, rng: random.Random, n: int,
         yield _random_sp_block(g, l, rng, min(SP_WALK_BLOCK, n - start), walk_length)
 
 
+def _randbelow_many(rng: random.Random, top: int, count: int) -> np.ndarray:
+    """``count`` values of ``rng.randrange(top)`` from one pass over the
+    stream, equal to the scalar calls and leaving ``rng`` where they do; int64
+    for a top up to 2^63, Python ints (object) past it.
+
+    randrange repeats getrandbits(k), k = top.bit_length(), until a value is
+    below top, and getrandbits(k) is w = ceil(k/32) Mersenne Twister words,
+    least significant first, the last shifted right by (-k) % 32 bits.  So
+    getrandbits(32 w need) holds the next ``need`` draws' words in order:
+    each round keeps its values below top and draws only as many more as are
+    still missing, never past where the scalar calls stop.
+    """
+    k = top.bit_length()
+    w = -(-k // 32)
+    kept, need = [], count
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little"),
+                              "<u4").reshape(need, w).copy()  # frees the int and its bytes
+        words[:, -1] >>= (-k) % 32
+        if w <= 2:  # a row is one little-endian uint32 or uint64
+            values = words.view(f"<u{4 * w}")[:, 0]
+        else:
+            values = np.array([int.from_bytes(row, "little") for row in words], dtype=object)
+        kept.append(values[values < top])
+        need -= len(kept[-1])
+    return np.concatenate(kept).astype(np.int64 if top <= 2**63 else object)
+
+
 def _random_sp_block(g: int, l: int, rng: random.Random, b: int,
                      walk_length: int) -> np.ndarray:
     """``b`` walks advanced together.  Walk i takes the codes
     rng.randrange(l^2g) numbered i*walk_length to (i+1)*walk_length - 1 in
-    the stream, as b scalar walks would, and code digit i (base l, least
-    significant first) is v[i].  Each step is the rank-1 update
-    M T_v = M + (M v)(J v)^T over the whole block; code 0 gives v = 0, an
-    identity step."""
+    the stream, as b scalar walks would, all drawn by one
+    ``_randbelow_many``; code digit i (base l, least significant first) is
+    v[i].  Each step is the rank-1 update M T_v = M + (M v)(J v)^T over the
+    whole block; code 0 gives v = 0, an identity step.
+
+    c = M v is reduced at every step, M only every
+    ``_reduction_interval`` steps and at the end (Python-int blocks at the
+    end only), so M drifts from the per-step residues by multiples of l."""
     d = 2 * g
-    top = l**d
     dtype = _entry_dtype(d, l)
-    # int64 holds a code below 2^63; past that the codes are Python ints
-    code_type = np.int64 if top <= 2**63 else object
-    draws = (rng.randrange(top) for _ in range(b * walk_length))
-    if code_type is object:
-        codes = np.array(list(draws), dtype=object)
-    else:
-        codes = np.fromiter(draws, np.int64, b * walk_length)
-    codes = codes.reshape(b, walk_length, 1)
-    places = np.array([l**i for i in range(d)], dtype=code_type)
+    codes = _randbelow_many(rng, l**d, b * walk_length).reshape(b, walk_length, 1)
+    places = np.array([l**i for i in range(d)], dtype=codes.dtype)
     sign = np.array([1] * g + [-1] * g, dtype=dtype)
+    every = _reduction_interval(d, l) or walk_length
     m = np.zeros((b, d, d), dtype=dtype)
     m[:, range(d), range(d)] = 1
-    for t in range(walk_length):
-        v = (codes[:, t] // places % l).astype(dtype, copy=False)
+    for t in range(1, walk_length + 1):
+        v = (codes[:, t - 1] // places % l).astype(dtype, copy=False)
         c = np.matmul(m, v[:, :, None]) % l
         m += c * (v[:, None, ::-1] * sign)  # Jv[j] = +-v[d-1-j]
-        m %= l
+        if t % every == 0 or t == walk_length:
+            m %= l
     return m
 
 

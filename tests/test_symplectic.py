@@ -15,7 +15,9 @@ from strataforge.symplectic import (
     MonteCarloEstimate,
     _charpolys,
     _entry_dtype,
+    _randbelow_many,
     _random_sp_blocks,
+    _reduction_interval,
     _sp_elements,
     _subspace_types,
     charpoly_mod,
@@ -175,10 +177,11 @@ def test_rank1_walk_equals_transvection_product(g, l):
             [_product_walk(g, l, _random.Random(seed), 50)]
 
 
+# (2, 257), (3, 1009): codes of 33 and 60 bits, two Mersenne Twister words;
 # (7, 31): codes l^14 > 2^63 are split into digits as Python ints;
 # (1, 4294967311): d l^2 > 2^63, so the matrices hold Python ints too
-@pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7), (7, 31),
-                                 (1, 4294967311)])
+@pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7), (2, 257),
+                                 (3, 1009), (7, 31), (1, 4294967311)])
 def test_walk_blocks_equal_consecutive_product_walks(g, l, monkeypatch):
     """n walks in blocks of 3 (n = 1, one block, one block + 1) equal n
     consecutive reference walks on one stream, and leave the stream where
@@ -191,6 +194,50 @@ def test_walk_blocks_equal_consecutive_product_walks(g, l, monkeypatch):
         assert _kernel_walks(g, l, rng, n, walk_length) == \
             [_product_walk(g, l, ref, walk_length) for _ in range(n)]
         assert rng.random() == ref.random()
+
+
+# bit lengths 1, 2, 4, 31, 32, 33, 63, 64 (2^63 is the last int64 top), 65
+# and past 70; 2^32 + 1 and 2^63 + 1 reject about half their draws, while
+# 2^32 - 1 and 2^64 - 59 fill whole words
+@pytest.mark.parametrize("top", [1, 2, 9, 2**31 - 1, 3**20, 2**32 - 1, 2**32 + 1,
+                                 257**4, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1,
+                                 2**64 - 59, 2**64 + 1, (2**32 + 15)**2, 3**50, 7**200])
+def test_bulk_draw_equals_randrange(top):
+    """The bulk draw returns rng.randrange(top) call for call and leaves the
+    stream where those calls leave it."""
+    for seed, n in [(0, 1), (1, 7), (2, 1000)]:
+        rng, ref = random.Random(seed), random.Random(seed)
+        codes = _randbelow_many(rng, top, n)
+        assert codes.dtype == (np.int64 if top <= 2**63 else object)
+        assert codes.tolist() == [ref.randrange(top) for _ in range(n)]
+        assert rng.random() == ref.random()
+
+
+# K = 1 where d l^2 is just below 2^63; K = 5 and 3 at l near 2^20, with a
+# walk length that K does not divide and one it does; K past the walk
+@pytest.mark.parametrize("g,l,walk_length,regime", [
+    (1, 2147483647, 7, "every step"), (1, 1048573, 23, "within"),
+    (2, 1048573, 50, "within"), (2, 1048573, 9, "within"), (3, 3, 50, "at the end")])
+def test_deferred_reduction_equals_product_walks(g, l, walk_length, regime, monkeypatch):
+    """Reducing M once every K steps gives the per-step residues, on random
+    codes and on the all-(l-1) code, whose v has the largest entries."""
+    from strataforge import symplectic
+    every = _reduction_interval(2 * g, l)
+    assert _entry_dtype(2 * g, l) is np.int64
+    assert {"every step": every == 1, "within": 1 < every < walk_length,
+            "at the end": every >= walk_length}[regime]
+    monkeypatch.setattr(symplectic, "SP_WALK_BLOCK", 2)
+    rng, ref = random.Random(5), random.Random(5)
+    assert _kernel_walks(g, l, rng, 3, walk_length) == \
+        [_product_walk(g, l, ref, walk_length) for _ in range(3)]
+
+    class Largest:
+        def randrange(self, top):
+            return top - 1
+    monkeypatch.setattr(symplectic, "_randbelow_many",
+                        lambda rng, top, count: np.full(count, top - 1, dtype=object))
+    assert _kernel_walks(g, l, None, 1, walk_length) == \
+        [_product_walk(g, l, Largest(), walk_length)]
 
 
 def test_walk_blocks_cross_the_real_block_boundary():
