@@ -418,6 +418,35 @@ def zp_squarefree(a: list[int], r: int) -> bool:
     return len(zp_gcd(a, zp_deriv(a, r), r)) == 1
 
 
+def zp_quo(a: list[int], b: list[int], r: int) -> list[int]:
+    """a / b over Z/r for a monic b that divides a."""
+    a, q = list(a), []
+    for i in range(len(a) - len(b), -1, -1):
+        q.append(a[i + len(b) - 1] % r)
+        for j, x in enumerate(b):
+            a[i + j] -= q[-1] * x
+    return q[::-1]
+
+
+def zp_squarefree_parts(f: list[int], r: int) -> dict[int, list[int]]:
+    """{k: the product of the irreducible factors of multiplicity k in the
+    monic f over Z/r}, for k with such factors.  The loop peels off the
+    factors whose multiplicity r does not divide (Yun's steps stop there).
+    What is left, c, has c' = 0, so it is a polynomial in x^r: the r-th power
+    of the polynomial of every r-th coefficient, whose parts are taken
+    again."""
+    c = zp_gcd(f, zp_deriv(f, r), r)
+    w, k, parts = zp_quo(f, c, r), 1, {}
+    while len(w) > 1:
+        y = zp_gcd(w, c, r)
+        if len(y) < len(w):
+            parts[k] = zp_quo(w, y, r)
+        w, c, k = y, zp_quo(c, y, r), k + 1
+    if len(c) > 1:
+        parts.update((k * r, s) for k, s in zp_squarefree_parts(c[::r], r).items())
+    return parts
+
+
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """The product of two integer coefficient lists over Z, unreduced."""
     if not a or not b:

@@ -1,25 +1,25 @@
 """Exact linear algebra over Z/l for Sp_2g and GSp_2g: membership,
-multipliers, enumeration of small groups, random sampling, and the
-fixed-vector / characteristic-polynomial statistics used as equidistribution
-baselines.
+multipliers, random sampling, and the fixed-vector / characteristic-polynomial
+statistics used as equidistribution baselines.
 
-The exact fixed-vector proportion is a closed form (Moebius inversion over
-the subspaces an element fixes pointwise) and enumerates nothing; only the
-exact characteristic-polynomial distribution enumerates Sp_2g(Z/l), under a
-memory cap.  The Monte Carlo baselines advance their transvection walks in
-numpy blocks of ``SP_WALK_BLOCK`` walks, one batched update per step, and
-draw the same random codes in the same order as one walk at a time, so a
-seed gives the same matrices and the same estimates as the scalar walk.  A
-block draws all its codes at once, replaying randrange's getrandbits
-rejection loop on one bulk read of the stream (``_randbelow_many``), and
-reduces its matrices mod l only every few steps, as often as int64 needs
-(``_reduction_interval``).
+Both exact statistics are closed forms and enumerate no group.  The
+fixed-vector proportion is a Moebius inversion over the subspaces an element
+fixes pointwise.  The charpoly distribution of a multiplier coset runs over
+the l^g charpolys the coset can have and weights each by a product over its
+factors, read with the ``ffield.zp_*`` helpers (``_charpoly_blocks``).  The
+Monte Carlo baselines advance their transvection walks in numpy blocks of
+``SP_WALK_BLOCK`` walks, one batched update per step, and draw the same
+random codes in the same order as one walk at a time, so a seed gives the
+same matrices and the same estimates as the scalar walk.  A block draws all
+its codes at once, replaying randrange's getrandbits rejection loop on one
+bulk read of the stream (``_randbelow_many``), and reduces its matrices mod l
+only every few steps, as often as int64 needs (``_reduction_interval``).
 
 Every statistic of a coset element reads one kernel, ``_charpolys``: the
 characteristic polynomials mod l of a whole block of matrices by
 Berkowitz's division-free recurrence.  ``matrix_charpoly`` is its
 one-matrix case, a fixed vector of M is a zero of its charpoly at 1, and
-both charpoly distributions count its rows.  ``det_mod`` and
+the Monte Carlo charpoly distribution counts its rows.  ``det_mod`` and
 ``has_nonzero_fixed_vector`` stay as scalar eliminations, the independent
 references for the kernel.
 
@@ -29,29 +29,26 @@ with entries reduced mod l.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .curves import LPolynomial
 from .errors import BudgetExceededError
-from .ffield import is_prime
+from .ffield import is_prime, zp_ddf, zp_gcd, zp_powmod, zp_squarefree_parts
 
-SP_ENUM_CAP = 250_000  # largest group order the BFS closure will enumerate
-# Bound on the tracemalloc peak of the BFS closure per element of Sp_2g(Z/l)
-# (the set of tuple-of-tuple matrices plus the frontier lists).  Measured
-# 411.2 B per element at Sp_4(Z/3) (51,840 elements) and 279 / 250 / 218 B
-# at Sp_2(Z/l) for l = 13 / 31 / 47; no Sp_6 fits under the cap.  So the
-# cap admits a peak of about 103 MB, and refuses Sp_4(Z/5) (9,360,000
-# elements, about 3.6 GiB) before enumerating.  Time is some 250 us per
-# element at g = 2 and 25 us at g = 1 (Sp_4(Z/3) in 13 s).
-SP_ENUM_BYTES_PER_ELEMENT = 412
+# Largest l^g, the number of charpolys the exact charpoly distribution reads,
+# one output entry each.  Measured 0.25 ms per charpoly at g = 1 (l = 10,007)
+# rising to 0.55 / 0.77 ms at g = 5 / 6 (l = 5), and a tracemalloc peak of
+# 297 to 392 B per output entry at g = 1 to 6.  So the budget admits some
+# 80 s and 40 MB; past it the call is refused before any work.
+CHARPOLY_BUDGET = 100_000
 DEFAULT_WALK_LENGTH = 50  # transvections per random-sample walk
 # Walks advanced together as one numpy block, so that the memory of a Monte
 # Carlo run is flat in n: a block holds its random codes (8 B per step, and
@@ -150,13 +147,6 @@ def transvection(v: tuple[int, ...], g: int, l: int) -> Matrix:
         for i in range(d))
 
 
-def standard_generators(g: int, l: int) -> list[Matrix]:
-    """Transvections along all weight-1 and weight-2 0/1 vectors."""
-    d = 2 * g
-    supports = [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return [transvection(tuple(int(k in s) for k in range(d)), g, l) for s in supports]
-
-
 def multiplier(m: Matrix, l: int) -> int:
     """The scalar mu with m^T J m = mu J; raises if none exists."""
     _check_l(l)
@@ -200,52 +190,6 @@ def weyl_order(g: int) -> int:
     if g < 1:
         raise ValueError("g must be >= 1")
     return 2**g * math.factorial(g)
-
-
-def _closure(generators: list[Matrix], l: int, cap: int) -> set[Matrix] | None:
-    """The subgroup generated by symplectic ``generators``, by breadth-first
-    closure from the identity, or None once it grows past ``cap``."""
-    _check_l(l)
-    for m in generators:
-        if multiplier(m, l) != 1:
-            raise ValueError("generator is not symplectic")
-    if not generators:
-        return set()
-    seen = {identity(len(generators[0]))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gmat in generators:
-                prod = mat_mul(m, gmat, l)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        return None
-        frontier = nxt
-    return seen
-
-
-def group_bfs(generators: list[Matrix], l: int, cap: int = SP_ENUM_CAP) -> int | None:
-    """Order of the generated subgroup by breadth-first closure, or None if
-    the closure grows past ``cap``.  Generators must be symplectic."""
-    elements = _closure(generators, l, cap)
-    return None if elements is None else len(elements)
-
-
-@lru_cache(maxsize=1)
-def _sp_elements(g: int, l: int, cap: int = SP_ENUM_CAP) -> tuple[Matrix, ...]:
-    """All of Sp_2g(Z/l); refuses a group larger than ``cap`` before
-    enumerating.  The cache holds one group, so the cap bounds what stays
-    resident as well as the peak."""
-    order = sp_order(g, l)
-    if order > cap:
-        raise BudgetExceededError(f"|Sp_{2*g}(Z/{l})| = {order} exceeds cap {cap}")
-    elements = _closure(standard_generators(g, l), l, cap)
-    if elements is None or len(elements) != order:
-        raise AssertionError("transvection generators failed to generate Sp")
-    return tuple(elements)
 
 
 def multiplier_coset_rep(g: int, l: int, m: int) -> Matrix:
@@ -359,23 +303,15 @@ def _random_sp_block(g: int, l: int, rng: random.Random, b: int,
     return m
 
 
-def _times_coset_rep(blocks: Iterator[np.ndarray], g: int, l: int,
-                     m: int) -> Iterator[np.ndarray]:
-    """Each (b, 2g, 2g) block of ``blocks``, in place, times the coset rep
-    D_m mod l: M D_m scales the first g columns by m."""
-    scale = np.array([m] * g + [1] * g)
-    for block in blocks:
-        block *= scale
-        block %= l
-        yield block
-
-
 def _coset_sample_blocks(g: int, l: int, m: int, n: int, seed: int,
                          walk_length: int) -> Iterator[np.ndarray]:
     """The blocks of ``_random_sp_blocks`` from ``seed``, each walk sample M
-    times the coset rep D_m."""
-    return _times_coset_rep(
-        _random_sp_blocks(g, l, random.Random(seed), n, walk_length), g, l, m)
+    times the coset rep D_m in place: M D_m scales the first g columns by m."""
+    scale = np.array([m] * g + [1] * g)
+    for block in _random_sp_blocks(g, l, random.Random(seed), n, walk_length):
+        block *= scale
+        block %= l
+        yield block
 
 
 def has_nonzero_fixed_vector(m: Matrix, l: int) -> bool:
@@ -527,27 +463,79 @@ def matrix_charpoly(m: Matrix, l: int) -> tuple[int, ...]:
     return tuple(_charpolys(a.astype(_entry_dtype(len(m), l)), l)[0].tolist())
 
 
+def _charpoly_blocks(chi: list[int], l: int, m: int) -> list[tuple[str, int, int]]:
+    """The blocks (kind, d, k) of an m-reciprocal charpoly chi over Z/l, one
+    per factor C = G(l^d) of the centralizer of a semisimple element of the
+    coset with charpoly chi; k is the multiplicity in chi of the factors:
+    "gl" for a pair {phi, phi*} of degree d, C = GL_k; "u" for an irreducible
+    phi = phi* of degree 2d other than T^2 - m, C = U_k; "sp" for T - e with
+    e^2 = m (d = 1) or an irreducible T^2 - m (d = 2), C = Sp_k (k is even).
+
+    phi* has the roots m/x of phi.  Per multiplicity k, s is the product of
+    the factors of multiplicity k.  A phi = phi* of degree 2d other than
+    T^2 - m has x^(l^d) = m/x at its roots, so these phi are the degree-2d
+    factors of gcd(s, x^(l^d + 1) - m), whose other factors have lower
+    degree; T^2 - m is not among them, as x^(l + 1) = -m at its roots."""
+    square = pow(m, (l - 1) // 2, l) == 1
+    blocks = []
+    for k, s in zp_squarefree_parts(chi, l).items():
+        counts = zp_ddf(s, l)
+        d = 1 if square else 2
+        roots = len(zp_gcd(s, [-m, 0, 1], l)) - 1
+        blocks += [("sp", d, k)] * (roots // d)
+        counts[d] = counts.get(d, 0) - roots // d
+        for deg, n in counts.items():
+            selfdual = 0
+            if n and deg % 2 == 0:
+                frob = zp_powmod([0, 1], l ** (deg // 2) + 1, s, l) + [0]
+                frob[0] -= m
+                selfdual = zp_ddf(zp_gcd(frob, s, l), l).get(deg, 0)
+            blocks += [("u", deg // 2, k)] * selfdual + [("gl", deg, k)] * ((n - selfdual) // 2)
+    return blocks
+
+
+def _block_mass(kind: str, d: int, k: int, l: int) -> Fraction:
+    """(unipotent elements of C) / |C| for the block's C = G(q), q = l^d:
+    q^(2j^2) / |Sp_2j(q)| with k = 2j, and q^(k(k-1)) / |GL_k(q)| or
+    / |U_k(q)|, where those orders are q^(k(k-1)/2) prod (q^i - (+-1)^i)."""
+    q = l ** d
+    if kind == "sp":
+        return Fraction(q ** (k * k // 2), _sp_card(k // 2, q))
+    s = -1 if kind == "u" else 1
+    return Fraction(q ** (k * (k - 1) // 2), math.prod(q**i - s**i for i in range(1, k + 1)))
+
+
 def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
-                                n: int = 100_000, seed: int = 0,
-                                cap: int = SP_ENUM_CAP) -> dict[tuple[int, ...], Fraction]:
+                                n: int = 100_000, seed: int = 0) -> dict[tuple[int, ...], Fraction]:
     """Distribution of characteristic polynomials over the multiplier-m coset.
 
-    "exact" enumerates Sp_2g(Z/l) and refuses a group larger than ``cap``
-    before it starts."""
+    "exact" returns every charpoly the coset can have, in sorted order: the
+    l^g monic chi of degree 2g with chi(T) = T^2g chi(m/T) / m^g, whose
+    coefficients c_j = c_(2g-j) m^(g-j) below T^g follow from those above.
+    An element is s u with s semisimple and u unipotent in the centralizer
+    C(s); in the simply connected Sp, C(s) is connected and s is fixed up to
+    conjugacy by chi, so chi has mass (unipotents of C(s)) / |C(s)|, the
+    product of ``_block_mass`` over its blocks (Steinberg's q^(2N)
+    unipotents; Fulman, Neumann and Praeger, Mem. AMS 830, 2005).  l^g over
+    ``CHARPOLY_BUDGET`` is refused before any work."""
     _check_multiplier(l, m)
     if mode == "exact":
-        elements = _sp_elements(g, l, cap)
-        dtype = _entry_dtype(2 * g, l)
-        chunks = (np.array(elements[i:i + SP_WALK_BLOCK], dtype=dtype)
-                  for i in range(0, len(elements), SP_WALK_BLOCK))
-        blocks, total = _times_coset_rep(chunks, g, l, m), len(elements)
-    elif mode == "montecarlo":
-        _check_samples(n)
-        blocks = _coset_sample_blocks(g, l, m, n, seed, DEFAULT_WALK_LENGTH)
-        total = n
-    else:
+        if g < 1:
+            raise ValueError("g must be >= 1")
+        if l**g > CHARPOLY_BUDGET:
+            raise BudgetExceededError(f"exact charpolys at g = {g}, l = {l}, m = {m}: "
+                                      f"l^g = {l**g} exceeds {CHARPOLY_BUDGET}")
+        dist = {}
+        for top in itertools.product(range(l), repeat=g):
+            chi = [0] * g + [*top, 1]
+            for j in range(g):
+                chi[j] = chi[2 * g - j] * pow(m, g - j, l) % l
+            dist[tuple(chi)] = math.prod(_block_mass(*b, l) for b in _charpoly_blocks(chi, l, m))
+        return dict(sorted(dist.items()))
+    if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
+    _check_samples(n)
     counts: Counter[tuple[int, ...]] = Counter()
-    for block in blocks:
+    for block in _coset_sample_blocks(g, l, m, n, seed, DEFAULT_WALK_LENGTH):
         counts.update(map(tuple, _charpolys(block, l).tolist()))
-    return {k: Fraction(v, total) for k, v in counts.items()}
+    return {k: Fraction(v, n) for k, v in counts.items()}

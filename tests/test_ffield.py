@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
+    gf_factor,
     gf_factor_sqf,
     gf_from_int_poly,
     gf_gcd,
@@ -114,8 +115,11 @@ def test_field_new_modulus_is_pinned(p, n):
 
 
 def test_import_does_not_load_sympy():
-    """Neither the import nor the modulus search of field_new loads sympy."""
+    """Neither the import, nor the modulus search of field_new, nor the exact
+    charpoly distribution (which factors charpolys mod l) loads sympy."""
     code = ("import strataforge, sys; strataforge.field_new(3, 2); strataforge.field_new(7, 3); "
+            "from strataforge.symplectic import coset_charpoly_distribution; "
+            "assert len(coset_charpoly_distribution(3, 3, 2, mode='exact')) == 27; "
             "assert not [m for m in sys.modules if m.split('.')[0] == 'sympy']")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -366,6 +370,29 @@ def test_zp_ddf_counts_match_sympy_factor_degrees(r):
         degrees = Counter(len(g) - 1 for g in gf_factor_sqf(f[::-1], r, ZZ)[1])
         assert zp_ddf(f, r) == dict(degrees), (f, r)
         checked += 1
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 11])
+def test_zp_squarefree_parts_match_sympy_factorization(r):
+    """Seeded products of powers of random monic polynomials, exponents up
+    to 2r + 1, so that multiplicities reach r and its multiples: the part of
+    multiplicity k is the product of sympy's irreducible factors of
+    multiplicity k, and zp_quo divides the product back."""
+    rng = random.Random(r)
+    for _ in range(40):
+        f = [1]
+        for _ in range(rng.randrange(1, 4)):
+            base = [rng.randrange(r) for _ in range(rng.randrange(1, 4))] + [1]
+            for _ in range(rng.choice([1, 2, r - 1, r, r + 1, 2 * r, 2 * r + 1])):
+                f = gf_mul(f, base[::-1], r, ZZ)
+        expected = {}
+        for phi, k in gf_factor(f, r, ZZ)[1]:
+            expected[k] = gf_mul(expected.get(k, [1]), phi, r, ZZ)
+        f = f[::-1]
+        parts = ffield.zp_squarefree_parts(f, r)
+        assert parts == {k: p[::-1] for k, p in expected.items()}, (f, r)
+        for part in parts.values():
+            assert gf_mul(ffield.zp_quo(f, part, r)[::-1], part[::-1], r, ZZ) == f[::-1]
 
 
 @pytest.mark.parametrize("r", [3, 13, 101])

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,24 +9,23 @@ import pytest
 
 from strataforge.curves import LPolynomial
 from strataforge.errors import BudgetExceededError
+from strataforge.ffield import zp_squarefree_parts
 from strataforge.symplectic import (
-    SP_ENUM_BYTES_PER_ELEMENT,
-    SP_ENUM_CAP,
+    CHARPOLY_BUDGET,
     SP_WALK_BLOCK,
     SP_WALK_BYTES_PER_WALK,
     MonteCarloEstimate,
+    _charpoly_blocks,
     _charpolys,
     _entry_dtype,
     _randbelow_many,
     _random_sp_blocks,
     _reduction_interval,
-    _sp_elements,
     _subspace_types,
     charpoly_mod,
     coset_charpoly_distribution,
     det_mod,
     fixed_vector_proportion,
-    group_bfs,
     has_nonzero_fixed_vector,
     identity,
     is_symplectic,
@@ -36,7 +37,6 @@ from strataforge.symplectic import (
     pairing,
     random_sp,
     sp_order,
-    standard_generators,
     symplectic_form,
     transvection,
     weyl_order,
@@ -95,7 +95,50 @@ def test_coset_rep_has_multiplier_m():
 
 
 # ---------------------------------------------------------------------------
-# orders and BFS
+# orders, and the group by breadth-first closure: the enumeration oracle
+
+
+def standard_generators(g, l):
+    """Transvections along all weight-1 and weight-2 0/1 vectors."""
+    d = 2 * g
+    supports = [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return [transvection(tuple(int(k in s) for k in range(d)), g, l) for s in supports]
+
+
+def closure(generators, l, cap):
+    """The subgroup generated by symplectic ``generators``, by breadth-first
+    closure from the identity, or None once it grows past ``cap``."""
+    for m in generators:
+        if multiplier(m, l) != 1:
+            raise ValueError("generator is not symplectic")
+    seen = {identity(len(generators[0]))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for gmat in generators:
+                prod = mat_mul(m, gmat, l)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+                    if len(seen) > cap:
+                        return None
+        frontier = nxt
+    return seen
+
+
+def group_bfs(generators, l, cap=250_000):
+    """Order of the generated subgroup, or None past ``cap`` elements."""
+    elements = closure(generators, l, cap)
+    return None if elements is None else len(elements)
+
+
+@functools.lru_cache(maxsize=4)
+def sp_elements(g, l):
+    """All of Sp_2g(Z/l), as the closure of the standard generators."""
+    elements = closure(standard_generators(g, l), l, sp_order(g, l))
+    assert elements is not None and len(elements) == sp_order(g, l)
+    return tuple(elements)
 
 
 def test_sp_order_formula():
@@ -304,33 +347,6 @@ def test_fixed_vector_proportion_m_not_one_leading_term():
         assert abs(v - Fraction(1, l - 1)) <= Fraction(2, l**3)
 
 
-def test_coset_charpoly_distribution_cap():
-    with pytest.raises(BudgetExceededError):
-        coset_charpoly_distribution(2, 7, 1, cap=1000)
-
-
-def test_enumeration_cap_refuses_sp4_mod_5_up_front():
-    # 9,360,000 elements, about 3.6 GiB: refused before the closure starts
-    assert sp_order(2, 5) > SP_ENUM_CAP
-    with pytest.raises(BudgetExceededError, match="9360000"):
-        coset_charpoly_distribution(2, 5, 1)
-
-
-def test_enumeration_memory_per_element():
-    import tracemalloc
-    standard_generators(1, 13)  # warm caches outside the measurement
-    _sp_elements.cache_clear()
-    tracemalloc.start()
-    try:
-        elements = _sp_elements(1, 13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        _sp_elements.cache_clear()
-    assert len(elements) == sp_order(1, 13)
-    assert peak < SP_ENUM_BYTES_PER_ELEMENT * len(elements)
-
-
 @pytest.mark.parametrize("g", [1, 3])
 def test_walk_memory_is_flat_in_n(g):
     """The tracemalloc peak of a Monte Carlo run is set by one block, not by
@@ -354,7 +370,7 @@ def test_walk_memory_is_flat_in_n(g):
 
 @pytest.mark.parametrize("l", [3, 5, 7, 11])
 def test_fixed_vector_proportion_equals_enumeration_g1(l):
-    elements = _sp_elements(1, l)
+    elements = sp_elements(1, l)
     for m in range(1, l):
         rep = multiplier_coset_rep(1, l, m)
         hits = sum(has_nonzero_fixed_vector(mat_mul(s, rep, l), l) for s in elements)
@@ -371,7 +387,7 @@ def _vanish_at_one(stack, l):
 def test_singular_mod_matches_det_mod_on_the_cosets_of_sp2(l):
     """On every element M of every coset Sp_2(Z/l) D_m, the kernel's
     charpoly vanishes at 1 exactly when det_mod(M - 1) = 0."""
-    elements = _sp_elements(1, l)
+    elements = sp_elements(1, l)
     for m in range(1, l):
         rep = multiplier_coset_rep(1, l, m)
         stack = [mat_mul(s, rep, l) for s in elements]
@@ -618,17 +634,15 @@ def test_matrix_charpoly_matches_cofactor_expansion_at_large_l(g, l):
 
 @pytest.mark.parametrize("l", [3, 5, 7, 11])
 def test_exact_coset_charpoly_distribution_counts_cofactor_charpolys(l):
-    """Every coset of Sp_2(Z/l): the distribution, keys in first-seen order,
-    is the histogram of the cofactor charpolys of s D_m over the group."""
-    elements = _sp_elements(1, l)
+    """Every coset of Sp_2(Z/l): the closed form is the histogram of the
+    cofactor charpolys of s D_m over the group, its keys in sorted order."""
+    elements = sp_elements(1, l)
     for m in range(1, l):
         rep = multiplier_coset_rep(1, l, m)
-        counts = {}
-        for s in elements:
-            key = cofactor_charpoly(mat_mul(s, rep, l), l)
-            counts[key] = counts.get(key, 0) + 1
-        expected = [(k, Fraction(v, len(elements))) for k, v in counts.items()]
-        assert list(coset_charpoly_distribution(1, l, m).items()) == expected
+        counts = Counter(cofactor_charpoly(mat_mul(s, rep, l), l) for s in elements)
+        dist = coset_charpoly_distribution(1, l, m)
+        assert dist == {k: Fraction(v, len(elements)) for k, v in counts.items()}
+        assert list(dist) == sorted(dist)
 
 
 def test_coset_charpoly_distribution_sl2_frozen():
@@ -639,3 +653,121 @@ def test_coset_charpoly_distribution_sl2_frozen():
         (1, 2, 1): Fraction(3, 8),
     }
     assert sum(dist.values()) == 1
+
+
+# Recorded from one run of the BFS oracle over the 51,840 elements of Sp_4(Z/3)
+# (sp_elements(2, 3), cofactor-equal kernel charpolys of s D_m), keyed by m.
+SP4_MOD_3_BFS = {
+    1: {
+        (1, 0, 0, 0, 1): Fraction(1, 8),
+        (1, 0, 1, 0, 1): Fraction(9, 64),
+        (1, 0, 2, 0, 1): Fraction(3, 32),
+        (1, 1, 0, 1, 1): Fraction(81, 640),
+        (1, 1, 1, 1, 1): Fraction(1, 10),
+        (1, 1, 2, 1, 1): Fraction(3, 32),
+        (1, 2, 0, 2, 1): Fraction(81, 640),
+        (1, 2, 1, 2, 1): Fraction(1, 10),
+        (1, 2, 2, 2, 1): Fraction(3, 32),
+    },
+    2: {
+        (1, 0, 0, 0, 1): Fraction(1, 16),
+        (1, 0, 1, 0, 1): Fraction(3, 16),
+        (1, 0, 2, 0, 1): Fraction(9, 80),
+        (1, 1, 0, 2, 1): Fraction(1, 10),
+        (1, 1, 1, 2, 1): Fraction(1, 8),
+        (1, 1, 2, 2, 1): Fraction(3, 32),
+        (1, 2, 0, 1, 1): Fraction(1, 10),
+        (1, 2, 1, 1, 1): Fraction(1, 8),
+        (1, 2, 2, 1, 1): Fraction(3, 32),
+    },
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_exact_coset_charpoly_distribution_sp4_mod_3_equals_bfs(m):
+    dist = coset_charpoly_distribution(2, 3, m)
+    assert dist == SP4_MOD_3_BFS[m]
+    assert list(dist) == sorted(dist)
+
+
+def test_charpoly_multiplicity_reaching_l():
+    """(T - 1)^4 at l = 3: the multiplicity passes l, where the derivative
+    alone sees no repeated factor; the block is Sp_4(Z/3), with 3^8
+    unipotents among its 51,840 elements."""
+    chi = [1, 2, 0, 2, 1]
+    assert zp_squarefree_parts(chi, 3) == {4: [2, 1]}
+    assert _charpoly_blocks(chi, 3, 1) == [("sp", 1, 4)]
+    assert coset_charpoly_distribution(2, 3, 1)[tuple(chi)] == Fraction(3**8, 51_840)
+
+
+@pytest.mark.parametrize("g,l", [(g, l) for g in (1, 2, 3, 4) for l in (3, 5, 7)])
+def test_exact_charpoly_mass_and_fixed_vector_cross_route(g, l):
+    """Every coset, the non-square m at g >= 2 (whose T^2 - m block a
+    version without it missed) included: the l^g charpolys carry mass
+    exactly 1, and the mass of chi(1) = 0 is the Moebius fixed-vector
+    proportion."""
+    for m in range(1, l):
+        dist = coset_charpoly_distribution(g, l, m)
+        assert len(dist) == l**g
+        assert sum(dist.values()) == 1
+        assert sum(p for chi, p in dist.items() if sum(chi) % l == 0) == \
+            fixed_vector_proportion(g, l, m)
+
+
+def total_variation(p, q):
+    return sum(abs(p.get(k, 0) - q.get(k, 0)) for k in {*p, *q}) / 2
+
+
+@pytest.mark.parametrize("g,l,m", [(2, 5, 2), (3, 3, 1)])
+def test_exact_charpoly_distribution_against_montecarlo(g, l, m):
+    """Where no enumeration fits: the Monte Carlo distribution at n = 20,000
+    is within 3x the TV distance of n seeded draws from the exact
+    distribution itself (a parametric bootstrap of the sampling noise)."""
+    n = 20_000
+    exact = coset_charpoly_distribution(g, l, m)
+    walks = coset_charpoly_distribution(g, l, m, mode="montecarlo", n=n, seed=3)
+    draws = Counter(random.Random(4).choices(list(exact), [float(p) for p in exact.values()], k=n))
+    noise = total_variation(exact, {k: Fraction(v, n) for k, v in draws.items()})
+    assert 0 < total_variation(exact, walks) < 3 * noise
+
+
+def sympy_blocks(chi, l, m):
+    """The blocks of chi from sympy's full factorization: each irreducible
+    phi against its m-reciprocal phi*(T) = T^deg phi(m/T) / phi(0)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
+    blocks = []
+    for phi, k in gf_factor(list(chi)[::-1], l, ZZ)[1]:
+        phi = [int(c) for c in phi[::-1]]
+        deg, inv = len(phi) - 1, pow(phi[0], -1, l)
+        star = [phi[deg - j] * m ** (deg - j) * inv % l for j in range(deg + 1)]
+        if phi != star:
+            if phi < star:
+                blocks.append(("gl", deg, k))
+        elif deg == 1 or phi == [-m % l, 0, 1]:
+            blocks.append(("sp", deg, k))
+        else:
+            blocks.append(("u", deg // 2, k))
+    return Counter(blocks)
+
+
+@pytest.mark.parametrize("g,l", [(2, 5), (3, 3)])
+def test_charpoly_blocks_match_sympy_factorization(g, l):
+    for m in range(1, l):
+        for chi in coset_charpoly_distribution(g, l, m):
+            assert Counter(_charpoly_blocks(list(chi), l, m)) == sympy_blocks(chi, l, m), (chi, m)
+
+
+@pytest.mark.parametrize("g,l", [(1, 4294967311), (6, 31)])
+def test_exact_charpoly_budget_refuses_up_front(g, l, monkeypatch):
+    from strataforge import symplectic
+
+    def no_work(*args):
+        raise AssertionError("a block was read before the budget check")
+    monkeypatch.setattr(symplectic, "_charpoly_blocks", no_work)
+    assert l**g > CHARPOLY_BUDGET
+    with pytest.raises(BudgetExceededError, match=rf"g = {g}, l = {l}, m = 2: l\^g = {l**g} "):
+        coset_charpoly_distribution(g, l, 2)
+    with pytest.raises(ValueError, match="g must be"):
+        coset_charpoly_distribution(0, 3, 1)
