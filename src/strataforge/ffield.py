@@ -12,8 +12,9 @@ tables built with multiply-by-c matrices over F_p.
 
 The ``zp_*`` helpers are the polynomial layer over Z/r for a prime r given
 as a plain int, because the Weil layer's witness primes may exceed
-``MAX_P``: products, remainders, gcds, squarefreeness, modular powers and
-distinct-degree factor counts.  The modulus search runs on them, and on F_p
+``MAX_P``: products, remainders, gcds, squarefreeness, modular powers, the
+distinct-degree factorization and its reading of reciprocal polynomials
+(``zp_reciprocal_blocks``).  The modulus search runs on them, and on F_p
 the ``poly_*`` helpers only delegate to them.  No path here imports sympy.
 """
 from __future__ import annotations
@@ -285,7 +286,7 @@ def field_new(p: int, n: int = 1) -> FieldDescriptor:
     # c_0 = 0 would make x a factor, so the search starts at c_0 = 1
     for vec in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         coeffs = list(vec) + [1]
-        if zp_ddf(coeffs, p) == {n: 1}:
+        if list(zp_ddf(coeffs, p)) == [n]:
             return FieldDescriptor(p, n, tuple(coeffs))
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -476,49 +477,78 @@ def zp_powmod(a: list[int], e: int, f: list[int], r: int) -> list[int]:
     return result
 
 
-def zp_ddf(f: list[int], r: int) -> dict[int, int]:
-    """Distinct-degree counts {k: number of irreducible factors of degree k}
-    of a squarefree f over Z/r (any nonzero leading coefficient).
-
-    The k-th step takes gcd(f, x^(r^k) - x), the product of the distinct
-    irreducible factors of f whose degree divides k; its degree less that of
-    the factors counted at the proper divisors of k gives the count at k, so
-    f is never divided.  x^(r^k) is kept mod f and advanced by the Frobenius
-    matrix a -> a^r, whose rows are x^(r i) mod f (Berlekamp's Q), so each
-    step is one matrix-vector product.  Whatever f, the result is
-    {deg f: 1} exactly when f is irreducible: a reducible f has a factor of
-    least degree k <= deg f / 2, and the k-th step counts it.
-    """
+def _ddf_pass(f: list[int], r: int) -> tuple[dict[int, list[int]], list[list[int]]]:
+    """``zp_ddf`` of f and the iterates x^(r^k) mod the monic f that it
+    formed, k = 0, 1, ..., each of length deg f."""
     f = poly_trim([c % r for c in f])
     n = len(f) - 1
     if n < 1:
-        return {}
+        return {}, []
     inv = pow(f[-1], -1, r)
     f = [c * inv % r for c in f]
     x_r = zp_powmod([0, 1], r, f, r)
     rows = [[1]]
     for _ in range(n - 1):
         rows.append(zp_mulmod(rows[-1], x_r, f, r))
-    counts: dict[int, int] = {}
-    left, frob, k = n, [0, 1], 0                         # degree not counted yet
-    while 2 * (k + 1) <= left:
-        k += 1
+    parts: dict[int, list[int]] = {}
+    frobs, rest = [[0, 1] + [0] * (n - 2)], f
+    while 2 * len(frobs) < len(rest):          # 2k <= deg rest for k = len(frobs)
         acc = [0] * n
-        for c, row in zip(frob, rows):
+        for c, row in zip(frobs[-1], rows):
             if c:
                 for j, v in enumerate(row):
                     acc[j] += c * v
-        frob = [c % r for c in acc]                      # x^(r^k) mod f
-        moved = list(frob)                               # length n >= 2
-        moved[1] = (moved[1] - 1) % r                    # x^(r^k) - x
-        common = zp_gcd(f, poly_trim(moved), r)
-        fresh = len(common) - 1 - sum(d * c for d, c in counts.items() if k % d == 0)
-        if fresh:
-            counts[k] = fresh // k
-            left -= fresh
-    if left:
-        counts[left] = counts.get(left, 0) + 1
-    return counts
+        frobs.append([c % r for c in acc])     # x^(r^k) mod f
+        moved = list(frobs[-1])                # length n >= 2
+        moved[1] = (moved[1] - 1) % r          # x^(r^k) - x
+        common = zp_gcd(rest, poly_trim(moved), r)
+        if len(common) > 1:
+            parts[len(frobs) - 1] = common
+            rest = zp_quo(rest, common, r)
+    if len(rest) > 1:
+        d = len(rest) - 1
+        parts[d] = poly_trim([c % r for c in _convolve(parts.get(d, [1]), rest)])
+    return parts, frobs
+
+
+def zp_ddf(f: list[int], r: int) -> dict[int, list[int]]:
+    """Distinct-degree factorization {D: monic product of the irreducible
+    factors of degree D} of a squarefree f over Z/r (any nonzero leading
+    coefficient), D increasing.
+
+    Step k divides g_k = gcd(rest, x^(r^k) - x) out of rest, f less the
+    earlier products, so g_k is the product at k.  Once 2(k + 1) > deg rest,
+    rest has no factor of degree <= k, so it is irreducible (or 1).  x^(r^k)
+    is kept mod f and advanced by the Frobenius matrix a -> a^r, whose rows
+    are x^(r i) mod f (Berlekamp's Q): one matrix-vector product a step.
+    Whatever f, the products multiply back to monic f, and deg f is the one
+    key exactly when f is irreducible: a reducible f has a factor of least
+    degree k <= deg f / 2, divided out by step k at the latest.
+    """
+    return _ddf_pass(f, r)[0]
+
+
+def zp_reciprocal_blocks(s: list[int], r: int, m: int) -> list[tuple[str, int]]:
+    """The blocks (kind, d) of a squarefree m-reciprocal s over Z/r (m a
+    unit), which pair its irreducible factors under x -> m/x: "gl" for
+    phi != phi* of degree d, phi* having the roots m/x of phi; "u" for
+    phi = phi* of degree 2d other than T^2 - m; "sp" for T - e, e^2 = m
+    (d = 1), or an irreducible T^2 - m (d = 2).
+
+    On a phi = phi* of degree D, x -> m/x commutes with Frobenius, so it is
+    x -> x^(r^j) with 2j = 0 mod D: j = 0 gives x^2 = m, else x x^(r^(D/2))
+    = m at every root.  So the "u" factors in the product g_D of ``zp_ddf``
+    are gcd(g_D, x x^(r^(D/2)) - m), with x^(r^(D/2)) from the same pass
+    (x^(r + 1) = -m at the roots of T^2 - m), and the rest come in pairs.
+    """
+    parts, frobs = _ddf_pass(s, r)
+    blocks = []
+    for D, g in parts.items():
+        n = (len(g) - 1) // D
+        sp = (len(zp_gcd(g, [-m % r, 0, 1], r)) - 1) // D
+        u = (len(zp_gcd(g, poly_trim([-m % r, *frobs[D // 2]]), r)) - 1) // D if D % 2 == 0 else 0
+        blocks += [("sp", D)] * sp + [("u", D // 2)] * u + [("gl", D)] * ((n - sp - u) // 2)
+    return blocks
 
 
 def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:

@@ -6,7 +6,7 @@ Both exact statistics are closed forms and enumerate no group.  The
 fixed-vector proportion is a Moebius inversion over the subspaces an element
 fixes pointwise.  The charpoly distribution of a multiplier coset runs over
 the l^g charpolys the coset can have and weights each by a product over its
-factors, read with the ``ffield.zp_*`` helpers (``_charpoly_blocks``).  The
+factors, read by ``ffield.zp_reciprocal_blocks`` (``_charpoly_blocks``).  The
 Monte Carlo baselines advance their transvection walks in numpy blocks of
 ``SP_WALK_BLOCK`` walks, one batched update per step, and draw the same
 random codes in the same order as one walk at a time, so a seed gives the
@@ -41,7 +41,7 @@ import numpy as np
 
 from .curves import LPolynomial
 from .errors import BudgetExceededError
-from .ffield import is_prime, zp_ddf, zp_gcd, zp_powmod, zp_squarefree_parts
+from .ffield import is_prime, zp_reciprocal_blocks, zp_squarefree_parts
 
 # Largest l^g, the number of charpolys the exact charpoly distribution reads,
 # one output entry each.  Measured 0.25 ms per charpoly at g = 1 (l = 10,007)
@@ -183,13 +183,6 @@ def sp_order(g: int, l: int) -> int:
         raise ValueError("g must be >= 1")
     _check_l(l)
     return _sp_card(g, l)
-
-
-def weyl_order(g: int) -> int:
-    """Order of the Weyl group of Sp_2g: 2^g * g!."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    return 2**g * math.factorial(g)
 
 
 def multiplier_coset_rep(g: int, l: int, m: int) -> Matrix:
@@ -466,32 +459,12 @@ def matrix_charpoly(m: Matrix, l: int) -> tuple[int, ...]:
 def _charpoly_blocks(chi: list[int], l: int, m: int) -> list[tuple[str, int, int]]:
     """The blocks (kind, d, k) of an m-reciprocal charpoly chi over Z/l, one
     per factor C = G(l^d) of the centralizer of a semisimple element of the
-    coset with charpoly chi; k is the multiplicity in chi of the factors:
-    "gl" for a pair {phi, phi*} of degree d, C = GL_k; "u" for an irreducible
-    phi = phi* of degree 2d other than T^2 - m, C = U_k; "sp" for T - e with
-    e^2 = m (d = 1) or an irreducible T^2 - m (d = 2), C = Sp_k (k is even).
-
-    phi* has the roots m/x of phi.  Per multiplicity k, s is the product of
-    the factors of multiplicity k.  A phi = phi* of degree 2d other than
-    T^2 - m has x^(l^d) = m/x at its roots, so these phi are the degree-2d
-    factors of gcd(s, x^(l^d + 1) - m), whose other factors have lower
-    degree; T^2 - m is not among them, as x^(l + 1) = -m at its roots."""
-    square = pow(m, (l - 1) // 2, l) == 1
-    blocks = []
-    for k, s in zp_squarefree_parts(chi, l).items():
-        counts = zp_ddf(s, l)
-        d = 1 if square else 2
-        roots = len(zp_gcd(s, [-m, 0, 1], l)) - 1
-        blocks += [("sp", d, k)] * (roots // d)
-        counts[d] = counts.get(d, 0) - roots // d
-        for deg, n in counts.items():
-            selfdual = 0
-            if n and deg % 2 == 0:
-                frob = zp_powmod([0, 1], l ** (deg // 2) + 1, s, l) + [0]
-                frob[0] -= m
-                selfdual = zp_ddf(zp_gcd(frob, s, l), l).get(deg, 0)
-            blocks += [("u", deg // 2, k)] * selfdual + [("gl", deg, k)] * ((n - selfdual) // 2)
-    return blocks
+    coset with charpoly chi: the blocks (kind, d) of ``zp_reciprocal_blocks``
+    on the product s of the factors of multiplicity k in chi, each an
+    m-reciprocal squarefree s; C is GL_k for "gl", U_k for "u" and Sp_k for
+    "sp" (k is then even)."""
+    return [(kind, d, k) for k, s in zp_squarefree_parts(chi, l).items()
+            for kind, d in zp_reciprocal_blocks(s, l, m)]
 
 
 def _block_mass(kind: str, d: int, k: int, l: int) -> Fraction:

@@ -11,7 +11,8 @@ from the signed cycle types of Frobenius at small primes.
 
 Nothing here factors a polynomial at genus <= 3: L is reducible iff h has
 an integer root (or L = (1 - qT^2)^2), the signed cycle types come from
-distinct-degree counts mod r (``ffield.zp_ddf``), and absolute simplicity
+reading P mod r as a GSp element of multiplier q, whose factors pair up
+under x -> q/x (``ffield.zp_reciprocal_blocks``), and absolute simplicity
 of an irreducible L needs only squarefreeness of its power polynomials,
 decided mod small primes with the integer discriminant as exact fallback.
 sympy is imported only to decide whether h is irreducible at genus >= 4.
@@ -22,7 +23,7 @@ import math
 from functools import lru_cache
 
 from .curves import LPolynomial, coeffs_from_power_sums, power_sums
-from .ffield import is_prime, zp_ddf, zp_squarefree
+from .ffield import is_prime, zp_reciprocal_blocks, zp_squarefree
 
 # Entries kept by each of the three L-keyed caches below (``l_reducible``,
 # ``absolutely_simple``, ``splitting_class``).  The invariants depend on L
@@ -184,26 +185,20 @@ def _next_prime(r: int) -> int:
     return r
 
 
-def signed_cycle_type(h: list[int], P: list[int], r: int) -> list[tuple[int, bool]]:
+def signed_cycle_type(P: list[int], q: int, r: int) -> list[tuple[int, bool]]:
     """Signed cycle type of Frobenius at r on the roots of P = T^g h(T + q/T):
     one (k, flipped) per k-cycle on the roots b of h, flipped when the cycle
     moves pi to q/pi after k steps (a 2k-cycle on the roots of P).  Needs P
     squarefree mod r.
 
-    Read from distinct-degree counts alone: with n_k the k-cycles on the b
-    (from h) and m_j the j-cycles on the roots of P, an unflipped k-cycle
-    gives two k-cycles on the roots of P and a flipped one a 2k-cycle, so
-    m_j = 2 a_j + f_(j/2) and n_j = a_j + f_j (f_(j/2) = 0 for odd j), solved
-    for a_j, f_j in increasing j.
+    P mod r is q-reciprocal, read as a GSp element of multiplier q by
+    ``zp_reciprocal_blocks``: a pair {phi, phi*} of degree k is an unflipped
+    k-cycle, and a self-dual phi of degree 2k a flipped one.  There is no
+    "sp" block: a root e of P with e^2 = q (mod r, or over F_(r^2)) gives
+    the root b = 2e of h, and near it T + q/T - b = (T - e)^2 / T, so such
+    roots always come doubled, which P squarefree mod r rules out.
     """
-    n, m = zp_ddf(h, r), zp_ddf(P, r)
-    signed, flipped = [], {}
-    for j in range(1, len(h)):
-        halves = flipped[j // 2] if j % 2 == 0 else 0
-        unflipped = (m.get(j, 0) - halves) // 2
-        flipped[j] = n.get(j, 0) - unflipped
-        signed += [(j, False)] * unflipped + [(j, True)] * flipped[j]
-    return signed
+    return [(d, kind == "u") for kind, d in zp_reciprocal_blocks(P, r, q % r)]
 
 
 @lru_cache(maxsize=WEIL_CACHE_SIZE)
@@ -233,9 +228,9 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
-    h, P = real_weil_coeffs(L), frobenius_poly(L)
+    P = frobenius_poly(L)
     transposition = cycle = g < 3
-    if not transposition and is_perfect_square(discriminant(h)):
+    if not transposition and is_perfect_square(discriminant(real_weil_coeffs(L))):
         return ("undetermined", None)   # Gal(h) lies in A_g: no witness is odd
     flip = g == 1
     good, r = 0, 2
@@ -244,7 +239,7 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
         if q % r == 0 or not zp_squarefree(P, r):
             continue
         good += 1
-        signed = signed_cycle_type(h, P, r)
+        signed = signed_cycle_type(P, q, r)
         lengths = sorted(k for k, _ in signed)
         transposition |= lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2)
         cycle |= lengths == [1, g - 1]

@@ -4,7 +4,6 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -361,14 +360,17 @@ def random_poly(rng, r, degree):
 @pytest.mark.parametrize("r", [3, 5, 7, 31, 101, 65537])
 def test_zp_ddf_counts_match_sympy_factor_degrees(r):
     """Seeded random squarefree polynomials mod r, r past MAX_P included:
-    the distinct-degree counts are the degrees of sympy's factorization."""
+    the product at each degree, degrees increasing, is the product of
+    sympy's irreducible factors of that degree."""
     rng, checked = random.Random(r), 0
     while checked < 60:
         f = random_poly(rng, r, rng.randrange(1, 10))
         if not gf_sqf_p(f[::-1], r, ZZ):
             continue
-        degrees = Counter(len(g) - 1 for g in gf_factor_sqf(f[::-1], r, ZZ)[1])
-        assert zp_ddf(f, r) == dict(degrees), (f, r)
+        expected = {}
+        for phi in gf_factor_sqf(f[::-1], r, ZZ)[1]:
+            expected[len(phi) - 1] = gf_mul(expected.get(len(phi) - 1, [1]), phi, r, ZZ)
+        assert list(zp_ddf(f, r).items()) == [(d, g[::-1]) for d, g in sorted(expected.items())]
         checked += 1
 
 
@@ -413,10 +415,17 @@ def test_zp_arithmetic_matches_sympy(r):
 
 
 def test_zp_ddf_decides_irreducibility_of_any_polynomial():
-    """field_new reads {n: 1} as irreducible, squarefree or not."""
-    for f in enumerate_monic(field_new(3), 4):
-        coeffs = list(f.coeffs)
-        assert (zp_ddf(coeffs, 3) == {4: 1}) == gf_irreducible_p(coeffs[::-1], 3, ZZ), coeffs
+    """field_new reads the single key n as irreducible, squarefree or not;
+    the products multiply back to f, so a repeated factor such as (x - a)^2
+    is not lost to a later key."""
+    for n in (2, 3, 4, 5):
+        for f in enumerate_monic(field_new(3), n):
+            coeffs, parts = list(f.coeffs), zp_ddf(list(f.coeffs), 3)
+            assert (list(parts) == [n]) == gf_irreducible_p(coeffs[::-1], 3, ZZ), coeffs
+            product = [1]
+            for part in parts.values():
+                product = gf_mul(product, part[::-1], 3, ZZ)
+            assert product == coeffs[::-1], coeffs
 
 
 @pytest.mark.parametrize("field", [field_new(5), field_new(3, 2)], ids=repr)

@@ -39,7 +39,6 @@ from strataforge.symplectic import (
     sp_order,
     symplectic_form,
     transvection,
-    weyl_order,
 )
 
 
@@ -145,10 +144,6 @@ def test_sp_order_formula():
     assert sp_order(1, 3) == 24
     assert sp_order(1, 5) == 120
     assert sp_order(2, 3) == 51840
-
-
-def test_weyl_order():
-    assert [weyl_order(g) for g in (1, 2, 3)] == [2, 8, 48]
 
 
 def test_group_bfs_trivial_and_cyclic():
@@ -752,8 +747,10 @@ def sympy_blocks(chi, l, m):
     return Counter(blocks)
 
 
-@pytest.mark.parametrize("g,l", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("g,l", [(2, 5), (3, 3), (3, 5), (4, 3)])
 def test_charpoly_blocks_match_sympy_factorization(g, l):
+    """Every chi of every coset, so self-dual factors of degree up to 2g = 8
+    (odd D/2 at degree 6) and repeated factors are read."""
     for m in range(1, l):
         for chi in coset_charpoly_distribution(g, l, m):
             assert Counter(_charpoly_blocks(list(chi), l, m)) == sympy_blocks(chi, l, m), (chi, m)

@@ -14,7 +14,13 @@ from sympy.polys.numberfields.galoisgroups import galois_group
 
 from strataforge import weil
 from strataforge.curves import LPolynomial, curve_new, l_polynomial
-from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
+from strataforge.ffield import (
+    FqPoly,
+    enumerate_monic,
+    field_new,
+    poly_squarefree,
+    zp_reciprocal_blocks,
+)
 
 T, y = sympy.symbols("T y")
 
@@ -257,19 +263,35 @@ def sympy_signed_cycle_type(L, r):
 
 
 def test_signed_cycle_type_matches_sympy_factorization(census_Ls, sampled_Ls):
-    """The cycle types read from distinct-degree counts equal the ones read
-    from full factorizations mod r, at every good prime r < 30."""
+    """The cycle types read from the reciprocal blocks of P equal the ones
+    read from full factorizations mod r, at every good prime r < 30."""
     compared = 0
     for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
         P = weil.frobenius_poly(L)
         for r in (3, 5, 7, 11, 13, 17, 19, 23, 29):
             expected = sympy_signed_cycle_type(L, r)
             if expected is not None:
-                Pr = [c % r for c in P]
-                assert sorted(weil.signed_cycle_type(weil.real_weil_coeffs(L), Pr, r)) \
-                    == expected, (L, r)
+                assert sorted(weil.signed_cycle_type(P, L.q, r)) == expected, (L, r)
                 compared += 1
     assert compared > 5000
+
+
+def test_reciprocal_blocks_of_frobenius_have_no_sp_block(census_Ls, sampled_Ls):
+    """At every good prime r < 30, P mod r read at m = q mod r has no
+    "sp" block (its roots e with e^2 = q would come doubled), and its blocks
+    cover all 2g roots: 2 d per "gl" pair of degree d and per "u" factor of
+    degree 2d."""
+    read = 0
+    for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
+        P = weil.frobenius_poly(L)
+        for r in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+            if L.q % r == 0 or not gf_sqf_p(gf_from_int_poly(P[::-1], r), r, ZZ):
+                continue
+            blocks = zp_reciprocal_blocks(P, r, L.q % r)
+            assert all(kind != "sp" for kind, _ in blocks), (L, r)
+            assert 2 * sum(d for _, d in blocks) == 2 * L.genus, (L, r)
+            read += 1
+    assert read > 5000
 
 
 def test_squarefree_tests_match_sympy_on_every_power_polynomial(census_Ls, sampled_Ls):
@@ -326,11 +348,10 @@ def test_square_discriminant_leaves_no_transposition_witness(census_Ls, sampled_
         good, r = 0, 2
         while good < weil.WITNESS_PRIMES:
             r = weil._next_prime(r)
-            Pr = [c % r for c in P]
             if L.q % r == 0 or sympy_signed_cycle_type(L, r) is None:
                 continue
             good += 1
-            lengths = sorted(k for k, _ in weil.signed_cycle_type(h, Pr, r))
+            lengths = sorted(k for k, _ in weil.signed_cycle_type(P, L.q, r))
             assert sum(k - 1 for k in lengths) % 2 == 0, (L, r, lengths)   # even
             assert not (lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2))
     assert square >= 14
@@ -473,10 +494,17 @@ def test_splitting_class_g3_is_genus3_only():
 
 def test_import_loads_no_sympy():
     """sympy is imported by the functions that factor, not at import, so
-    code that never factors (the symplectic baselines) does not pay for it."""
+    code that never factors (the symplectic baselines) does not pay for it;
+    nor do the two readers of reciprocal polynomials mod r, the genus-3
+    Galois certificate and the exact charpoly distribution."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = ("import sys, strataforge.weil, strataforge.symplectic; "
+            "from strataforge.curves import LPolynomial; "
+            "L = LPolynomial(3, 3, (1, 3, 6, 12, 18, 27, 27)); "
+            "assert strataforge.weil.splitting_class(L) == ('maximal', 48); "
+            "dist = strataforge.symplectic.coset_charpoly_distribution(3, 3, 2, mode='exact'); "
+            "assert len(dist) == 27 and sum(dist.values()) == 1; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
