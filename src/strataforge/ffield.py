@@ -12,10 +12,14 @@ tables built with multiply-by-c matrices over F_p.
 
 The ``zp_*`` helpers are the polynomial layer over Z/r for a prime r given
 as a plain int, because the Weil layer's witness primes may exceed
-``MAX_P``: products, remainders, gcds, squarefreeness, modular powers, the
-distinct-degree factorization and its reading of reciprocal polynomials
-(``zp_reciprocal_blocks``).  The modulus search runs on them, and on F_p
-the ``poly_*`` helpers only delegate to them.  No path here imports sympy.
+``MAX_P``: products, remainders, gcds, squarefreeness, modular powers and
+the distinct-degree factorization.  A reciprocal polynomial s(T) =
+T^n h(T + m/T) is read through its trace polynomial h, at half the degree
+(``reciprocal_trace``, ``norm_at_root``): ``zp_reciprocal_blocks`` pairs
+the factors of s mod r under x -> m/x from the factors of h and the
+square classes of b^2 - 4m at their roots b.  The modulus search runs on
+the ``zp_*`` helpers, and on F_p the ``poly_*`` helpers only delegate to
+them.  No path here imports sympy.
 """
 from __future__ import annotations
 
@@ -477,40 +481,6 @@ def zp_powmod(a: list[int], e: int, f: list[int], r: int) -> list[int]:
     return result
 
 
-def _ddf_pass(f: list[int], r: int) -> tuple[dict[int, list[int]], list[list[int]]]:
-    """``zp_ddf`` of f and the iterates x^(r^k) mod the monic f that it
-    formed, k = 0, 1, ..., each of length deg f."""
-    f = poly_trim([c % r for c in f])
-    n = len(f) - 1
-    if n < 1:
-        return {}, []
-    inv = pow(f[-1], -1, r)
-    f = [c * inv % r for c in f]
-    x_r = zp_powmod([0, 1], r, f, r)
-    rows = [[1]]
-    for _ in range(n - 1):
-        rows.append(zp_mulmod(rows[-1], x_r, f, r))
-    parts: dict[int, list[int]] = {}
-    frobs, rest = [[0, 1] + [0] * (n - 2)], f
-    while 2 * len(frobs) < len(rest):          # 2k <= deg rest for k = len(frobs)
-        acc = [0] * n
-        for c, row in zip(frobs[-1], rows):
-            if c:
-                for j, v in enumerate(row):
-                    acc[j] += c * v
-        frobs.append([c % r for c in acc])     # x^(r^k) mod f
-        moved = list(frobs[-1])                # length n >= 2
-        moved[1] = (moved[1] - 1) % r          # x^(r^k) - x
-        common = zp_gcd(rest, poly_trim(moved), r)
-        if len(common) > 1:
-            parts[len(frobs) - 1] = common
-            rest = zp_quo(rest, common, r)
-    if len(rest) > 1:
-        d = len(rest) - 1
-        parts[d] = poly_trim([c % r for c in _convolve(parts.get(d, [1]), rest)])
-    return parts, frobs
-
-
 def zp_ddf(f: list[int], r: int) -> dict[int, list[int]]:
     """Distinct-degree factorization {D: monic product of the irreducible
     factors of degree D} of a squarefree f over Z/r (any nonzero leading
@@ -525,30 +495,98 @@ def zp_ddf(f: list[int], r: int) -> dict[int, list[int]]:
     key exactly when f is irreducible: a reducible f has a factor of least
     degree k <= deg f / 2, divided out by step k at the latest.
     """
-    return _ddf_pass(f, r)[0]
+    f = poly_trim([c % r for c in f])
+    n = len(f) - 1
+    if n < 1:
+        return {}
+    inv = pow(f[-1], -1, r)
+    f = [c * inv % r for c in f]
+    x_r = zp_powmod([0, 1], r, f, r)
+    rows = [[1]]
+    for _ in range(n - 1):
+        rows.append(zp_mulmod(rows[-1], x_r, f, r))
+    parts: dict[int, list[int]] = {}
+    frob, k, rest = [0, 1] + [0] * (n - 2), 0, f
+    while 2 * (k + 1) < len(rest):             # 2(k + 1) <= deg rest
+        acc = [0] * n
+        for c, row in zip(frob, rows):
+            if c:
+                for j, v in enumerate(row):
+                    acc[j] += c * v
+        frob, k = [c % r for c in acc], k + 1  # x^(r^k) mod f
+        moved = list(frob)                     # length n >= 2
+        moved[1] = (moved[1] - 1) % r          # x^(r^k) - x
+        common = zp_gcd(rest, poly_trim(moved), r)
+        if len(common) > 1:
+            parts[k] = common
+            rest = zp_quo(rest, common, r)
+    if len(rest) > 1:
+        d = len(rest) - 1
+        parts[d] = poly_trim([c % r for c in _convolve(parts.get(d, [1]), rest)])
+    return parts
+
+
+def reciprocal_trace(s: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(h, rest) with s(T) = T^n h(T + m/T) + rest(T) for a monic s of
+    degree 2n, exact over Z (so over Z/r after reduction): h, monic of degree
+    n, matches the coefficients of T^n..T^2n, and rest = 0 exactly when the
+    roots of s pair up as {x, m/x}.  Constant terms first."""
+    n = (len(s) - 1) // 2
+    work, h = list(s), [0] * (n + 1)     # work: the not-yet-matched part of s
+    for j in range(n, -1, -1):
+        c = h[j] = work[n + j]
+        if c:
+            # subtract c T^(n-j) (T^2 + m)^j
+            for i in range(j + 1):
+                work[n - j + 2 * i] -= c * math.comb(j, i) * m ** (j - i)
+    return h, work
+
+
+def norm_at_root(h: list[int], c: int) -> int:
+    """h(sqrt c) h(-sqrt c) = E(c)^2 - c O(c)^2 over Z, writing h(T) =
+    E(T^2) + T O(T^2) (constant term first).  For the trace polynomial h of
+    s = T^n h(T + m/T) and c = 4m it is the product of b^2 - 4m over the
+    roots b of h, zero iff s has a root x with x^2 = m."""
+    e = sum(a * c**i for i, a in enumerate(h[0::2]))
+    o = sum(a * c**i for i, a in enumerate(h[1::2]))
+    return e * e - c * o * o
 
 
 def zp_reciprocal_blocks(s: list[int], r: int, m: int) -> list[tuple[str, int]]:
-    """The blocks (kind, d) of a squarefree m-reciprocal s over Z/r (m a
-    unit), which pair its irreducible factors under x -> m/x: "gl" for
+    """The blocks (kind, d) of a squarefree m-reciprocal s over Z/r (r odd,
+    m a unit), which pair its irreducible factors under x -> m/x: "gl" for
     phi != phi* of degree d, phi* having the roots m/x of phi; "u" for
     phi = phi* of degree 2d other than T^2 - m; "sp" for T - e, e^2 = m
-    (d = 1), or an irreducible T^2 - m (d = 2).
+    (d = 1), or an irreducible T^2 - m (d = 2).  Sorted by the degree of
+    the factors (d, or 2d for "u"), then "sp", "u", "gl".
 
-    On a phi = phi* of degree D, x -> m/x commutes with Frobenius, so it is
-    x -> x^(r^j) with 2j = 0 mod D: j = 0 gives x^2 = m, else x x^(r^(D/2))
-    = m at every root.  So the "u" factors in the product g_D of ``zp_ddf``
-    are gcd(g_D, x x^(r^(D/2)) - m), with x^(r^(D/2)) from the same pass
-    (x^(r + 1) = -m at the roots of T^2 - m), and the rest come in pairs.
+    The "sp" factors divide T^2 - m.  The rest, s', has roots pairing up as
+    {x, m/x} with x != m/x, so s' = T^n h(T + m/T) (``reciprocal_trace``),
+    read at half the degree: a factor psi of h of degree k, with root
+    b = x + m/x, is the image of phi, and x is a root of T^2 - bT + m over
+    F_(r^k).  When b^2 - 4m is a square there, x has degree k and phi* != phi
+    (a "gl" pair); else x^(r^k) = m/x and phi = phi* has degree 2k (a "u").
+    For one psi in the product H_k of ``zp_ddf(h)`` the square class is the
+    Legendre symbol of its norm, ``norm_at_root(H_k, 4m)``; for several,
+    the "u" factors are gcd(H_k, (T^2 - 4m)^((r^k - 1)/2) + 1).
     """
-    parts, frobs = _ddf_pass(s, r)
-    blocks = []
-    for D, g in parts.items():
-        n = (len(g) - 1) // D
-        sp = (len(zp_gcd(g, [-m % r, 0, 1], r)) - 1) // D
-        u = (len(zp_gcd(g, poly_trim([-m % r, *frobs[D // 2]]), r)) - 1) // D if D % 2 == 0 else 0
-        blocks += [("sp", D)] * sp + [("u", D // 2)] * u + [("gl", D)] * ((n - sp - u) // 2)
-    return blocks
+    s = poly_trim([c % r for c in s])
+    inv = pow(s[-1], -1, r)
+    s = [c * inv % r for c in s]
+    sp = zp_gcd(s, [-m % r, 0, 1], r)
+    d = 1 if pow(m, (r - 1) // 2, r) == 1 else 2    # the degree of the factors of T^2 - m
+    blocks = [("sp", d)] * ((len(sp) - 1) // d)
+    h, _ = reciprocal_trace(zp_quo(s, sp, r), m)
+    for k, H in zp_ddf(h, r).items():
+        n = (len(H) - 1) // k
+        if n == 1:
+            u = pow(norm_at_root(H, 4 * m), (r - 1) // 2, r) != 1
+        else:
+            w = zp_powmod([-4 * m, 0, 1], (r**k - 1) // 2, H, r)
+            u = (len(zp_gcd(H, poly_trim([(w[0] + 1) % r, *w[1:]]), r)) - 1) // k
+        blocks += [("u", k)] * u + [("gl", k)] * (n - u)
+    return sorted(blocks, key=lambda b: (b[1] * (1 + (b[0] == "u")),
+                                         ("sp", "u", "gl").index(b[0])))
 
 
 def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:

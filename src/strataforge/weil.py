@@ -9,13 +9,16 @@ permutes the b_i and flips pairs {pi, q/pi}.  Exact splitting degrees
 (g <= 2) reduce to integer square tests; at any genus, G = W_g is certified
 from the signed cycle types of Frobenius at small primes.
 
-Nothing here factors a polynomial at genus <= 3: L is reducible iff h has
-an integer root (or L = (1 - qT^2)^2), the signed cycle types come from
-reading P mod r as a GSp element of multiplier q, whose factors pair up
-under x -> q/x (``ffield.zp_reciprocal_blocks``), and absolute simplicity
-of an irreducible L needs only squarefreeness of its power polynomials,
-decided mod small primes with the integer discriminant as exact fallback.
-sympy is imported only to decide whether h is irreducible at genus >= 4.
+Every question about P is asked of h, at half the degree.  Nothing here
+factors a polynomial at genus <= 3: L is reducible iff h has an integer
+root (or L = (1 - qT^2)^2); P is squarefree mod r iff r divides neither
+q disc(h) nor N(h) = h(2 sqrt q) h(-2 sqrt q), since disc P =
+q^(g(g-1)) disc(h)^2 N(h); the signed cycle types come from the factors
+of h mod r and the square classes of b^2 - 4q
+(``ffield.zp_reciprocal_blocks``); and absolute simplicity of an
+irreducible L needs only squarefreeness of its power polynomials P_d, the
+same exact integer test on the trace polynomials h_d.  sympy is imported
+only to decide whether h is irreducible at genus >= 4.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import math
 from functools import lru_cache
 
 from .curves import LPolynomial, coeffs_from_power_sums, power_sums
-from .ffield import is_prime, zp_reciprocal_blocks, zp_squarefree
+from .ffield import is_prime, norm_at_root, reciprocal_trace, zp_reciprocal_blocks
 
 # Entries kept by each of the three L-keyed caches below (``l_reducible``,
 # ``absolutely_simple``, ``splitting_class``).  The invariants depend on L
@@ -36,13 +39,6 @@ from .ffield import is_prime, zp_reciprocal_blocks, zp_squarefree
 # with no key shared, three full caches stay under 3 * 4096 * 650 B, 8 MB.
 WEIL_CACHE_SIZE = 4096
 WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
-# Primes ``squarefree_over_q`` tries before the exact test.  Over the power
-# polynomials of 2,937 distinct genus-2 and genus-3 L (q <= 9), 10,348 of the
-# 10,358 squarefree ones are squarefree mod one of the first 6 primes prime to
-# q (10,319 within 5).  With the exact test (the discriminant) alone,
-# census_g3_full took 7% more wall time (median 0.455 -> 0.486 s, slower in 5
-# of 6 interleaved rounds).
-SQUAREFREE_PRIMES = 6
 
 
 def frobenius_poly(L: LPolynomial) -> list[int]:
@@ -52,18 +48,8 @@ def frobenius_poly(L: LPolynomial) -> list[int]:
 
 def real_weil_coeffs(L: LPolynomial) -> list[int]:
     """Monic degree-g h with P(T) = T^g h(T + q/T); constant term first."""
-    g, q = L.genus, L.q
-    # work[j] = coefficient of T^j in the not-yet-matched part of P
-    work = frobenius_poly(L)
-    h = [0] * (g + 1)
-    for m in range(g, -1, -1):
-        d = work[g + m]
-        h[m] = d
-        if d:
-            # subtract d * T^(g-m) (T^2 + q)^m
-            for i in range(m + 1):
-                work[g - m + 2 * i] -= d * math.comb(m, i) * q ** (m - i)
-    if any(work):
+    h, rest = reciprocal_trace(frobenius_poly(L), L.q)
+    if any(rest):
         raise ValueError("polynomial does not satisfy the functional equation")
     return h
 
@@ -192,11 +178,12 @@ def signed_cycle_type(P: list[int], q: int, r: int) -> list[tuple[int, bool]]:
     squarefree mod r.
 
     P mod r is q-reciprocal, read as a GSp element of multiplier q by
-    ``zp_reciprocal_blocks``: a pair {phi, phi*} of degree k is an unflipped
-    k-cycle, and a self-dual phi of degree 2k a flipped one.  There is no
-    "sp" block: a root e of P with e^2 = q (mod r, or over F_(r^2)) gives
-    the root b = 2e of h, and near it T + q/T - b = (T - e)^2 / T, so such
-    roots always come doubled, which P squarefree mod r rules out.
+    ``zp_reciprocal_blocks`` through the factors of h mod r: a pair
+    {phi, phi*} of degree k is an unflipped k-cycle, and a self-dual phi of
+    degree 2k a flipped one.  There is no "sp" block: a root e of P with
+    e^2 = q (mod r, or over F_(r^2)) gives the root b = 2e of h, and near it
+    T + q/T - b = (T - e)^2 / T, so such roots always come doubled, which P
+    squarefree mod r rules out.
     """
     return [(d, kind == "u") for kind, d in zp_reciprocal_blocks(P, r, q % r)]
 
@@ -208,7 +195,8 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     L (as from ``l_polynomial``).  Memoized on L (see ``WEIL_CACHE_SIZE``).
 
     L must be irreducible (``l_reducible``), so h is too.  At a good prime r
-    (odd, prime to q, P squarefree mod r) Frobenius has a signed cycle type
+    (odd, prime to q, P squarefree mod r: r does not divide q disc(h) N(h),
+    see the module docstring) Frobenius has a signed cycle type
     on the roots (``signed_cycle_type``): a k-cycle on the b_i flips its
     pairs {pi, q/pi} an odd number of times iff it is a 2k-cycle on the
     roots of P.  Certified once ``WITNESS_PRIMES`` good primes show a
@@ -228,15 +216,17 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
-    P = frobenius_poly(L)
+    P, h = frobenius_poly(L), real_weil_coeffs(L)
+    disc = discriminant(h)
     transposition = cycle = g < 3
-    if not transposition and is_perfect_square(discriminant(real_weil_coeffs(L))):
+    if not transposition and is_perfect_square(disc):
         return ("undetermined", None)   # Gal(h) lies in A_g: no witness is odd
     flip = g == 1
+    bad = q * disc * norm_at_root(h, 4 * q)   # r | bad iff r | q or P is not squarefree mod r
     good, r = 0, 2
     while not (transposition and cycle and flip) and good < WITNESS_PRIMES:
         r = _next_prime(r)
-        if q % r == 0 or not zp_squarefree(P, r):
+        if bad % r == 0:
             continue
         good += 1
         signed = signed_cycle_type(P, q, r)
@@ -265,13 +255,29 @@ def splitting_class_g3(L: LPolynomial) -> tuple[str, int | None]:
 def power_charpoly(L: LPolynomial, d: int) -> list[int]:
     """Monic integer polynomial with roots the d-th powers of the Frobenius
     eigenvalues, constant term first (degree 2g)."""
-    return _power_charpoly(power_sums(L.coeffs, 2 * L.genus * d), 2 * L.genus, d)
-
-
-def _power_charpoly(ps: list[int], g2: int, d: int) -> list[int]:
-    """``power_charpoly`` from the power sums p_1..p_(g2 d) of the eigenvalues."""
+    ps = power_sums(L.coeffs, 2 * L.genus * d)
     # prod (1 - alpha^d T), reversed: the T^(2g-k) coefficient is its a_k
-    return coeffs_from_power_sums([ps[d * k - 1] for k in range(1, g2 + 1)])[::-1]
+    return coeffs_from_power_sums([ps[d * k - 1] for k in range(1, 2 * L.genus + 1)])[::-1]
+
+
+def _power_trace(ps: list[int], q: int, d: int) -> list[int]:
+    """The trace polynomial h_d of P_d = T^g h_d(T + q^d/T), monic of degree
+    g, constant term first, from ps = [2g, p_1, ..., p_(g d)], the power sums
+    of the eigenvalues alpha.  The roots of h_d are alpha^d + (q/alpha)^d,
+    one per pair, so their k-th power sum is half the sum over all alpha of
+    sum_j C(k, j) q^(d(k-j)) alpha^(d(2j-k)); with sum alpha^(-x) = p_x/q^x
+    (the alpha are the q/alpha), the j-th term is C(k, j) q^(d min(j, k-j))
+    p_(d|k-2j|), and k = g needs p_x only up to x = g d."""
+    g = ps[0] // 2
+    sums = [sum(math.comb(k, j) * q ** (d * min(j, k - j)) * ps[d * abs(k - 2 * j)]
+                for j in range(k + 1)) // 2 for k in range(1, g + 1)]
+    return coeffs_from_power_sums(sums)[::-1]
+
+
+def _reciprocal_squarefree(h: list[int], m: int) -> bool:
+    """True iff T^g h(T + m/T) is squarefree: its discriminant is
+    m^(g(g-1)) disc(h)^2 N(h), N(h) = h(2 sqrt m) h(-2 sqrt m)."""
+    return discriminant(h) != 0 and norm_at_root(h, 4 * m) != 0
 
 
 @lru_cache(maxsize=None)
@@ -307,30 +313,14 @@ def absolutely_simple(L: LPolynomial) -> bool:
     equals minpoly(pi^d)^[Q(pi) : Q(pi^d)]; so P_d is irreducible exactly when
     it is squarefree.  Conversely an irreducible P_d at any d forces P to be
     irreducible, so this agrees with requiring every P_d irreducible.
-    Squarefreeness is decided by ``squarefree_over_q``.  The power sums are
-    computed once, up to the largest d.  Results are memoized on L in a
-    bounded LRU cache (see ``WEIL_CACHE_SIZE``).
+    Squarefreeness is decided exactly on the trace polynomial h_d of P_d
+    (``_power_trace``, ``_reciprocal_squarefree``), at half the degree.
+    The power sums are computed once, up to g times the largest d.  Results
+    are memoized on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``).
     """
     if l_reducible(L):
         return False
-    g2, degrees = 2 * L.genus, _power_degrees(L.genus)
-    ps = power_sums(L.coeffs, g2 * max(degrees))
-    return all(squarefree_over_q(_power_charpoly(ps, g2, d), L.q) for d in degrees)
+    g, q, degrees = L.genus, L.q, _power_degrees(L.genus)
+    ps = [2 * g] + power_sums(L.coeffs, g * max(degrees))
+    return all(_reciprocal_squarefree(_power_trace(ps, q, d), q**d) for d in degrees)
 
-
-def squarefree_over_q(a: list[int], q: int) -> bool:
-    """True iff the monic integer polynomial a (constant term first) has no
-    repeated root.  Squarefree mod a prime r implies squarefree over Q (a
-    square factor over Z stays one mod r), so up to ``SQUAREFREE_PRIMES``
-    primes r prime to q are tried first (one of each pair pi^d, (q/pi)^d
-    vanishes mod p, so at g >= 2 the prime r = p always fails); when all
-    fail, ``discriminant(a)``, zero exactly at a repeated root, decides."""
-    tried, r = 0, 2
-    while tried < SQUAREFREE_PRIMES:
-        r = _next_prime(r)
-        if q % r == 0:
-            continue
-        tried += 1
-        if zp_squarefree(a, r):
-            return True
-    return discriminant(a) != 0

@@ -1,0 +1,41 @@
+"""Families of zeta numerators shared by the Weil-layer and Z/r tests."""
+import random
+
+import pytest
+
+from strataforge.curves import curve_new, l_polynomial
+from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
+
+# (p, model degree): exhaustive genus 2 over F_3 and F_5, genus 3 over F_3
+CENSUS = ((3, 5), (5, 5), (3, 7))
+
+# (p, n, model degree, curves): seeded samples of genus 3 over F_5 and
+# genus 2 and 3 over F_9
+SAMPLED = ((5, 1, 7, 300), (3, 2, 5, 300), (3, 2, 7, 200))
+
+
+@pytest.fixture(scope="session")
+def census_Ls():
+    """Distinct L of every odd-degree model y^2 = f(x) in each CENSUS family."""
+    out = {}
+    for p, degree in CENSUS:
+        field = field_new(p)
+        out[p, degree] = sorted(
+            {l_polynomial(curve_new(field, f))
+             for f in enumerate_monic(field, degree, squarefree_only=True)},
+            key=lambda L: L.coeffs)
+    return out
+
+
+@pytest.fixture(scope="session")
+def sampled_Ls():
+    """Distinct L of a seeded sample of each SAMPLED family."""
+    out = {}
+    for p, n, degree, size in SAMPLED:
+        field, rng, Ls = field_new(p, n), random.Random(p * n * degree), set()
+        for _ in range(size):
+            coeffs = [rng.randrange(field.size) for _ in range(degree)] + [1]
+            if poly_squarefree(field, coeffs):
+                Ls.add(l_polynomial(curve_new(field, FqPoly(field, tuple(coeffs)))))
+        out[field.size, degree] = sorted(Ls, key=lambda L: L.coeffs)
+    return out

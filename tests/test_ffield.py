@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import re
@@ -38,13 +39,16 @@ from strataforge.ffield import (
     poly_gcd,
     poly_mul,
     poly_pow,
+    poly_trim,
     squarefree,
     zp_ddf,
     zp_gcd,
     zp_mulmod,
     zp_powmod,
+    zp_reciprocal_blocks,
     zp_rem,
     zp_squarefree,
+    zp_squarefree_parts,
 )
 
 
@@ -426,6 +430,88 @@ def test_zp_ddf_decides_irreducibility_of_any_polynomial():
             for part in parts.values():
                 product = gf_mul(product, part[::-1], 3, ZZ)
             assert product == coeffs[::-1], coeffs
+
+
+def reference_reciprocal_blocks(s, r, m):
+    """Oracle for ``zp_reciprocal_blocks``: s read at its full degree.  In
+    the product g_D of the factors of degree D of s, the factors of T^2 - m
+    are "sp"; x -> m/x fixes a self-dual phi of degree D = 2k and commutes
+    with Frobenius, so it is x -> x^(r^k) on the roots of phi, and the "u"
+    factors are gcd(g_D, x x^(r^k) - m); the rest pair up as "gl"."""
+    blocks = []
+    for D, g in zp_ddf(s, r).items():
+        n = (len(g) - 1) // D
+        sp = (len(zp_gcd(g, [-m % r, 0, 1], r)) - 1) // D
+        u = 0
+        if D % 2 == 0:
+            x_times_frob = [-m % r, *zp_powmod([0, 1], r ** (D // 2), g, r)]
+            u = (len(zp_gcd(g, poly_trim(x_times_frob), r)) - 1) // D
+        blocks += [("sp", D)] * sp + [("u", D // 2)] * u + [("gl", D)] * ((n - sp - u) // 2)
+    return sorted(blocks)
+
+
+def from_trace(h, m, r):
+    """s(T) = T^n h(T + m/T) over Z/r, constant term first."""
+    n, s = len(h) - 1, [0] * (2 * len(h) - 1)
+    for j, c in enumerate(h):
+        for i in range(j + 1):
+            s[n - j + 2 * i] += c * math.comb(j, i) * m ** (j - i)
+    return [c % r for c in s]
+
+
+def test_reciprocal_blocks_match_the_full_degree_reading_on_frobenius(census_Ls, sampled_Ls):
+    """P = T^2g L(1/T) read at m = q mod r, at every good prime r < 100, for
+    every census and sampled L."""
+    compared = 0
+    for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
+        P = list(reversed(L.coeffs))
+        for r in range(3, 100):
+            if ffield.is_prime(r) and L.q % r and zp_squarefree(P, r):
+                m = L.q % r
+                blocks = sorted(zp_reciprocal_blocks(P, r, m))
+                assert blocks == reference_reciprocal_blocks(P, r, m), (L, r)
+                compared += 1
+    assert compared > 15_000
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_reciprocal_blocks_match_the_full_degree_reading_on_charpolys(g):
+    """Every squarefree part of every m-reciprocal monic chi of degree 2g
+    over Z/l, l <= 7, every unit m: the "sp" factors of T^2 - m included."""
+    kinds = set()
+    for l in (3, 5, 7):
+        for m in range(1, l):
+            for top in itertools.product(range(l), repeat=g):
+                chi = [0] * g + [*top, 1]
+                for j in range(g):
+                    chi[j] = chi[2 * g - j] * pow(m, g - j, l) % l
+                for s in zp_squarefree_parts(chi, l).values():
+                    blocks = zp_reciprocal_blocks(s, l, m)
+                    assert sorted(blocks) == reference_reciprocal_blocks(s, l, m), (chi, l, m)
+                    kinds.update(blocks)
+    assert {kind for kind, _ in kinds} == {"sp", "u", "gl"}
+
+
+def test_reciprocal_blocks_split_a_shared_degree_by_square_class():
+    """Several factors of h share a degree, so the square classes of
+    b^2 - 4m over F_(r^k) come from one gcd: at k = 1 the roots b = 0, 1, 2, 3
+    of h over F_7 (m = 3, b^2 - 12 a square at b = 0, 3), at k = 2 two
+    irreducible quadratic factors of h of either class."""
+    r, m = 7, 3
+    linear = from_trace([0, -6, 11, -6, 1], m, r)     # h = T (T - 1) (T - 2) (T - 3)
+    assert sorted(zp_reciprocal_blocks(linear, r, m)) == [("gl", 1)] * 2 + [("u", 1)] * 2
+    quadratics = {}
+    for c0, c1 in itertools.product(range(r), repeat=2):
+        s = from_trace([c0, c1, 1], m, r)
+        if list(zp_ddf([c0, c1, 1], r)) == [2] and zp_squarefree(s, r):
+            quadratics.setdefault(reference_reciprocal_blocks(s, r, m)[0][0], s)
+    assert set(quadratics) == {"u", "gl"}
+    s = gf_mul(gf_mul(linear[::-1], quadratics["u"][::-1], r, ZZ),
+               quadratics["gl"][::-1], r, ZZ)[::-1]
+    assert len(s) == 17 and zp_squarefree(s, r)
+    blocks = zp_reciprocal_blocks(s, r, m)
+    assert sorted(blocks) == reference_reciprocal_blocks(s, r, m)
+    assert sorted(blocks) == [("gl", 1)] * 2 + [("gl", 2)] + [("u", 1)] * 2 + [("u", 2)]
 
 
 @pytest.mark.parametrize("field", [field_new(5), field_new(3, 2)], ids=repr)

@@ -13,51 +13,38 @@ from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 from sympy.polys.numberfields.galoisgroups import galois_group
 
 from strataforge import weil
-from strataforge.curves import LPolynomial, curve_new, l_polynomial
+from strataforge.curves import LPolynomial, curve_new, l_polynomial, power_sums
 from strataforge.ffield import (
     FqPoly,
     enumerate_monic,
     field_new,
+    is_prime,
+    norm_at_root,
     poly_squarefree,
+    reciprocal_trace,
     zp_reciprocal_blocks,
+    zp_squarefree,
 )
 
 T, y = sympy.symbols("T y")
 
-# (p, model degree): exhaustive genus 2 over F_3 and F_5, genus 3 over F_3
-CENSUS = ((3, 5), (5, 5), (3, 7))
-
 
 @pytest.fixture(scope="module")
-def census_Ls():
-    """Distinct L of every odd-degree model y^2 = f(x) in each CENSUS family."""
-    out = {}
-    for p, degree in CENSUS:
+def genus1_and_4_Ls():
+    """Distinct L of every genus-1 model over F_3, F_5 and F_7 and of a
+    seeded sample of genus-4 models over F_3 and F_5."""
+    Ls = set()
+    for p in (3, 5, 7):
         field = field_new(p)
-        out[p, degree] = sorted(
-            {l_polynomial(curve_new(field, f))
-             for f in enumerate_monic(field, degree, squarefree_only=True)},
-            key=lambda L: L.coeffs)
-    return out
-
-
-# (p, n, model degree, curves): seeded samples of genus 3 over F_5 and
-# genus 2 and 3 over F_9
-SAMPLED = ((5, 1, 7, 300), (3, 2, 5, 300), (3, 2, 7, 200))
-
-
-@pytest.fixture(scope="module")
-def sampled_Ls():
-    """Distinct L of a seeded sample of each SAMPLED family."""
-    out = {}
-    for p, n, degree, size in SAMPLED:
-        field, rng, Ls = field_new(p, n), random.Random(p * n * degree), set()
+        Ls |= {l_polynomial(curve_new(field, f))
+               for f in enumerate_monic(field, 3, squarefree_only=True)}
+    for p, size in ((3, 120), (5, 60)):
+        field, rng = field_new(p), random.Random(p)
         for _ in range(size):
-            coeffs = [rng.randrange(field.size) for _ in range(degree)] + [1]
+            coeffs = [rng.randrange(p) for _ in range(9)] + [1]
             if poly_squarefree(field, coeffs):
                 Ls.add(l_polynomial(curve_new(field, FqPoly(field, tuple(coeffs)))))
-        out[field.size, degree] = sorted(Ls, key=lambda L: L.coeffs)
-    return out
+    return sorted(Ls, key=lambda L: (L.genus, L.q, L.coeffs))
 
 
 def sample_Ls():
@@ -146,7 +133,7 @@ def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls):
     """The L-keyed caches return what the functions compute, across fields
     sharing one cache, and the divisor-maximal d decide absolute simplicity
     exactly as every d with phi(d) <= 2g does."""
-    for key in CENSUS:
+    for key in census_Ls:
         for L in census_Ls[key]:
             full = all(weil._poly_is_irreducible(weil.power_charpoly(L, d))
                        for d in full_power_degrees(L.genus))
@@ -211,7 +198,7 @@ def test_l_reducible_matches_factorization(census_Ls):
     """The integer-root shortcut of genus >= 2 and the factorization both
     agree with sympy's factor_list; at genus 1 the real Weil polynomial is
     linear with an integer root, and L is reducible only when a^2 = 4q."""
-    for key in CENSUS:
+    for key in census_Ls:
         for L in census_Ls[key]:
             assert weil.l_reducible(L) == factors_over_q(L), L
     reducible = []
@@ -295,18 +282,40 @@ def test_reciprocal_blocks_of_frobenius_have_no_sp_block(census_Ls, sampled_Ls):
 
 
 def test_squarefree_tests_match_sympy_on_every_power_polynomial(census_Ls, sampled_Ls):
-    """Both the mod-r-first test and the exact discriminant test
-    agree with sympy's is_sqf on every P_d that ``absolutely_simple`` reads,
-    the non-squarefree ones included."""
+    """The exact test on the trace polynomial h_d, and the discriminant of
+    P_d itself, agree with sympy's is_sqf on every P_d that
+    ``absolutely_simple`` reads, the non-squarefree ones included; h_d from
+    the power sums up to g d is the trace polynomial of P_d."""
     verdicts = []
     for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
-        for d in weil._power_degrees(L.genus):
-            Pd = weil.power_charpoly(L, d)
+        degrees = weil._power_degrees(L.genus)
+        ps = [2 * L.genus] + power_sums(L.coeffs, L.genus * max(degrees))
+        for d in degrees:
+            Pd, hd = weil.power_charpoly(L, d), weil._power_trace(ps, L.q, d)
+            assert reciprocal_trace(Pd, L.q**d) == (hd, [0] * len(Pd)), (L, d)
             expected = sympy.Poly(Pd[::-1], T).is_sqf
             assert (weil.discriminant(Pd) != 0) == expected, (L, d)
-            assert weil.squarefree_over_q(Pd, L.q) == expected, (L, d)
+            assert weil._reciprocal_squarefree(hd, L.q**d) == expected, (L, d)
             verdicts.append(expected)
     assert verdicts.count(False) > 100 and verdicts.count(True) > 1000
+
+
+def test_frobenius_discriminant_factors_through_h(census_Ls, sampled_Ls, genus1_and_4_Ls):
+    """disc P = q^(g(g-1)) disc(h)^2 N(h), N(h) = h(2 sqrt q) h(-2 sqrt q),
+    at g = 1..4 (so |disc P| as well); hence, for a prime r, r divides
+    q disc(h) N(h) exactly when r | q or P is not squarefree mod r, the
+    good-prime rule of ``splitting_class``, checked at every r < 200."""
+    Ls = [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls] + genus1_and_4_Ls
+    assert {L.genus for L in Ls} == {1, 2, 3, 4}
+    primes = [r for r in range(3, 200) if is_prime(r)]
+    for L in Ls:
+        g, q, P, h = L.genus, L.q, weil.frobenius_poly(L), weil.real_weil_coeffs(L)
+        disc_h, norm = weil.discriminant(h), norm_at_root(h, 4 * q)
+        disc_P = sympy.discriminant(sympy.Poly(P[::-1], T))
+        assert disc_P == q ** (g * (g - 1)) * disc_h**2 * norm, L
+        bad = q * disc_h * norm
+        for r in primes:
+            assert (bad % r != 0) == (q % r != 0 and zp_squarefree(P, r)), (L, r)
 
 
 def test_maximal_genus3_class_has_galois_group_of_order_48(census_Ls):
