@@ -322,16 +322,10 @@ def power_sums(a: Sequence[int], upto: int) -> list[int]:
     n = len(a) - 1
     ps: list[int] = []
     for k in range(1, upto + 1):
-        if k <= n:
-            s = k * a[k]
-            for i in range(1, k):
-                s += a[i] * ps[k - i - 1]
-            ps.append(-s)
-        else:
-            s = 0
-            for i in range(1, n + 1):
-                s += a[i] * ps[k - i - 1]
-            ps.append(-s)
+        s = k * a[k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            s += a[i] * ps[k - i - 1]
+        ps.append(-s)
     return ps
 
 

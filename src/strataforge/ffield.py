@@ -15,11 +15,12 @@ as a plain int, because the Weil layer's witness primes may exceed
 ``MAX_P``: products, remainders, gcds, squarefreeness, modular powers and
 the distinct-degree factorization.  A reciprocal polynomial s(T) =
 T^n h(T + m/T) is read through its trace polynomial h, at half the degree
-(``reciprocal_trace``, ``norm_at_root``): ``zp_reciprocal_blocks`` pairs
-the factors of s mod r under x -> m/x from the factors of h and the
-square classes of b^2 - 4m at their roots b.  The modulus search runs on
-the ``zp_*`` helpers, and on F_p the ``poly_*`` helpers only delegate to
-them.  No path here imports sympy.
+(``reciprocal_trace``, ``norm_at_root``): given h with r prime to
+disc(h) N(h), ``zp_reciprocal_blocks`` pairs the factors of s mod r under
+x -> m/x from the factors of h and the square classes of b^2 - 4m at
+their roots b.  The modulus search runs on the ``zp_*`` helpers, and on
+F_p the ``poly_*`` helpers only delegate to them.  No path here imports
+sympy.
 """
 from __future__ import annotations
 
@@ -552,17 +553,17 @@ def norm_at_root(h: list[int], c: int) -> int:
     return e * e - c * o * o
 
 
-def zp_reciprocal_blocks(s: list[int], r: int, m: int) -> list[tuple[str, int]]:
-    """The blocks (kind, d) of a squarefree m-reciprocal s over Z/r (r odd,
-    m a unit), which pair its irreducible factors under x -> m/x: "gl" for
-    phi != phi* of degree d, phi* having the roots m/x of phi; "u" for
-    phi = phi* of degree 2d other than T^2 - m; "sp" for T - e, e^2 = m
-    (d = 1), or an irreducible T^2 - m (d = 2).  Sorted by the degree of
-    the factors (d, or 2d for "u"), then "sp", "u", "gl".
+def zp_reciprocal_blocks(h: list[int], r: int, m: int) -> list[tuple[str, int]]:
+    """The blocks (kind, k) of s = T^n h(T + m/T) over Z/r (r odd, m a
+    unit), read from its trace polynomial h, monic with integer
+    coefficients.  They pair the irreducible factors of s under x -> m/x:
+    "gl" for phi != phi* of degree k, phi* having the roots m/x of phi, and
+    "u" for phi = phi* of degree 2k.  In the order of ``zp_ddf(h)``: k
+    increasing, "u" before "gl".
 
-    The "sp" factors divide T^2 - m.  The rest, s', has roots pairing up as
-    {x, m/x} with x != m/x, so s' = T^n h(T + m/T) (``reciprocal_trace``),
-    read at half the degree: a factor psi of h of degree k, with root
+    Needs r prime to disc(h) N(h), N(h) = ``norm_at_root(h, 4m)``: h is
+    squarefree mod r and has no root b with b^2 = 4m, so s is squarefree
+    and prime to T^2 - m.  A factor psi of h of degree k, with root
     b = x + m/x, is the image of phi, and x is a root of T^2 - bT + m over
     F_(r^k).  When b^2 - 4m is a square there, x has degree k and phi* != phi
     (a "gl" pair); else x^(r^k) = m/x and phi = phi* has degree 2k (a "u").
@@ -570,13 +571,7 @@ def zp_reciprocal_blocks(s: list[int], r: int, m: int) -> list[tuple[str, int]]:
     Legendre symbol of its norm, ``norm_at_root(H_k, 4m)``; for several,
     the "u" factors are gcd(H_k, (T^2 - 4m)^((r^k - 1)/2) + 1).
     """
-    s = poly_trim([c % r for c in s])
-    inv = pow(s[-1], -1, r)
-    s = [c * inv % r for c in s]
-    sp = zp_gcd(s, [-m % r, 0, 1], r)
-    d = 1 if pow(m, (r - 1) // 2, r) == 1 else 2    # the degree of the factors of T^2 - m
-    blocks = [("sp", d)] * ((len(sp) - 1) // d)
-    h, _ = reciprocal_trace(zp_quo(s, sp, r), m)
+    blocks = []
     for k, H in zp_ddf(h, r).items():
         n = (len(H) - 1) // k
         if n == 1:
@@ -585,8 +580,7 @@ def zp_reciprocal_blocks(s: list[int], r: int, m: int) -> list[tuple[str, int]]:
             w = zp_powmod([-4 * m, 0, 1], (r**k - 1) // 2, H, r)
             u = (len(zp_gcd(H, poly_trim([(w[0] + 1) % r, *w[1:]]), r)) - 1) // k
         blocks += [("u", k)] * u + [("gl", k)] * (n - u)
-    return sorted(blocks, key=lambda b: (b[1] * (1 + (b[0] == "u")),
-                                         ("sp", "u", "gl").index(b[0])))
+    return blocks
 
 
 def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:

@@ -33,16 +33,11 @@ class HasseWittMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-def half_power_coeffs(field: FieldDescriptor, f_coeffs: list[int]) -> list[int]:
-    """f^((p-1)/2) on raw coefficients; at p = 3 that is f itself and no
-    product is formed.  The products go through this module's ``poly_mul``,
-    the name the perfbench tracer wraps."""
-    return pow_coeffs(field, list(f_coeffs), (field.p - 1) // 2, poly_mul)
-
-
 def hasse_witt_from_poly(field: FieldDescriptor, f_coeffs: list[int], genus: int) -> HasseWittMatrix:
-    """Matrix builder on raw coefficients; no smoothness check."""
-    h = half_power_coeffs(field, f_coeffs)
+    """Matrix builder on raw coefficients; no smoothness check.  At p = 3
+    f^((p-1)/2) is f itself and no product is formed; the products go
+    through this module's ``poly_mul``, the name the perfbench tracer wraps."""
+    h = pow_coeffs(field, list(f_coeffs), (field.p - 1) // 2, poly_mul)
     p, g = field.p, genus
     rows = []
     for i in range(1, g + 1):

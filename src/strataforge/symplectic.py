@@ -6,9 +6,10 @@ Both exact statistics are closed forms and enumerate no group.  The
 fixed-vector proportion is a Moebius inversion over the subspaces an element
 fixes pointwise.  The charpoly distribution of a multiplier coset runs over
 the l^g charpolys the coset can have and weights each by a product over its
-factors, read by ``ffield.zp_reciprocal_blocks`` (``_charpoly_blocks``).  The
-Monte Carlo baselines advance their transvection walks in numpy blocks of
-``SP_WALK_BLOCK`` walks, one batched update per step, and draw the same
+factors (``_charpoly_blocks``): those of T^2 - m split off by one gcd, the
+rest read through their trace polynomial by ``ffield.zp_reciprocal_blocks``.
+The Monte Carlo baselines advance their transvection walks in numpy blocks
+of ``SP_WALK_BLOCK`` walks, one batched update per step, and draw the same
 random codes in the same order as one walk at a time, so a seed gives the
 same matrices and the same estimates as the scalar walk.  A block draws all
 its codes at once, replaying randrange's getrandbits rejection loop on one
@@ -41,7 +42,8 @@ import numpy as np
 
 from .curves import LPolynomial
 from .errors import BudgetExceededError
-from .ffield import is_prime, zp_reciprocal_blocks, zp_squarefree_parts
+from .ffield import (is_prime, reciprocal_trace, zp_gcd, zp_quo, zp_reciprocal_blocks,
+                     zp_squarefree_parts)
 
 # Largest l^g, the number of charpolys the exact charpoly distribution reads,
 # one output entry each.  Measured 0.25 ms per charpoly at g = 1 (l = 10,007)
@@ -459,12 +461,21 @@ def matrix_charpoly(m: Matrix, l: int) -> tuple[int, ...]:
 def _charpoly_blocks(chi: list[int], l: int, m: int) -> list[tuple[str, int, int]]:
     """The blocks (kind, d, k) of an m-reciprocal charpoly chi over Z/l, one
     per factor C = G(l^d) of the centralizer of a semisimple element of the
-    coset with charpoly chi: the blocks (kind, d) of ``zp_reciprocal_blocks``
-    on the product s of the factors of multiplicity k in chi, each an
-    m-reciprocal squarefree s; C is GL_k for "gl", U_k for "u" and Sp_k for
-    "sp" (k is then even)."""
-    return [(kind, d, k) for k, s in zp_squarefree_parts(chi, l).items()
-            for kind, d in zp_reciprocal_blocks(s, l, m)]
+    coset with charpoly chi, read from the product s of the factors of
+    multiplicity k in chi, an m-reciprocal squarefree s.  Its factors
+    dividing T^2 - m, T - e with e^2 = m (d = 1) or an irreducible T^2 - m
+    (d = 2), are "sp" blocks; the rest is T^n h(T + m/T) with h squarefree
+    and no root b with b^2 = 4m, whose blocks (kind, d) are those of
+    ``zp_reciprocal_blocks`` on h.  C is GL_k for "gl", U_k for "u" and Sp_k
+    for "sp" (k is then even)."""
+    d = 1 if pow(m, (l - 1) // 2, l) == 1 else 2    # the degree of the factors of T^2 - m
+    blocks = []
+    for k, s in zp_squarefree_parts(chi, l).items():
+        sp = zp_gcd(s, [-m % l, 0, 1], l)
+        h, _ = reciprocal_trace(zp_quo(s, sp, l), m)
+        blocks += [("sp", d, k)] * ((len(sp) - 1) // d)
+        blocks += [(kind, e, k) for kind, e in zp_reciprocal_blocks(h, l, m)]
+    return blocks
 
 
 def _block_mass(kind: str, d: int, k: int, l: int) -> Fraction:

@@ -13,8 +13,8 @@ Every question about P is asked of h, at half the degree.  Nothing here
 factors a polynomial at genus <= 3: L is reducible iff h has an integer
 root (or L = (1 - qT^2)^2); P is squarefree mod r iff r divides neither
 q disc(h) nor N(h) = h(2 sqrt q) h(-2 sqrt q), since disc P =
-q^(g(g-1)) disc(h)^2 N(h); the signed cycle types come from the factors
-of h mod r and the square classes of b^2 - 4q
+q^(g(g-1)) disc(h)^2 N(h); at such r the signed cycle types come from h
+alone, its factors mod r and the square classes of b^2 - 4q
 (``ffield.zp_reciprocal_blocks``); and absolute simplicity of an
 irreducible L needs only squarefreeness of its power polynomials P_d, the
 same exact integer test on the trace polynomials h_d.  sympy is imported
@@ -64,25 +64,24 @@ def is_perfect_square(n: int) -> bool:
 def splitting_degree(L: LPolynomial) -> int:
     """Exact degree over Q of the splitting field of L, for genus <= 2.
 
-    Genus 1: 2 unless the discriminant a_1^2 - 4q is a perfect square.
+    Genus 1: 2 unless the discriminant a_1^2 - 4q = N(h) is a perfect square.
     Genus 2: [K_0 : Q] * 2^e with K_0 the splitting field of the real Weil
-    quadratic and e the number of independent quadratic sign extensions,
-    both decided by integer perfect-square tests.
+    quadratic h and e the number of independent quadratic sign extensions,
+    both decided by integer perfect-square tests (disc(h), N(h)).
     """
     g, q = L.genus, L.q
-    if g == 1:
-        delta = L.coeffs[1] ** 2 - 4 * q
-        return 1 if is_perfect_square(delta) else 2
-    if g != 2:
+    if g not in (1, 2):
         raise ValueError("exact splitting degrees are implemented for genus <= 2")
-    b1, b0 = L.coeffs[1], L.coeffs[2] - 2 * q
-    disc = b1 * b1 - 4 * b0
+    h = real_weil_coeffs(L)
+    prod_deltas = norm_at_root(h, 4 * q)   # d_1 ... d_g, an integer
+    if g == 1:
+        return 1 if is_perfect_square(prod_deltas) else 2
+    disc = discriminant(h)
     if disc < 0:
         raise ValueError("real Weil polynomial has complex roots; L is not a Weil polynomial")
-    prod_deltas = (L.coeffs[2] + 2 * q) ** 2 - 4 * q * b1 * b1  # d_1 * d_2, an integer
     if is_perfect_square(disc):
         s = math.isqrt(disc)
-        deltas = [((-b1 + s) // 2) ** 2 - 4 * q, ((-b1 - s) // 2) ** 2 - 4 * q]
+        deltas = [((-h[1] + s) // 2) ** 2 - 4 * q, ((-h[1] - s) // 2) ** 2 - 4 * q]
         classes = [d for d in deltas if not is_perfect_square(d)]
         if len(classes) < 2:
             return 2 ** len(classes)
@@ -110,7 +109,7 @@ def l_reducible(L: LPolynomial) -> bool:
     on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``), which
     ``absolutely_simple`` and ``splitting_class`` share.
 
-    Genus 1: P = T^2 + a_1 T + q splits iff a_1^2 - 4q is a square.  For
+    Genus 1: P = T^2 + a_1 T + q splits iff N(h) = a_1^2 - 4q is a square.  For
     g >= 2, P is reducible iff h is, or g = 2 and h = T^2 - 4q (that is,
     L = (1 - qT^2)^2).  Proof: a root b of an irreducible h has degree g;
     for pi with pi + q/pi = b, either [Q(pi) : Q(b)] = 2 and P, of degree
@@ -120,10 +119,9 @@ def l_reducible(L: LPolynomial) -> bool:
     by scanning |b| <= isqrt(4q); at g <= 3 a reducible monic h has one.
     Only h of degree g >= 4 goes to a factorization.
     """
-    g, q = L.genus, L.q
+    g, q, h = L.genus, L.q, real_weil_coeffs(L)
     if g == 1:
-        return is_perfect_square(L.coeffs[1] ** 2 - 4 * q)
-    h = real_weil_coeffs(L)
+        return is_perfect_square(norm_at_root(h, 4 * q))
     bound = math.isqrt(4 * q)
     if any(sum(c * b**m for m, c in enumerate(h)) == 0 for b in range(-bound, bound + 1)):
         return True
@@ -171,21 +169,19 @@ def _next_prime(r: int) -> int:
     return r
 
 
-def signed_cycle_type(P: list[int], q: int, r: int) -> list[tuple[int, bool]]:
-    """Signed cycle type of Frobenius at r on the roots of P = T^g h(T + q/T):
-    one (k, flipped) per k-cycle on the roots b of h, flipped when the cycle
-    moves pi to q/pi after k steps (a 2k-cycle on the roots of P).  Needs P
-    squarefree mod r.
+def signed_cycle_type(h: list[int], q: int, r: int) -> list[tuple[int, bool]]:
+    """Signed cycle type of Frobenius at r on the roots of P = T^g h(T + q/T),
+    given its real Weil polynomial h: one (k, flipped) per k-cycle on the
+    roots b of h, flipped when the cycle moves pi to q/pi after k steps (a
+    2k-cycle on the roots of P).  Needs r prime to q disc(h) N(h), that is
+    P squarefree mod r (see the module docstring).
 
     P mod r is q-reciprocal, read as a GSp element of multiplier q by
-    ``zp_reciprocal_blocks`` through the factors of h mod r: a pair
+    ``zp_reciprocal_blocks`` from the factors of h mod r: a pair
     {phi, phi*} of degree k is an unflipped k-cycle, and a self-dual phi of
-    degree 2k a flipped one.  There is no "sp" block: a root e of P with
-    e^2 = q (mod r, or over F_(r^2)) gives the root b = 2e of h, and near it
-    T + q/T - b = (T - e)^2 / T, so such roots always come doubled, which P
-    squarefree mod r rules out.
+    degree 2k a flipped one.
     """
-    return [(d, kind == "u") for kind, d in zp_reciprocal_blocks(P, r, q % r)]
+    return [(k, kind == "u") for kind, k in zp_reciprocal_blocks(h, r, q % r)]
 
 
 @lru_cache(maxsize=WEIL_CACHE_SIZE)
@@ -216,7 +212,7 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
-    P, h = frobenius_poly(L), real_weil_coeffs(L)
+    h = real_weil_coeffs(L)
     disc = discriminant(h)
     transposition = cycle = g < 3
     if not transposition and is_perfect_square(disc):
@@ -229,7 +225,7 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
         if bad % r == 0:
             continue
         good += 1
-        signed = signed_cycle_type(P, q, r)
+        signed = signed_cycle_type(h, q, r)
         lengths = sorted(k for k, _ in signed)
         transposition |= lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2)
         cycle |= lengths == [1, g - 1]

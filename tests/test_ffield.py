@@ -35,11 +35,13 @@ from strataforge.ffield import (
     enumerate_monic,
     field_new,
     is_square,
+    norm_at_root,
     poly_divmod,
     poly_gcd,
     poly_mul,
     poly_pow,
     poly_trim,
+    reciprocal_trace,
     squarefree,
     zp_ddf,
     zp_gcd,
@@ -50,6 +52,7 @@ from strataforge.ffield import (
     zp_squarefree,
     zp_squarefree_parts,
 )
+from strataforge.symplectic import _charpoly_blocks
 
 
 def poly_from_ints(field, ints):
@@ -433,8 +436,8 @@ def test_zp_ddf_decides_irreducibility_of_any_polynomial():
 
 
 def reference_reciprocal_blocks(s, r, m):
-    """Oracle for ``zp_reciprocal_blocks``: s read at its full degree.  In
-    the product g_D of the factors of degree D of s, the factors of T^2 - m
+    """Oracle for ``zp_reciprocal_blocks`` and ``_charpoly_blocks``: a
+    squarefree m-reciprocal s read at its full degree.  In the product g_D of the factors of degree D of s, the factors of T^2 - m
     are "sp"; x -> m/x fixes a self-dual phi of degree D = 2k and commutes
     with Frobenius, so it is x -> x^(r^k) on the roots of phi, and the "u"
     factors are gcd(g_D, x x^(r^k) - m); the rest pair up as "gl"."""
@@ -460,15 +463,17 @@ def from_trace(h, m, r):
 
 
 def test_reciprocal_blocks_match_the_full_degree_reading_on_frobenius(census_Ls, sampled_Ls):
-    """P = T^2g L(1/T) read at m = q mod r, at every good prime r < 100, for
-    every census and sampled L."""
+    """The trace polynomial h of P = T^2g L(1/T), read at m = q mod r at
+    every good prime r < 100 for every census and sampled L, against P
+    itself read at its full degree."""
     compared = 0
     for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
         P = list(reversed(L.coeffs))
+        h, _ = reciprocal_trace(P, L.q)
         for r in range(3, 100):
             if ffield.is_prime(r) and L.q % r and zp_squarefree(P, r):
                 m = L.q % r
-                blocks = sorted(zp_reciprocal_blocks(P, r, m))
+                blocks = sorted(zp_reciprocal_blocks(h, r, m))
                 assert blocks == reference_reciprocal_blocks(P, r, m), (L, r)
                 compared += 1
     assert compared > 15_000
@@ -476,8 +481,9 @@ def test_reciprocal_blocks_match_the_full_degree_reading_on_frobenius(census_Ls,
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_reciprocal_blocks_match_the_full_degree_reading_on_charpolys(g):
-    """Every squarefree part of every m-reciprocal monic chi of degree 2g
-    over Z/l, l <= 7, every unit m: the "sp" factors of T^2 - m included."""
+    """``symplectic._charpoly_blocks`` on every m-reciprocal monic chi of
+    degree 2g over Z/l, l <= 7, every unit m, against each squarefree part
+    of chi read at its full degree: the "sp" factors of T^2 - m included."""
     kinds = set()
     for l in (3, 5, 7):
         for m in range(1, l):
@@ -485,11 +491,31 @@ def test_reciprocal_blocks_match_the_full_degree_reading_on_charpolys(g):
                 chi = [0] * g + [*top, 1]
                 for j in range(g):
                     chi[j] = chi[2 * g - j] * pow(m, g - j, l) % l
-                for s in zp_squarefree_parts(chi, l).values():
-                    blocks = zp_reciprocal_blocks(s, l, m)
-                    assert sorted(blocks) == reference_reciprocal_blocks(s, l, m), (chi, l, m)
-                    kinds.update(blocks)
-    assert {kind for kind, _ in kinds} == {"sp", "u", "gl"}
+                blocks = _charpoly_blocks(chi, l, m)
+                expected = [(kind, d, k) for k, s in zp_squarefree_parts(chi, l).items()
+                            for kind, d in reference_reciprocal_blocks(s, l, m)]
+                assert sorted(blocks) == sorted(expected), (chi, l, m)
+                kinds.update(kind for kind, _, _ in blocks)
+    assert kinds == {"sp", "u", "gl"}
+
+
+def test_reciprocal_blocks_match_the_full_degree_reading_on_every_small_h():
+    """Every monic squarefree h of degree 1 to 4 over F_3, F_5 and F_7, and
+    every unit m with r not dividing N(h) = h(2 sqrt m) h(-2 sqrt m): the
+    reader's precondition, under which s = T^n h(T + m/T) is squarefree."""
+    compared = 0
+    for r in (3, 5, 7):
+        for n in (1, 2, 3, 4):
+            for f in enumerate_monic(field_new(r), n, squarefree_only=True):
+                h = list(f.coeffs)
+                for m in range(1, r):
+                    if norm_at_root(h, 4 * m) % r:
+                        s = from_trace(h, m, r)
+                        assert zp_squarefree(s, r), (h, m)
+                        blocks = sorted(zp_reciprocal_blocks(h, r, m))
+                        assert blocks == reference_reciprocal_blocks(s, r, m), (h, r, m)
+                        compared += 1
+    assert compared > 10_000
 
 
 def test_reciprocal_blocks_split_a_shared_degree_by_square_class():
@@ -498,18 +524,19 @@ def test_reciprocal_blocks_split_a_shared_degree_by_square_class():
     of h over F_7 (m = 3, b^2 - 12 a square at b = 0, 3), at k = 2 two
     irreducible quadratic factors of h of either class."""
     r, m = 7, 3
-    linear = from_trace([0, -6, 11, -6, 1], m, r)     # h = T (T - 1) (T - 2) (T - 3)
+    linear = [0, -6, 11, -6, 1]                         # h = T (T - 1) (T - 2) (T - 3)
     assert sorted(zp_reciprocal_blocks(linear, r, m)) == [("gl", 1)] * 2 + [("u", 1)] * 2
     quadratics = {}
     for c0, c1 in itertools.product(range(r), repeat=2):
-        s = from_trace([c0, c1, 1], m, r)
-        if list(zp_ddf([c0, c1, 1], r)) == [2] and zp_squarefree(s, r):
-            quadratics.setdefault(reference_reciprocal_blocks(s, r, m)[0][0], s)
+        if list(zp_ddf([c0, c1, 1], r)) == [2] and zp_squarefree(from_trace([c0, c1, 1], m, r), r):
+            kind = reference_reciprocal_blocks(from_trace([c0, c1, 1], m, r), r, m)[0][0]
+            quadratics.setdefault(kind, [c0, c1, 1])
     assert set(quadratics) == {"u", "gl"}
-    s = gf_mul(gf_mul(linear[::-1], quadratics["u"][::-1], r, ZZ),
+    h = gf_mul(gf_mul([c % r for c in linear[::-1]], quadratics["u"][::-1], r, ZZ),
                quadratics["gl"][::-1], r, ZZ)[::-1]
+    s = from_trace(h, m, r)
     assert len(s) == 17 and zp_squarefree(s, r)
-    blocks = zp_reciprocal_blocks(s, r, m)
+    blocks = zp_reciprocal_blocks(h, r, m)
     assert sorted(blocks) == reference_reciprocal_blocks(s, r, m)
     assert sorted(blocks) == [("gl", 1)] * 2 + [("gl", 2)] + [("u", 1)] * 2 + [("u", 2)]
 

@@ -250,33 +250,33 @@ def sympy_signed_cycle_type(L, r):
 
 
 def test_signed_cycle_type_matches_sympy_factorization(census_Ls, sampled_Ls):
-    """The cycle types read from the reciprocal blocks of P equal the ones
+    """The cycle types read from the reciprocal blocks of h equal the ones
     read from full factorizations mod r, at every good prime r < 30."""
     compared = 0
     for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
-        P = weil.frobenius_poly(L)
+        h = weil.real_weil_coeffs(L)
         for r in (3, 5, 7, 11, 13, 17, 19, 23, 29):
             expected = sympy_signed_cycle_type(L, r)
             if expected is not None:
-                assert sorted(weil.signed_cycle_type(P, L.q, r)) == expected, (L, r)
+                assert sorted(weil.signed_cycle_type(h, L.q, r)) == expected, (L, r)
                 compared += 1
     assert compared > 5000
 
 
-def test_reciprocal_blocks_of_frobenius_have_no_sp_block(census_Ls, sampled_Ls):
-    """At every good prime r < 30, P mod r read at m = q mod r has no
-    "sp" block (its roots e with e^2 = q would come doubled), and its blocks
-    cover all 2g roots: 2 d per "gl" pair of degree d and per "u" factor of
-    degree 2d."""
+def test_reciprocal_blocks_precondition_holds_at_every_good_prime(census_Ls, sampled_Ls):
+    """At every good prime r < 30 (r prime to q, P squarefree mod r by
+    sympy), h meets the precondition of ``zp_reciprocal_blocks``: h is
+    squarefree mod r and r does not divide N(h), so no root b of h has
+    b^2 = 4q (a root e of P with e^2 = q would come doubled).  Its blocks
+    then cover all g roots of h: d per "gl" pair and per "u" factor."""
     read = 0
     for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
-        P = weil.frobenius_poly(L)
+        P, h = weil.frobenius_poly(L), weil.real_weil_coeffs(L)
         for r in (3, 5, 7, 11, 13, 17, 19, 23, 29):
             if L.q % r == 0 or not gf_sqf_p(gf_from_int_poly(P[::-1], r), r, ZZ):
                 continue
-            blocks = zp_reciprocal_blocks(P, r, L.q % r)
-            assert all(kind != "sp" for kind, _ in blocks), (L, r)
-            assert 2 * sum(d for _, d in blocks) == 2 * L.genus, (L, r)
+            assert zp_squarefree(h, r) and norm_at_root(h, 4 * L.q) % r, (L, r)
+            assert sum(d for _, d in zp_reciprocal_blocks(h, r, L.q % r)) == L.genus, (L, r)
             read += 1
     assert read > 5000
 
@@ -349,7 +349,7 @@ def test_square_discriminant_leaves_no_transposition_witness(census_Ls, sampled_
     so reading them would have given "undetermined" as well."""
     square = 0
     for L in [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls]:
-        h, P = weil.real_weil_coeffs(L), weil.frobenius_poly(L)
+        h = weil.real_weil_coeffs(L)
         if L.genus < 3 or weil.l_reducible(L) or not weil.is_perfect_square(weil.discriminant(h)):
             continue
         square += 1
@@ -360,7 +360,7 @@ def test_square_discriminant_leaves_no_transposition_witness(census_Ls, sampled_
             if L.q % r == 0 or sympy_signed_cycle_type(L, r) is None:
                 continue
             good += 1
-            lengths = sorted(k for k, _ in weil.signed_cycle_type(P, L.q, r))
+            lengths = sorted(k for k, _ in weil.signed_cycle_type(h, L.q, r))
             assert sum(k - 1 for k in lengths) % 2 == 0, (L, r, lengths)   # even
             assert not (lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2))
     assert square >= 14
