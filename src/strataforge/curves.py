@@ -280,6 +280,21 @@ def point_count(curve: HyperellipticCurve, k: int = 1,
     return _count(curve, (k,), field_cap)[0]
 
 
+# Entries kept by each bounded LRU cache keyed on L or on the point counts
+# that give it: ``_l_from_counts``, ``prank.newton_polygon`` and the three
+# of ``weil`` (``l_reducible``, ``absolutely_simple``, ``splitting_class``).
+# These stages depend on L alone, and a census meets few distinct L (218
+# among the 1,458 genus-3 curves over F_3), but the caches live as long as
+# the process, so they are bounded.  Measured under tracemalloc on genus-2
+# and genus-3 L (q <= 49): an ``_l_from_counts`` entry with its key and its
+# L takes 280-412 B (909 L), an ``l_reducible`` entry with its key L 343 B,
+# and an entry of the other caches whose L is already held adds 282 B
+# (``absolutely_simple``, 1,434 L), 178-213 B (``splitting_class``, 1,038 L)
+# and 273-483 B (``newton_polygon``, its polygon with its Fractions, 909 L).
+# Five full caches with no key shared stay under 5 * 4096 * 800 B, 17 MB.
+L_CACHE_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class LPolynomial:
     """Zeta numerator: degree-2g integer polynomial with a_0 = 1.
@@ -370,8 +385,16 @@ def l_polynomial(curve: HyperellipticCurve,
         raise ConsistencyError(f"{exc}: counts {counts}, {_describe(curve)}") from exc
 
 
-def l_polynomial_from_counts(q: int, genus: int, counts: list[int]) -> LPolynomial:
-    """L(T) from N_1..N_g; counts past N_g must match the ones L predicts."""
+def l_polynomial_from_counts(q: int, genus: int, counts: Sequence[int]) -> LPolynomial:
+    """L(T) from N_1..N_g; counts past N_g must match the ones L predicts.
+
+    Memoized on (q, genus, counts) (see ``L_CACHE_SIZE``): equal counts give
+    the one shared, immutable L, and a failure is never cached."""
+    return _l_from_counts(q, genus, tuple(counts))
+
+
+@lru_cache(maxsize=L_CACHE_SIZE)
+def _l_from_counts(q: int, genus: int, counts: tuple[int, ...]) -> LPolynomial:
     g = genus
     if len(counts) < g:
         raise ValueError(f"genus {g} needs the counts N_1..N_{g}, got {len(counts)}")
@@ -393,8 +416,3 @@ def l_polynomial_from_counts(q: int, genus: int, counts: list[int]) -> LPolynomi
             raise ConsistencyError(
                 f"L = {a} predicts N_{k} = {predicted[k - 1]}, counted {counts[k - 1]}")
     return L
-
-
-def picard_order(curve: HyperellipticCurve) -> int:
-    """#Pic^0 over the base field: L(1)."""
-    return l_polynomial(curve)(1)

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Literal
 
-from .curves import HyperellipticCurve, LPolynomial
+from .curves import L_CACHE_SIZE, HyperellipticCurve, LPolynomial
 from .ffield import FieldDescriptor, FqPoly, poly_mul, pow_coeffs
 
 Classification = Literal["ordinary", "supersingular", "other"]
@@ -165,8 +165,10 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
+@lru_cache(maxsize=L_CACHE_SIZE)
 def newton_polygon(L: LPolynomial, p: int, n: int) -> NewtonPolygon:
-    """Lower convex hull of (i, v_p(a_i)/n); a_i = 0 contributes no point."""
+    """Lower convex hull of (i, v_p(a_i)/n); a_i = 0 contributes no point.
+    Memoized on (L, p, n) in a bounded LRU cache (see ``L_CACHE_SIZE``)."""
     if p**n != L.q:
         raise ValueError(f"q = {L.q} is not {p}^{n}")
     points = []

@@ -25,19 +25,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .curves import LPolynomial, coeffs_from_power_sums, power_sums
+from .curves import L_CACHE_SIZE, LPolynomial, coeffs_from_power_sums, power_sums
 from .ffield import is_prime, norm_at_root, reciprocal_trace, zp_reciprocal_blocks
 
-# Entries kept by each of the three L-keyed caches below (``l_reducible``,
-# ``absolutely_simple``, ``splitting_class``).  The invariants depend on L
-# alone and a census meets few distinct L (218 among the 1,458 genus-3
-# curves over F_3), but the caches live as long as the process, so they are
-# bounded.  Measured under tracemalloc on genus-2 and genus-3 L (q <= 49):
-# an ``l_reducible`` entry with its key L takes 343 B, and an entry of
-# either other cache whose L is already held adds 282 B (1,434 L) for
-# ``absolutely_simple``, 178-213 B (1,038 L) for ``splitting_class``.  Even
-# with no key shared, three full caches stay under 3 * 4096 * 650 B, 8 MB.
-WEIL_CACHE_SIZE = 4096
 WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
 
 
@@ -102,11 +92,11 @@ def _poly_is_irreducible(coeffs: list[int]) -> bool:
     return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("T")).is_irreducible
 
 
-@lru_cache(maxsize=WEIL_CACHE_SIZE)
+@lru_cache(maxsize=L_CACHE_SIZE)
 def l_reducible(L: LPolynomial) -> bool:
     """True iff L factors over the integers, for a Weil polynomial L (all
     roots of absolute value 1/sqrt(q), as from ``l_polynomial``).  Memoized
-    on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``), which
+    on L in a bounded LRU cache (see ``L_CACHE_SIZE``), which
     ``absolutely_simple`` and ``splitting_class`` share.
 
     Genus 1: P = T^2 + a_1 T + q splits iff N(h) = a_1^2 - 4q is a square.  For
@@ -184,11 +174,11 @@ def signed_cycle_type(h: list[int], q: int, r: int) -> list[tuple[int, bool]]:
     return [(k, kind == "u") for kind, k in zp_reciprocal_blocks(h, r, q % r)]
 
 
-@lru_cache(maxsize=WEIL_CACHE_SIZE)
+@lru_cache(maxsize=L_CACHE_SIZE)
 def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     """("maximal", 2^g g!) when G is provably all of W_g, else
     ("undetermined", None).  Never guesses, given a genuine Weil polynomial
-    L (as from ``l_polynomial``).  Memoized on L (see ``WEIL_CACHE_SIZE``).
+    L (as from ``l_polynomial``).  Memoized on L (see ``L_CACHE_SIZE``).
 
     L must be irreducible (``l_reducible``), so h is too.  At a good prime r
     (odd, prime to q, P squarefree mod r: r does not divide q disc(h) N(h),
@@ -295,7 +285,7 @@ def _power_degrees(g: int) -> tuple[int, ...]:
     return tuple(d for d in small if not any(e != d and e % d == 0 for e in small))
 
 
-@lru_cache(maxsize=WEIL_CACHE_SIZE)
+@lru_cache(maxsize=L_CACHE_SIZE)
 def absolutely_simple(L: LPolynomial) -> bool:
     """Certificate that the abelian variety with Frobenius polynomial P is
     absolutely simple: P irreducible and, for every d with phi(d) <= 2g, the
@@ -312,7 +302,7 @@ def absolutely_simple(L: LPolynomial) -> bool:
     Squarefreeness is decided exactly on the trace polynomial h_d of P_d
     (``_power_trace``, ``_reciprocal_squarefree``), at half the degree.
     The power sums are computed once, up to g times the largest d.  Results
-    are memoized on L in a bounded LRU cache (see ``WEIL_CACHE_SIZE``).
+    are memoized on L in a bounded LRU cache (see ``L_CACHE_SIZE``).
     """
     if l_reducible(L):
         return False

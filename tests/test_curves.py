@@ -14,7 +14,6 @@ from strataforge.curves import (
     curve_new,
     l_polynomial,
     l_polynomial_from_counts,
-    picard_order,
     point_count,
     point_counts,
     point_counts_from,
@@ -382,11 +381,16 @@ def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
     c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
     true_counts = curves.point_counts
     # N_2 off by one makes a_2 = (s_1^2 + s_2) / 2 a non-integer
-    monkeypatch.setattr(curves, "point_counts", lambda curve, upto, cap: [
-        n + (k == 2) for k, n in enumerate(true_counts(curve, upto, cap), start=1)])
-    with pytest.raises(ConsistencyError,
-                       match=re.escape("GF(3) with f = [1, 0, 1, 0, 0, 1]")):
-        l_polynomial(c)
+    bad = [n + (k == 2) for k, n in enumerate(true_counts(c, 3, POINTCOUNT_FIELD_CAP), start=1)]
+    monkeypatch.setattr(curves, "point_counts", lambda curve, upto, cap: list(bad))
+    # the L memo caches no failure: every call raises again and names its
+    # own curve, also a second curve (the translate f(x + 1)) with the same
+    # counts
+    translate = make_curve(3, [0, 1, 2, 1, 2, 1])
+    for curve, f in ((c, "[1, 0, 1, 0, 0, 1]"), (c, "[1, 0, 1, 0, 0, 1]"),
+                     (translate, "[0, 1, 2, 1, 2, 1]")):
+        with pytest.raises(ConsistencyError, match=re.escape(f"GF(3) with f = {f}")):
+            l_polynomial(curve)
 
 
 @pytest.mark.parametrize("delta,cause", [
@@ -414,6 +418,15 @@ def test_l_polynomial_from_counts_needs_g_counts():
         l_polynomial_from_counts(3, 3, [4, 10])
     L = LPolynomial(3, 2, (1, 2, 6, 6, 9))
     assert l_polynomial_from_counts(3, 2, point_counts_from(L, 2)) == L
+
+
+def test_isomorphic_models_share_one_l_polynomial():
+    """f(x) and its translate f(x + 1) have the same counts, so the L memo
+    hands both curves the one immutable LPolynomial."""
+    c = make_curve(3, [1, 0, 1, 0, 0, 1])
+    translate = make_curve(3, [0, 1, 2, 1, 2, 1])
+    assert point_counts(c, 3) == point_counts(translate, 3)
+    assert l_polynomial(c) is l_polynomial(translate)
 
 
 def test_power_sums_of_integer_roots():
@@ -469,27 +482,27 @@ def test_serre_weil_bound_on_counts():
 
 
 # ---------------------------------------------------------------------------
-# picard_order
+# #J = L(1)
 
 
-def test_picard_order_frozen_examples():
-    assert picard_order(make_curve(3, [0, 1, 0, 1])) == 4
-    assert picard_order(make_curve(3, [1, 0, 1, 1])) == 6
+def test_jacobian_order_frozen_examples():
+    assert l_polynomial(make_curve(3, [0, 1, 0, 1]))(1) == 4
+    assert l_polynomial(make_curve(3, [1, 0, 1, 1]))(1) == 6
 
 
-def test_picard_order_equals_n1_for_genus_one():
+def test_jacobian_order_equals_n1_for_genus_one():
     field = field_new(5)
     for f in enumerate_monic(field, 3, squarefree_only=True):
         c = curve_new(field, f)
-        assert picard_order(c) == point_count(c, 1)
+        assert l_polynomial(c)(1) == point_count(c, 1)
 
 
-def test_picard_order_within_weil_interval():
+def test_jacobian_order_within_weil_interval():
     import math
     field = field_new(7)
     for f in itertools.islice(enumerate_monic(field, 5, squarefree_only=True), 20):
         c = curve_new(field, f)
-        order = picard_order(c)
+        order = l_polynomial(c)(1)
         lo = (math.sqrt(7) - 1) ** (2 * c.genus)
         hi = (math.sqrt(7) + 1) ** (2 * c.genus)
         assert lo < order < hi
