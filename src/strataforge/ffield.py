@@ -18,9 +18,12 @@ T^n h(T + m/T) is read through its trace polynomial h, at half the degree
 (``reciprocal_trace``, ``norm_at_root``): given h with r prime to
 disc(h) N(h), ``zp_reciprocal_blocks`` pairs the factors of s mod r under
 x -> m/x from the factors of h and the square classes of b^2 - 4m at
-their roots b.  The modulus search runs on the ``zp_*`` helpers, and on
-F_p the ``poly_*`` helpers only delegate to them.  No path here imports
-sympy.
+their roots b.  The modulus search runs on the ``zp_*`` helpers.
+
+Polynomials over F_q (``FqPoly``, or coefficient lists of encodings) have
+two entry points: ``poly_mul`` and ``poly_squarefree``.  On F_p both run
+on the Z/r layer; on F_{p^n} they run on the descriptor's scalar ops.  No
+path here imports sympy.
 """
 from __future__ import annotations
 
@@ -296,85 +299,6 @@ def field_new(p: int, n: int = 1) -> FieldDescriptor:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-# ---------------------------------------------------------------------------
-# element and polynomial value types
-
-
-def _encodings(xs) -> list[int]:
-    """The encodings xs as plain ints (numpy integers included); a TypeError
-    names the first that is not an integer."""
-    try:
-        return list(map(operator.index, xs))
-    except TypeError:
-        bad = next(x for x in xs if not hasattr(type(x), "__index__"))
-        raise TypeError(f"element encodings are integers, got {bad!r}") from None
-
-
-@dataclass(frozen=True)
-class FqElement:
-    """A field element: a descriptor plus its integer encoding."""
-
-    field: FieldDescriptor
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _encodings([self.value])[0])
-        if not 0 <= self.value < self.field.size:
-            raise ValueError(f"element encoding {self.value} out of range")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.digits(self.value)
-
-    def _apply(self, op, other):
-        """op on the encodings; an int is a prime-field constant, and any
-        other type gives NotImplemented."""
-        if isinstance(other, FqElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return FqElement(self.field, op(self.value, other.value))
-        try:
-            b = operator.index(other) % self.field.p
-        except TypeError:
-            return NotImplemented
-        return FqElement(self.field, op(self.value, b))
-
-    def __add__(self, other):
-        return self._apply(self.field.add, other)
-
-    def __sub__(self, other):
-        return self._apply(self.field.sub, other)
-
-    def __neg__(self):
-        return FqElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        return self._apply(self.field.mul, other)
-
-    def __truediv__(self, other):
-        return self._apply(lambda a, b: self.field.mul(a, self.field.inv(b)), other)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._apply(lambda a, b: self.field.sub(b, a), other)
-
-    def __rtruediv__(self, other):
-        return self._apply(lambda a, b: self.field.mul(b, self.field.inv(a)), other)
-
-    def __pow__(self, e: int):
-        return FqElement(self.field, self.field.pow(self.value, e))
-
-    def __bool__(self):
-        return self.value != 0
-
-
-def is_square(a: FqElement) -> bool:
-    """True iff ``a`` has a square root (0 counts as a square)."""
-    return a.value == 0 or a.field.chi(a.value) == 1
-
-
 # -- raw coefficient-list polynomial helpers (hot-loop friendly) -------------
 
 
@@ -597,50 +521,27 @@ def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def poly_divmod(field: FieldDescriptor, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = field.inv(b[-1])
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        coef = field.mul(a[-1], inv_lead)
-        shift = len(a) - 1 - db
-        quot[shift] = coef
-        if coef:
-            for i in range(db + 1):
-                a[shift + i] = field.sub(a[shift + i], field.mul(coef, b[i]))
-        a.pop()
-    return poly_trim(quot), poly_trim(a)
-
-
-def poly_gcd(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
-    if field.n == 1:
-        return zp_gcd(a, b, field.p)
-    a, b = list(a), list(b)
-    while b:
-        _, a = poly_divmod(field, a, b)
-        a, b = b, a
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(c, inv) for c in a]
-    return a
-
-
-def poly_deriv(field: FieldDescriptor, a: list[int]) -> list[int]:
-    if field.n == 1:
-        return zp_deriv(a, field.p)
-    out = [field.mul(c, k % field.p) for k, c in enumerate(a)][1:]
-    return poly_trim(out)
-
-
 def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
+    """True iff a has no repeated factor over the field, that is gcd(a, a')
+    is constant.  Trailing zeros are trimmed first; the zero polynomial
+    raises ValueError.  F_p delegates to ``zp_squarefree``; F_{p^n} runs
+    one remainder-only Euclid on the descriptor's scalar ops."""
+    a = poly_trim(list(a))
     if not a:
         raise ValueError("squarefree is undefined for the zero polynomial")
     if field.n == 1:
         return zp_squarefree(a, field.p)
-    return len(poly_gcd(field, a, poly_deriv(field, a))) == 1
+    b = poly_trim([field.mul(c, k % field.p) for k, c in enumerate(a)][1:])
+    while b:
+        db, inv_lead = len(b) - 1, field.inv(b[-1])
+        while len(a) > db:                  # a <- a mod b
+            coef = field.mul(a.pop(), inv_lead)
+            if coef:
+                shift = len(a) - db
+                for i in range(db):
+                    a[shift + i] = field.sub(a[shift + i], field.mul(coef, b[i]))
+        a, b = b, poly_trim(a)
+    return len(a) == 1
 
 
 @dataclass(frozen=True)
@@ -651,8 +552,12 @@ class FqPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = poly_trim(_encodings(self.coeffs))
-        object.__setattr__(self, "coeffs", tuple(c))
+        try:                                # numpy integers become plain ints
+            c = list(map(operator.index, self.coeffs))
+        except TypeError:
+            bad = next(x for x in self.coeffs if not hasattr(type(x), "__index__"))
+            raise TypeError(f"element encodings are integers, got {bad!r}") from None
+        object.__setattr__(self, "coeffs", tuple(poly_trim(c)))
         for x in self.coeffs:
             if not 0 <= x < self.field.size:
                 raise ValueError(f"coefficient encoding {x} out of range for {self.field!r}")
@@ -665,28 +570,13 @@ class FqPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def derivative(self) -> "FqPoly":
-        return FqPoly(self.field, tuple(poly_deriv(self.field, list(self.coeffs))))
-
-
-def squarefree(f: FqPoly) -> bool:
-    """True iff gcd(f, f') is constant (f nonzero)."""
-    return poly_squarefree(f.field, list(f.coeffs))
-
-
-def poly_pow(f: FqPoly, e: int) -> FqPoly:
-    """Exact e-th power of f; degree multiplies by e."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    if e == 0:
-        return FqPoly(f.field, (1,))
-    return FqPoly(f.field, tuple(pow_coeffs(f.field, list(f.coeffs), e, poly_mul)))
-
 
 def pow_coeffs(field: FieldDescriptor, base: list[int], e: int, mul) -> list[int]:
     """base^e for e >= 1 by square-and-multiply with the product ``mul``.
     The result starts as the power of base at the lowest set bit of e, so
     no product by 1 is formed (e = 1 forms none)."""
+    if e < 1:
+        raise ValueError(f"exponent must be >= 1, got {e}")
     while not e & 1:
         base = mul(field, base, base)
         e >>= 1

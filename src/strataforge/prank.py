@@ -8,7 +8,7 @@ the field descriptor's scalar ops, serves every F_{p^n}.
 
 The two computations are independent routes to the same invariant: the
 p-rank equals the length of the slope-0 part of the Newton polygon.  The
-census layer enforces that agreement on every record.
+tests and the benchmark's output check enforce that agreement.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 from typing import Literal
 
 from .curves import L_CACHE_SIZE, HyperellipticCurve, LPolynomial
-from .ffield import FieldDescriptor, FqPoly, poly_mul, pow_coeffs
+from .ffield import FieldDescriptor, poly_mul, pow_coeffs
 
 Classification = Literal["ordinary", "supersingular", "other"]
 

@@ -5,7 +5,6 @@ import re
 import pytest
 
 from strataforge.clutching import (
-    BoundaryDivisor,
     ClutchingTree,
     boundary_catalog,
     degeneration_witness,

@@ -9,8 +9,6 @@ import sys
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
     gf_factor,
@@ -30,19 +28,15 @@ from strataforge.errors import BudgetExceededError
 from strataforge.ffield import (
     ENUMERATE_CAP,
     FieldDescriptor,
-    FqElement,
     FqPoly,
     enumerate_monic,
     field_new,
-    is_square,
     norm_at_root,
-    poly_divmod,
-    poly_gcd,
     poly_mul,
-    poly_pow,
+    poly_squarefree,
     poly_trim,
+    pow_coeffs,
     reciprocal_trace,
-    squarefree,
     zp_ddf,
     zp_gcd,
     zp_mulmod,
@@ -53,10 +47,6 @@ from strataforge.ffield import (
     zp_squarefree_parts,
 )
 from strataforge.symplectic import _charpoly_blocks
-
-
-def poly_from_ints(field, ints):
-    return FqPoly(field, tuple(c % field.p for c in ints))
 
 
 # ---------------------------------------------------------------------------
@@ -200,38 +190,6 @@ def test_frobenius_is_additive_and_fixes_elements(field):
         assert field.pow(a, q) == a  # x^q = x
 
 
-@given(st.integers(min_value=0, max_value=24), st.integers(min_value=0, max_value=24))
-@settings(max_examples=100, deadline=None)
-def test_fqelement_operators_match_descriptor(a, b):
-    field = field_new(5, 2)
-    x, y = FqElement(field, a), FqElement(field, b)
-    assert (x + y).value == field.add(a, b)
-    assert (x * y).value == field.mul(a, b)
-    assert (x - y).value == field.sub(a, b)
-    if b:
-        assert ((x / y) * y).value == a
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_int_on_the_left_is_a_prime_field_constant(n):
-    """k + x, k - x, k * x and k / x read the int k as a constant of F_p,
-    as x + k does; any other type on the left still raises TypeError."""
-    field = field_new(3, n)
-    for a in range(field.size):
-        x = FqElement(field, a)
-        for k in range(-4, 5):
-            c = FqElement(field, k % 3)
-            assert k + x == c + x and k - x == c - x and k * x == c * x
-            if a:
-                assert k / x == c / x
-        with pytest.raises(TypeError, match="unsupported operand"):
-            1.5 * x
-        with pytest.raises(TypeError, match="unsupported operand"):
-            1.5 - x
-    with pytest.raises(ZeroDivisionError):
-        2 / FqElement(field, 0)
-
-
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3), (3, 7)])
 def test_exp_walks_the_powers_of_the_least_primitive_element(p, n):
     """exp[1] is the least primitive encoding and exp[i+1] = exp[i] * exp[1],
@@ -262,37 +220,33 @@ def test_encodings_must_be_integers(bad):
     """Floats and other non-integers are refused where they enter, naming
     the value; numpy integers are accepted and stored as int."""
     field = field_new(3)
-    for make in (lambda: FqPoly(field, (bad, 1, 0, 1)), lambda: FqElement(field, bad)):
-        with pytest.raises(TypeError, match=re.escape(repr(bad))):
-            make()
-    with pytest.raises(TypeError, match="unsupported operand"):
-        FqElement(field, 1) + bad
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        FqPoly(field, (bad, 1, 0, 1))
     f = FqPoly(field, (np.int64(2), 1, 0, np.int8(1)))
     assert f.coeffs == (2, 1, 0, 1) and all(type(c) is int for c in f.coeffs)
-    assert FqElement(field, np.int64(2)) + np.int64(2) == FqElement(field, 1)
 
 
 # ---------------------------------------------------------------------------
-# is_square
+# squares: the quadratic character
 
 
 def test_is_square_f3_exhaustive():
+    """chi is 0 at 0, +1 on the squares and -1 on the rest."""
     field = field_new(3)
     squares = {field.mul(b, b) for b in range(3)}
     assert squares == {0, 1}
-    assert is_square(FqElement(field, 0))
-    assert is_square(FqElement(field, 1))
-    assert not is_square(FqElement(field, 2))
+    assert [field.chi(a) for a in range(3)] == [0, 1, -1]
 
 
 @pytest.mark.parametrize("field", [field_new(3, 2), field_new(5, 2), field_new(7, 1)], ids=repr)
 def test_is_square_agrees_with_euler_criterion(field):
+    """chi(a) = a^((q-1)/2) read as +1 or -1, and half the units are squares."""
     q = field.size
-    for a in range(q):
-        by_table = is_square(FqElement(field, a))
-        by_euler = a == 0 or field.pow(a, (q - 1) // 2) == 1
-        assert by_table == by_euler
-    assert sum(1 for a in range(1, q) if is_square(FqElement(field, a))) == (q - 1) // 2
+    assert field.chi(0) == 0
+    for a in range(1, q):
+        by_euler = 1 if field.pow(a, (q - 1) // 2) == 1 else -1
+        assert field.chi(a) == by_euler, a
+    assert sum(1 for a in range(1, q) if field.chi(a) == 1) == (q - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +291,33 @@ def sylvester_resultant_nonzero(field, f, g):
 
 def test_squarefree_examples():
     f5, f3 = field_new(5), field_new(3)
-    assert squarefree(poly_from_ints(f5, [0, -1, 0, 1]))       # x^3 - x
-    assert not squarefree(poly_from_ints(f3, [0, 0, 1]))       # x^2
-    assert squarefree(poly_from_ints(f3, [1, 0, 1, 1]))        # x^3 + x^2 + 1, f' = 2x
+    assert poly_squarefree(f5, [0, 4, 0, 1])        # x^3 - x
+    assert not poly_squarefree(f3, [0, 0, 1])       # x^2
+    assert poly_squarefree(f3, [1, 0, 1, 1])        # x^3 + x^2 + 1, f' = 2x
+    for field in (f3, field_new(3, 2)):             # the Z/r path and the Euclid
+        # trailing zeros are trimmed: the constants 1 and 2 and x are squarefree
+        assert all(poly_squarefree(field, a) for a in ([1, 0], [2], [0, 1, 0]))
+        assert not poly_squarefree(field, [0, 0, 1, 0])
 
 
-def test_squarefree_matches_resultant_on_all_monic_cubics_over_f3():
-    field = field_new(3)
+@pytest.mark.parametrize("field", [field_new(3), field_new(3, 2)], ids=repr)
+def test_squarefree_matches_resultant_on_all_monic_cubics(field):
+    """Res(f, f') != 0 by Gaussian elimination on the Sylvester matrix, an
+    oracle apart from both the Z/r path (F_3) and the Euclid over F_9."""
+    p = field.p
     for f in enumerate_monic(field, 3):
         coeffs = list(f.coeffs)
-        deriv = list(f.derivative().coeffs)
+        deriv = poly_trim([field.mul(c, k % p) for k, c in enumerate(coeffs)][1:])
         expected = sylvester_resultant_nonzero(field, coeffs, deriv) if deriv else False
-        assert squarefree(f) == expected, coeffs
+        assert poly_squarefree(field, coeffs) == expected, coeffs
 
 
 def test_squarefree_rejects_zero():
-    with pytest.raises(ValueError):
-        squarefree(FqPoly(field_new(3), ()))
+    """Every spelling of the zero polynomial, on both paths."""
+    for field in (field_new(3), field_new(3, 2)):
+        for zero in ([], [0], [0, 0]):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                poly_squarefree(field, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -541,46 +505,32 @@ def test_reciprocal_blocks_split_a_shared_degree_by_square_class():
     assert sorted(blocks) == [("gl", 1)] * 2 + [("gl", 2)] + [("u", 1)] * 2 + [("u", 2)]
 
 
-@pytest.mark.parametrize("field", [field_new(5), field_new(3, 2)], ids=repr)
-def test_poly_divmod_and_gcd_reconstruct(field):
-    """The prime-field fast path and the descriptor path both satisfy
-    a = quot * b + rem with deg rem < deg b, and the gcd divides both."""
-    rng = random.Random(field.size)
-    for _ in range(40):
-        a = random_poly(rng, field.size, rng.randrange(0, 8))
-        b = random_poly(rng, field.size, rng.randrange(0, 5))
-        quot, rem = poly_divmod(field, a, b)
-        assert len(rem) < len(b)
-        prod = poly_mul(field, quot, b) + [0] * len(a)
-        rebuilt = [field.add(x, y) for x, y in itertools.zip_longest(prod, rem, fillvalue=0)]
-        assert rebuilt[:len(a)] == a and not any(rebuilt[len(a):])
-        common = poly_gcd(field, a, b)
-        assert common[-1] == 1
-        assert not poly_divmod(field, a, common)[1] and not poly_divmod(field, b, common)[1]
-
-
 # ---------------------------------------------------------------------------
-# poly_pow
+# polynomial powers: pow_coeffs
 
 
 def test_poly_pow_edge_cases():
+    """pow_coeffs forms no product at e = 1 and refuses e < 1."""
     field = field_new(3)
-    f = poly_from_ints(field, [1, 1])  # x + 1
-    assert poly_pow(f, 0).coeffs == (1,)
-    assert poly_pow(f, 1) == f
-    assert poly_pow(f, 2).coeffs == (1, 2, 1)
+    f = [1, 1]  # x + 1
+    assert pow_coeffs(field, f, 1, poly_mul) == f
+    assert pow_coeffs(field, f, 2, poly_mul) == [1, 2, 1]
+    for e in (0, -1):
+        with pytest.raises(ValueError, match="exponent"):
+            pow_coeffs(field, f, e, poly_mul)
 
 
-@pytest.mark.parametrize("e", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2, 3, 5])
 def test_poly_pow_degree_law(e):
-    field = field_new(5)
-    f = poly_from_ints(field, [2, 0, 1, 3])
-    assert poly_pow(f, e).degree == e * f.degree
-    # repeated multiplication oracle
-    acc = [1]
-    for _ in range(e):
-        acc = poly_mul(field, acc, list(f.coeffs))
-    assert poly_pow(f, e).coeffs == tuple(acc)
+    """pow_coeffs(f, e) is e - 1 repeated products by f, of degree e deg f,
+    over F_5 and over F_9."""
+    f = [2, 0, 1, 3]
+    for field in (field_new(5), field_new(3, 2)):
+        acc = [1]
+        for _ in range(e):
+            acc = poly_mul(field, acc, f)
+        power = pow_coeffs(field, f, e, poly_mul)
+        assert power == acc and len(power) - 1 == e * (len(f) - 1), field
 
 
 def test_zero_poly_degree_sentinel():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strataforge.curves import curve_new, l_polynomial
-from strataforge.ffield import FqPoly, enumerate_monic, field_new, squarefree
+from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
 from strataforge.prank import (
     NewtonPolygon,
     classify,
@@ -321,10 +321,9 @@ def _nonordinary_sample(field, g, count, seed):
     rng = random.Random(seed)
     while count:
         coeffs = [rng.randrange(field.size) for _ in range(2 * g + 1)] + [1]
-        f = FqPoly(field, tuple(coeffs))
-        if not squarefree(f):
+        if not poly_squarefree(field, coeffs):
             continue
-        c = curve_new(field, f)
+        c = curve_new(field, FqPoly(field, tuple(coeffs)))
         if _det(field, hasse_witt(c).entries):
             continue
         count -= 1
@@ -402,7 +401,6 @@ def test_manin_congruence_seeded_extension_fields(n, g, samples):
     checked = 0
     while checked < samples:
         coeffs = [rng.randrange(field.size) for _ in range(2 * g + 1)] + [1]
-        f = FqPoly(field, tuple(coeffs))
-        if squarefree(f):
-            _assert_manin(curve_new(field, f))
+        if poly_squarefree(field, coeffs):
+            _assert_manin(curve_new(field, FqPoly(field, tuple(coeffs))))
             checked += 1
