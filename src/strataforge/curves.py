@@ -3,15 +3,21 @@ Jacobian group order.
 
 Point counting evaluates f once per Frobenius orbit: for every degree d
 that divides a requested k, at one x of each orbit of exact degree d in
-F_{q^d}^* (about q^d / d of them), all in one numpy Horner pass over the
+F_{q^d}^* (about q^d / d of them), all in one numpy pass over the
 concatenated representatives.  Conjugate x give the same character value,
 and an x of degree d | k counts d times in N_k with character
 chi_{q^d}(f(x))^(k/d), so each degree contributes two sums (of chi and of
-chi^2) that every N_k reuses.  Everything runs in the log domain: x runs
-over powers g^i of each field's generator, multiplying by x adds i, and
-adding a coefficient c is a lookup in a per-field Zech table
-(log(1 + g^n), Huber 1990) shifted by log c.  The quadratic character of
-f(x) is the parity of its final log.  The zeta numerator L(T) is recovered
+chi^2) that every N_k reuses.  A pass takes one of two routes to those
+sums, by size.  When its matrix of the digits of theta x^j (theta running
+over a basis of F_q, x over the representatives, j up to deg f) has at
+most ``MATRIX_PASS_ENTRIES`` entries, the digits of every f(x) are one
+matrix product with the digits of f's coefficients, reduced mod p, and
+each field's character table reads chi(f(x)) (``_MatrixPass``).  Larger
+passes run Horner's rule in the log domain: x runs over powers g^i of each
+field's generator, multiplying by x adds i, and adding a coefficient c is
+a lookup in a per-field Zech table (log(1 + g^n), Huber 1990) shifted by
+log c; the quadratic character of f(x) is the parity of its final log
+(``_ExtensionPass``).  The zeta numerator L(T) is recovered
 from N_1..N_g through Newton's identities and the functional equation,
 then checked against N_{g+1}, counted in the same pass (when that field is
 within budget), so that a miscount raises instead of propagating.
@@ -42,16 +48,27 @@ POINTCOUNT_FIELD_CAP = 2_000_000
 # segment of degree d adds 4/d B for each cached log(x^r) array and 16/d B
 # of Horner temporaries (int32 state and index, and the intp copy of the
 # index that ``take`` makes).  Measured for y^2 = x^3 + x + 1 (r = 1, 2):
-# 58.3 B at 103,823 elements (F_47^3 alone, segments d = 1, 3), 57.7 B at
-# 106,079 (F_47, F_47^2, F_47^3 in one pass) and 58.1 B at 1,594,323
+# 58.1 B at 103,823 elements (F_47^3 alone, segments d = 1, 3), 57.7 B at
+# 106,079 (F_47, F_47^2, F_47^3 in one pass) and 58.0 B at 1,594,323
 # (F_3^13 over F_3), all peaking in the build.  Over a base field that
-# large itself (d = 1, every element walked) the count peaks at 61.0 B:
+# large itself (d = 1, every element walked) the count peaks at 57.0 B:
 # the base's exp and log tables are built before (by ``curve_new``), but
-# its int64 self-embedding and coefficient logs add 12 B.  Each further
-# distinct gap r between nonzero coefficients adds 4/d B.
+# its int32 self-embedding and coefficient logs add 8 B.  Each further
+# distinct gap r between nonzero coefficients adds 4/d B.  These passes
+# all run the Horner route; a matrix pass is far smaller (see
+# ``MATRIX_PASS_ENTRIES``).
 POINTCOUNT_BYTES_PER_ELEMENT = 66
-# Pass tables (see _ExtensionPass) kept per process; a census meets one
-# (base field, k range) pair per field.
+# Largest float32 matrix (and mod-p table) of a pass that counts by matrix
+# products (see _MatrixPass); larger passes run log-domain Horner steps.
+# Per curve (N_1..N_{g+1}), the matrix route took about half the Horner
+# time at 23k-50k entries (F_7 genus 3, F_5 genus 4, F_3 genus 6); it still
+# won at 132k-253k entries over F_11 and F_13 (genus 3), but tied over F_9
+# (244k, genus 3) and lost over F_25 (398k, genus 2).  At this cap a matrix
+# pass holds at most 0.5 MB, and a count with fresh field tables peaked at
+# 0.9 MB (F_23 up to F_23^3, 64,845 entries).
+MATRIX_PASS_ENTRIES = 1 << 16
+# Pass tables (see _ExtensionPass, _MatrixPass) kept per process, per
+# route; a census meets one (base field, k range, model degree) per family.
 PASS_CACHE_SIZE = 4
 # Logs that ``_orbit_representatives`` tests at a time: its int64
 # temporaries then peak near 18 B * 32,768 = 0.6 MB.
@@ -122,9 +139,9 @@ def _orbit_representatives(q: int, d: int) -> np.ndarray:
     return np.concatenate(reps)
 
 
-class _ExtensionPass:
-    """Tables for one log-domain Horner pass that counts N_k, k in ``ks``,
-    from one x per Frobenius orbit.
+class _Pass:
+    """One x per Frobenius orbit for a pass that counts N_k, k in ``ks``,
+    and the N_k from its character sums.
 
     An x of exact degree d over F_q (d | k) has d conjugates, all with the
     same character value, and chi_{q^k}(f(x)) = chi_{q^d}(f(x))^(k/d), since
@@ -136,8 +153,100 @@ class _ExtensionPass:
     the number of x with f(x) != 0) over the set R_d of one x per orbit of
     exact degree d (``_orbit_representatives``); #infinity_k is 1 for an odd
     model, and for an even one 2 when chi_q(lead)^k = 1 and 0 otherwise.
-    The pass has one segment per degree d dividing some k, and holds the
-    full tables of F_{q^d} there, but its Horner state runs over R_d only.
+    The pass has one segment per degree d dividing some k (segment 0 is
+    d = 1), and ``reps`` lays the logs i of x = g^i in R_d (g the generator
+    of F_{q^d}) end to end.  A route supplies ``character_sums(curve)``:
+    per segment, the sums of chi(f(x)) and of chi(f(x))^2 over R_d.
+    """
+
+    def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
+        self.q, self.ks = base.size, ks
+        self.degrees = _degrees(ks)
+        # per k, the (segment, d, k/d odd) terms of its sum
+        self.terms = [[(seg, d, (k // d) % 2 == 1) for seg, d in enumerate(self.degrees)
+                       if k % d == 0] for k in ks]
+        reps = [_orbit_representatives(self.q, d) for d in self.degrees]
+        self.lengths = np.array([len(r) for r in reps], dtype=np.int32)
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
+        self.reps = np.concatenate(reps)
+
+    def counts(self, curve: HyperellipticCurve) -> list[int]:
+        """N_k of the curve for every k of the pass."""
+        chis, nonzero = self.character_sums(curve)
+        coeffs, log = curve.f.coeffs, curve.field.exp_log[1]
+        at_zero = 1 - 2 * (int(log[coeffs[0]]) & 1) if coeffs[0] else 0   # chi_q(c_0)
+        lead_square = int(log[coeffs[-1]]) % 2 == 0                      # chi_q(lead) = 1
+        odd_model = curve.model_degree % 2 == 1
+        out = []
+        for k, terms in zip(self.ks, self.terms):
+            total = self.q**k + at_zero**k
+            total += 1 if odd_model else 2 * (lead_square or k % 2 == 0)
+            for seg, d, odd in terms:
+                total += d * (chis[seg] if odd else nonzero[seg])
+            out.append(total)
+        return out
+
+
+class _MatrixPass(_Pass):
+    """Character sums of a pass as one matrix product per curve.
+
+    Over F_p, f(x) is linear in the digits c_{j,t} of f's coefficients
+    (c_j = sum_t c_{j,t} theta_t, theta_t the code p^t of F_q = F_{p^n}
+    embedded in F_{q^d}):
+
+      digits(f(x)) = sum over j, t of c_{j,t} digits(theta_t x^j) mod p.
+
+    Row j n + t of ``matrix`` holds digits(theta_t x^j) at every x of the
+    pass, W = n max(d) columns per x (zero past the n d digits of its own
+    segment), so one product with the curve's digit row, a lookup in
+    ``mod_p`` and a dot with the place values p^s give the code of every
+    f(x), and each field's ``chi_table`` its character.  No Zech table is
+    built.  The float32 sums are exact, as they stay below 2^24: an entry
+    of the product is at most (deg f + 1) n (p - 1)^2, the last index of
+    ``mod_p``, which ``_matrix_entries`` keeps within ``MATRIX_PASS_ENTRIES``
+    like the matrix; and a code is below q^d <= 2 d |R_d|, at most twice
+    the matrix's columns.
+    """
+
+    def __init__(self, base: FieldDescriptor, ks: tuple[int, ...], degree: int):
+        super().__init__(base, ks)
+        p, n = base.p, base.n
+        rows, self.width = (degree + 1) * n, n * self.degrees[-1]
+        matrix = np.zeros((rows, len(self.reps), self.width), dtype=np.float32)
+        self.tables, self.bounds = [], []
+        for d, start, stop in zip(self.degrees, self.starts.tolist(),
+                                  (self.starts + self.lengths).tolist()):
+            ext = field_new(p, n * d)
+            exp, log = ext.exp_log
+            thetas = log.take(base.embedding_into(ext).take(p ** np.arange(n)))
+            powers = (np.arange(degree + 1)[:, None, None] * self.reps[start:stop].astype(np.int64)
+                      + thetas[:, None])
+            powers %= ext.size - 1
+            codes = exp.take(powers).reshape(rows, -1)        # theta_t x^j, int32
+            del powers
+            for s in range(n * d):                           # digit s
+                codes, matrix[:, start:stop, s] = np.divmod(codes, p)
+            self.tables.append(ext.chi_table)
+            self.bounds.append((start, stop))
+        self.matrix = matrix.reshape(rows, -1)
+        self.mod_p = np.resize(np.arange(p, dtype=np.float32), rows * (p - 1) ** 2 + 1)
+        self.place = (p ** np.arange(self.width)).astype(np.float32)
+        self.coef_digits = (np.arange(base.size)[:, None] // p ** np.arange(n) % p).astype(np.float32)
+
+    def character_sums(self, curve: HyperellipticCurve) -> tuple[list[int], list[int]]:
+        row = self.coef_digits.take(curve.f.coeffs, axis=0).reshape(-1)
+        digits = self.mod_p.take((row @ self.matrix).astype(np.intp))
+        codes = (digits.reshape(len(self.reps), self.width) @ self.place).astype(np.intp)
+        signs = np.empty(len(codes), dtype=np.int8)
+        for table, (start, stop) in zip(self.tables, self.bounds):
+            table.take(codes[start:stop], out=signs[start:stop])
+        return (np.add.reduceat(signs, self.starts, dtype=np.int32).tolist(),
+                np.add.reduceat(signs != 0, self.starts, dtype=np.int32).tolist())
+
+
+class _ExtensionPass(_Pass):
+    """Character sums of a pass by log-domain Horner steps; it holds the
+    full tables of each F_{q^d}, but its Horner state runs over R_d only.
 
     The elements x = g^i (g the generator of F_{q^d}, i in R_d, m = q^d - 1)
     of all the segments are laid end to end.  The Horner state of an element
@@ -159,15 +268,10 @@ class _ExtensionPass:
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
-        self.q, self.ks = base.size, ks
-        degrees = sorted({d for k in ks for d in range(1, k + 1) if k % d == 0})
-        # per k, the (segment, d, k/d odd) terms of its sum; segment 0 is d = 1
-        self.terms = [[(seg, d, (k // d) % 2 == 1) for seg, d in enumerate(degrees) if k % d == 0]
-                      for k in ks]
-        exts = [field_new(base.p, base.n * d) for d in degrees]
+        exts = [field_new(base.p, base.n * d) for d in _degrees(ks)]
         self.sizes = np.array([ext.size - 1 for ext in exts], dtype=np.int32)
         self.offsets = (5 * np.concatenate(([0], np.cumsum(self.sizes)[:-1]))).astype(np.int32)
-        self.coef_logs = np.empty((base.size, len(degrees)), dtype=np.int32)
+        self.coef_logs = np.empty((base.size, len(exts)), dtype=np.int32)
         self.zech = np.zeros(5 * int(self.sizes.sum()), dtype=np.int32)
         self.chi = np.zeros(len(self.zech), dtype=np.int8)
         for seg, (ext, m, b) in enumerate(zip(exts, self.sizes.tolist(),
@@ -185,10 +289,8 @@ class _ExtensionPass:
             seg_zech += b
             self.chi[b:b + 3 * m:2] = 1
             self.chi[b + 1:b + 3 * m:2] = -1
-        reps = [_orbit_representatives(self.q, d) for d in degrees]
-        self.lengths = np.array([len(r) for r in reps], dtype=np.int32)
-        self.starts = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
-        self._x_logs = {1: np.concatenate(reps)}
+        super().__init__(base, ks)        # the representatives, past the build's peak
+        self._x_logs = {1: self.reps}
 
     def x_log(self, r: int) -> np.ndarray:
         """log(x^r) = r i mod m at every representative; built once per r."""
@@ -203,8 +305,7 @@ class _ExtensionPass:
             self._x_logs[r] = out
         return self._x_logs[r]
 
-    def counts(self, curve: HyperellipticCurve) -> list[int]:
-        """N_k of the curve for every k of the pass."""
+    def character_sums(self, curve: HyperellipticCurve) -> tuple[list[int], list[int]]:
         coeffs = curve.f.coeffs
         support = [j for j, c in enumerate(coeffs) if c]
         logs = self.coef_logs[[coeffs[j] for j in support]]   # lowest degree first
@@ -212,18 +313,7 @@ class _ExtensionPass:
         chis = np.add.reduceat(signs, self.starts, dtype=np.int32)
         chis *= 1 - 2 * (logs[0] & 1)                       # times chi_{q^d}(c_j)
         nonzero = np.add.reduceat(signs != 0, self.starts, dtype=np.int32)
-        chis, nonzero = chis.tolist(), nonzero.tolist()
-        at_zero = 1 - 2 * (int(logs[0, 0]) & 1) if coeffs[0] else 0   # chi_q(c_0)
-        lead_square = int(logs[-1, 0]) % 2 == 0                      # chi_q(lead) = 1
-        odd_model = curve.model_degree % 2 == 1
-        out = []
-        for k, terms in zip(self.ks, self.terms):
-            total = self.q**k + at_zero**k
-            total += 1 if odd_model else 2 * (lead_square or k % 2 == 0)
-            for seg, d, odd in terms:
-                total += d * (chis[seg] if odd else nonzero[seg])
-            out.append(total)
-        return out
+        return chis.tolist(), nonzero.tolist()
 
     def _horner(self, support: list[int], logs: np.ndarray) -> np.ndarray:
         """Final codes z, shifted by i when the lowest degree j is odd."""
@@ -249,6 +339,28 @@ def _extension_pass(base: FieldDescriptor, ks: tuple[int, ...]) -> _ExtensionPas
     return _ExtensionPass(base, ks)
 
 
+@lru_cache(maxsize=PASS_CACHE_SIZE)
+def _matrix_pass(base: FieldDescriptor, ks: tuple[int, ...], degree: int) -> _MatrixPass:
+    return _MatrixPass(base, ks, degree)
+
+
+def _degrees(ks: tuple[int, ...]) -> list[int]:
+    """The degrees d that divide some k, increasing: the segments of a pass."""
+    return sorted({d for k in ks for d in range(1, k + 1) if k % d == 0})
+
+
+@lru_cache(maxsize=PASS_CACHE_SIZE)
+def _matrix_entries(base: FieldDescriptor, ks: tuple[int, ...], degree: int) -> int:
+    """Entries of the larger of a _MatrixPass's matrix and its mod-p table,
+    from |R_d| = (elements of exact degree d) / d, less x = 0 at d = 1."""
+    degrees, q, rows = _degrees(ks), base.size, (degree + 1) * base.n
+    exact: list[int] = []                                  # exact[e - 1], e = 1, 2, ...
+    for e in range(1, degrees[-1] + 1):
+        exact.append(q**e - sum(exact[f - 1] for f in range(1, e) if e % f == 0))
+    reps = sum(exact[d - 1] // d for d in degrees) - 1
+    return max(rows * reps * base.n * degrees[-1], rows * (base.p - 1) ** 2 + 1)
+
+
 def _count(curve: HyperellipticCurve, ks: tuple[int, ...], field_cap: int) -> list[int]:
     for k in ks:
         ext_size = curve.q**k
@@ -256,12 +368,16 @@ def _count(curve: HyperellipticCurve, ks: tuple[int, ...], field_cap: int) -> li
             raise BudgetExceededError(
                 f"|F_q^k| = {ext_size} exceeds the point-count budget {field_cap} "
                 f"at k = {k}, {_describe(curve)}")
-    return _extension_pass(curve.field, ks).counts(curve)
+    base, degree = curve.field, curve.model_degree
+    if _matrix_entries(base, ks, degree) <= MATRIX_PASS_ENTRIES:
+        return _matrix_pass(base, ks, degree).counts(curve)
+    return _extension_pass(base, ks).counts(curve)
 
 
 def point_counts(curve: HyperellipticCurve, upto: int,
                  field_cap: int = POINTCOUNT_FIELD_CAP) -> list[int]:
-    """[N_1, ..., N_upto], all counted in one log-domain Horner pass.
+    """[N_1, ..., N_upto], all counted in one pass over the Frobenius orbits
+    (by matrix products or log-domain Horner steps, by the pass's size).
 
     Raises :class:`BudgetExceededError` at the first k with q^k above
     ``field_cap``.

@@ -252,7 +252,8 @@ class FieldDescriptor:
         Every root lies in the image of this field, the subfield
         {0} u {G^(step i)} of ``ext`` with step = (|ext| - 1) / (|self| - 1)
         and G the generator of ``ext.exp_log``, and the modulus has no root
-        0; so only those |self| - 1 elements are tried.
+        0; so only those |self| - 1 elements are tried.  int32, like the
+        exp and log tables.
         """
         if ext in self._embeddings:
             return self._embeddings[ext]
@@ -261,7 +262,7 @@ class FieldDescriptor:
         if self.n == 1 or ext == self:
             # constants encode identically; and x, the code p, is the least
             # root of a field's own modulus (smaller codes are constants)
-            table = np.arange(self.size, dtype=np.int64)
+            table = np.arange(self.size, dtype=np.int32)
         else:
             def at(coeffs, x: int) -> int:
                 acc = 0
@@ -272,7 +273,7 @@ class FieldDescriptor:
             exp, _ = ext.exp_log
             step = (ext.size - 1) // (self.size - 1)
             root = min(x for x in exp[:ext.size - 1:step].tolist() if at(self.modulus, x) == 0)
-            table = np.array([at(self.digits(a), root) for a in range(self.size)], dtype=np.int64)
+            table = np.array([at(self.digits(a), root) for a in range(self.size)], dtype=np.int32)
         self._embeddings[ext] = table
         return table
 

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import strataforge.curves as curves
 from strataforge.curves import (
+    MATRIX_PASS_ENTRIES,
     POINTCOUNT_BYTES_PER_ELEMENT,
     POINTCOUNT_FIELD_CAP,
     HyperellipticCurve,
@@ -99,6 +101,17 @@ def full_field_count(curve, k=1):
     return count + (2 if ext.chi(coeffs[-1]) == 1 else 0)
 
 
+@pytest.fixture
+def each_route(monkeypatch):
+    """Iterate a check over both point-count routes: with the matrix cap at
+    0 every pass runs Horner steps, and above every case, matrix products."""
+    def routes():
+        for route, cap in (("horner", 0), ("matrix", 1 << 62)):
+            monkeypatch.setattr(curves, "MATRIX_PASS_ENTRIES", cap)
+            yield route
+    return routes
+
+
 def nonsquare(field):
     return next(a for a in range(1, field.size)
                 if all(field.mul(y, y) != a for y in range(field.size)))
@@ -169,7 +182,8 @@ def test_point_count_over_extension_base_field():
     (5, 1, [1, 1, 0, 0, 1], "nonsquare", (1, 2)),
     (7, 1, [3, 0, 1, 0, 0, 0, 1], "square", (1, 2)),
 ])
-def test_point_count_matches_brute_force_on_leads_and_base_fields(p, n, ints, lead, ks):
+def test_point_count_matches_brute_force_on_leads_and_base_fields(p, n, ints, lead, ks,
+                                                                  each_route):
     field = field_new(p, n)
     coeffs = [c % field.size for c in ints]
     if lead == "square":
@@ -179,20 +193,22 @@ def test_point_count_matches_brute_force_on_leads_and_base_fields(p, n, ints, le
     # built directly: curve_new accepts monic f only
     c = HyperellipticCurve(field, FqPoly(field, tuple(coeffs)))
     brute = {k: brute_count(c, k) for k in range(1, max(ks) + 1)}
-    for k in ks:
-        assert point_count(c, k) == brute[k]
-    assert point_counts(c, max(ks)) == [brute[k] for k in range(1, max(ks) + 1)]
+    for route in each_route():
+        for k in ks:
+            assert point_count(c, k) == brute[k], route
+        assert point_counts(c, max(ks)) == [brute[k] for k in range(1, max(ks) + 1)], route
 
 
 @pytest.mark.parametrize("degree", [5, 6])
-def test_point_count_matches_scalar_loop_on_exhaustive_genus2_f3(degree):
+def test_point_count_matches_scalar_loop_on_exhaustive_genus2_f3(degree, each_route):
     field = field_new(3)
-    for f in enumerate_monic(field, degree, squarefree_only=True):
-        c = curve_new(field, f)
-        expected = [scalar_count(c, k) for k in (1, 2, 3)]
-        for k in (1, 2, 3):
-            assert point_count(c, k) == expected[k - 1], (f.coeffs, k)
-        assert point_counts(c, 3) == expected, f.coeffs
+    family = [curve_new(field, f) for f in enumerate_monic(field, degree, squarefree_only=True)]
+    expected = [[scalar_count(c, k) for k in (1, 2, 3)] for c in family]
+    for route in each_route():
+        for c, counts in zip(family, expected):
+            for k in (1, 2, 3):
+                assert point_count(c, k) == counts[k - 1], (route, c.f.coeffs, k)
+            assert point_counts(c, 3) == counts, (route, c.f.coeffs)
 
 
 @pytest.mark.parametrize("p,n,ints,upto", [
@@ -206,15 +222,16 @@ def test_point_count_matches_scalar_loop_on_exhaustive_genus2_f3(degree):
     (7, 1, [0, 5, 0, 1, 1], 3),                 # even degree, x + 1 = 0; roots 0 and 1
     (3, 2, [2, 3, 0, 1, 1], 2),                 # even degree over F_9, x + 1 = 0
 ])
-def test_point_counts_on_zero_runs_and_vanishing_partial_values(p, n, ints, upto):
+def test_point_counts_on_zero_runs_and_vanishing_partial_values(p, n, ints, upto, each_route):
     """Runs of zero coefficients multiply by x^r in one step, and a Horner
     value that vanishes midway (x = -c_{d-1}, or a root of f in the base
     field) must go through the zero code and come back at the next term."""
     field = field_new(p, n)
     c = HyperellipticCurve(field, FqPoly(field, tuple(x % field.size for x in ints)))
     expected = [scalar_count(c, k) for k in range(1, upto + 1)]
-    assert point_counts(c, upto) == expected
-    assert [point_count(c, k) for k in range(1, upto + 1)] == expected
+    for route in each_route():
+        assert point_counts(c, upto) == expected, route
+        assert [point_count(c, k) for k in range(1, upto + 1)] == expected, route
 
 
 def necklace_count(q, d):
@@ -254,17 +271,18 @@ def test_orbit_representatives_are_the_least_of_each_exact_orbit(q, d):
 
 
 def test_orbit_representatives_span_blocks(monkeypatch):
-    import strataforge.curves as curves
     expected = curves._orbit_representatives(5, 4).tolist()
     monkeypatch.setattr(curves, "ORBIT_BLOCK", 7)
     assert curves._orbit_representatives(5, 4).tolist() == expected
 
 
-def test_point_counts_match_scalar_loop_on_exhaustive_genus3_f3():
+def test_point_counts_match_scalar_loop_on_exhaustive_genus3_f3(each_route):
     field = field_new(3)
-    for f in enumerate_monic(field, 7, squarefree_only=True):
-        c = curve_new(field, f)
-        assert point_counts(c, 4) == [scalar_count(c, k) for k in range(1, 5)], f.coeffs
+    family = [curve_new(field, f) for f in enumerate_monic(field, 7, squarefree_only=True)]
+    expected = [[scalar_count(c, k) for k in range(1, 5)] for c in family]
+    for route in each_route():
+        for c, counts in zip(family, expected):
+            assert point_counts(c, 4) == counts, (route, c.f.coeffs)
 
 
 @pytest.mark.parametrize("p,n,ints,k", [
@@ -275,13 +293,14 @@ def test_point_counts_match_scalar_loop_on_exhaustive_genus3_f3():
     (3, 2, [1, 0, 1, 1], 4),
     (7, 1, [0, 5, 0, 1, 1], 4),                 # even model with roots 0 and 1
 ])
-def test_point_count_at_composite_degree(p, n, ints, k):
+def test_point_count_at_composite_degree(p, n, ints, k, each_route):
     """N_4 sums the segments d = 1, 2 (as chi^2) and 4; N_6 sums d = 1, 3
     (as chi^2) and 2, 6."""
     c = make_curve(p, ints, n)
     expected = scalar_count(c, k)
-    assert point_count(c, k) == expected
-    assert point_counts(c, k)[-1] == expected
+    for route in each_route():
+        assert point_count(c, k) == expected, route
+        assert point_counts(c, k)[-1] == expected, route
 
 
 @pytest.mark.parametrize("p,n,ints", [
@@ -290,7 +309,7 @@ def test_point_count_at_composite_degree(p, n, ints, k):
     (7, 1, [3, 0, 1, 0, 3]),
     (3, 2, [2, 3, 0, 1, 1]),
 ])
-def test_even_models_with_a_nonsquare_lead(p, n, ints):
+def test_even_models_with_a_nonsquare_lead(p, n, ints, each_route):
     """No point at infinity at odd k, two at even k, where the lead becomes
     a square."""
     field = field_new(p, n)
@@ -298,8 +317,9 @@ def test_even_models_with_a_nonsquare_lead(p, n, ints):
     coeffs[-1] = nonsquare(field)
     c = HyperellipticCurve(field, FqPoly(field, tuple(coeffs)))
     expected = [scalar_count(c, k) for k in range(1, 5)]
-    assert point_counts(c, 4) == expected
-    assert [point_count(c, k) for k in range(1, 5)] == expected
+    for route in each_route():
+        assert point_counts(c, 4) == expected, route
+        assert [point_count(c, k) for k in range(1, 5)] == expected, route
 
 
 def test_l_polynomial_checks_n4_on_seeded_genus3_curves_over_f27():
@@ -342,6 +362,48 @@ def test_point_counts_memory_per_element():
     assert peak < POINTCOUNT_BYTES_PER_ELEMENT * (47 + 47**2 + 47**3)
 
 
+@pytest.mark.parametrize("p,n,ints,upto,matrix", [
+    (7, 1, [3, 2, 0, 1, 0, 0, 0, 1], 4, True),      # strata_g3_sampled's pass
+    (3, 1, [1, 0, 1, 0, 0, 1], 6, True),
+    (97, 1, [1, 1, 0, 1], 2, True),                 # sums up to 4 * 96^2
+    (11, 1, [1, 2, 0, 1, 0, 0, 0, 1], 4, False),    # 132,320 entries
+    (3, 2, [1, 0, 1, 1], 4, False),                  # F_9, k = 1..4: 121,856 entries
+])
+def test_point_count_route_follows_the_matrix_size(p, n, ints, upto, matrix):
+    """A pass under MATRIX_PASS_ENTRIES builds no Horner tables, and one
+    above it no matrix."""
+    c = make_curve(p, ints, n)
+    curves._extension_pass.cache_clear()
+    curves._matrix_pass.cache_clear()
+    ks = tuple(range(1, upto + 1))
+    assert (curves._matrix_entries(c.field, ks, c.model_degree) <= MATRIX_PASS_ENTRIES) == matrix
+    expected = point_counts(c, upto)
+    assert curves._matrix_pass.cache_info().misses == matrix
+    assert curves._extension_pass.cache_info().misses == (not matrix)
+    assert expected == [full_field_count(c, k) for k in ks]
+
+
+def test_matrix_pass_memory_at_the_cap():
+    """The matrix route's largest passes (here 64,845 entries: F_23 up to
+    F_23^3, an even model of degree 4) peak under 16 B per entry of the cap,
+    with fresh field tables."""
+    field_new.cache_clear()
+    curves._matrix_pass.cache_clear()
+    c = make_curve(23, [1, 0, 2, 1, 1])
+    for k in (1, 2, 3):
+        field_new(23, k)
+    entries = curves._matrix_entries(c.field, (1, 2, 3), c.model_degree)
+    assert 0.95 * MATRIX_PASS_ENTRIES < entries <= MATRIX_PASS_ENTRIES
+    tracemalloc.start()
+    try:
+        point_counts(c, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curves._matrix_pass.cache_info().misses == 1
+    assert peak < 16 * MATRIX_PASS_ENTRIES
+
+
 def test_point_count_odd_model_always_has_a_point():
     for f in itertools.islice(enumerate_monic(field_new(3), 3, squarefree_only=True), 6):
         assert point_count(curve_new(field_new(3), f)) >= 1
@@ -377,7 +439,6 @@ def test_l_polynomial_functional_equation_and_leading_coeff():
 
 
 def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
-    import strataforge.curves as curves
     c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
     true_counts = curves.point_counts
     # N_2 off by one makes a_2 = (s_1^2 + s_2) / 2 a non-integer
@@ -398,7 +459,6 @@ def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
     (30, "Weil bound"),                        # no LPolynomial at all
 ])
 def test_l_polynomial_miscounted_n1_raises(monkeypatch, delta, cause):
-    import strataforge.curves as curves
     c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
     true_counts = curves.point_counts
     monkeypatch.setattr(curves, "point_counts", lambda curve, upto, cap: [
