@@ -41,22 +41,22 @@ from .ffield import FieldDescriptor, FqPoly, field_new, poly_squarefree
 POINTCOUNT_FIELD_CAP = 2_000_000
 # Bound on the tracemalloc peak of one point count per element counted (the
 # sum of |F_{q^k}| over the k of the pass), on fields whose tables are not
-# built yet.  The pass holds 16 B of the fields' int32 exp and log tables and
-# 25 B of Zech and character tables (5 int32 and 5 int8 entries per
-# element); building the Zech tables and the orbit representatives costs
-# about 16 B more of temporaries.  The Horner state runs over R_d, so a
-# segment of degree d adds 4/d B for each cached log(x^r) array and 16/d B
-# of Horner temporaries (int32 state and index, and the intp copy of the
-# index that ``take`` makes).  Measured for y^2 = x^3 + x + 1 (r = 1, 2):
-# 58.1 B at 103,823 elements (F_47^3 alone, segments d = 1, 3), 57.7 B at
-# 106,079 (F_47, F_47^2, F_47^3 in one pass) and 58.0 B at 1,594,323
-# (F_3^13 over F_3), all peaking in the build.  Over a base field that
-# large itself (d = 1, every element walked) the count peaks at 57.0 B:
-# the base's exp and log tables are built before (by ``curve_new``), but
-# its int32 self-embedding and coefficient logs add 8 B.  Each further
-# distinct gap r between nonzero coefficients adds 4/d B.  These passes
-# all run the Horner route; a matrix pass is far smaller (see
-# ``MATRIX_PASS_ENTRIES``).
+# built yet.  The pass holds 12 B of the fields' int32 exp and log tables (2
+# and 1 entries per element) and 25 B of Zech and character tables (5 int32
+# and 5 int8 entries per element); building the Zech tables and the orbit
+# representatives costs about 16 B more of temporaries.  The Horner state
+# runs over R_d, so a segment of degree d adds 4/d B for each cached
+# log(x^r) array and 16/d B of Horner temporaries (int32 state and index,
+# and the intp copy of the index that ``take`` makes).  Measured for
+# y^2 = x^3 + x + 1 (r = 1, 2): 54.1 B at 103,823 elements (F_47^3 alone,
+# segments d = 1, 3), 53.7 B at 106,079 (F_47, F_47^2, F_47^3 in one pass)
+# and 54.0 B at 1,594,323 (F_3^13 over F_3), all peaking in the build.
+# Over a base field that large itself (d = 1, every element walked) the
+# count peaks at 57.0 B: the base's exp and log tables are built before (by
+# ``curve_new``), but its int32 self-embedding and coefficient logs add
+# 8 B.  Each further distinct gap r between nonzero coefficients adds
+# 4/d B.  These passes all run the Horner route; a matrix pass is far
+# smaller (see ``MATRIX_PASS_ENTRIES``).
 POINTCOUNT_BYTES_PER_ELEMENT = 66
 # Largest float32 matrix (and mod-p table) of a pass that counts by matrix
 # products (see _MatrixPass); larger passes run log-domain Horner steps.
@@ -426,6 +426,8 @@ class LPolynomial:
 
     def __post_init__(self):
         g = self.genus
+        if g < 1:
+            raise ValueError(f"genus must be >= 1, got {g}")
         if len(self.coeffs) != 2 * g + 1:
             raise ValueError("L must have degree exactly 2g")
         if self.coeffs[0] != 1:
@@ -512,6 +514,8 @@ def l_polynomial_from_counts(q: int, genus: int, counts: Sequence[int]) -> LPoly
 @lru_cache(maxsize=L_CACHE_SIZE)
 def _l_from_counts(q: int, genus: int, counts: tuple[int, ...]) -> LPolynomial:
     g = genus
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     if len(counts) < g:
         raise ValueError(f"genus {g} needs the counts N_1..N_{g}, got {len(counts)}")
     # sum of alpha^k over the Frobenius eigenvalues: q^k + 1 - N_k

@@ -156,11 +156,12 @@ class FieldDescriptor:
     def _ensure_exp_log(self) -> None:
         """Discrete-log tables for a fixed generator g, built once per field.
 
-        ``_exp`` has 3(q-1) int32 entries: g^(i mod (q-1)) for i < 2(q-1),
-        then zeros.  ``_log[a]`` is the log of a != 0 and ``_log[0]`` is the
-        sentinel 2(q-1), so ``_exp[_log[a] + i]`` is a * g^i for every a and
-        every 0 <= i < q-1, zero included, with no modulo and no mask.
-        int32 holds these indices for fields of up to 7*10^8 elements.
+        ``_exp`` has 2(q-1) int32 entries, g^(i mod (q-1)), so
+        ``_exp[_log[a] + _log[b]]`` is a * b for nonzero a and b with no
+        modulo.  ``_log[a]`` is the log of a != 0 and ``_log[0]`` is 2(q-1),
+        one past the end of ``_exp``, so an exp lookup at the log of zero
+        raises instead of reading a value.  int32 holds these indices for
+        fields of up to 10^9 elements.
 
         g is the least primitive encoding.  Every product is digits times a
         multiply-by-c matrix (``_times_pow``): the first block g^0..g^(b-1),
@@ -178,7 +179,7 @@ class FieldDescriptor:
         while len(digits) < b:
             digits = np.vstack([digits, digits @ self._times_pow(gen, len(digits)) % p])
         digits, step, place = digits[:b], self._times_pow(gen, b), p ** np.arange(n)
-        exp = np.zeros(3 * (q - 1), dtype=np.int32)
+        exp = np.empty(2 * (q - 1), dtype=np.int32)
         for start in range(0, q - 1, b):
             exp[start:min(start + b, q - 1)] = (digits @ place)[:q - 1 - start]
             digits = digits @ step % p

@@ -1,6 +1,6 @@
-"""Exact linear algebra over Z/l for Sp_2g and GSp_2g: membership,
-multipliers, random sampling, and the fixed-vector / characteristic-polynomial
-statistics used as equidistribution baselines.
+"""The fixed-vector and characteristic-polynomial statistics of the
+multiplier cosets of Sp_2g(Z/l) in GSp_2g(Z/l), the equidistribution
+baselines, exact and Monte Carlo.
 
 Both exact statistics are closed forms and enumerate no group.  The
 fixed-vector proportion is a Moebius inversion over the subspaces an element
@@ -11,22 +11,22 @@ rest read through their trace polynomial by ``ffield.zp_reciprocal_blocks``.
 The Monte Carlo baselines advance their transvection walks in numpy blocks
 of ``SP_WALK_BLOCK`` walks, one batched update per step, and draw the same
 random codes in the same order as one walk at a time, so a seed gives the
-same matrices and the same estimates as the scalar walk.  A block draws all
-its codes at once, replaying randrange's getrandbits rejection loop on one
-bulk read of the stream (``_randbelow_many``), and reduces its matrices mod l
-only every few steps, as often as int64 needs (``_reduction_interval``).
+same matrices as products of transvection matrices, walk after walk.  A
+block draws all its codes at once, replaying randrange's getrandbits
+rejection loop on one bulk read of the stream (``_randbelow_many``), and
+reduces its matrices mod l only every few steps, as often as int64 needs
+(``_reduction_interval``).
 
 Every statistic of a coset element reads one kernel, ``_charpolys``: the
 characteristic polynomials mod l of a whole block of matrices by
-Berkowitz's division-free recurrence.  ``matrix_charpoly`` is its
-one-matrix case, a fixed vector of M is a zero of its charpoly at 1, and
-the Monte Carlo charpoly distribution counts its rows.  ``det_mod`` and
-``has_nonzero_fixed_vector`` stay as scalar eliminations, the independent
-references for the kernel.
+Berkowitz's division-free recurrence.  A fixed vector of M is a zero of
+its charpoly at 1, and the Monte Carlo charpoly distribution counts its
+rows.  ``det_mod`` (an elimination) and ``mat_mul`` stay as the scalar
+references for the kernel and the walks, on matrices that are tuples of
+row tuples, and as names the benchmark's tracer wraps.
 
 The symplectic form is the antidiagonal split form J: J[i, 2g+1-i] = +1 for
-i <= g and -1 for i > g (1-indexed).  All matrices are tuples of row tuples
-with entries reduced mod l.
+i <= g and -1 for i > g (1-indexed).
 """
 from __future__ import annotations
 
@@ -75,34 +75,11 @@ def _check_l(l: int) -> None:
         raise ValueError(f"l must be an odd prime, got {l}")
 
 
-def symplectic_form(g: int, l: int) -> Matrix:
-    """The fixed antidiagonal form J."""
-    d = 2 * g
-    rows = []
-    for i in range(1, d + 1):
-        row = [0] * d
-        row[d - i] = 1 if i <= g else l - 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def identity(d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
 def mat_mul(a: Matrix, b: Matrix, l: int) -> Matrix:
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % l for col in bt)
         for row in a)
-
-
-def mat_sub(a: Matrix, b: Matrix, l: int) -> Matrix:
-    return tuple(tuple((x - y) % l for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def det_mod(a: Matrix, l: int) -> int:
@@ -125,55 +102,6 @@ def det_mod(a: Matrix, l: int) -> int:
     return det % l
 
 
-def pairing(x: tuple[int, ...], y: tuple[int, ...], g: int, l: int) -> int:
-    """<x, y> = x^T J y for the fixed form."""
-    d = 2 * g
-    total = 0
-    for i in range(g):
-        total += x[i] * y[d - 1 - i] - x[d - 1 - i] * y[i]
-    return total % l
-
-
-def _jv(v, g: int) -> list[int]:
-    """The vector Jv, unreduced: <x, v> = sum_j x[j] * Jv[j], so
-    Jv[j] = v[d-1-j] for j < g and -v[d-1-j] otherwise."""
-    return [*v[:g - 1:-1]] + [-x for x in v[g - 1::-1]]
-
-
-def transvection(v: tuple[int, ...], g: int, l: int) -> Matrix:
-    """T_v = 1 + v (Jv)^T: x -> x + <x, v> v.  Always symplectic."""
-    d = 2 * g
-    jv = _jv(v, g)
-    return tuple(
-        tuple((int(i == j) + v[i] * jv[j]) % l for j in range(d))
-        for i in range(d))
-
-
-def multiplier(m: Matrix, l: int) -> int:
-    """The scalar mu with m^T J m = mu J; raises if none exists."""
-    _check_l(l)
-    d = len(m)
-    if d % 2:
-        raise ValueError("matrix dimension must be even")
-    g = d // 2
-    j = symplectic_form(g, l)
-    lhs = mat_mul(mat_mul(mat_transpose(m), j, l), m, l)
-    mu = lhs[0][d - 1]  # J[0][d-1] = 1
-    if mu == 0:
-        raise ValueError("matrix is not in GSp (degenerate pairing image)")
-    expected = tuple(tuple(mu * x % l for x in row) for row in j)
-    if lhs != expected:
-        raise ValueError("matrix is not in GSp (no multiplier exists)")
-    return mu
-
-
-def is_symplectic(m: Matrix, l: int) -> bool:
-    try:
-        return multiplier(m, l) == 1
-    except ValueError:
-        return False
-
-
 def _sp_card(n: int, l: int) -> int:
     """|Sp_2n(Z/l)|, with |Sp_0| = 1."""
     return l ** (n * n) * math.prod(l ** (2 * i) - 1 for i in range(1, n + 1))
@@ -185,26 +113,6 @@ def sp_order(g: int, l: int) -> int:
         raise ValueError("g must be >= 1")
     _check_l(l)
     return _sp_card(g, l)
-
-
-def multiplier_coset_rep(g: int, l: int, m: int) -> Matrix:
-    """The fixed diagonal multiplier-m element: diag(m,...,m,1,...,1)."""
-    d = 2 * g
-    return tuple(
-        tuple((m if i <= g - 1 else 1) if i == j else 0 for j in range(d))
-        for i in range(d))
-
-
-def random_sp(g: int, l: int, seed: int, walk_length: int = DEFAULT_WALK_LENGTH) -> Matrix:
-    """Lazy transvection walk: ``walk_length`` steps, each a transvection
-    T_v with v uniform over all vectors (v = 0 contributes an identity step).
-
-    The lazy step matters: Sp_2(Z/3) is not perfect, so a fixed-length
-    product of honest transvections stays inside one coset of the derived
-    subgroup and can never be uniform.
-    """
-    (block,) = _random_sp_blocks(g, l, random.Random(seed), 1, walk_length)
-    return tuple(map(tuple, block[0].tolist()))
 
 
 def _check_walk(g: int, l: int, walk_length: int) -> None:
@@ -232,10 +140,17 @@ def _reduction_interval(d: int, l: int) -> int:
 
 def _random_sp_blocks(g: int, l: int, rng: random.Random, n: int,
                       walk_length: int) -> Iterator[np.ndarray]:
-    """``n`` walks of ``random_sp`` from ``rng``, yielded as (b, 2g, 2g)
+    """``n`` lazy transvection walks from ``rng``, yielded as (b, 2g, 2g)
     arrays of at most ``SP_WALK_BLOCK`` walks each, entries reduced mod l.
-    Each block is built in its own call, so that its codes are freed before
-    the next block draws."""
+    A walk takes ``walk_length`` steps, each a transvection T_v with v
+    uniform over all vectors (v = 0 contributes an identity step).  Each
+    block is built in its own call, so that its codes are freed before the
+    next block draws.
+
+    The lazy step matters: Sp_2(Z/3) is not perfect, so a fixed-length
+    product of honest transvections stays inside one coset of the derived
+    subgroup and can never be uniform.
+    """
     _check_walk(g, l, walk_length)
     for start in range(0, n, SP_WALK_BLOCK):
         yield _random_sp_block(g, l, rng, min(SP_WALK_BLOCK, n - start), walk_length)
@@ -298,19 +213,15 @@ def _random_sp_block(g: int, l: int, rng: random.Random, b: int,
     return m
 
 
-def _coset_sample_blocks(g: int, l: int, m: int, n: int, seed: int,
-                         walk_length: int) -> Iterator[np.ndarray]:
+def _coset_sample_blocks(g: int, l: int, m: int, n: int, seed: int) -> Iterator[np.ndarray]:
     """The blocks of ``_random_sp_blocks`` from ``seed``, each walk sample M
-    times the coset rep D_m in place: M D_m scales the first g columns by m."""
+    times the coset rep D_m = diag(m, ..., m, 1, ..., 1) in place: M D_m
+    scales the first g columns by m."""
     scale = np.array([m] * g + [1] * g)
-    for block in _random_sp_blocks(g, l, random.Random(seed), n, walk_length):
+    for block in _random_sp_blocks(g, l, random.Random(seed), n, DEFAULT_WALK_LENGTH):
         block *= scale
         block %= l
         yield block
-
-
-def has_nonzero_fixed_vector(m: Matrix, l: int) -> bool:
-    return det_mod(mat_sub(m, identity(len(m)), l), l) == 0
 
 
 def _charpolys(a: np.ndarray, l: int) -> np.ndarray:
@@ -416,8 +327,7 @@ def _fixed_point_free_count(g: int, l: int, m: int) -> int:
 
 
 def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
-                            n: int = 100_000, seed: int = 0,
-                            walk_length: int = DEFAULT_WALK_LENGTH):
+                            n: int = 100_000, seed: int = 0):
     """Proportion of the multiplier-m coset of GSp_2g(Z/l) fixing a nonzero
     vector (equivalently det(M - 1) = 0).
 
@@ -433,7 +343,7 @@ def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
         _check_samples(n)
         # charpoly(1) = det(1 - M): zero exactly when M fixes a vector
         hits = sum(int((_charpolys(block, l).sum(axis=1) % l == 0).sum())
-                   for block in _coset_sample_blocks(g, l, m, n, seed, walk_length))
+                   for block in _coset_sample_blocks(g, l, m, n, seed))
         return MonteCarloEstimate.from_hits(hits, n)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -449,13 +359,6 @@ def charpoly_mod(L: LPolynomial, l: int) -> tuple[int, ...]:
     if L.q % l == 0:
         raise ValueError("l must differ from the characteristic")
     return tuple(c % l for c in reversed(L.coeffs))
-
-
-def matrix_charpoly(m: Matrix, l: int) -> tuple[int, ...]:
-    """det(T*1 - M) mod the prime l, constant term first: the one-matrix
-    case of ``_charpolys``."""
-    a = np.array([m], dtype=object) % l
-    return tuple(_charpolys(a.astype(_entry_dtype(len(m), l)), l)[0].tolist())
 
 
 def _charpoly_blocks(chi: list[int], l: int, m: int) -> list[tuple[str, int, int]]:
@@ -520,6 +423,6 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
         raise ValueError(f"unknown mode {mode!r}")
     _check_samples(n)
     counts: Counter[tuple[int, ...]] = Counter()
-    for block in _coset_sample_blocks(g, l, m, n, seed, DEFAULT_WALK_LENGTH):
+    for block in _coset_sample_blocks(g, l, m, n, seed):
         counts.update(map(tuple, _charpolys(block, l).tolist()))
     return {k: Fraction(v, n) for k, v in counts.items()}

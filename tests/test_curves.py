@@ -75,8 +75,9 @@ def scalar_count(curve, k=1):
 
 def full_field_count(curve, k=1):
     """Oracle for large fields: f at every x of F_{q^k} in numpy, x = G^i
-    multiplied through the exp/log tables and each coefficient added digit
-    by digit in base p (no Zech table, no Frobenius orbit)."""
+    multiplied through the exp/log tables (a zero accumulator stays zero)
+    and each coefficient added digit by digit in base p (no Zech table, no
+    Frobenius orbit)."""
     base = curve.field
     ext = field_new(base.p, base.n * k)
     emb = base.embedding_into(ext)
@@ -85,7 +86,9 @@ def full_field_count(curve, k=1):
     i = np.arange(ext.size - 1, dtype=np.int32)
     acc = np.zeros(ext.size - 1, dtype=np.int32)
     for c in reversed(coeffs):
-        acc = exp[log[acc] + i]                          # acc * x, zero included
+        zero = acc == 0
+        acc = exp[np.where(zero, 0, log[acc]) + i]       # acc * x
+        acc[zero] = 0
         change, place = np.zeros_like(acc), 1
         while c:
             c, digit = divmod(c, ext.p)
@@ -476,6 +479,9 @@ def test_l_polynomial_skips_the_check_count_above_the_budget():
 def test_l_polynomial_from_counts_needs_g_counts():
     with pytest.raises(ValueError, match="genus 3 needs the counts N_1..N_3, got 2"):
         l_polynomial_from_counts(3, 3, [4, 10])
+    for genus in (0, -1):      # a caller's error, not a ConsistencyError on the counts
+        with pytest.raises(ValueError, match=rf"genus must be >= 1, got {genus}$"):
+            l_polynomial_from_counts(5, genus, [])
     L = LPolynomial(3, 2, (1, 2, 6, 6, 9))
     assert l_polynomial_from_counts(3, 2, point_counts_from(L, 2)) == L
 
@@ -511,6 +517,9 @@ def test_lpolynomial_validation():
         LPolynomial(3, 1, (1, -4, 3))      # L(1) = 0
     with pytest.raises(ValueError):
         LPolynomial(9, 1, (1, 11, 9))      # Weil bound
+    for genus, coeffs in ((0, (1,)), (-1, (1,)), (-1, ())):
+        with pytest.raises(ValueError, match=rf"genus must be >= 1, got {genus}$"):
+            LPolynomial(5, genus, coeffs)
 
 
 def test_base_change_consistency_genus1():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,23 @@ def test_unread_imports_are_found():
                          ids=lambda path: path.name)
 def test_library_modules_read_every_import(path):
     assert unread_imports(path.read_text()) == []
+
+
+def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
+    """The benchmark's traced pass wraps library functions by name, so a
+    library change that deletes or renames one fails here, with an
+    AttributeError from ``install_tracing``; the wrappers are removed again."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import strataforge
+    import tracing
+    import workloads
+
+    lib = workloads.import_library()
+    owners = [strataforge, *lib.values(), lib["ffield"].FieldDescriptor]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer(time.perf_counter)
+    try:
+        workloads.install_tracing(tracer, lib)
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -12,11 +12,13 @@ from strataforge.errors import BudgetExceededError
 from strataforge.ffield import zp_squarefree_parts
 from strataforge.symplectic import (
     CHARPOLY_BUDGET,
+    DEFAULT_WALK_LENGTH,
     SP_WALK_BLOCK,
     SP_WALK_BYTES_PER_WALK,
     MonteCarloEstimate,
     _charpoly_blocks,
     _charpolys,
+    _coset_sample_blocks,
     _entry_dtype,
     _randbelow_many,
     _random_sp_blocks,
@@ -26,31 +28,59 @@ from strataforge.symplectic import (
     coset_charpoly_distribution,
     det_mod,
     fixed_vector_proportion,
-    has_nonzero_fixed_vector,
-    identity,
-    is_symplectic,
     mat_mul,
-    mat_sub,
-    matrix_charpoly,
-    multiplier,
-    multiplier_coset_rep,
-    pairing,
-    random_sp,
     sp_order,
-    symplectic_form,
-    transvection,
 )
 
 
 # ---------------------------------------------------------------------------
-# form and multiplier
+# the scalar references: form, multiplier, transvections, coset reps
+
+
+def symplectic_form(g, l):
+    """The antidiagonal form J: J[i, 2g+1-i] = +1 for i <= g, -1 after."""
+    d = 2 * g
+    return tuple(tuple((1 if i < g else l - 1) if j == d - 1 - i else 0 for j in range(d))
+                 for i in range(d))
+
+
+def identity(d):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
+def multiplier(m, l):
+    """The scalar mu with m^T J m = mu J; raises if none exists."""
+    g = len(m) // 2
+    j = symplectic_form(g, l)
+    lhs = mat_mul(mat_mul(tuple(zip(*m)), j, l), m, l)
+    mu = lhs[0][2 * g - 1]  # J[0][d-1] = 1
+    if mu == 0 or lhs != tuple(tuple(mu * x % l for x in row) for row in j):
+        raise ValueError("matrix is not in GSp")
+    return mu
+
+
+def transvection(v, g, l):
+    """T_v = 1 + v (Jv)^T: x -> x + <x, v> v, with Jv[j] = +-v[d-1-j]."""
+    d = 2 * g
+    jv = [v[d - 1 - j] if j < g else -v[d - 1 - j] for j in range(d)]
+    return tuple(tuple((int(i == j) + v[i] * jv[j]) % l for j in range(d)) for i in range(d))
+
+
+def coset_rep(g, m):
+    """D_m = diag(m, ..., m, 1, ..., 1), of multiplier m."""
+    return tuple(tuple((m if i < g else 1) * (i == j) for j in range(2 * g))
+                 for i in range(2 * g))
+
+
+def fixes_a_vector(m, l):
+    """The fixed-vector enumeration's test: det(M - 1) = 0 mod l."""
+    return det_mod([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)], l) == 0
 
 
 def test_symplectic_form_is_skew_and_invertible():
-    from strataforge.symplectic import det_mod, mat_transpose
     for g, l in [(1, 3), (2, 3), (2, 5)]:
         j = symplectic_form(g, l)
-        assert mat_transpose(j) == tuple(tuple((-x) % l for x in row) for row in j)
+        assert tuple(zip(*j)) == tuple(tuple((-x) % l for x in row) for row in j)
         assert det_mod(j, l) != 0
 
 
@@ -78,9 +108,8 @@ def test_multiplier_rejects_non_gsp():
 
 def test_multiplier_is_multiplicative():
     for l in (3, 5):
-        a = random_sp(1, l, seed=1)
-        b = random_sp(1, l, seed=2)
-        d2 = multiplier_coset_rep(1, l, 2)
+        a, b = _kernel_walks(1, l, random.Random(1), 2)
+        d2 = coset_rep(1, 2)
         for x in (a, mat_mul(a, d2, l)):
             for y in (b, mat_mul(b, d2, l)):
                 assert multiplier(mat_mul(x, y, l), l) == \
@@ -88,9 +117,13 @@ def test_multiplier_is_multiplicative():
 
 
 def test_coset_rep_has_multiplier_m():
+    """The reference D_m, and every walk sample M D_m of the Monte Carlo
+    cosets, which scale M's first g columns by m in place."""
     for g, l in [(1, 3), (2, 3), (2, 5)]:
         for m in range(1, l):
-            assert multiplier(multiplier_coset_rep(g, l, m), l) == m
+            assert multiplier(coset_rep(g, m), l) == m
+            for block in _coset_sample_blocks(g, l, m, 20, seed=m):
+                assert {multiplier(tuple(map(tuple, a)), l) for a in block.tolist()} == {m}
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +205,17 @@ def test_group_bfs_rejects_non_symplectic_generator():
 
 def test_random_sp_is_symplectic_and_deterministic():
     for seed in range(5):
-        m = random_sp(2, 3, seed=seed)
-        assert multiplier(m, 3) == 1
-        assert random_sp(2, 3, seed=seed) == m
+        walks = _kernel_walks(2, 3, random.Random(seed), 5)
+        assert {multiplier(m, 3) for m in walks} == {1}
+        assert _kernel_walks(2, 3, random.Random(seed), 5) == walks
 
 
 @pytest.mark.parametrize("l", [2, 4, 9])
 def test_random_sp_rejects_a_modulus_that_is_not_an_odd_prime(l):
     with pytest.raises(ValueError, match="odd prime"):
-        random_sp(2, l, 0)
+        next(_random_sp_blocks(2, l, random.Random(0), 1, DEFAULT_WALK_LENGTH))
+    with pytest.raises(ValueError, match="odd prime"):
+        fixed_vector_proportion(2, l, 1, mode="montecarlo", n=5)
 
 
 def _product_walk(g, l, rng, walk_length):
@@ -287,19 +322,30 @@ def test_walk_blocks_cross_the_real_block_boundary():
     assert rng.random() == ref.random()
 
 
-def test_transvection_is_x_plus_pairing_times_v():
-    import itertools
+def test_transvection_is_x_plus_pairing_times_v(monkeypatch):
+    """The one-step walk of code c, v its base-l digits, and the reference
+    T_v are both the symplectic matrix of x -> x + <x, v> v, for every v."""
+    from strataforge import symplectic
+
+    def pairing(x, y, g, l):
+        """<x, y> = x^T J y for the fixed form."""
+        d = 2 * g
+        return sum(x[i] * y[d - 1 - i] - x[d - 1 - i] * y[i] for i in range(g)) % l
+
+    monkeypatch.setattr(symplectic, "_randbelow_many",
+                        lambda rng, top, count: np.arange(count, dtype=np.int64))
     for g, l in [(1, 3), (2, 3), (1, 5)]:
         d = 2 * g
         units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-        for v in itertools.product(range(l), repeat=d):
-            t = transvection(v, g, l)
+        steps = _kernel_walks(g, l, None, l**d, 1)      # walk c takes code c
+        for code, step in enumerate(steps):
+            v = tuple(code // l**i % l for i in range(d))
             expected = tuple(
                 tuple((int(i == j) + v[i] * pairing(units[j], v, g, l)) % l
                       for j in range(d))
                 for i in range(d))
-            assert t == expected
-            assert is_symplectic(t, l)
+            assert step == transvection(v, g, l) == expected
+            assert multiplier(step, l) == 1
 
 
 def test_random_sp_uniformity_chi_square():
@@ -367,8 +413,8 @@ def test_walk_memory_is_flat_in_n(g):
 def test_fixed_vector_proportion_equals_enumeration_g1(l):
     elements = sp_elements(1, l)
     for m in range(1, l):
-        rep = multiplier_coset_rep(1, l, m)
-        hits = sum(has_nonzero_fixed_vector(mat_mul(s, rep, l), l) for s in elements)
+        rep = coset_rep(1, m)
+        hits = sum(fixes_a_vector(mat_mul(s, rep, l), l) for s in elements)
         assert fixed_vector_proportion(1, l, m) == Fraction(hits, len(elements))
 
 
@@ -384,10 +430,9 @@ def test_singular_mod_matches_det_mod_on_the_cosets_of_sp2(l):
     charpoly vanishes at 1 exactly when det_mod(M - 1) = 0."""
     elements = sp_elements(1, l)
     for m in range(1, l):
-        rep = multiplier_coset_rep(1, l, m)
+        rep = coset_rep(1, m)
         stack = [mat_mul(s, rep, l) for s in elements]
-        assert _vanish_at_one(stack, l) == \
-            [det_mod(mat_sub(a, identity(2), l), l) == 0 for a in stack]
+        assert _vanish_at_one(stack, l) == [fixes_a_vector(a, l) for a in stack]
 
 
 @pytest.mark.parametrize("d", [4, 6])
@@ -472,16 +517,19 @@ def test_montecarlo_needs_a_sample(n):
         coset_charpoly_distribution(2, 3, 1, mode="montecarlo", n=n)
 
 
+def _first_block(g, walk_length):
+    return next(_random_sp_blocks(g, 3, random.Random(1), 1, walk_length))
+
+
 @pytest.mark.parametrize("call,match", [
-    (lambda: random_sp(0, 3, 1), "g must be"),
-    (lambda: random_sp(2, 3, 1, walk_length=0), "walk_length >= 1"),
+    (lambda: _first_block(0, DEFAULT_WALK_LENGTH), "g must be"),
+    (lambda: _first_block(2, 0), "walk_length >= 1"),
+    (lambda: _first_block(2, -3), "walk_length >= 1"),
     (lambda: fixed_vector_proportion(0, 3, 1), "g must be"),
     (lambda: fixed_vector_proportion(0, 3, 1, mode="montecarlo", n=5), "g must be"),
-    (lambda: fixed_vector_proportion(2, 3, 1, mode="montecarlo", walk_length=0), "walk_length >= 1"),
-    (lambda: fixed_vector_proportion(2, 3, 1, mode="montecarlo", walk_length=-3), "walk_length >= 1"),
     (lambda: coset_charpoly_distribution(0, 3, 1, mode="montecarlo", n=5), "g must be"),
-], ids=["random_sp-g0", "random_sp-walk0", "exact-g0", "montecarlo-g0", "montecarlo-walk0",
-        "montecarlo-walk-neg", "charpoly-g0"])
+], ids=["random_sp-g0", "random_sp-walk0", "random_sp-walk-neg", "exact-g0", "montecarlo-g0",
+        "charpoly-g0"])
 def test_walks_need_a_genus_and_a_step(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -551,20 +599,29 @@ def test_charpoly_mod_functional_equation_reduction():
             assert P[i] == P[d - i] * power % l
 
 
+def kernel_charpolys(samples, l):
+    """The kernel's charpolys of a list of d x d matrices, as tuples."""
+    a = np.array(samples, dtype=_entry_dtype(len(samples[0]), l))
+    return list(map(tuple, _charpolys(a, l).tolist()))
+
+
+def coset_walks(g, l, multipliers, n):
+    """n walk samples M D_m of each multiplier-m coset, as tuple matrices."""
+    return [tuple(map(tuple, a)) for m in multipliers
+            for block in _coset_sample_blocks(g, l, m, n, seed=m) for a in block.tolist()]
+
+
 def test_matrix_charpoly_against_known():
-    assert matrix_charpoly(identity(2), 5) == (1, 3, 1)  # (T-1)^2
-    m = ((0, 1), (4, 0))
-    assert matrix_charpoly(m, 5) == ((-4) % 5, 0, 1)  # T^2 - 4
+    assert kernel_charpolys([identity(2), ((0, 1), (4, 0))], 5) == \
+        [(1, 3, 1), ((-4) % 5, 0, 1)]  # (T-1)^2 and T^2 - 4
 
 
 def test_matrix_charpoly_trace_det_consistency():
-    for seed in range(8):
-        m = random_sp(2, 3, seed=seed)
-        poly = matrix_charpoly(m, 3)
+    walks = _kernel_walks(2, 3, random.Random(0), 8)
+    for m, poly in zip(walks, kernel_charpolys(walks, 3)):
         assert len(poly) == 5 and poly[-1] == 1
         tr = sum(m[i][i] for i in range(4)) % 3
         assert poly[3] == (-tr) % 3
-        from strataforge.symplectic import det_mod
         assert poly[0] == det_mod(m, 3)
 
 
@@ -601,16 +658,14 @@ def test_matrix_charpoly_matches_cofactor_expansion(g, l):
     sparse ones."""
     rng = random.Random(100 * g + l)
     d = 2 * g
-    samples = [mat_mul(random_sp(g, l, seed=s), multiplier_coset_rep(g, l, 1 + s % (l - 1)), l)
-               for s in range(12)]
+    samples = coset_walks(g, l, range(1, l), -(-12 // (l - 1)))
     for density in (1.0, 0.3):
         for _ in range(40):
             samples.append(tuple(
                 tuple(rng.randrange(l) if rng.random() < density else 0 for _ in range(d))
                 for _ in range(d)))
     samples.append(identity(d))
-    for m in samples:
-        assert matrix_charpoly(m, l) == cofactor_charpoly(m, l), m
+    assert kernel_charpolys(samples, l) == [cofactor_charpoly(m, l) for m in samples]
 
 
 @pytest.mark.parametrize("g,l", [(2, 65537), (1, 4294967311)])
@@ -619,12 +674,10 @@ def test_matrix_charpoly_matches_cofactor_expansion_at_large_l(g, l):
     assert _entry_dtype(2 * g, l) is (object if l > 2**32 else np.int64)
     rng = random.Random(l)
     d = 2 * g
-    samples = [mat_mul(random_sp(g, l, seed=s), multiplier_coset_rep(g, l, 1 + s), l)
-               for s in range(10)]
+    samples = coset_walks(g, l, range(1, 11), 1)
     samples += [tuple(tuple(rng.randrange(-l, 2 * l) for _ in range(d)) for _ in range(d))
                 for _ in range(20)]
-    for m in samples:
-        assert matrix_charpoly(m, l) == cofactor_charpoly(m, l), m
+    assert kernel_charpolys(samples, l) == [cofactor_charpoly(m, l) for m in samples]
 
 
 @pytest.mark.parametrize("l", [3, 5, 7, 11])
@@ -633,7 +686,7 @@ def test_exact_coset_charpoly_distribution_counts_cofactor_charpolys(l):
     cofactor charpolys of s D_m over the group, its keys in sorted order."""
     elements = sp_elements(1, l)
     for m in range(1, l):
-        rep = multiplier_coset_rep(1, l, m)
+        rep = coset_rep(1, m)
         counts = Counter(cofactor_charpoly(mat_mul(s, rep, l), l) for s in elements)
         dist = coset_charpoly_distribution(1, l, m)
         assert dist == {k: Fraction(v, len(elements)) for k, v in counts.items()}
