@@ -7,6 +7,7 @@ Everything here is exact combinatorics on tiny structures.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,14 +75,6 @@ def path_tree(genera: Sequence[int]) -> ClutchingTree:
     return ClutchingTree(tuple(genera), tuple((i, i + 1) for i in range(len(genera) - 1)))
 
 
-def tree_genus(tree: ClutchingTree) -> int:
-    return sum(tree.genera)
-
-
-def tree_size(tree: ClutchingTree) -> int:
-    return len(tree.genera)
-
-
 def _check_prank(f: int, g: int) -> None:
     if not 0 <= f <= g:
         raise ValueError(f"f = {f} outside [0, {g}]")
@@ -90,39 +83,26 @@ def _check_prank(f: int, g: int) -> None:
 def _labelings(genera: Sequence[int], total: int) -> list[tuple[int, ...]]:
     """Every tuple with 0 <= f_v <= g_v and sum f_v = total, in
     lexicographic order ([] when total is negative)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == len(genera):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        tail = sum(genera[i:])
-        if remaining > tail:
-            return
-        for fv in range(min(genera[i], remaining) + 1):
-            rec(i + 1, remaining - fv, acc + [fv])
-
-    rec(0, total, [])
-    return out
+    return [labels for labels in itertools.product(*(range(g + 1) for g in genera))
+            if sum(labels) == total]
 
 
 def labelings(tree: ClutchingTree, f: int) -> list[tuple[int, ...]]:
     """All p-rank labelings: 0 <= f_v <= g_v with sum f_v = f, vertex order."""
-    _check_prank(f, tree_genus(tree))
+    _check_prank(f, sum(tree.genera))
     return _labelings(tree.genera, f)
 
 
 def stratum_dim(tree: ClutchingTree, f: int) -> int:
     """Dimension of the p-rank-f stratum glued along the tree: g + f - |tree|."""
-    g = tree_genus(tree)
+    g = sum(tree.genera)
     _check_prank(f, g)
-    return g + f - tree_size(tree)
+    return g + f - len(tree.genera)
 
 
 def prank_compact(tree: ClutchingTree, labeling: Sequence[int]) -> int:
     """p-rank of a compact-type configuration: the label sum."""
-    if len(labeling) != tree_size(tree):
+    if len(labeling) != len(tree.genera):
         raise ValueError("labeling length mismatch")
     for fv, gv in zip(labeling, tree.genera):
         if not 0 <= fv <= gv:

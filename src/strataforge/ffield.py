@@ -160,8 +160,8 @@ class FieldDescriptor:
         ``_exp[_log[a] + _log[b]]`` is a * b for nonzero a and b with no
         modulo.  ``_log[a]`` is the log of a != 0 and ``_log[0]`` is 2(q-1),
         one past the end of ``_exp``, so an exp lookup at the log of zero
-        raises instead of reading a value.  int32 holds these indices for
-        fields of up to 10^9 elements.
+        raises instead of reading a value.  ``field_new`` refuses fields of
+        more than 2^30 elements, so every index, up to 2(q-1), fits int32.
 
         g is the least primitive encoding.  Every product is digits times a
         multiply-by-c matrix (``_times_pow``): the first block g^0..g^(b-1),
@@ -216,9 +216,9 @@ class FieldDescriptor:
         # int(): the int32 log times a large e would wrap in numpy
         return int(self._exp[int(self._log[a]) * e % (self.size - 1)])
 
-    def frobenius(self, a: int, k: int = 1) -> int:
-        """a^(p^k)."""
-        return self.pow(a, self.p**k)
+    def frobenius(self, a: int) -> int:
+        """a^p."""
+        return self.pow(a, self.p)
 
     def chi(self, a: int) -> int:
         """Quadratic character: 0 at 0, +1 on squares, -1 on nonsquares."""
@@ -290,6 +290,8 @@ def field_new(p: int, n: int = 1) -> FieldDescriptor:
         raise ValueError(f"p={p} exceeds the supported cap {MAX_P}")
     if n < 1:
         raise ValueError(f"extension degree must be >= 1, got {n}")
+    if p**n > 2**30:   # the int32 exp and log tables index up to 2(q-1)
+        raise ValueError(f"F_{p}^{n} has more than 2^30 elements, the limit of its int32 tables")
     if n == 1:
         return FieldDescriptor(p, 1, (0, 1))  # modulus x
     # least (c_0, c_1, ..., c_{n-1}) lexicographically, constant term first;
@@ -571,25 +573,6 @@ class FqPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-
-def pow_coeffs(field: FieldDescriptor, base: list[int], e: int, mul) -> list[int]:
-    """base^e for e >= 1 by square-and-multiply with the product ``mul``.
-    The result starts as the power of base at the lowest set bit of e, so
-    no product by 1 is formed (e = 1 forms none)."""
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
-    while not e & 1:
-        base = mul(field, base, base)
-        e >>= 1
-    result = base
-    e >>= 1
-    while e:
-        base = mul(field, base, base)
-        if e & 1:
-            result = mul(field, result, base)
-        e >>= 1
-    return result
 
 
 def enumerate_monic(field: FieldDescriptor, degree: int, squarefree_only: bool = False):

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 from typing import Literal
 
 from .curves import L_CACHE_SIZE, HyperellipticCurve, LPolynomial
-from .ffield import FieldDescriptor, poly_mul, pow_coeffs
+from .ffield import FieldDescriptor, poly_mul
 
 Classification = Literal["ordinary", "supersingular", "other"]
 
@@ -34,10 +34,14 @@ class HasseWittMatrix:
 
 
 def hasse_witt_from_poly(field: FieldDescriptor, f_coeffs: list[int], genus: int) -> HasseWittMatrix:
-    """Matrix builder on raw coefficients; no smoothness check.  At p = 3
-    f^((p-1)/2) is f itself and no product is formed; the products go
-    through this module's ``poly_mul``, the name the perfbench tracer wraps."""
-    h = pow_coeffs(field, list(f_coeffs), (field.p - 1) // 2, poly_mul)
+    """Matrix builder on raw coefficients; no smoothness check.
+    f^((p-1)/2) is formed as (p-3)/2 products by f, so p = 3 forms none.
+    They go through this module's ``poly_mul``, the name the perfbench
+    tracer wraps, with the short f first: its outer loop walks the first
+    operand."""
+    h = f = list(f_coeffs)
+    for _ in range((field.p - 3) // 2):
+        h = poly_mul(field, f, h)
     p, g = field.p, genus
     rows = []
     for i in range(1, g + 1):
@@ -144,10 +148,6 @@ class NewtonPolygon:
     def as_triples(self) -> list[list[int]]:
         """Serialization format: [slope_num, slope_den, length] per segment."""
         return [[s.numerator, s.denominator, ln] for s, ln in self.segments]
-
-    @classmethod
-    def from_triples(cls, triples) -> "NewtonPolygon":
-        return cls(tuple((Fraction(a, b), ln) for a, b, ln in triples))
 
 
 def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

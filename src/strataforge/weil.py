@@ -5,9 +5,8 @@ integer coefficients).  Writing P(T) = T^g * h(T + q/T) for the real Weil
 polynomial h, the splitting field of P is K_0(sqrt(d_1), ..., sqrt(d_g)),
 where K_0 splits h and d_i = b_i^2 - 4q for the roots b_i of h.  So the
 Galois group G of an irreducible P lies in W_g = (Z/2)^g x| S_g, which
-permutes the b_i and flips pairs {pi, q/pi}.  Exact splitting degrees
-(g <= 2) reduce to integer square tests; at any genus, G = W_g is certified
-from the signed cycle types of Frobenius at small primes.
+permutes the b_i and flips pairs {pi, q/pi}.  At any genus, G = W_g is
+certified from the signed cycle types of Frobenius at small primes.
 
 Every question about P is asked of h, at half the degree.  Nothing here
 factors a polynomial at genus <= 3: L is reducible iff h has an integer
@@ -49,40 +48,6 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def splitting_degree(L: LPolynomial) -> int:
-    """Exact degree over Q of the splitting field of L, for genus <= 2.
-
-    Genus 1: 2 unless the discriminant a_1^2 - 4q = N(h) is a perfect square.
-    Genus 2: [K_0 : Q] * 2^e with K_0 the splitting field of the real Weil
-    quadratic h and e the number of independent quadratic sign extensions,
-    both decided by integer perfect-square tests (disc(h), N(h)).
-    """
-    g, q = L.genus, L.q
-    if g not in (1, 2):
-        raise ValueError("exact splitting degrees are implemented for genus <= 2")
-    h = real_weil_coeffs(L)
-    prod_deltas = norm_at_root(h, 4 * q)   # d_1 ... d_g, an integer
-    if g == 1:
-        return 1 if is_perfect_square(prod_deltas) else 2
-    disc = discriminant(h)
-    if disc < 0:
-        raise ValueError("real Weil polynomial has complex roots; L is not a Weil polynomial")
-    if is_perfect_square(disc):
-        s = math.isqrt(disc)
-        deltas = [((-h[1] + s) // 2) ** 2 - 4 * q, ((-h[1] - s) // 2) ** 2 - 4 * q]
-        classes = [d for d in deltas if not is_perfect_square(d)]
-        if len(classes) < 2:
-            return 2 ** len(classes)
-        return 2 if is_perfect_square(classes[0] * classes[1]) else 4
-    # h irreducible: K_0 = Q(sqrt(disc)), real; both deltas are negative
-    # conjugates, hence nontrivial classes
-    if prod_deltas == 0:
-        return 2  # both deltas vanish: P = (T^2 - q)^2, splitting field K_0
-    merged = (prod_deltas > 0 and is_perfect_square(prod_deltas)) or (
-        prod_deltas * disc > 0 and is_perfect_square(prod_deltas * disc))
-    return 4 if merged else 8
 
 
 def _poly_is_irreducible(coeffs: list[int]) -> bool:

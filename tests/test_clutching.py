@@ -12,8 +12,6 @@ from strataforge.clutching import (
     path_tree,
     prank_compact,
     stratum_dim,
-    tree_genus,
-    tree_size,
 )
 from strataforge.ffield import field_new
 from strataforge.prank import p_rank
@@ -29,12 +27,16 @@ def star_tree(center_genus, leaf_genera):
 
 
 def test_tree_genus_and_size():
-    single = ClutchingTree((4,), ())
-    assert tree_genus(single) == 4 and tree_size(single) == 1
-    path3 = path_tree([1, 1, 1])
-    assert tree_genus(path3) == 3 and tree_size(path3) == 3
-    star = star_tree(2, [1, 1, 1])
-    assert tree_genus(star) == 5 and tree_size(star) == 4
+    """The genus (sum of the vertex genera) and the size (vertex count) as
+    ``stratum_dim``, ``labelings`` and ``prank_compact`` read them."""
+    for tree, genus, size in ((ClutchingTree((4,), ()), 4, 1), (path_tree([1, 1, 1]), 3, 3),
+                              (star_tree(2, [1, 1, 1]), 5, 4)):
+        assert stratum_dim(tree, 0) == genus - size
+        assert labelings(tree, genus) == [tree.genera]
+        with pytest.raises(ValueError, match=f"outside \\[0, {genus}\\]"):
+            labelings(tree, genus + 1)
+        with pytest.raises(ValueError, match="length mismatch"):
+            prank_compact(tree, (0,) * (size + 1))
 
 
 def test_tree_validation():
@@ -80,7 +82,7 @@ def test_labelings_total_product_formula():
     trees = [path_tree([2, 1, 3]), star_tree(2, [1, 1, 1]), path_tree([1, 2]),
              ClutchingTree((2, 1, 1, 1), ((0, 1), (1, 2), (1, 3)))]
     for tree in trees:
-        total = sum(len(labelings(tree, f)) for f in range(tree_genus(tree) + 1))
+        total = sum(len(labelings(tree, f)) for f in range(sum(tree.genera) + 1))
         assert total == math.prod(g + 1 for g in tree.genera)
 
 
@@ -182,7 +184,7 @@ def test_boundary_catalog_delta1_pairs_genus3():
 def test_degeneration_witness(g, f):
     field = field_new(3)
     w = degeneration_witness(g, f, field)
-    assert tree_size(w.tree) == g
+    assert len(w.tree.genera) == g
     assert prank_compact(w.tree, w.labeling) == f
     for fv, curve in zip(w.labeling, w.curves):
         assert curve.genus == 1

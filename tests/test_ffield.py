@@ -32,10 +32,8 @@ from strataforge.ffield import (
     enumerate_monic,
     field_new,
     norm_at_root,
-    poly_mul,
     poly_squarefree,
     poly_trim,
-    pow_coeffs,
     reciprocal_trace,
     zp_ddf,
     zp_gcd,
@@ -148,6 +146,16 @@ def test_field_new_rejects_bad_parameters():
         field_new(5, 0)
     with pytest.raises(ValueError):
         field_new(101, 1)
+
+
+def test_field_new_refuses_fields_past_its_int32_tables():
+    """The exp and log tables index up to 2(q-1) in int32, so fields of more
+    than 2^30 elements are refused before the modulus search; the largest
+    power of 3 under the limit is admitted, and no table is built."""
+    for p, n in ((3, 19), (5, 13), (97, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"F_{p}^{n} has more than 2^30 elements")):
+            field_new(p, n)
+    assert field_new(3, 18)._exp is None
 
 
 def test_descriptors_are_cached_and_equal():
@@ -503,34 +511,6 @@ def test_reciprocal_blocks_split_a_shared_degree_by_square_class():
     blocks = zp_reciprocal_blocks(h, r, m)
     assert sorted(blocks) == reference_reciprocal_blocks(s, r, m)
     assert sorted(blocks) == [("gl", 1)] * 2 + [("gl", 2)] + [("u", 1)] * 2 + [("u", 2)]
-
-
-# ---------------------------------------------------------------------------
-# polynomial powers: pow_coeffs
-
-
-def test_poly_pow_edge_cases():
-    """pow_coeffs forms no product at e = 1 and refuses e < 1."""
-    field = field_new(3)
-    f = [1, 1]  # x + 1
-    assert pow_coeffs(field, f, 1, poly_mul) == f
-    assert pow_coeffs(field, f, 2, poly_mul) == [1, 2, 1]
-    for e in (0, -1):
-        with pytest.raises(ValueError, match="exponent"):
-            pow_coeffs(field, f, e, poly_mul)
-
-
-@pytest.mark.parametrize("e", [1, 2, 3, 5])
-def test_poly_pow_degree_law(e):
-    """pow_coeffs(f, e) is e - 1 repeated products by f, of degree e deg f,
-    over F_5 and over F_9."""
-    f = [2, 0, 1, 3]
-    for field in (field_new(5), field_new(3, 2)):
-        acc = [1]
-        for _ in range(e):
-            acc = poly_mul(field, acc, f)
-        power = pow_coeffs(field, f, e, poly_mul)
-        assert power == acc and len(power) - 1 == e * (len(f) - 1), field
 
 
 def test_zero_poly_degree_sentinel():

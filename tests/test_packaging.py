@@ -39,10 +39,13 @@ def test_unread_imports_are_found():
         == ["os", "b"]
 
 
-@pytest.mark.parametrize("path", [path for path in sorted((ROOT / "src" / "strataforge").glob("*.py"))
+@pytest.mark.parametrize("path", [path for path in [*sorted((ROOT / "src" / "strataforge").glob("*.py")),
+                                                   *sorted((ROOT / "tests").glob("*.py"))]
                                   if path.name != "__init__.py"],   # it re-exports
                          ids=lambda path: path.name)
 def test_library_modules_read_every_import(path):
+    """Library and test modules alike: a test that stops reading a name
+    must stop importing it too."""
     assert unread_imports(path.read_text()) == []
 
 

@@ -220,7 +220,8 @@ def test_polygon_validation_matches_the_fraction_validator(segments):
 
 def test_polygon_triple_serialization_roundtrip():
     np_ = seg((1, 3, 3), (2, 3, 3))
-    assert NewtonPolygon.from_triples(np_.as_triples()) == np_
+    assert np_.as_triples() == [[1, 3, 3], [2, 3, 3]]
+    assert seg(*np_.as_triples()) == np_
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def _twisted_products(field, a, k):
     prod = a
     yield prod
     for i in range(1, k):
-        twisted = [[field.frobenius(x, i) for x in row] for row in a]
+        twisted = [[field.pow(x, field.p ** i) for x in row] for row in a]
         prod = [[_sum(field, (field.mul(twisted[r][m], prod[m][j]) for m in range(g)))
                  for j in range(g)] for r in range(g)]
         yield prod
@@ -396,8 +397,21 @@ def test_manin_congruence_exhaustive(p, degree):
 def test_manin_congruence_seeded_extension_fields(n, g, samples):
     """F_9 and F_27, where A_pi is a twisted product and its order matters
     (n = 3)."""
-    field = field_new(3, n)
-    rng = random.Random(n * 10 + g)
+    _assert_manin_seeded(field_new(3, n), g, samples, n * 10 + g)
+
+
+@pytest.mark.parametrize("p,n,g,samples", [(7, 1, 2, 300), (7, 1, 3, 200), (11, 1, 2, 300),
+                                           (5, 2, 2, 200)])
+def test_manin_congruence_seeded_past_one_product(p, n, g, samples):
+    """Exponents e = (p-1)/2 at which the Hasse-Witt power forms e - 1
+    products by f: e = 3 over F_7 (the strata benchmark's field), e = 5
+    over F_11 and e = 2 over the extension F_25."""
+    _assert_manin_seeded(field_new(p, n), g, samples, p * n * 10 + g)
+
+
+def _assert_manin_seeded(field, g, samples, seed):
+    """Manin's congruence on seeded squarefree models of degree 2g + 1."""
+    rng = random.Random(seed)
     checked = 0
     while checked < samples:
         coeffs = [rng.randrange(field.size) for _ in range(2 * g + 1)] + [1]

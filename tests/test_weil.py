@@ -66,6 +66,11 @@ def frobenius_expr(L):
     return sympy.Poly(list(L.coeffs), T).as_expr()  # P(T) = T^2g L(1/T)
 
 
+def galois_order(L):
+    """Order of the Galois group of an irreducible L, by sympy."""
+    return galois_group(sympy.Poly(frobenius_expr(L), T))[0].order()
+
+
 def full_power_degrees(g):
     """Every d with phi(d) <= 2g, the range the divisor-maximal set stands for."""
     return [d for d in range(1, 2 * (2 * g) ** 2 + 2) if sympy.totient(d) <= 2 * g]
@@ -109,7 +114,7 @@ def test_absolutely_simple_examples():
     # y^2 = x^5 + 2x + 1 over F_3: ordinary, Galois group of order 8 and none
     # of the Howe-Zhu splitting relations holds
     generic = curve_L(3, [1, 2, 0, 0, 0, 1])
-    assert generic.coeffs == (1, 3, 7, 9, 9) and weil.splitting_degree(generic) == 8
+    assert generic.coeffs == (1, 3, 7, 9, 9) and galois_order(generic) == 8
     assert weil.absolutely_simple(generic)
 
 
@@ -156,18 +161,6 @@ def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls, sam
         assert cached.cache_info().maxsize == curves.L_CACHE_SIZE  # bounded, one bound
 
 
-def test_splitting_degree_matches_sympy_galois_group(census_Ls):
-    checked = 0
-    for key in ((3, 5), (5, 5)):
-        for L in census_Ls[key]:
-            if weil.l_reducible(L):
-                continue  # galois_group takes irreducible polynomials only
-            group, _ = galois_group(sympy.Poly(frobenius_expr(L), T))
-            assert weil.splitting_degree(L) == group.order(), L
-            checked += 1
-    assert checked > 50
-
-
 def factors_over_q(L):
     """True iff sympy's factorization of L has more than one irreducible
     factor, counted with multiplicity."""
@@ -182,30 +175,6 @@ def genus1_Ls():
             for a in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1)]
 
 
-def quadratic_factors_degree(L):
-    """Oracle for the splitting degree of an L whose P has no irreducible
-    factor of degree above 2: the degree of Q(sqrt(disc)) over P's quadratic
-    factors, read as the degree of the minimal polynomial of the sum of
-    those square roots, or 1 when P splits into linear factors."""
-    _, factors = sympy.factor_list(frobenius_expr(L))
-    assert all(sympy.degree(f, T) <= 2 for f, _ in factors), L
-    quadratics = [sympy.Poly(f, T) for f, _ in factors if sympy.degree(f, T) == 2]
-    if not quadratics:
-        return 1
-    root_sum = sum(sympy.sqrt(f.discriminant()) for f in quadratics)
-    return sympy.degree(sympy.minimal_polynomial(root_sum, y), y)
-
-
-def test_splitting_degree_of_genus1_and_reducible_genus2_matches_factorization(census_Ls):
-    """Genus 1, genus 2 with h reducible over Z, and P = (T^2 - q)^2: the
-    branches the Galois-group test skips, since it takes irreducible L only."""
-    reducible = [L for key in ((3, 5), (5, 5)) for L in census_Ls[key] if weil.l_reducible(L)]
-    for L in genus1_Ls() + reducible:
-        assert weil.splitting_degree(L) == quadratic_factors_degree(L), L
-    assert {1, 2} <= {weil.splitting_degree(L) for L in genus1_Ls()}
-    assert LPolynomial(5, 2, (1, 0, -10, 0, 25)) in reducible   # P = (T^2 - 5)^2
-
-
 def test_l_reducible_matches_factorization(census_Ls):
     """The integer-root shortcut of genus >= 2 and the factorization both
     agree with sympy's factor_list; at genus 1 the real Weil polynomial is
@@ -213,6 +182,7 @@ def test_l_reducible_matches_factorization(census_Ls):
     for key in census_Ls:
         for L in census_Ls[key]:
             assert weil.l_reducible(L) == factors_over_q(L), L
+    assert LPolynomial(5, 2, (1, 0, -10, 0, 25)) in census_Ls[5, 5]   # h = T^2 - 4q: P = (T^2 - 5)^2
     reducible = []
     for L in genus1_Ls():
         assert weil.l_reducible(L) == factors_over_q(L), L
@@ -338,8 +308,7 @@ def test_maximal_genus3_class_has_galois_group_of_order_48(census_Ls):
     for L in census_Ls[3, 7]:
         certified = weil.splitting_class_g3(L) == ("maximal", 48)
         if not weil.l_reducible(L):
-            group, _ = galois_group(sympy.Poly(frobenius_expr(L), T))
-            assert certified == (group.order() == 48), L
+            assert certified == (galois_order(L) == 48), L
         else:
             assert not certified, L
         maximal += certified
@@ -401,7 +370,7 @@ def test_splitting_class_genus2_certifies_exactly_splitting_degree_8(census_Ls, 
         if weil.l_reducible(L):
             assert not certified, L
             continue
-        assert certified == (weil.splitting_degree(L) == 8), L
+        assert certified == (galois_order(L) == 8), L
         irreducible += 1
     assert irreducible == 185
 
