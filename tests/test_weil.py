@@ -161,6 +161,34 @@ def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls, sam
         assert cached.cache_info().maxsize == curves.L_CACHE_SIZE  # bounded, one bound
 
 
+def test_splitting_degree_matches_sympy_galois_group(census_Ls):
+    """The splitting degree of an irreducible L is the order of G = Gal(P),
+    and Frobenius at every good prime r is an element of G.  So the cycle
+    type ``signed_cycle_type`` reads on the 2g roots of P (two k-cycles for
+    an unflipped k-cycle on the b_i, one 2k-cycle for a flipped one) is the
+    cycle type of an element of sympy's Galois group, of every order seen."""
+    checked, orders = 0, set()
+    for key in ((3, 5), (5, 5)):
+        for L in census_Ls[key]:
+            if weil.l_reducible(L):
+                continue  # galois_group takes irreducible polynomials only
+            group, _ = galois_group(sympy.Poly(frobenius_expr(L), T))
+            types = {tuple(sorted(g.cycle_structure.items())) for g in group.elements}
+            h = weil.real_weil_coeffs(L)
+            for r in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+                if sympy_signed_cycle_type(L, r) is None:
+                    continue  # r divides q disc(h) N(h)
+                lengths = {}
+                for k, flipped in weil.signed_cycle_type(h, L.q, r):
+                    cycle = 2 * k if flipped else k
+                    lengths[cycle] = lengths.get(cycle, 0) + (1 if flipped else 2)
+                assert tuple(sorted(lengths.items())) in types, (L, r)
+            orders.add(group.order())
+            checked += 1
+    assert checked > 50
+    assert {4, 8} <= orders  # below W_2 the check rules out whole cycle types
+
+
 def factors_over_q(L):
     """True iff sympy's factorization of L has more than one irreducible
     factor, counted with multiplicity."""
