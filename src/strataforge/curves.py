@@ -371,6 +371,11 @@ def _count(curve: HyperellipticCurve, ks: tuple[int, ...], field_cap: int) -> li
     base, degree = curve.field, curve.model_degree
     if _matrix_entries(base, ks, degree) <= MATRIX_PASS_ENTRIES:
         return _matrix_pass(base, ks, degree).counts(curve)
+    zech = 5 * sum(curve.q**d - 1 for d in _degrees(ks))     # the int32 Horner index bound
+    if zech >= 2**31:
+        raise BudgetExceededError(
+            f"the Horner pass for k in {ks} indexes {zech} Zech entries, past int32, "
+            f"{_describe(curve)}")
     return _extension_pass(base, ks).counts(curve)
 
 

@@ -22,8 +22,16 @@ their roots b.  The modulus search runs on the ``zp_*`` helpers.
 
 Polynomials over F_q (``FqPoly``, or coefficient lists of encodings) have
 two entry points: ``poly_mul`` and ``poly_squarefree``.  On F_p both run
-on the Z/r layer; on F_{p^n} they run on the descriptor's scalar ops.  No
-path here imports sympy.
+on the Z/r layer; on F_{p^n} they run on the descriptor's scalar ops.
+
+Families of polynomials run in numpy blocks of int16 codes instead, on one
+path for every F_q: each field's add, mul, neg, inv and Frobenius tables
+(``FieldDescriptor.tables``, built once from ``exp_log`` and capped in
+bytes) serve the row-wise product ``poly_mul_rows``.  ``squarefree_mask``
+sieves a whole family by marking every product u^2 k, and
+``enumerate_monic`` lists its squarefree models off that mask.  The
+budgets (``ENUMERATE_CAP``, ``BLOCK_BYTES``, ``FIELD_TABLE_CAP``) refuse a
+family before anything is allocated.  No path here imports sympy.
 """
 from __future__ import annotations
 
@@ -32,18 +40,31 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError
 
 MAX_P = 97            # supported characteristic cap; desk-scale fields only
-# Largest family ``enumerate_monic`` lists.  Listing costs about 3 us per
-# polynomial, and 20-70 us with the squarefree filter (F_3 at degree 9, F_7
-# at degree 6, F_9 at degree 5); the invariants of one curve cost 0.3-1 ms
-# more, so a census of a family at the cap already runs for hours.  F_9 at
-# degree 7 (4.8 * 10^6) fits; F_97 at degree 9 (7.6 * 10^17) does not.
-ENUMERATE_CAP = 10**7
+# Byte budget of a family of monic models: its squarefree mask (one byte per
+# model, ``squarefree_mask``), one block of its codes and one batched step
+# (``BLOCK_BYTES``).  Listing FqPolys off the mask costs about 3 us per
+# polynomial and the invariants of one curve 0.3-1 ms more, so a census of
+# an ``enumerate_monic`` family at the cap already runs for hours; F_9 at
+# degree 7 (4.8 * 10^6 models) fits, F_11 at degree 7 does not.
+ENUMERATE_CAP = 1 << 24
+# Rows of codes in a block of ``families``, and of ``enumerate_monic``'s
+# listing.
+BLOCK_ROWS = 1 << 15
+# Bytes of the temporaries of one batched step (a chunk of the sieve's
+# products, a chunk of ``families.p_ranks``); each step takes as many rows
+# as fit, by its measured bytes per row.
+BLOCK_BYTES = 1 << 22
+# Byte budget of a field's ``tables``: add and mul hold q^2 int16 entries
+# each, neg, inv and frob q each.  At the cap q is at most 2,896 (3^7 = 2187
+# and 7^4 = 2401 fit, 5^5 = 3125 does not).
+FIELD_TABLE_CAP = 1 << 25
 
 NEG_INF = float("-inf")  # degree of the zero polynomial; never -1
 
@@ -83,6 +104,7 @@ class FieldDescriptor:
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._chi: np.ndarray | None = None
+        self._tables: FieldTables | None = None
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
@@ -244,6 +266,42 @@ class FieldDescriptor:
             self._chi = t
         return self._chi
 
+    @property
+    def tables(self) -> "FieldTables":
+        """The add, mul, neg, inv and Frobenius tables of every code, int16,
+        built once from ``exp_log``; the batched kernels read them.
+        Refused (``table_refusal``) when q >= 2^15 or over ``FIELD_TABLE_CAP``.
+
+        add and mul are q x q, built a few rows at a time so that the int64
+        temporaries stay near ``BLOCK_ROWS`` entries.  Digits add mod p; a
+        product is g^(log a + log b), zero on row and column 0; neg is the
+        column of -1 (code p - 1) of mul, inv(a) = g^(q-1-log a) with
+        inv(0) = 0, and frob(a) = g^(p log a mod (q-1)).
+        """
+        if self._tables is None:
+            why = table_refusal(self)
+            if why:
+                raise BudgetExceededError(why)
+            q, p = self.size, self.p
+            exp, log = self.exp_log
+            digits = np.arange(q)[:, None] // p ** np.arange(self.n) % p
+            place = p ** np.arange(self.n)
+            logs = log.astype(np.int64)
+            logs[0] = 0
+            add, mul = np.empty((q, q), np.int16), np.empty((q, q), np.int16)
+            step = max(1, BLOCK_ROWS // (q * self.n))
+            for r in range(0, q, step):
+                rows = slice(r, r + step)
+                add[rows] = (digits[rows, None] + digits) % p @ place
+                mul[rows] = exp.take(logs[rows, None] + logs)
+            mul[0], mul[:, 0] = 0, 0
+            inv = exp.take((q - 1 - logs) % (q - 1)).astype(np.int16)
+            frob = exp.take(p * logs % (q - 1)).astype(np.int16)
+            inv[0] = frob[0] = 0
+            self._tables = FieldTables(q, add.reshape(-1), mul.reshape(-1),
+                                       mul[:, p - 1].copy(), inv, frob)
+        return self._tables
+
     def embedding_into(self, ext: "FieldDescriptor") -> np.ndarray:
         """Index map realizing the inclusion of this field into ``ext``.
 
@@ -277,6 +335,41 @@ class FieldDescriptor:
             table = np.array([at(self.digits(a), root) for a in range(self.size)], dtype=np.int32)
         self._embeddings[ext] = table
         return table
+
+
+class FieldTables(NamedTuple):
+    """Lookup tables of a field on its codes (see ``FieldDescriptor.tables``).
+
+    ``add`` and ``mul`` take code arrays that broadcast together; both read
+    one flat q^2 table at a q + b (int16 while q^2 fits, else int32)."""
+
+    q: int
+    sums: np.ndarray        # sums[a q + b] = a + b
+    products: np.ndarray    # products[a q + b] = a * b
+    neg: np.ndarray         # neg[a] = -a
+    inv: np.ndarray         # inv[a] = 1 / a, and inv[0] = 0
+    frob: np.ndarray        # frob[a] = a^p
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.sums.take(self._pairs(a, b))
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.products.take(self._pairs(a, b))
+
+    def _pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        wide = np.int32 if self.q * self.q > 1 << 15 else np.int16
+        return np.asarray(a).astype(wide, copy=False) * self.q + b
+
+
+def table_refusal(field: FieldDescriptor) -> str | None:
+    """Why ``field.tables`` may not be built, or None when it may."""
+    q = field.size
+    if q >= 1 << 15:
+        return f"the {q} codes of {field!r} do not fit the int16 tables"
+    if 4 * q * q + 6 * q > FIELD_TABLE_CAP:
+        return (f"the tables of {field!r} take {4 * q * q + 6 * q} bytes, "
+                f"over FIELD_TABLE_CAP = {FIELD_TABLE_CAP}")
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -575,13 +668,96 @@ class FqPoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
 
+def poly_mul_rows(field: FieldDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of polynomials over the field, as int16 codes.
+
+    a and b hold coefficient codes along their last axis, constant term
+    first; their other axes broadcast, and row r of the result is
+    a[r] * b[r], of length len(a[r]) + len(b[r]) - 1 (not trimmed).  One
+    pass per coefficient of a, through the field's add and mul tables.
+    """
+    t, lb = field.tables, b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (a.shape[-1] + lb - 1,), dtype=np.int16)
+    for i in range(a.shape[-1]):
+        part = out[..., i:i + lb]
+        part[...] = t.add(part, t.mul(a[..., i, None], b))
+    return out
+
+
+def monic_codes(q: int, degree: int, index: np.ndarray, cut: bool = False) -> np.ndarray:
+    """The monic polynomials of the given degree at ``index`` in the order of
+    ``enumerate_monic`` (index = sum of c_i q^i), one row of codes each,
+    constant term first; int16 while q < 2^15, else int64.  With ``cut``
+    the index runs over the lower degree - 1 coefficients and c_(degree-1)
+    is 0."""
+    index = np.asarray(index, dtype=np.int64)
+    rows = np.zeros((len(index), degree + 1), dtype=np.int16 if q < 1 << 15 else np.int64)
+    for i in range(degree - 1 if cut else degree):
+        rows[:, i] = index // q**i % q
+    rows[:, degree] = 1
+    return rows
+
+
+def squarefree_mask(field: FieldDescriptor, degree: int, cut: bool = False) -> np.ndarray:
+    """Boolean mask over the monic polynomials of the given degree, in the
+    order of ``enumerate_monic``: True exactly at the squarefree ones.
+
+    A monic f is not squarefree iff f = u^2 k for a monic u of degree
+    1..degree/2 (u need not be irreducible) and a monic k, so the sieve
+    marks every such product, formed by ``poly_mul_rows`` as many at a time
+    as ``BLOCK_BYTES`` holds.  With ``cut`` the mask covers only the models with
+    c_(degree-1) = 0 (indexed as in ``monic_codes``), and only the k whose
+    x^(deg k - 1) coefficient cancels that of u^2 are formed: about
+    q^(degree-1) products in all.
+
+    Raises :class:`BudgetExceededError`, naming the field and the degree,
+    before anything is allocated, when the field's tables may not be built
+    (``table_refusal``) or the mask, one block of codes and one batched step
+    exceed ``ENUMERATE_CAP``.
+    """
+    q = field.size
+    free = degree - 1 if cut else degree
+    why = table_refusal(field)
+    if why is None and q**free + BLOCK_ROWS * 2 * (degree + 1) + BLOCK_BYTES > ENUMERATE_CAP:
+        why = (f"the {q**free} models and their blocks exceed the enumeration "
+               f"budget ENUMERATE_CAP = {ENUMERATE_CAP} bytes")
+    if why:
+        raise BudgetExceededError(f"monic degree {degree} over {field!r}: {why}")
+    mask = np.ones(q**free, dtype=bool)
+    place = q ** np.arange(free, dtype=np.int64)
+    rows = BLOCK_BYTES // (24 * (degree + 1))     # products per step: about 20 B per code
+    for e in range(1, degree // 2 + 1):
+        u = monic_codes(q, e, np.arange(q**e))
+        squares, m = poly_mul_rows(field, u, u), degree - 2 * e
+        if cut and not m:
+            squares = squares[squares[:, -2] == 0]
+        # with the cut the coefficient x^(m-1) of k is set per square, below
+        n_k = q ** (m - 1 if cut and m else m)
+        width = min(n_k, rows)
+        for k_start, start in itertools.product(range(0, n_k, width),
+                                                range(0, len(squares), rows // width)):
+            a = squares[start:start + rows // width, None, :]
+            k = monic_codes(q, m, np.arange(k_start, min(k_start + width, n_k)), cut and m > 0)
+            b = np.repeat(k[None], len(a), axis=0)
+            if cut and m:
+                b[:, :, m - 1] = field.tables.neg.take(a[:, :, -2])
+            products = poly_mul_rows(field, a, b).reshape(-1, degree + 1)
+            index = products[:, 0].astype(np.int64)
+            for i in range(1, free):
+                index += products[:, i] * place[i]
+            mask[index] = False
+    return mask
+
+
 def enumerate_monic(field: FieldDescriptor, degree: int, squarefree_only: bool = False):
     """Iterator over every monic degree-d polynomial over the field, each once.
 
     Order is part of the external contract: lexicographic on coefficient
-    vectors with the constant term varying fastest.  A family of more than
-    ``ENUMERATE_CAP`` polynomials raises :class:`BudgetExceededError` here,
-    before anything is listed.
+    vectors with the constant term varying fastest.  ``squarefree_only``
+    reads the models off ``squarefree_mask``.  A family whose mask (one byte
+    per polynomial) exceeds ``ENUMERATE_CAP`` raises
+    :class:`BudgetExceededError` here, before anything is listed.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -590,17 +766,16 @@ def enumerate_monic(field: FieldDescriptor, degree: int, squarefree_only: bool =
         raise BudgetExceededError(
             f"the {q}^{degree} = {q**degree} monic polynomials of degree {degree} "
             f"over {field!r} exceed the enumeration budget {ENUMERATE_CAP}")
-    return _monic_family(field, degree, squarefree_only)
+    # every monic polynomial of degree 1 is squarefree
+    mask = squarefree_mask(field, degree) if squarefree_only and degree > 1 else None
+    return _monic_family(field, degree, mask)
 
 
-def _monic_family(field: FieldDescriptor, degree: int, squarefree_only: bool):
+def _monic_family(field: FieldDescriptor, degree: int, mask: np.ndarray | None):
     q = field.size
-    for idx in range(q**degree):
-        rest, coeffs = idx, []
-        for _ in range(degree):
-            coeffs.append(rest % q)
-            rest //= q
-        coeffs.append(1)
-        if squarefree_only and not poly_squarefree(field, coeffs):
-            continue
-        yield FqPoly(field, tuple(coeffs))
+    for start in range(0, q**degree, BLOCK_ROWS):
+        index = np.arange(start, min(start + BLOCK_ROWS, q**degree))
+        if mask is not None:
+            index = index[mask[start:start + BLOCK_ROWS]]
+        for coeffs in monic_codes(q, degree, index).tolist():
+            yield FqPoly(field, tuple(coeffs))

@@ -423,6 +423,19 @@ def test_point_count_budget():
         point_counts(c, 9)
 
 
+def test_horner_pass_past_int32_is_refused_before_any_table():
+    """The Horner codes are int32 and reach 5 * sum of (q^d - 1) over the
+    pass's degrees d; a caller's field_cap may admit such a pass (F_3 up to
+    k = 18, F_9 up to k = 9), which is refused by name before any table."""
+    misses = curves._extension_pass.cache_info().misses
+    for p, n, k in ((3, 1, 18), (3, 2, 9)):
+        c = make_curve(field_new(p, n), [1, 1, 0, 1])    # x^3 + x + 1
+        with pytest.raises(BudgetExceededError, match=re.escape(f"int32, curve over {c.field!r} "
+                                                                "with f = [1, 1, 0, 1]")):
+            point_counts(c, k, field_cap=c.q**k)
+    assert curves._extension_pass.cache_info().misses == misses
+
+
 # ---------------------------------------------------------------------------
 # L-polynomials
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,15 +27,20 @@ from sympy.polys.galoistools import (
 from strataforge import ffield
 from strataforge.errors import BudgetExceededError
 from strataforge.ffield import (
+    BLOCK_BYTES,
     ENUMERATE_CAP,
     FieldDescriptor,
     FqPoly,
     enumerate_monic,
     field_new,
+    monic_codes,
     norm_at_root,
+    poly_mul,
+    poly_mul_rows,
     poly_squarefree,
     poly_trim,
     reciprocal_trace,
+    squarefree_mask,
     zp_ddf,
     zp_gcd,
     zp_mulmod,
@@ -561,6 +567,102 @@ def test_enumerate_monic_is_deterministic_and_duplicate_free():
     assert len(set(first)) == len(first) == 25
     # constant term varies fastest
     assert first[0] == (0, 0, 1) and first[1] == (1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# tables, batched products and the squarefree sieve
+
+
+# F_243 has more than 2^15 code pairs, so its tables read int32 indices
+@pytest.mark.parametrize("field", FIELDS + [field_new(3, 5)], ids=repr)
+def test_tables_match_the_scalar_ops(field):
+    t, q = field.tables, field.size
+    a, b = (x.tolist() for x in np.divmod(np.arange(q * q), q))
+    assert t.add(np.array(a), np.array(b)).tolist() == list(map(field.add, a, b))
+    assert t.mul(np.array(a), np.array(b)).tolist() == list(map(field.mul, a, b))
+    assert t.neg.tolist() == [field.neg(x) for x in range(q)]
+    assert t.inv.tolist() == [0] + [field.inv(x) for x in range(1, q)]
+    assert t.frob.tolist() == [field.frobenius(x) for x in range(q)]
+    assert {x.dtype for x in t[1:]} == {np.dtype(np.int16)} and field.tables is t
+
+
+@pytest.mark.parametrize("field", [field_new(3), field_new(7), field_new(3, 2), field_new(3, 5)],
+                         ids=repr)
+def test_poly_mul_rows_matches_poly_mul(field):
+    rng = np.random.default_rng(field.size)
+    a = rng.integers(0, field.size, (60, 4)).astype(np.int16)
+    b = rng.integers(0, field.size, (60, 6)).astype(np.int16)
+    out = poly_mul_rows(field, a, b)
+    assert out.shape == (60, 9) and out.dtype == np.int16
+    for x, y, z in zip(a.tolist(), b.tolist(), out.tolist()):
+        assert poly_trim(z) == poly_mul(field, x, y)
+    # the leading axes broadcast
+    grid = poly_mul_rows(field, a[:5, None], b[None, :7])
+    assert grid.tolist() == [[poly_mul_rows(field, x[None], y[None])[0].tolist() for y in b[:7]]
+                             for x in a[:5]]
+
+
+SIEVE_CASES = ([(3, 1, d) for d in range(2, 9)] + [(5, 1, d) for d in range(2, 7)]
+               + [(7, 1, d) for d in range(2, 6)] + [(3, 2, d) for d in range(2, 6)]
+               + [(5, 2, d) for d in range(2, 5)] + [(3, 3, d) for d in range(2, 5)])
+
+
+@pytest.mark.parametrize("p,n,d", SIEVE_CASES)
+def test_squarefree_mask_keeps_exactly_the_squarefree_models(p, n, d):
+    """Every model the sieve leaves out fails ``poly_squarefree``, and it
+    keeps q^d - q^(d-1) models, the number of monic squarefree polynomials
+    of degree d >= 2 over F_q: so it keeps exactly the squarefree ones.
+    Where q^d is small, ``enumerate_monic`` is also compared with the
+    per-model filter over every monic polynomial.  The cut mask is the part
+    of the mask with c_(d-1) = 0, the first q^(d-1) models."""
+    field = field_new(p, n)
+    q = field.size
+    mask = squarefree_mask(field, d)
+    left_out = monic_codes(q, d, np.flatnonzero(~mask)).tolist()
+    assert not any(poly_squarefree(field, c) for c in left_out)
+    assert np.count_nonzero(mask) == q**d - q ** (d - 1)
+    assert squarefree_mask(field, d, cut=True).tolist() == mask[:q ** (d - 1)].tolist()
+    if q**d <= 20_000:
+        every = (c[::-1] + (1,) for c in itertools.product(range(q), repeat=d))
+        assert [f.coeffs for f in enumerate_monic(field, d, squarefree_only=True)] \
+            == [c for c in every if poly_squarefree(field, c)]
+
+
+def test_enumerate_monic_reads_the_mask_without_the_per_model_test(monkeypatch):
+    def per_model(*args):
+        raise AssertionError("poly_squarefree called")
+
+    monkeypatch.setattr(ffield, "poly_squarefree", per_model)
+    assert sum(1 for _ in enumerate_monic(field_new(3), 7, squarefree_only=True)) == 1458
+
+
+def test_enumerate_monic_spans_blocks_and_sieve_steps(monkeypatch):
+    field = field_new(5)
+    expected = [f.coeffs for f in enumerate_monic(field, 4, squarefree_only=True)]
+    monkeypatch.setattr(ffield, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(ffield, "BLOCK_BYTES", 24 * 5 * 3)    # three products a step
+    assert [f.coeffs for f in enumerate_monic(field, 4, squarefree_only=True)] == expected
+
+
+def test_tables_and_masks_over_a_budget_are_refused_before_any_allocation(monkeypatch):
+    big, f27, f7 = field_new(3, 10), field_new(3, 3), field_new(7)
+    monkeypatch.setattr(ffield, "FIELD_TABLE_CAP", 4 * 27**2 + 6 * 27 - 1)
+    monkeypatch.setattr(ffield, "ENUMERATE_CAP", 7**5 + 2 * 6 * ffield.BLOCK_ROWS + BLOCK_BYTES - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"degree 4 over GF\(3\^10\): .* int16"):
+            squarefree_mask(big, 4)             # 59,049 codes, past int16
+        with pytest.raises(BudgetExceededError, match=r"GF\(3\^10\)"):
+            big.tables
+        with pytest.raises(BudgetExceededError, match=r"3 over GF\(3\^3\): .*FIELD_TABLE_CAP"):
+            squarefree_mask(f27, 3)
+        with pytest.raises(BudgetExceededError, match=r"degree 5 over GF\(7\): .*ENUMERATE_CAP"):
+            enumerate_monic(f7, 5, squarefree_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert len(squarefree_mask(f7, 5, cut=True)) == 7**4     # the cut mask fits
 
 
 # ---------------------------------------------------------------------------

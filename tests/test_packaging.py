@@ -1,5 +1,7 @@
 import ast
 import importlib
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -67,3 +69,17 @@ def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_bench_set_up_loads_neither_sympy_nor_the_families():
+    """The bench imports the per-curve modules and lists the genus-3 census
+    off ``enumerate_monic``; neither may pull in sympy or
+    ``strataforge.families``, whose import would land in every workload's
+    measured set-up."""
+    code = ("import sys, workloads; lib = workloads.import_library(); ff = lib['ffield']; "
+            "assert sum(1 for _ in ff.enumerate_monic(ff.field_new(3), 7, squarefree_only=True)) "
+            "== 1458; loaded = [m for m in sys.modules "
+            "if m.split('.')[0] == 'sympy' or m == 'strataforge.families']; "
+            "assert not loaded, loaded")
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src"), *sys.path])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
