@@ -39,12 +39,10 @@ Block = tuple[np.ndarray, int]
 @dataclass(frozen=True)
 class Family:
     """Models of genus ``genus`` over ``field`` as blocks of codes; iterating
-    yields the blocks (every pass yields the same ones), and ``weight`` is
-    the sum of their rows times their weights."""
+    yields the blocks (every pass yields the same ones)."""
 
     field: FieldDescriptor
     genus: int
-    weight: int
     blocks: Callable[[], Iterator[Block]]
 
     def __iter__(self) -> Iterator[Block]:
@@ -59,16 +57,16 @@ def _check_family(field: FieldDescriptor, g: int) -> None:
         raise BudgetExceededError(f"genus {g} over {field!r}: {why}")
 
 
-def exhaustive(field: FieldDescriptor, g: int, cut: bool = True) -> Family:
+def exhaustive(field: FieldDescriptor, g: int) -> Family:
     """Every monic squarefree model of degree 2g + 1, one block at a time;
-    with ``cut`` (where p does not divide 2g + 1) the models with
-    c_(2g) = 0, of weight q each.  The total weight is q^d - q^(d-1) either
-    way.  Over budget (``ffield.squarefree_mask``: the tables, and the mask
-    plus a block within ``ENUMERATE_CAP``), raises
-    :class:`BudgetExceededError` before anything is allocated."""
+    where p does not divide 2g + 1, only the models with c_(2g) = 0, of
+    weight q each.  The total weight is q^d - q^(d-1) either way.  Over
+    budget (``ffield.squarefree_mask``: the tables, and the mask within
+    ``ENUMERATE_CAP``), raises :class:`BudgetExceededError` before anything
+    is allocated."""
     _check_family(field, g)
     q, d = field.size, 2 * g + 1
-    cut = cut and d % field.p != 0
+    cut = d % field.p != 0
     mask = squarefree_mask(field, d, cut)
     weight = q if cut else 1
 
@@ -77,7 +75,7 @@ def exhaustive(field: FieldDescriptor, g: int, cut: bool = True) -> Family:
             index = start + np.flatnonzero(mask[start:start + BLOCK_ROWS])
             yield monic_codes(q, d, index, cut), weight
 
-    return Family(field, g, int(np.count_nonzero(mask)) * weight, blocks)
+    return Family(field, g, blocks)
 
 
 def sampled(field: FieldDescriptor, g: int, n: int, seed: int) -> Family:
@@ -98,7 +96,7 @@ def sampled(field: FieldDescriptor, g: int, n: int, seed: int) -> Family:
                     yield np.array(rows, dtype=np.int16), 1
                     left, rows = left - len(rows), []
 
-    return Family(field, g, n, blocks)
+    return Family(field, g, blocks)
 
 
 def p_ranks(field: FieldDescriptor, g: int, codes: np.ndarray) -> np.ndarray:

@@ -47,13 +47,14 @@ import numpy as np
 from .errors import BudgetExceededError
 
 MAX_P = 97            # supported characteristic cap; desk-scale fields only
-# Byte budget of a family of monic models: its squarefree mask (one byte per
-# model, ``squarefree_mask``), one block of its codes and one batched step
-# (``BLOCK_BYTES``).  Listing FqPolys off the mask costs about 3 us per
-# polynomial and the invariants of one curve 0.3-1 ms more, so a census of
-# an ``enumerate_monic`` family at the cap already runs for hours; F_9 at
-# degree 7 (4.8 * 10^6 models) fits, F_11 at degree 7 does not.
-ENUMERATE_CAP = 1 << 24
+# Byte budget of a family's squarefree mask (``squarefree_mask``), one byte
+# per model; ``enumerate_monic`` admits the same number of models without
+# the filter.  Its blocks of codes and batched steps have their own caps,
+# ``BLOCK_ROWS`` and ``BLOCK_BYTES``.  Listing FqPolys off the mask costs
+# about 3 us per polynomial and the invariants of one curve 0.3-1 ms more,
+# so a census of an ``enumerate_monic`` family at the cap already runs for
+# hours; F_9 at degree 7 (4.8 * 10^6 models) fits, F_11 at degree 7 does not.
+ENUMERATE_CAP = 10**7
 # Rows of codes in a block of ``families``, and of ``enumerate_monic``'s
 # listing.
 BLOCK_ROWS = 1 << 15
@@ -706,21 +707,23 @@ def squarefree_mask(field: FieldDescriptor, degree: int, cut: bool = False) -> n
     A monic f is not squarefree iff f = u^2 k for a monic u of degree
     1..degree/2 (u need not be irreducible) and a monic k, so the sieve
     marks every such product, formed by ``poly_mul_rows`` as many at a time
-    as ``BLOCK_BYTES`` holds.  With ``cut`` the mask covers only the models with
-    c_(degree-1) = 0 (indexed as in ``monic_codes``), and only the k whose
-    x^(deg k - 1) coefficient cancels that of u^2 are formed: about
-    q^(degree-1) products in all.
+    as ``BLOCK_BYTES`` holds.  With ``cut`` (odd degrees only) the mask
+    covers only the models with c_(degree-1) = 0 (indexed as in
+    ``monic_codes``), and only the k whose x^(deg k - 1) coefficient cancels
+    that of u^2 are formed: about q^(degree-1) products in all.
 
     Raises :class:`BudgetExceededError`, naming the field and the degree,
     before anything is allocated, when the field's tables may not be built
-    (``table_refusal``) or the mask, one block of codes and one batched step
-    exceed ``ENUMERATE_CAP``.
+    (``table_refusal``) or the mask, one byte per model, exceeds
+    ``ENUMERATE_CAP``.
     """
+    if cut and degree % 2 == 0:
+        raise ValueError(f"the cut mask needs an odd degree, got {degree}")
     q = field.size
     free = degree - 1 if cut else degree
     why = table_refusal(field)
-    if why is None and q**free + BLOCK_ROWS * 2 * (degree + 1) + BLOCK_BYTES > ENUMERATE_CAP:
-        why = (f"the {q**free} models and their blocks exceed the enumeration "
+    if why is None and q**free > ENUMERATE_CAP:
+        why = (f"the mask of {q**free} models exceeds the enumeration "
                f"budget ENUMERATE_CAP = {ENUMERATE_CAP} bytes")
     if why:
         raise BudgetExceededError(f"monic degree {degree} over {field!r}: {why}")
@@ -730,23 +733,21 @@ def squarefree_mask(field: FieldDescriptor, degree: int, cut: bool = False) -> n
     for e in range(1, degree // 2 + 1):
         u = monic_codes(q, e, np.arange(q**e))
         squares, m = poly_mul_rows(field, u, u), degree - 2 * e
-        if cut and not m:
-            squares = squares[squares[:, -2] == 0]
-        # with the cut the coefficient x^(m-1) of k is set per square, below
-        n_k = q ** (m - 1 if cut and m else m)
+        # with the cut (odd degree, so m >= 1) the coefficient x^(m-1) of k
+        # is set per square, below
+        n_k = q ** (m - 1 if cut else m)
         width = min(n_k, rows)
         for k_start, start in itertools.product(range(0, n_k, width),
                                                 range(0, len(squares), rows // width)):
             a = squares[start:start + rows // width, None, :]
-            k = monic_codes(q, m, np.arange(k_start, min(k_start + width, n_k)), cut and m > 0)
+            k = monic_codes(q, m, np.arange(k_start, min(k_start + width, n_k)), cut)
             b = np.repeat(k[None], len(a), axis=0)
-            if cut and m:
+            if cut:
                 b[:, :, m - 1] = field.tables.neg.take(a[:, :, -2])
             products = poly_mul_rows(field, a, b).reshape(-1, degree + 1)
-            index = products[:, 0].astype(np.int64)
-            for i in range(1, free):
-                index += products[:, i] * place[i]
-            mask[index] = False
+            # widen first: numpy 1.x keeps int16 times a scalar place q^i that
+            # fits int16 in int16, and the index wraps
+            mask[products[:, :free].astype(np.int64) @ place] = False
     return mask
 
 
@@ -755,8 +756,8 @@ def enumerate_monic(field: FieldDescriptor, degree: int, squarefree_only: bool =
 
     Order is part of the external contract: lexicographic on coefficient
     vectors with the constant term varying fastest.  ``squarefree_only``
-    reads the models off ``squarefree_mask``.  A family whose mask (one byte
-    per polynomial) exceeds ``ENUMERATE_CAP`` raises
+    reads the models off ``squarefree_mask``.  A family of more than
+    ``ENUMERATE_CAP`` polynomials (the bytes of its mask) raises
     :class:`BudgetExceededError` here, before anything is listed.
     """
     if degree < 1:

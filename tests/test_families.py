@@ -6,7 +6,7 @@ import pytest
 
 from strataforge import families, ffield
 from strataforge.errors import BudgetExceededError
-from strataforge.ffield import enumerate_monic, field_new
+from strataforge.ffield import enumerate_monic, field_new, monic_codes, squarefree_mask
 from strataforge.prank import hasse_witt_from_poly, stable_rank
 
 # Exact weighted counts at f = 0 .. g of every monic squarefree model of
@@ -24,16 +24,18 @@ PINNED = {
 def test_stratum_counts_are_pinned_with_and_without_the_cut(p, n, g):
     field = field_new(p, n)
     q, d = field.size, 2 * g + 1
-    for cut in (True, False):
-        family = families.exhaustive(field, g, cut)
-        blocks = list(family)
-        assert family.weight == sum(len(codes) * w for codes, w in blocks) == q**d - q ** (d - 1)
-        assert {w for _, w in blocks} == {q if cut else 1}
-        assert all(codes.dtype == np.int16 and codes.shape[1] == d + 1
-                   and len(codes) <= ffield.BLOCK_ROWS for codes, _ in blocks)
-        if cut:
-            assert all((codes[:, d - 1] == 0).all() for codes, _ in blocks)
-        assert families.strata_counts(family) == PINNED[p, n, g], cut
+    family = families.exhaustive(field, g)
+    blocks = list(family)
+    assert sum(len(codes) * w for codes, w in blocks) == q**d - q ** (d - 1)
+    assert {w for _, w in blocks} == {q}                  # p does not divide d here
+    assert all(codes.dtype == np.int16 and codes.shape[1] == d + 1
+               and len(codes) <= ffield.BLOCK_ROWS and (codes[:, d - 1] == 0).all()
+               for codes, _ in blocks)
+    assert families.strata_counts(family) == PINNED[p, n, g]
+    # every model, uncut, weight 1
+    every = monic_codes(q, d, np.flatnonzero(squarefree_mask(field, d)))
+    uncut = np.bincount(families.p_ranks(field, g, every), minlength=g + 1)
+    assert uncut.tolist() == PINNED[p, n, g]
 
 
 def det_a_p3(field, c, g):
@@ -100,7 +102,7 @@ def test_p_ranks_in_steps_and_of_no_models(monkeypatch):
 @pytest.mark.parametrize("seed,counts", [(1, [10, 22, 113, 855]), (2, [2, 7, 134, 857])])
 def test_sampled_family_is_the_benchmark_sample(seed, counts):
     family = families.sampled(field_new(7), 3, 1000, seed)
-    assert family.weight == 1000
+    assert sum(len(codes) * w for codes, w in family) == 1000
     assert families.strata_counts(family) == counts
     assert families.strata_counts(family) == counts        # a second pass, same blocks
 
@@ -116,17 +118,17 @@ def test_sampled_blocks_continue_one_stream(monkeypatch):
 
 def test_exhaustive_blocks_span_the_mask(monkeypatch):
     field = field_new(3)
-    whole = np.concatenate([codes for codes, _ in families.exhaustive(field, 3, cut=False)])
+    whole = np.concatenate([codes for codes, _ in families.exhaustive(field, 3)])
     monkeypatch.setattr(families, "BLOCK_ROWS", 100)
-    blocks = [codes for codes, _ in families.exhaustive(field, 3, cut=False)]
-    assert len(blocks) == 22 and np.concatenate(blocks).tolist() == whole.tolist()
+    blocks = [codes for codes, _ in families.exhaustive(field, 3)]
+    assert len(blocks) == 8 and np.concatenate(blocks).tolist() == whole.tolist()   # 3^6 / 100
     listed = enumerate_monic(field, 7, squarefree_only=True)
-    assert whole.tolist() == [list(f.coeffs) for f in listed]
+    assert whole.tolist() == [list(f.coeffs) for f in listed if f.coeffs[6] == 0]
 
 
 def test_families_over_a_budget_are_refused_before_any_allocation(monkeypatch):
     big, f7 = field_new(3, 10), field_new(7)
-    monkeypatch.setattr(ffield, "ENUMERATE_CAP", 7**8)
+    monkeypatch.setattr(ffield, "ENUMERATE_CAP", 7**8 - 1)     # the cut mask at g = 4
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=r"genus 2 over GF\(3\^10\): .* int16"):
@@ -148,5 +150,6 @@ def test_families_over_a_budget_are_refused_before_any_allocation(monkeypatch):
 def test_cut_applies_only_where_p_does_not_divide_the_degree():
     # 2g + 1 = 5 at p = 5: x -> x + b leaves c_4 alone
     family = families.exhaustive(field_new(5), 2)
-    assert {w for _, w in family} == {1} and family.weight == 5**5 - 5**4
+    assert {w for _, w in family} == {1}
+    assert sum(len(codes) for codes, _ in family) == 5**5 - 5**4
     assert list(itertools.islice(family, 1))[0][0][:, 4].any()
