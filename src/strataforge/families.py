@@ -23,6 +23,7 @@ F_q.  Nothing here is imported by the per-curve modules.
 """
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -82,8 +83,12 @@ def sampled(field: FieldDescriptor, g: int, n: int, seed: int) -> Family:
     """n models drawn by ``random.Random(seed)``: each candidate draws its
     coefficients c_0 .. c_(2g) by ``randrange(q)`` in turn and is kept when
     squarefree, weight 1 each.  Over F_7 at g = 3 these are the models of
-    the benchmark's strata_g3_sampled workload, model for model."""
+    the benchmark's strata_g3_sampled workload, model for model.  n must be
+    an int >= 0; anything else raises ``ValueError`` here, not when the
+    family is iterated."""
     _check_family(field, g)
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     q, d = field.size, 2 * g + 1
 
     def blocks() -> Iterator[Block]:
@@ -109,9 +114,13 @@ def p_ranks(field: FieldDescriptor, g: int, codes: np.ndarray) -> np.ndarray:
     p-rank g; for the rest M = A^(p^(g-1)) ... A^(p) A is formed and ranked.
     The rows are taken as many at a time as keep the temporaries, measured
     at 8-18 B per coefficient of f^((p-1)/2) and 4-20 B per entry of A,
-    within ``ffield.BLOCK_BYTES``."""
+    within ``ffield.BLOCK_BYTES``.  Codes of any other shape (not 2-D, or
+    not 2g + 2 or 2g + 3 columns) raise ``ValueError``."""
     _check_family(field, g)
     f = np.asarray(codes, dtype=np.int16)
+    if f.ndim != 2 or f.shape[1] not in (2 * g + 2, 2 * g + 3):
+        raise ValueError(f"genus {g} needs rows of {2 * g + 2} or {2 * g + 3} codes, "
+                         f"got an array of shape {f.shape}")
     step = max(1, BLOCK_BYTES // (18 * (g * field.p + 2 * g + 2) + 20 * g * g))
     return np.concatenate([_p_ranks(field, g, f[i:i + step])
                            for i in range(0, max(len(f), 1), step)])

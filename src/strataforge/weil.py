@@ -18,6 +18,22 @@ alone, its factors mod r and the square classes of b^2 - 4q
 irreducible L needs only squarefreeness of its power polynomials P_d, the
 same exact integer test on the trace polynomials h_d.  sympy is imported
 only to decide whether h is irreducible at genus >= 4.
+
+Two Galois facts decide many L without that work.  Write delta =
+prod (pi_i - q/pi_i), one pi_i from each pair; delta^2 = prod (b_i^2 - 4q)
+= N(h), and an element of W_g negates delta iff it flips an odd number of
+pairs.  So when N(h) is a square, delta is rational, G lies in the kernel
+of that flip-parity character, and no Frobenius shows a flip of odd
+weight: ``splitting_class`` is "undetermined" before it reads a prime
+(at odd g this never happens, as each b_i^2 - 4q < 0 makes N(h) < 0).
+And for g >= 2, G = W_g forces every power polynomial P_d to be
+squarefree, so a "maximal" L is absolutely simple.  Suppose pi^d = rho^d
+for roots pi != rho.  If rho = q/pi, then pi^(2d) = q^d, and so does every
+conjugate of pi: the splitting field lies in the abelian Q(sqrt q, mu_2d),
+but W_g is not abelian for g >= 2.  If rho lies in another pair, the flip
+of rho's pair alone (in W_g) fixes pi and gives rho^d = (q/rho)^d, the
+first case.  At g = 1, W_1 = Z/2 is abelian: T^2 + 3 over F_3 is
+maximal, but P_4 = (T - 9)^2.
 """
 from __future__ import annotations
 
@@ -162,18 +178,27 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     are free for g < 3, the third at g = 1.  When disc(h) is a square
     (``discriminant``), Gal(h) lies in A_g, so no Frobenius is the odd
     permutation a transposition witness is, and the answer is
-    "undetermined" without reading a prime.
+    "undetermined" without reading a prime.  Likewise when N(h) = h(2 sqrt q)
+    h(-2 sqrt q) is a square: delta = prod (pi_i - q/pi_i), one pi_i per
+    pair, has delta^2 = N(h), so delta is rational and fixed by G, while a
+    Frobenius that flips an odd number of pairs negates it.  So G lies in
+    the kernel of the flip-parity character, every pure flip in G has even
+    weight, and at even g (the only g where N(h) can be a square: each
+    b_i^2 - 4q is negative) no flip witness exists.
     """
     g, q = L.genus, L.q
     if l_reducible(L):
         return ("undetermined", None)
     h = real_weil_coeffs(L)
+    norm = norm_at_root(h, 4 * q)
+    if is_perfect_square(norm):
+        return ("undetermined", None)   # G fixes delta, sqrt N(h): no flip is odd
     disc = discriminant(h)
     transposition = cycle = g < 3
     if not transposition and is_perfect_square(disc):
         return ("undetermined", None)   # Gal(h) lies in A_g: no witness is odd
     flip = g == 1
-    bad = q * disc * norm_at_root(h, 4 * q)   # r | bad iff r | q or P is not squarefree mod r
+    bad = q * disc * norm   # r | bad iff r | q or P is not squarefree mod r
     good, r = 0, 2
     while not (transposition and cycle and flip) and good < WITNESS_PRIMES:
         r = _next_prime(r)
@@ -268,9 +293,21 @@ def absolutely_simple(L: LPolynomial) -> bool:
     (``_power_trace``, ``_reciprocal_squarefree``), at half the degree.
     The power sums are computed once, up to g times the largest d.  Results
     are memoized on L in a bounded LRU cache (see ``L_CACHE_SIZE``).
+
+    For g >= 2 the answer is True at once when the memoized
+    ``splitting_class`` of L is "maximal": if pi^d = rho^d for roots
+    pi != rho and rho = q/pi, every conjugate of pi has pi^(2d) = q^d, so
+    the splitting field lies in the abelian Q(sqrt q, mu_2d), but W_g is
+    not abelian; if rho lies in another pair, the flip of rho's pair alone
+    fixes pi and gives rho^d = (q/rho)^d, the first case.  So every P_d is
+    squarefree.  At g = 1, W_1 is abelian and the implication fails
+    (T^2 + 3 over F_3 is maximal, yet P_4 = (T - 9)^2).  The P_d route
+    decides the irreducible L that the certificate leaves undetermined.
     """
     if l_reducible(L):
         return False
+    if L.genus >= 2 and splitting_class(L)[0] == "maximal":
+        return True
     g, q, degrees = L.genus, L.q, _power_degrees(L.genus)
     ps = [2 * g] + power_sums(L.coeffs, g * max(degrees))
     return all(_reciprocal_squarefree(_power_trace(ps, q, d), q**d) for d in degrees)

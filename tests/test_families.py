@@ -98,6 +98,28 @@ def test_p_ranks_in_steps_and_of_no_models(monkeypatch):
     assert families.p_ranks(field, 3, codes[:0]).tolist() == []
 
 
+def test_p_ranks_refuses_codes_of_another_genus():
+    field = field_new(3)
+    genus2 = next(iter(families.exhaustive(field, 2)))[0]          # 6 columns
+    assert len(families.p_ranks(field, 2, genus2)) == len(genus2)
+    for g, codes in ((3, genus2), (1, genus2), (2, genus2[0]), (2, genus2[:, :5])):
+        with pytest.raises(ValueError, match=f"genus {g} needs rows of"):
+            families.p_ranks(field, g, codes)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, "3", None])
+def test_sampled_refuses_a_bad_n_when_called(n):
+    """The family is refused when it is made, not iterated: a negative or
+    fractional n would never reach zero models left."""
+    with pytest.raises(ValueError, match="n must be an int >= 0"):
+        families.sampled(field_new(7), 2, n, 0)
+
+
+def test_sampled_of_no_models_is_empty():
+    assert list(families.sampled(field_new(7), 2, 0, 0)) == []
+    assert sum(len(codes) for codes, _ in families.sampled(field_new(7), 2, np.int64(5), 0)) == 5
+
+
 # strata_g3_sampled of the benchmark draws the same 1,000 models per seed
 @pytest.mark.parametrize("seed,counts", [(1, [10, 22, 113, 855]), (2, [2, 7, 134, 857])])
 def test_sampled_family_is_the_benchmark_sample(seed, counts):

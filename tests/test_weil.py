@@ -375,6 +375,86 @@ def test_square_discriminant_leaves_no_transposition_witness(census_Ls, sampled_
     assert square >= 14
 
 
+def every_fixture_L(census_Ls, sampled_Ls, genus1_and_4_Ls):
+    return [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls] + genus1_and_4_Ls
+
+
+def test_square_norm_leaves_no_odd_flip_witness(census_Ls, sampled_Ls, genus1_and_4_Ls):
+    """Where N(h) = h(2 sqrt q) h(-2 sqrt q) is a square ``splitting_class``
+    stops at once; on each such irreducible L, WITNESS_PRIMES good primes
+    show only Frobenius elements that flip an even number of pairs, so no
+    pure flip of odd weight, and reading them would have given
+    "undetermined" as well.  At odd g, N(h) < 0 on every irreducible L."""
+    square = []
+    for L in every_fixture_L(census_Ls, sampled_Ls, genus1_and_4_Ls):
+        g, h = L.genus, weil.real_weil_coeffs(L)
+        if weil.l_reducible(L):
+            continue
+        norm = norm_at_root(h, 4 * L.q)
+        if g % 2:
+            assert norm < 0, L
+        if not weil.is_perfect_square(norm):
+            continue
+        square.append(g)
+        assert weil.splitting_class(L) == ("undetermined", None), L
+        good, r = 0, 2
+        while good < weil.WITNESS_PRIMES:
+            r = weil._next_prime(r)
+            if L.q % r == 0 or sympy_signed_cycle_type(L, r) is None:
+                continue
+            good += 1
+            signed = weil.signed_cycle_type(h, L.q, r)
+            assert sum(flipped for _, flipped in signed) % 2 == 0, (L, r, signed)
+            K = math.lcm(*(k for k, _ in signed))
+            w = sum(k for k, flipped in signed if flipped and (K // k) % 2)
+            assert w % 2 == 0, (L, r, signed)
+    assert square.count(2) >= 30 and square.count(4) >= 10, square
+
+
+def test_maximal_L_has_every_power_polynomial_squarefree(census_Ls, sampled_Ls,
+                                                         genus1_and_4_Ls):
+    """G = W_g at g >= 2 leaves no two roots with equal d-th powers, so
+    ``absolutely_simple`` returns True on a "maximal" L without the P_d
+    route; here that route, on every d with phi(d) <= 2g, agrees."""
+    maximal = set()
+    for L in every_fixture_L(census_Ls, sampled_Ls, genus1_and_4_Ls):
+        if L.genus < 2 or weil.splitting_class(L)[0] != "maximal":
+            continue
+        maximal.add(L.genus)
+        degrees = full_power_degrees(L.genus)
+        ps = [2 * L.genus] + power_sums(L.coeffs, L.genus * max(degrees))
+        for d in degrees:
+            assert weil._reciprocal_squarefree(weil._power_trace(ps, L.q, d), L.q**d), (L, d)
+        assert weil.absolutely_simple(L), L
+    assert maximal == {2, 3, 4}
+
+
+def test_maximal_genus1_L_need_not_be_absolutely_simple():
+    """At g = 1, W_1 = Z/2 is abelian and the implication fails:
+    y^2 = x^3 + x over F_3 has P = T^2 + 3, maximal, but P_4 = (T - 9)^2."""
+    L = curve_L(3, [0, 1, 0, 1])
+    assert L.coeffs == (1, 0, 3)
+    assert weil.splitting_class(L) == ("maximal", 2)
+    assert weil.power_charpoly(L, 4) == [81, -18, 1]
+    assert not weil.absolutely_simple(L)
+
+
+def test_absolutely_simple_first_with_cold_caches(census_Ls, sampled_Ls, genus1_and_4_Ls):
+    """``absolutely_simple`` reads the memoized ``splitting_class``; asked
+    first, with every weil memo cold, it fills that memo itself and both
+    give what they give in the other order."""
+    Ls = every_fixture_L(census_Ls, sampled_Ls, genus1_and_4_Ls)
+    memos = (weil.l_reducible, weil.splitting_class, weil.absolutely_simple)
+    for memo in memos:
+        memo.cache_clear()
+    simple_first = [(weil.absolutely_simple(L), weil.splitting_class(L)) for L in Ls]
+    for memo in memos:
+        memo.cache_clear()
+    split_first = [(weil.splitting_class(L), weil.absolutely_simple(L)) for L in Ls]
+    assert [(a, s) for s, a in split_first] == simple_first
+    assert sum(a for a, _ in simple_first) > 100
+
+
 def test_splitting_class_genus1_certifies_exactly_the_irreducible_L():
     for L in genus1_Ls():
         expected = ("undetermined", None) if weil.l_reducible(L) else ("maximal", 2)
