@@ -156,7 +156,10 @@ class _Pass:
     The pass has one segment per degree d dividing some k (segment 0 is
     d = 1), and ``reps`` lays the logs i of x = g^i in R_d (g the generator
     of F_{q^d}) end to end.  A route supplies ``character_sums(curve)``:
-    per segment, the sums of chi(f(x)) and of chi(f(x))^2 over R_d.
+    per segment, the pair (sum of chi(f(x)), sum of chi(f(x))^2) over R_d.
+    Both routes label every x of the pass 3 seg + chi(f(x)) + 1 from one
+    int8 table (42 segments fit; a pass has at most 18, as ``field_new``
+    stops at 2^30 elements) and read all the pairs off one ``_tally``.
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
@@ -172,7 +175,7 @@ class _Pass:
 
     def counts(self, curve: HyperellipticCurve) -> list[int]:
         """N_k of the curve for every k of the pass."""
-        chis, nonzero = self.character_sums(curve)
+        sums = self.character_sums(curve)
         coeffs, log = curve.f.coeffs, curve.field.exp_log[1]
         at_zero = 1 - 2 * (int(log[coeffs[0]]) & 1) if coeffs[0] else 0   # chi_q(c_0)
         lead_square = int(log[coeffs[-1]]) % 2 == 0                      # chi_q(lead) = 1
@@ -182,9 +185,15 @@ class _Pass:
             total = self.q**k + at_zero**k
             total += 1 if odd_model else 2 * (lead_square or k % 2 == 0)
             for seg, d, odd in terms:
-                total += d * (chis[seg] if odd else nonzero[seg])
+                total += d * sums[seg][0 if odd else 1]
             out.append(total)
         return out
+
+    def _tally(self, labels: np.ndarray) -> list[tuple[int, int]]:
+        """Per segment, (sum of chi, sum of chi^2) from the labels
+        3 seg + chi + 1 of its elements, in one bincount over the pass."""
+        tally = np.bincount(labels, minlength=3 * len(self.degrees)).tolist()
+        return [(plus - minus, plus + minus) for minus, plus in zip(tally[0::3], tally[2::3])]
 
 
 class _MatrixPass(_Pass):
@@ -200,12 +209,15 @@ class _MatrixPass(_Pass):
     pass, W = n max(d) columns per x (zero past the n d digits of its own
     segment), so one product with the curve's digit row, a lookup in
     ``mod_p`` and a dot with the place values p^s give the code of every
-    f(x), and each field's ``chi_table`` its character.  No Zech table is
-    built.  The float32 sums are exact, as they stay below 2^24: an entry
-    of the product is at most (deg f + 1) n (p - 1)^2, the last index of
-    ``mod_p``, which ``_matrix_entries`` keeps within ``MATRIX_PASS_ENTRIES``
-    like the matrix; and a code is below q^d <= 2 d |R_d|, at most twice
-    the matrix's columns.
+    f(x).  The segments' ``chi_table``s, each shifted to 3 seg + chi + 1,
+    lie end to end in ``labels``, so the code plus its segment's offset
+    (``shift``, the sum of q^e over the segments e before d) labels f(x).
+    No Zech table is built.  The float32 sums are exact, as they stay below
+    2^24: an entry of the product is at most (deg f + 1) n (p - 1)^2, the
+    last index of ``mod_p``, which ``_matrix_entries`` keeps within
+    ``MATRIX_PASS_ENTRIES`` like the matrix; and as each offset is below
+    q^d, an index into ``labels`` is below 2 q^d <= 4 d |R_d|, at most four
+    times the matrix's columns.
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...], degree: int):
@@ -213,9 +225,9 @@ class _MatrixPass(_Pass):
         p, n = base.p, base.n
         rows, self.width = (degree + 1) * n, n * self.degrees[-1]
         matrix = np.zeros((rows, len(self.reps), self.width), dtype=np.float32)
-        self.tables, self.bounds = [], []
-        for d, start, stop in zip(self.degrees, self.starts.tolist(),
-                                  (self.starts + self.lengths).tolist()):
+        labels = []
+        for seg, (d, start, stop) in enumerate(zip(self.degrees, self.starts.tolist(),
+                                                   (self.starts + self.lengths).tolist())):
             ext = field_new(p, n * d)
             exp, log = ext.exp_log
             thetas = log.take(base.embedding_into(ext).take(p ** np.arange(n)))
@@ -226,22 +238,21 @@ class _MatrixPass(_Pass):
             del powers
             for s in range(n * d):                           # digit s
                 codes, matrix[:, start:stop, s] = np.divmod(codes, p)
-            self.tables.append(ext.chi_table)
-            self.bounds.append((start, stop))
+            labels.append(ext.chi_table + np.int8(3 * seg + 1))
+        offsets = np.cumsum([0] + [len(t) for t in labels[:-1]])
+        self.labels = np.concatenate(labels)
+        self.shift = np.repeat(offsets, self.lengths).astype(np.float32)
         self.matrix = matrix.reshape(rows, -1)
         self.mod_p = np.resize(np.arange(p, dtype=np.float32), rows * (p - 1) ** 2 + 1)
         self.place = (p ** np.arange(self.width)).astype(np.float32)
         self.coef_digits = (np.arange(base.size)[:, None] // p ** np.arange(n) % p).astype(np.float32)
 
-    def character_sums(self, curve: HyperellipticCurve) -> tuple[list[int], list[int]]:
+    def character_sums(self, curve: HyperellipticCurve) -> list[tuple[int, int]]:
         row = self.coef_digits.take(curve.f.coeffs, axis=0).reshape(-1)
         digits = self.mod_p.take((row @ self.matrix).astype(np.intp))
-        codes = (digits.reshape(len(self.reps), self.width) @ self.place).astype(np.intp)
-        signs = np.empty(len(codes), dtype=np.int8)
-        for table, (start, stop) in zip(self.tables, self.bounds):
-            table.take(codes[start:stop], out=signs[start:stop])
-        return (np.add.reduceat(signs, self.starts, dtype=np.int32).tolist(),
-                np.add.reduceat(signs != 0, self.starts, dtype=np.int32).tolist())
+        index = digits.reshape(len(self.reps), self.width) @ self.place
+        index += self.shift
+        return self._tally(self.labels.take(index.astype(np.intp)))
 
 
 class _ExtensionPass(_Pass):
@@ -263,8 +274,10 @@ class _ExtensionPass(_Pass):
     value and t <= 5m - 2 for a zero one, so a segment takes 5m entries and
     the lookup needs no modulo and no mask.  At the end
     f(x) = c_j x^j * g^u, c_j the lowest nonzero coefficient, and its
-    quadratic character is (-1)^(log c_j + u + j i): ``chi[z]`` (plus i when
-    j is odd) reads the parity of u, 0 at the zero code (b is even).
+    quadratic character is (-1)^(log c_j + u + j i): ``labels[z]`` (plus i
+    when j is odd) reads 3 seg + 1 + (-1)^u, or 3 seg + 1 past 3m, where
+    the zero code lands; the sign of chi(c_j) is applied per segment to the
+    tally.
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
@@ -273,7 +286,7 @@ class _ExtensionPass(_Pass):
         self.offsets = (5 * np.concatenate(([0], np.cumsum(self.sizes)[:-1]))).astype(np.int32)
         self.coef_logs = np.empty((base.size, len(exts)), dtype=np.int32)
         self.zech = np.zeros(5 * int(self.sizes.sum()), dtype=np.int32)
-        self.chi = np.zeros(len(self.zech), dtype=np.int8)
+        self.labels = np.empty(len(self.zech), dtype=np.int8)
         for seg, (ext, m, b) in enumerate(zip(exts, self.sizes.tolist(),
                                                self.offsets.tolist())):
             exp, log = ext.exp_log
@@ -287,8 +300,9 @@ class _ExtensionPass(_Pass):
             seg_zech[m:2 * m] = seg_zech[:m]
             seg_zech[2 * m:3 * m] = seg_zech[:m]
             seg_zech += b
-            self.chi[b:b + 3 * m:2] = 1
-            self.chi[b + 1:b + 3 * m:2] = -1
+            self.labels[b:b + 3 * m:2] = 3 * seg + 2
+            self.labels[b + 1:b + 3 * m:2] = 3 * seg
+            self.labels[b + 3 * m:b + 5 * m] = 3 * seg + 1
         super().__init__(base, ks)        # the representatives, past the build's peak
         self._x_logs = {1: self.reps}
 
@@ -305,15 +319,14 @@ class _ExtensionPass(_Pass):
             self._x_logs[r] = out
         return self._x_logs[r]
 
-    def character_sums(self, curve: HyperellipticCurve) -> tuple[list[int], list[int]]:
+    def character_sums(self, curve: HyperellipticCurve) -> list[tuple[int, int]]:
         coeffs = curve.f.coeffs
         support = [j for j, c in enumerate(coeffs) if c]
         logs = self.coef_logs[[coeffs[j] for j in support]]   # lowest degree first
-        signs = self.chi.take(self._horner(support, logs))
-        chis = np.add.reduceat(signs, self.starts, dtype=np.int32)
-        chis *= 1 - 2 * (logs[0] & 1)                       # times chi_{q^d}(c_j)
-        nonzero = np.add.reduceat(signs != 0, self.starts, dtype=np.int32)
-        return chis.tolist(), nonzero.tolist()
+        sums = self._tally(self.labels.take(self._horner(support, logs)))
+        # times chi_{q^d}(c_j)
+        return [(-chi if odd else chi, nonzero)
+                for (chi, nonzero), odd in zip(sums, (logs[0] & 1).tolist())]
 
     def _horner(self, support: list[int], logs: np.ndarray) -> np.ndarray:
         """Final codes z, shifted by i when the lowest degree j is odd."""

@@ -240,7 +240,9 @@ class FieldDescriptor:
         return int(self._exp[int(self._log[a]) * e % (self.size - 1)])
 
     def frobenius(self, a: int) -> int:
-        """a^p."""
+        """a^p (the identity on F_p)."""
+        if self.n == 1:
+            return a
         return self.pow(a, self.p)
 
     def chi(self, a: int) -> int:
@@ -248,6 +250,31 @@ class FieldDescriptor:
         if a == 0:
             return 0
         return 1 - 2 * (int(self.exp_log[1][a]) & 1)
+
+    # -- row operations on lists of encodings (elimination, matrix products) --
+
+    def row_scale(self, c: int, row: list[int]) -> list[int]:
+        """c * row, entry by entry."""
+        if self.n == 1:
+            p = self.p
+            return [c * v % p for v in row]
+        return [self.mul(c, v) for v in row]
+
+    def row_sub_scaled(self, a: list[int], c: int, b: list[int]) -> list[int]:
+        """a - c * b, entry by entry."""
+        if self.n == 1:
+            p = self.p
+            return [(v - c * w) % p for v, w in zip(a, b)]
+        return [self.sub(v, self.mul(c, w)) for v, w in zip(a, b)]
+
+    def row_dot(self, a, b) -> int:
+        """sum of a_i * b_i."""
+        if self.n == 1:
+            return sum(map(operator.mul, a, b)) % self.p
+        total = 0
+        for v, w in zip(a, b):
+            total = self.add(total, self.mul(v, w))
+        return total
 
     # -- numpy views (built lazily, used by census hot loops) ----------------
 
@@ -487,20 +514,48 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _monic(f: list[int], r: int) -> list[int]:
+    """f over Z/r divided by its leading coefficient; f itself when that
+    is 1."""
+    if f[-1] == 1:
+        return f
+    inv = pow(f[-1], -1, r)
+    return [c * inv % r for c in f]
+
+
 def zp_mulmod(a: list[int], b: list[int], f: list[int], r: int) -> list[int]:
-    """a * b mod f over Z/r."""
-    return zp_rem(_convolve(a, b), f, r)
+    """a * b mod f over Z/r, f != 0; the entries of a and b may be any
+    integers.  One loop forms the product over Z and clears its top
+    coefficients with the monic multiple of f, made monic here unless its
+    leading coefficient is already 1 (as ``zp_powmod`` and ``zp_ddf`` pass
+    it)."""
+    f = _monic(f, r)
+    n, low = len(f) - 1, f[:-1]
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    for top in range(len(out) - 1, n - 1, -1):
+        c = out[top] % r
+        if c:
+            for i, m in enumerate(low, top - n):
+                out[i] -= c * m
+    return poly_trim([c % r for c in out[:n]])
 
 
 def zp_powmod(a: list[int], e: int, f: list[int], r: int) -> list[int]:
-    """a^e mod f over Z/r, e >= 0."""
-    result, base = zp_rem([1], f, r), zp_rem(a, f, r)
-    while e:
-        if e & 1:
+    """a^e mod f over Z/r, e >= 0.  The bits of e are read from the top, so
+    every product other than a square is by a itself, which is short for
+    the x and x^2 - 4m that the Weil layer raises."""
+    f = _monic(f, r)
+    if e == 0:
+        return zp_rem([1], f, r)
+    base = result = zp_rem(a, f, r)
+    for bit in bin(e)[3:]:
+        result = zp_mulmod(result, result, f, r)
+        if bit == "1":
             result = zp_mulmod(result, base, f, r)
-        e >>= 1
-        if e:
-            base = zp_mulmod(base, base, f, r)
     return result
 
 
@@ -522,11 +577,10 @@ def zp_ddf(f: list[int], r: int) -> dict[int, list[int]]:
     n = len(f) - 1
     if n < 1:
         return {}
-    inv = pow(f[-1], -1, r)
-    f = [c * inv % r for c in f]
+    f = _monic(f, r)
     x_r = zp_powmod([0, 1], r, f, r)
-    rows = [[1]]
-    for _ in range(n - 1):
+    rows = [[1], x_r][:n]                      # x^(r i) mod f, i < n
+    while len(rows) < n:
         rows.append(zp_mulmod(rows[-1], x_r, f, r))
     parts: dict[int, list[int]] = {}
     frob, k, rest = [0, 1] + [0] * (n - 2), 0, f

@@ -4,7 +4,8 @@ zeta numerators.
 The p-rank is the dimension of the stable image of the p-linear Hasse-Witt
 map x -> x^(p) A on row vectors over F_q: a row basis of the image is
 pushed through the map until its dimension stops dropping.  One path, on
-the field descriptor's scalar ops, serves every F_{p^n}.
+the field descriptor's row ops (one call per row of an elimination step),
+serves every F_{p^n}.
 
 The two computations are independent routes to the same invariant: the
 p-rank equals the length of the slope-0 part of the Newton polygon.  The
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Literal
 
 from .curves import L_CACHE_SIZE, HyperellipticCurve, LPolynomial
@@ -43,14 +44,10 @@ def hasse_witt_from_poly(field: FieldDescriptor, f_coeffs: list[int], genus: int
     for _ in range((field.p - 3) // 2):
         h = poly_mul(field, f, h)
     p, g = field.p, genus
-    rows = []
-    for i in range(1, g + 1):
-        row = []
-        for j in range(1, g + 1):
-            m = i * p - j
-            row.append(h[m] if 0 <= m < len(h) else 0)
-        rows.append(tuple(row))
-    return HasseWittMatrix(field, g, tuple(rows))
+    padded = [0] * g + h + [0] * (g * p)        # padded[m + g] = c_m, 0 off h
+    # row i holds c_(ip-1), ..., c_(ip-g): padded[ip + g - 1] down to padded[ip]
+    rows = tuple(tuple(reversed(padded[i * p:i * p + g])) for i in range(1, g + 1))
+    return HasseWittMatrix(field, g, rows)
 
 
 def hasse_witt(curve: HyperellipticCurve) -> HasseWittMatrix:
@@ -60,7 +57,7 @@ def hasse_witt(curve: HyperellipticCurve) -> HasseWittMatrix:
 def _mat_mul(field: FieldDescriptor, a, b) -> list[list[int]]:
     """The product a * b of an r x m and an m x c matrix over the field."""
     cols = list(zip(*b))
-    return [[reduce(field.add, map(field.mul, row, col), 0) for col in cols] for row in a]
+    return [[field.row_dot(row, col) for col in cols] for row in a]
 
 
 def _row_basis(field: FieldDescriptor, a) -> list[list[int]]:
@@ -72,12 +69,11 @@ def _row_basis(field: FieldDescriptor, a) -> list[list[int]]:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        rows[rank] = field.row_scale(field.inv(rows[rank][col]), rows[rank])
         for r in range(rank + 1, len(rows)):
             c = rows[r][col]
             if c:
-                rows[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
+                rows[r] = field.row_sub_scaled(rows[r], c, rows[rank])
         rank += 1
     return rows[:rank]
 

@@ -19,7 +19,7 @@ irreducible L needs only squarefreeness of its power polynomials P_d, the
 same exact integer test on the trace polynomials h_d.  sympy is imported
 only to decide whether h is irreducible at genus >= 4.
 
-Two Galois facts decide many L without that work.  Write delta =
+Three Galois facts decide many L without that work.  Write delta =
 prod (pi_i - q/pi_i), one pi_i from each pair; delta^2 = prod (b_i^2 - 4q)
 = N(h), and an element of W_g negates delta iff it flips an odd number of
 pairs.  So when N(h) is a square, delta is rational, G lies in the kernel
@@ -33,7 +33,11 @@ conjugate of pi: the splitting field lies in the abelian Q(sqrt q, mu_2d),
 but W_g is not abelian for g >= 2.  If rho lies in another pair, the flip
 of rho's pair alone (in W_g) fixes pi and gives rho^d = (q/rho)^d, the
 first case.  At g = 1, W_1 = Z/2 is abelian: T^2 + 3 over F_3 is
-maximal, but P_4 = (T - 9)^2.
+maximal, but P_4 = (T - 9)^2.  Last, when L lies in Z[T^k] for some
+k >= 2, so does P, and with each root pi, zeta_k pi is a root too: a
+different one with the same k-th power.  So P_k is not squarefree, L is
+not absolutely simple (any g), and by the second fact G != W_g (g >= 2):
+both answers come at once (``_power_step``).
 """
 from __future__ import annotations
 
@@ -133,6 +137,12 @@ def _det_z(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
+def _power_step(L: LPolynomial) -> int:
+    """The largest k with L in Z[T^k]: the gcd of the degrees of its
+    nonzero terms (a_2g = q^g is one)."""
+    return math.gcd(*(i for i, a in enumerate(L.coeffs) if a))
+
+
 def _next_prime(r: int) -> int:
     r += 1
     while not is_prime(r):
@@ -184,9 +194,14 @@ def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     Frobenius that flips an odd number of pairs negates it.  So G lies in
     the kernel of the flip-parity character, every pure flip in G has even
     weight, and at even g (the only g where N(h) can be a square: each
-    b_i^2 - 4q is negative) no flip witness exists.
+    b_i^2 - 4q is negative) no flip witness exists.  And when g >= 2 and L
+    lies in Z[T^k], k >= 2 (``_power_step``), the roots pi != zeta_k pi
+    have equal k-th powers, so P_k is not squarefree, which G = W_g rules
+    out (module docstring): "undetermined" at once.
     """
     g, q = L.genus, L.q
+    if g >= 2 and _power_step(L) >= 2:
+        return ("undetermined", None)   # P_k has the repeated root pi^k = (zeta_k pi)^k
     if l_reducible(L):
         return ("undetermined", None)
     h = real_weil_coeffs(L)
@@ -303,8 +318,11 @@ def absolutely_simple(L: LPolynomial) -> bool:
     squarefree.  At g = 1, W_1 is abelian and the implication fails
     (T^2 + 3 over F_3 is maximal, yet P_4 = (T - 9)^2).  The P_d route
     decides the irreducible L that the certificate leaves undetermined.
+    An L in Z[T^k], k >= 2 (``_power_step``), is False at once at any g:
+    P_k has the repeated root pi^k = (zeta_k pi)^k, and k divides some
+    tested d (phi(k) <= k <= 2g), so the P_d route gives False as well.
     """
-    if l_reducible(L):
+    if _power_step(L) >= 2 or l_reducible(L):
         return False
     if L.genus >= 2 and splitting_class(L)[0] == "maximal":
         return True

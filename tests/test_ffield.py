@@ -203,6 +203,26 @@ def test_frobenius_is_additive_and_fixes_elements(field):
         assert field.pow(a, q) == a  # x^q = x
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_row_ops_match_the_scalar_loops(field):
+    """Each row operation equals the loop of scalar ops it stands for, on
+    seeded rows of length 0 to 6, about half their entries zero; and
+    frobenius is a^p, the identity on F_p."""
+    q, rng = field.size, random.Random(field.size)
+    for length in range(7):
+        for _ in range(40):
+            a, b = ([rng.choice([0, rng.randrange(q)]) for _ in range(length)] for _ in "ab")
+            c = rng.choice([0, 1, rng.randrange(q)])
+            assert field.row_scale(c, a) == [field.mul(c, v) for v in a]
+            assert field.row_sub_scaled(a, c, b) == [field.sub(v, field.mul(c, w))
+                                                     for v, w in zip(a, b)]
+            dot = 0
+            for v, w in zip(a, b):
+                dot = field.add(dot, field.mul(v, w))
+            assert field.row_dot(a, b) == dot
+    assert [field.frobenius(a) for a in range(q)] == [field.pow(a, field.p) for a in range(q)]
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3), (3, 7)])
 def test_exp_walks_the_powers_of_the_least_primitive_element(p, n):
     """exp[1] is the least primitive encoding and exp[i+1] = exp[i] * exp[1],
@@ -396,6 +416,23 @@ def test_zp_arithmetic_matches_sympy(r):
         for c in (a, gf_mul(gf_mul(a[::-1], b[::-1], r, ZZ), b[::-1], r, ZZ)[::-1]):
             raw = [x + r * rng.randrange(-3, 3) for x in c]
             assert zp_squarefree(raw, r) == gf_sqf_p(gf_from_int_poly(raw[::-1], r), r, ZZ)
+
+
+@pytest.mark.parametrize("r", [3, 7, 97, 101, 211])
+def test_zp_mulmod_and_powmod_match_sympy_on_non_monic_moduli(r):
+    """Moduli of degree 1 to 8 whose leading coefficient is not 1, operands
+    up to twice their degree with entries shifted by multiples of r (some
+    negative), exponents up to r^3; r past MAX_P included."""
+    rng = random.Random(r)
+    for degree in range(1, 9):
+        for _ in range(12):
+            f = [rng.randrange(r) for _ in range(degree)] + [rng.randrange(2, r)]
+            a, b = (random_poly(rng, r, rng.randrange(0, 2 * degree + 1)) for _ in "ab")
+            raw_a, raw_b = ([x + r * rng.randrange(-2, 3) for x in c] for c in (a, b))
+            expected = gf_rem(gf_mul(a[::-1], b[::-1], r, ZZ), f[::-1], r, ZZ)
+            assert zp_mulmod(raw_a, raw_b, f, r)[::-1] == expected, (a, b, f)
+            for e in (0, 1, rng.randrange(2, 3 * r), rng.randrange(r**3)):
+                assert zp_powmod(raw_a, e, f, r)[::-1] == gf_pow_mod(a[::-1], e, f[::-1], r, ZZ)
 
 
 def test_zp_ddf_decides_irreducibility_of_any_polynomial():

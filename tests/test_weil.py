@@ -429,6 +429,49 @@ def test_maximal_L_has_every_power_polynomial_squarefree(census_Ls, sampled_Ls,
     assert maximal == {2, 3, 4}
 
 
+def test_power_step_L_is_undetermined_and_not_absolutely_simple(census_Ls, sampled_Ls,
+                                                                genus1_and_4_Ls):
+    """An L in Z[T^k], k >= 2, has the distinct roots pi and zeta_k pi with
+    equal k-th powers: on every such fixture L the P_d route finds P_k not
+    squarefree, ``absolutely_simple`` is False (at every g), and at g >= 2
+    ``splitting_class`` is "undetermined".  ``_power_step`` is the largest
+    such k on every fixture L."""
+    steps = []
+    for L in every_fixture_L(census_Ls, sampled_Ls, genus1_and_4_Ls):
+        k, g = weil._power_step(L), L.genus
+        assert k == max(e for e in range(1, 2 * g + 1)
+                        if all(a == 0 for i, a in enumerate(L.coeffs) if i % e)), L
+        if k < 2:
+            continue
+        steps.append((g, k))
+        ps = [2 * g] + power_sums(L.coeffs, g * k)
+        assert not weil._reciprocal_squarefree(weil._power_trace(ps, L.q, k), L.q**k), L
+        assert not weil.absolutely_simple(L), L
+        if g >= 2:
+            assert weil.splitting_class(L) == ("undetermined", None), L
+    assert {(2, 2), (2, 4), (3, 2), (3, 3), (3, 6), (4, 2), (4, 4), (4, 8)} <= set(steps)
+    assert sum(g >= 2 for g, _ in steps) >= 50 and (1, 2) in steps
+
+
+def test_genus3_census_over_f3_weil_counts_are_pinned():
+    """The Weil outputs over the 1,458 squarefree genus-3 models y^2 = f(x),
+    deg f = 7, over F_3 (218 distinct L), as read before the early exits
+    for L in Z[T^k]: 120 distinct L are "maximal" and 98 "undetermined",
+    and 140 absolutely simple; weighted by models, 798 and 906."""
+    field = field_new(3)
+    Ls = [l_polynomial(curve_new(field, f))
+          for f in enumerate_monic(field, 7, squarefree_only=True)]
+    distinct = set(Ls)
+    split = {L: weil.splitting_class_g3(L)[0] for L in distinct}
+    simple = {L: weil.absolutely_simple(L) for L in distinct}
+    assert (len(Ls), len(distinct)) == (1458, 218)
+    assert list(split.values()).count("maximal") == 120
+    assert list(split.values()).count("undetermined") == 98
+    assert sum(simple.values()) == 140
+    assert sum(split[L] == "maximal" for L in Ls) == 798
+    assert sum(simple[L] for L in Ls) == 906
+
+
 def test_maximal_genus1_L_need_not_be_absolutely_simple():
     """At g = 1, W_1 = Z/2 is abelian and the implication fails:
     y^2 = x^3 + x over F_3 has P = T^2 + 3, maximal, but P_4 = (T - 9)^2."""
