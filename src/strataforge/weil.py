@@ -139,7 +139,7 @@ def _det_z(rows: list[list[int]]) -> int:
 
 def _power_step(L: LPolynomial) -> int:
     """The largest k with L in Z[T^k]: the gcd of the degrees of its
-    nonzero terms (a_2g = q^g is one)."""
+    nonzero terms, among them a_2g = q^g, so k divides 2g."""
     return math.gcd(*(i for i, a in enumerate(L.coeffs) if a))
 
 
