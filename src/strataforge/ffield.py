@@ -29,9 +29,12 @@ path for every F_q: each field's add, mul, neg, inv and Frobenius tables
 (``FieldDescriptor.tables``, built once from ``exp_log`` and capped in
 bytes) serve the row-wise product ``poly_mul_rows``.  ``squarefree_mask``
 sieves a whole family by marking every product u^2 k, and
-``enumerate_monic`` lists its squarefree models off that mask.  The
-budgets (``ENUMERATE_CAP``, ``BLOCK_BYTES``, ``FIELD_TABLE_CAP``) refuse a
-family before anything is allocated.  No path here imports sympy.
+``enumerate_monic`` lists its squarefree models off that mask.  Each field
+holds the last mask it sieved (read-only, at most ``ENUMERATE_CAP`` bytes),
+so ``poly_squarefree`` answers the models that mask covers by one lookup.
+The budgets (``ENUMERATE_CAP``, ``BLOCK_BYTES``, ``FIELD_TABLE_CAP``) refuse
+a family before anything is allocated or read from the held mask.  No path
+here imports sympy.
 """
 from __future__ import annotations
 
@@ -91,9 +94,12 @@ def is_prime(n: int) -> bool:
 class FieldDescriptor:
     """Explicit model of F_{p^n} with a fixed monic irreducible modulus.
 
-    Immutable; safe to share across threads.  Construct with
-    :func:`field_new` so that equal parameters reuse one instance (and its
-    lookup tables).
+    Immutable up to its caches; safe to share across threads.  Construct
+    with :func:`field_new` so that equal parameters reuse one instance (and
+    its lookup tables).  The caches are the lazily built tables and one
+    slot, ``_mask``, holding the (degree, cut, mask) of the last
+    ``squarefree_mask`` call: a read-only mask of at most ``ENUMERATE_CAP``
+    bytes, replaced whole by one assignment, so a reader sees one triple.
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
@@ -106,16 +112,20 @@ class FieldDescriptor:
         self._log: np.ndarray | None = None
         self._chi: np.ndarray | None = None
         self._tables: FieldTables | None = None
+        self._mask: tuple[int, bool, np.ndarray] | None = None
+        self._hash = hash((p, n, modulus))
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, FieldDescriptor)
                 and (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus))
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, self.modulus))
+        return self._hash
 
     # -- digit view ---------------------------------------------------------
 
@@ -676,8 +686,30 @@ def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
 def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
     """True iff a has no repeated factor over the field, that is gcd(a, a')
     is constant.  Trailing zeros are trimmed first; the zero polynomial
-    raises ValueError.  F_p delegates to ``zp_squarefree``; F_{p^n} runs
-    one remainder-only Euclid on the descriptor's scalar ops."""
+    raises ValueError.
+
+    A monic a of the degree of the field's held mask (``squarefree_mask``),
+    with every entry in [0, q) (and c_(d-1) = 0 for a cut mask), is read off
+    that mask at sum c_i q^i.  Every other a takes ``_gcd_squarefree``.
+    """
+    held = field._mask
+    if held is not None:
+        degree, cut, mask = held
+        if len(a) == degree + 1 and a[-1] == 1 and not (cut and a[-2]):
+            q, index = field.size, 0
+            for c in reversed(a[:degree - 1 if cut else degree]):
+                if not 0 <= c < q:
+                    break
+                index = index * q + operator.index(c)
+            else:
+                return bool(mask[index])
+    return _gcd_squarefree(field, a)
+
+
+def _gcd_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
+    """``poly_squarefree`` by gcd(a, a'), never reading a held mask: F_p
+    delegates to ``zp_squarefree``; F_{p^n} runs one remainder-only Euclid
+    on the descriptor's scalar ops."""
     a = poly_trim(list(a))
     if not a:
         raise ValueError("squarefree is undefined for the zero polynomial")
@@ -766,10 +798,14 @@ def squarefree_mask(field: FieldDescriptor, degree: int, cut: bool = False) -> n
     ``monic_codes``), and only the k whose x^(deg k - 1) coefficient cancels
     that of u^2 are formed: about q^(degree-1) products in all.
 
+    The field holds the mask it returns, read-only, in its one slot (at
+    most ``ENUMERATE_CAP`` bytes next to its tables): a later call for the
+    same (degree, cut) returns it, and ``poly_squarefree`` reads it.
+
     Raises :class:`BudgetExceededError`, naming the field and the degree,
-    before anything is allocated, when the field's tables may not be built
-    (``table_refusal``) or the mask, one byte per model, exceeds
-    ``ENUMERATE_CAP``.
+    before anything is allocated or the held mask is read, when the field's
+    tables may not be built (``table_refusal``) or the mask, one byte per
+    model, exceeds ``ENUMERATE_CAP``.
     """
     if cut and degree % 2 == 0:
         raise ValueError(f"the cut mask needs an odd degree, got {degree}")
@@ -781,6 +817,9 @@ def squarefree_mask(field: FieldDescriptor, degree: int, cut: bool = False) -> n
                f"budget ENUMERATE_CAP = {ENUMERATE_CAP} bytes")
     if why:
         raise BudgetExceededError(f"monic degree {degree} over {field!r}: {why}")
+    held = field._mask
+    if held is not None and held[:2] == (degree, cut):
+        return held[2]
     mask = np.ones(q**free, dtype=bool)
     place = q ** np.arange(free, dtype=np.int64)
     rows = BLOCK_BYTES // (24 * (degree + 1))     # products per step: about 20 B per code
@@ -802,6 +841,8 @@ def squarefree_mask(field: FieldDescriptor, degree: int, cut: bool = False) -> n
             # widen first: numpy 1.x keeps int16 times a scalar place q^i that
             # fits int16 in int16, and the index wraps
             mask[products[:, :free].astype(np.int64) @ place] = False
+    mask.flags.writeable = False
+    field._mask = (degree, cut, mask)
     return mask
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import strataforge.curves as curves
+from strataforge import ffield
 from strataforge.curves import (
     MATRIX_PASS_ENTRIES,
     POINTCOUNT_BYTES_PER_ELEMENT,
@@ -142,6 +143,23 @@ def test_curve_new_rejects_bad_models():
         curve_new(f3, FqPoly(f3, (0, 0, 0, 2)))  # not monic
     with pytest.raises(ValueError):
         curve_new(f3, FqPoly(f3, (0, 0, 1, 1)))  # x^3 + x^2 = x^2(x+1)
+
+
+def test_curve_new_on_a_sieved_family_runs_no_gcd(monkeypatch):
+    """Every model of the sieved genus-3 family over F_3 is checked by one
+    lookup in the mask its enumeration holds: neither ``zp_squarefree`` nor
+    the gcd route runs, and a model the mask rejects is still refused."""
+    field = field_new(3)
+    models = list(enumerate_monic(field, 7, squarefree_only=True))
+
+    def refuse(*args):
+        raise AssertionError("the gcd route ran")
+
+    monkeypatch.setattr(ffield, "zp_squarefree", refuse)
+    monkeypatch.setattr(ffield, "_gcd_squarefree", refuse)
+    assert len([curve_new(field, f) for f in models]) == 1458
+    with pytest.raises(ValueError, match="squarefree"):
+        curve_new(field, FqPoly(field, (0, 0, 0, 0, 0, 0, 0, 1)))    # x^7
 
 
 def test_even_degree_model_supported():

@@ -85,7 +85,7 @@ def test_p_ranks_of_even_degree_models(p, n, g):
     rng = np.random.default_rng(p * n * g)
     codes = rng.integers(0, field.size, (200, 2 * g + 3)).astype(np.int16)
     codes[:, -1] = rng.integers(1, field.size, 200)
-    codes = codes[[ffield.poly_squarefree(field, row) for row in codes.tolist()]]
+    codes = codes[[ffield._gcd_squarefree(field, row) for row in codes.tolist()]]
     assert families.p_ranks(field, g, codes).tolist() == scalar_ranks(field, g, codes)
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -645,17 +646,18 @@ SIEVE_CASES = ([(3, 1, d) for d in range(2, 9)] + [(5, 1, d) for d in range(2, 7
 
 @pytest.mark.parametrize("p,n,d", SIEVE_CASES)
 def test_squarefree_mask_keeps_exactly_the_squarefree_models(p, n, d):
-    """Every model the sieve leaves out fails ``poly_squarefree``, and it
-    keeps q^d - q^(d-1) models, the number of monic squarefree polynomials
-    of degree d >= 2 over F_q: so it keeps exactly the squarefree ones.
-    Where q^d is small, ``enumerate_monic`` is also compared with the
-    per-model filter over every monic polynomial.  At odd d the cut mask is
-    the part of the mask with c_(d-1) = 0, the first q^(d-1) models."""
+    """Every model the sieve leaves out fails the gcd route
+    (``_gcd_squarefree``, which never reads the held mask), and it keeps
+    q^d - q^(d-1) models, the number of monic squarefree polynomials of
+    degree d >= 2 over F_q: so it keeps exactly the squarefree ones.  Where
+    q^d is small, ``enumerate_monic`` is also compared with the gcd route
+    over every monic polynomial.  At odd d the cut mask is the part of the
+    mask with c_(d-1) = 0, the first q^(d-1) models."""
     field = field_new(p, n)
     q = field.size
     mask = squarefree_mask(field, d)
     left_out = monic_codes(q, d, np.flatnonzero(~mask)).tolist()
-    assert not any(poly_squarefree(field, c) for c in left_out)
+    assert not any(ffield._gcd_squarefree(field, c) for c in left_out)
     assert np.count_nonzero(mask) == q**d - q ** (d - 1)
     if d % 2:
         assert squarefree_mask(field, d, cut=True).tolist() == mask[:q ** (d - 1)].tolist()
@@ -665,7 +667,7 @@ def test_squarefree_mask_keeps_exactly_the_squarefree_models(p, n, d):
     if q**d <= 20_000:
         every = (c[::-1] + (1,) for c in itertools.product(range(q), repeat=d))
         assert [f.coeffs for f in enumerate_monic(field, d, squarefree_only=True)] \
-            == [c for c in every if poly_squarefree(field, c)]
+            == [c for c in every if ffield._gcd_squarefree(field, c)]
 
 
 def test_enumerate_monic_reads_the_mask_without_the_per_model_test(monkeypatch):
@@ -677,11 +679,22 @@ def test_enumerate_monic_reads_the_mask_without_the_per_model_test(monkeypatch):
 
 
 def test_enumerate_monic_spans_blocks_and_sieve_steps(monkeypatch):
-    field = field_new(5)
-    expected = [f.coeffs for f in enumerate_monic(field, 4, squarefree_only=True)]
+    """A descriptor built directly holds no mask, so the patched sizes
+    really sieve, in many steps, whatever masks F_5 itself holds."""
+    field, steps = FieldDescriptor(5, 1, (0, 1)), []
+    every = (c[::-1] + (1,) for c in itertools.product(range(5), repeat=4))
+    expected = [c for c in every if ffield._gcd_squarefree(field, c)]
+
+    def counted(*args):
+        steps.append(args)
+        return poly_mul_rows(*args)
+
+    monkeypatch.setattr(ffield, "poly_mul_rows", counted)
     monkeypatch.setattr(ffield, "BLOCK_ROWS", 7)
     monkeypatch.setattr(ffield, "BLOCK_BYTES", 24 * 5 * 3)    # three products a step
+    assert field._mask is None
     assert [f.coeffs for f in enumerate_monic(field, 4, squarefree_only=True)] == expected
+    assert len(steps) == 2 + 5 * 9 + 9      # u^2 at e = 1, 2; then k in threes, u^2 in threes
 
 
 def test_tables_and_masks_over_a_budget_are_refused_before_any_allocation(monkeypatch):
@@ -705,6 +718,112 @@ def test_tables_and_masks_over_a_budget_are_refused_before_any_allocation(monkey
         tracemalloc.stop()
     assert peak < 1 << 16
     assert len(squarefree_mask(f7, 5, cut=True)) == 7**4     # the cut mask fits
+
+
+# every monic model of F_3 up to degree 7, F_5 up to 5 and F_9 up to 4
+MEMO_CASES = ([(3, 1, d) for d in range(1, 8)] + [(5, 1, d) for d in range(1, 6)]
+              + [(3, 2, d) for d in range(1, 5)])
+
+
+@pytest.mark.parametrize("p,n,d", MEMO_CASES)
+def test_poly_squarefree_reads_the_held_mask(p, n, d, monkeypatch):
+    """With the uncut (and at odd d the cut) mask held, ``poly_squarefree``
+    equals the gcd route on every monic model of degree d, and only the
+    models the mask does not cover (c_(d-1) != 0 under a cut mask) reach
+    the gcd route."""
+    field = field_new(p, n)
+    q, gcd, misses = field.size, ffield._gcd_squarefree, []
+    models = monic_codes(q, d, np.arange(q**d)).tolist()
+    expected = [gcd(field, c) for c in models]
+    monkeypatch.setattr(ffield, "_gcd_squarefree", lambda f, a: misses.append(a) or gcd(f, a))
+    for cut in (False, True) if d % 2 else (False,):
+        mask = squarefree_mask(field, d, cut)
+        held_degree, held_cut, held = field._mask
+        assert (held_degree, held_cut) == (d, cut) and held is mask
+        misses.clear()
+        assert [poly_squarefree(field, c) for c in models] == expected
+        assert len(misses) == q**d - len(mask)
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_poly_squarefree_off_the_held_mask_takes_the_gcd_route(cut, monkeypatch):
+    """Non-monic input, another degree, c_(d-1) != 0 under a cut mask,
+    trailing zeros, and entries below 0 or at least q each miss the held
+    mask of F_3 at degree 5 and give the gcd route's answer; the entries
+    out of range give the answer of the reduced model, read off the mask."""
+    field, rng = field_new(3), random.Random(5)
+    squarefree_mask(field, 5, cut)
+    gcd, misses = ffield._gcd_squarefree, []
+    monkeypatch.setattr(ffield, "_gcd_squarefree", lambda f, a: misses.append(a) or gcd(f, a))
+    for _ in range(100):
+        c = [rng.randrange(3) for _ in range(4)] + [0, 1]     # covered by either mask
+        misses.clear()
+        assert poly_squarefree(field, c) == gcd(field, c) and not misses
+        shifted = list(c)
+        shifted[rng.randrange(4)] += rng.choice((-3, 3))
+        off = [[2 * x for x in c], c[1:], c + [0], shifted, [x - 3 for x in c[:5]] + [1]]
+        if cut:
+            off.append(c[:4] + [rng.randrange(1, 3), 1])
+        for a in off:
+            misses.clear()
+            assert poly_squarefree(field, a) == gcd(field, a) and misses == [a], a
+        assert poly_squarefree(field, shifted) == poly_squarefree(field, c)
+
+
+def test_the_held_mask_is_read_only_and_returned_again():
+    field = field_new(5)
+    mask = squarefree_mask(field, 3)
+    assert not mask.flags.writeable and squarefree_mask(field, 3) is mask
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = not mask[0]
+    cut = squarefree_mask(field, 3, cut=True)                 # the one slot moves on
+    assert not cut.flags.writeable and squarefree_mask(field, 3, cut=True) is cut
+    again = squarefree_mask(field, 3)
+    assert again is not mask and again.tolist() == mask.tolist()
+
+
+def test_threads_that_swap_the_held_mask_read_consistent_answers():
+    """Four threads on one descriptor, each alternating between two masks
+    while it checks models of both degrees: the slot is replaced whole, so
+    every answer equals the gcd route's, whichever mask is held."""
+    field, rng = FieldDescriptor(3, 1, (0, 1)), random.Random(11)
+    models = [[rng.randrange(3) for _ in range(d)] + [1] for d in (5, 7) for _ in range(100)]
+    expected = [ffield._gcd_squarefree(field, c) for c in models]
+    wrong = []
+
+    def worker(i):
+        for round_ in range(6):
+            squarefree_mask(field, (5, 7)[(i + round_) % 2], cut=bool(i % 2))
+            wrong.extend(c for c, e in zip(models, expected) if poly_squarefree(field, c) != e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
+
+
+def test_a_held_mask_is_still_refused_over_a_lowered_budget(monkeypatch):
+    """The budgets are checked before the slot is read, so whether a call is
+    refused never depends on what an earlier call built."""
+    f7 = field_new(7)
+    assert len(squarefree_mask(f7, 5)) == 7**5
+    assert f7._mask[:2] == (5, False)
+    monkeypatch.setattr(ffield, "ENUMERATE_CAP", 7**5 - 1)
+    with pytest.raises(BudgetExceededError, match=r"degree 5 over GF\(7\): .*ENUMERATE_CAP"):
+        squarefree_mask(f7, 5)
+    with pytest.raises(BudgetExceededError, match=r"degree 5 over GF\(7\)"):
+        enumerate_monic(f7, 5, squarefree_only=True)
+    monkeypatch.setattr(ffield, "ENUMERATE_CAP", 7**5)
+    monkeypatch.setattr(ffield, "FIELD_TABLE_CAP", 4 * 7**2 + 6 * 7 - 1)
+    with pytest.raises(BudgetExceededError, match=r"degree 5 over GF\(7\): .*FIELD_TABLE_CAP"):
+        squarefree_mask(f7, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +865,19 @@ def _full_scan_embedding(base, ext):
 def test_embedding_equals_the_full_root_scan(p, n, m):
     base, ext = field_new(p, n), field_new(p, m)
     assert base.embedding_into(ext).tolist() == _full_scan_embedding(base, ext)
+
+
+def test_descriptors_compare_and_hash_by_their_parameters():
+    """The hash is computed once per descriptor; equal parameters still give
+    equal, equally hashed descriptors, and another modulus another field."""
+    canonical = field_new(3, 4)
+    same = FieldDescriptor(3, 4, canonical.modulus)
+    other, other_again = (FieldDescriptor(3, 4, (1, 0, 1, 2, 1)) for _ in range(2))
+    assert same is not canonical and same == canonical and hash(same) == hash(canonical)
+    assert other is not other_again and other == other_again and hash(other) == hash(other_again)
+    assert other != canonical and len({canonical, same, other, other_again}) == 2
+    assert FieldDescriptor(3, 1, (0, 1)) == field_new(3) != field_new(3, 2)
+    assert canonical != (3, 4, canonical.modulus) and canonical != repr(canonical)
 
 
 def test_embedding_is_cached_per_model_of_the_extension():

@@ -578,23 +578,54 @@ def test_splitting_class_genus4_never_certifies_a_base_change_of_a_smaller_group
     assert weil.splitting_class(L2) == ("undetermined", None)
 
 
-def test_splitting_class_genus4_never_certifies_power_polynomials():
-    """P(T) = Q(T^k) has the roots zeta pi with pi, for zeta^k = 1, a structure
-    W_4 does not keep: the restriction of scalars from F_9 of a genus-2 L
-    (k = 2) and twists of genus-1 L over F_81 (k = 4)."""
-    F9, irreducible = field_new(3, 2), 0
-    restricted = []
+def genus4_power_Ls():
+    """Genus-4 L over F_3 in Z[T^k]: the restriction of scalars from F_9 of a
+    genus-2 L (k = 2) and twists of genus-1 L over F_81 (k = 4)."""
+    F9, restricted = field_new(3, 2), []
     for f in itertools.islice(enumerate_monic(F9, 5, squarefree_only=True), 0, 2000, 50):
         m = l_polynomial(curve_new(F9, f)).coeffs
         restricted.append((1, 0, m[1], 0, m[2], 0, 9 * m[1], 0, 81))
     twisted = [(1, 0, 0, 0, -a, 0, 0, 0, 81) for a in range(-17, 18, 3)]
-    for coeffs in restricted + twisted:
-        L = LPolynomial(3, 4, coeffs)
-        assert weil.l_reducible(L) == factors_over_q(L), coeffs
+    return [LPolynomial(3, 4, coeffs) for coeffs in restricted + twisted]
+
+
+def test_splitting_class_genus4_never_certifies_power_polynomials():
+    """P(T) = Q(T^k) has the roots zeta pi with pi, for zeta^k = 1, a structure
+    W_4 does not keep (``genus4_power_Ls``)."""
+    irreducible = 0
+    for L in genus4_power_Ls():
+        assert weil.l_reducible(L) == factors_over_q(L), L.coeffs
         if not weil.l_reducible(L):
             irreducible += 1
-            assert weil.splitting_class(L) == ("undetermined", None), coeffs
+            assert weil.splitting_class(L) == ("undetermined", None), L.coeffs
     assert irreducible >= 20
+
+
+def test_witness_loop_never_certifies_power_polynomials(monkeypatch):
+    """The same L with the exits before the witness primes switched off, the
+    memo bypassed: the primes themselves never certify them.  Every one has
+    N(h) a square (one has disc(h) a square as well), so with only the
+    Z[T^k] exit off (``_power_step`` patched to 1) the square exit would
+    still stop all 34 before any prime; ``is_perfect_square`` is patched to
+    False too, and the loop reads all ``WITNESS_PRIMES`` good primes of
+    each.  Over those primes 32 of them show a transposition, but none a
+    3-cycle or a flip of odd weight (11 show one of even weight)."""
+    irreducible = [L for L in genus4_power_Ls() if not weil.l_reducible(L)]
+    read, cycle_type = [], weil.signed_cycle_type
+
+    def counted(h, q, r):
+        read.append(r)
+        return cycle_type(h, q, r)
+
+    monkeypatch.setattr(weil, "_power_step", lambda L: 1)
+    monkeypatch.setattr(weil, "is_perfect_square", lambda n: False)
+    monkeypatch.setattr(weil, "signed_cycle_type", counted)
+    primes_read = []
+    for L in irreducible:
+        read.clear()
+        assert weil.splitting_class.__wrapped__(L) == ("undetermined", None), L.coeffs
+        primes_read.append(len(read))
+    assert primes_read == [weil.WITNESS_PRIMES] * 34
 
 
 def test_census_pass_loads_no_sympy():
