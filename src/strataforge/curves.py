@@ -466,13 +466,13 @@ class LPolynomial:
         return acc
 
 
-def power_sums(a: Sequence[int], upto: int) -> list[int]:
+def power_sums(a: Sequence[int], upto: int, known: Sequence[int] = ()) -> list[int]:
     """p_k = sum of alpha^k, k = 1..upto, over the alpha with prod (1 - alpha T)
     = a_0 + ... + a_n T^n, a_0 = 1 (for L.coeffs, the Frobenius eigenvalues),
-    by Newton's identities; past k = n the k a_k term drops out."""
-    n = len(a) - 1
-    ps: list[int] = []
-    for k in range(1, upto + 1):
+    by Newton's identities; past k = n the k a_k term drops out.  The sums
+    continue from ``known`` = [p_1, ..., p_j] when given."""
+    n, ps = len(a) - 1, list(known)
+    for k in range(len(ps) + 1, upto + 1):
         s = k * a[k] if k <= n else 0
         for i in range(1, min(k - 1, n) + 1):
             s += a[i] * ps[k - i - 1]
@@ -488,7 +488,9 @@ def coeffs_from_power_sums(ps: list[int]) -> list[int]:
     first a_k that is not an integer."""
     a = [1]
     for k in range(1, len(ps) + 1):
-        total = -sum(ps[i - 1] * a[k - i] for i in range(1, k + 1))
+        total = 0
+        for x, y in zip(ps, reversed(a)):   # p_i a_(k-i), i = 1..k
+            total -= x * y
         if total % k:
             raise ArithmeticError(f"Newton identity gave a non-integer a_{k}")
         a.append(total // k)
@@ -548,9 +550,9 @@ def _l_from_counts(q: int, genus: int, counts: tuple[int, ...]) -> LPolynomial:
         L = LPolynomial(q, g, tuple(a))
     except ValueError as exc:
         raise ConsistencyError(f"the counts give no valid L ({exc})") from exc
-    predicted = point_counts_from(L, len(counts))
+    ps = power_sums(a, len(counts), ps)     # N_(g+1).. from the sums in hand
     for k in range(g + 1, len(counts) + 1):
-        if predicted[k - 1] != counts[k - 1]:
-            raise ConsistencyError(
-                f"L = {a} predicts N_{k} = {predicted[k - 1]}, counted {counts[k - 1]}")
+        predicted = q**k + 1 - ps[k - 1]
+        if predicted != counts[k - 1]:
+            raise ConsistencyError(f"L = {a} predicts N_{k} = {predicted}, counted {counts[k - 1]}")
     return L

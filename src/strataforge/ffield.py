@@ -21,8 +21,11 @@ x -> m/x from the factors of h and the square classes of b^2 - 4m at
 their roots b.  The modulus search runs on the ``zp_*`` helpers.
 
 Polynomials over F_q (``FqPoly``, or coefficient lists of encodings) have
-two entry points: ``poly_mul`` and ``poly_squarefree``.  On F_p both run
-on the Z/r layer; on F_{p^n} they run on the descriptor's scalar ops.
+two entry points: ``poly_mul`` and ``poly_squarefree``.  ``poly_mul`` forms
+the product of one or more factors as one product of packed integers, on
+one path for every F_q, and refuses codes outside [0, q) (``poly_codes``);
+``poly_squarefree`` runs on the Z/r layer on F_p and on the descriptor's
+scalar ops on F_{p^n}.
 
 Families of polynomials run in numpy blocks of int16 codes instead, on one
 path for every F_q: each field's add, mul, neg, inv and Frobenius tables
@@ -669,17 +672,80 @@ def zp_reciprocal_blocks(h: list[int], r: int, m: int) -> list[tuple[str, int]]:
     return blocks
 
 
-def poly_mul(field: FieldDescriptor, a: list[int], b: list[int]) -> list[int]:
-    if field.n == 1:
-        return poly_trim([c % field.p for c in _convolve(a, b)])
-    if not a or not b:
+def poly_codes(field: FieldDescriptor, coeffs) -> list[int]:
+    """The coefficient codes as a list of ints; ValueError names the first
+    code outside [0, q)."""
+    codes, q = list(map(operator.index, coeffs)), field.size
+    for c in codes:
+        if not 0 <= c < q:
+            raise ValueError(f"coefficient encoding {c} out of range for {field!r}")
+    return codes
+
+
+def poly_mul(field: FieldDescriptor, *factors) -> list[int]:
+    """The product of one or more polynomials over the field (sequences of
+    codes, constant term first, trailing zeros allowed), trimmed, as one
+    product of packed integers (Kronecker substitution).  A code outside
+    [0, q) raises ValueError (``poly_codes``).
+
+    A code c = sum d_j p^j stands for the polynomial sum d_j alpha^j over
+    Z, alpha the root of the modulus, so each of the k factors is a
+    polynomial in x and alpha with digits in [0, p).  Its coefficient of
+    x^i alpha^j goes in slot i S + j, of w bits, of one integer, with
+    S = k(n - 1) + 1.  The product of the k integers holds the product over
+    Z[x, alpha] in the same slots as long as no slot overflows into the
+    next.  The coefficient of x^m alpha^t of that product is a sum of
+    products d_1 ... d_k, one per pair of index tuples (i_1, ..., i_k)
+    with sum m and (j_1, ..., j_k) with sum t.  Each product is at most
+    (p - 1)^k.  The indices into all factors but the longest fix the last
+    one, so there are at most prod len / max len i-tuples; likewise at most
+    n^(k-1) j-tuples.  So every coefficient is at most
+    (p - 1)^k n^(k-1) prod len / max len, and w is the bit length of that
+    bound.  The alpha-degree of a product coefficient is at most
+    k(n - 1) < S, so the powers of x stay apart.  The S slots of x^m are
+    read back as a polynomial in alpha, reduced over Z by the monic modulus
+    and then digit by digit mod p; on F_p that is one slot and one % p.  A
+    factor passed more than once (one object) is checked and packed once.
+    """
+    if not factors:
+        raise ValueError("poly_mul needs at least one factor")
+    p, n, k = field.p, field.n, len(factors)
+    lens, packed = [len(f) for f in factors], {}
+    for f in factors:
+        if id(f) not in packed:
+            packed[id(f)] = poly_codes(field, f)
+    if 0 in lens:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    w = ((p - 1) ** k * n ** (k - 1) * math.prod(lens) // max(lens)).bit_length()
+    span = k * (n - 1) + 1
+    for key, f in packed.items():
+        x = 0
+        if n == 1:                                  # the code is its one digit
+            for c in reversed(f):
+                x = x << w | c
+        else:
+            for c in reversed(f):
+                x <<= span * w
+                for shift in range(0, n * w, w):
+                    c, d = divmod(c, p)
+                    x |= d << shift
+        packed[key] = x
+    prod, mask = 1, (1 << w) - 1
+    for f in factors:
+        prod *= packed[id(f)]
+    bits = range(0, (sum(lens) - k + 1) * span * w, w)
+    if n == 1:
+        return poly_trim([(prod >> s & mask) % p for s in bits])
+    slots, low, out = [prod >> s & mask for s in bits], field.modulus[:n], []
+    for m in range(0, len(slots), span):
+        v = slots[m:m + span]
+        for t in range(span - 1, n - 1, -1):       # alpha^t = -sum low_i alpha^(t-n+i)
+            for i, a in enumerate(low, t - n):
+                v[i] -= v[t] * a
+        code = 0
+        for d in reversed(v[:n]):
+            code = code * p + d % p
+        out.append(code)
     return poly_trim(out)
 
 
@@ -737,14 +803,11 @@ class FqPoly:
 
     def __post_init__(self):
         try:                                # numpy integers become plain ints
-            c = list(map(operator.index, self.coeffs))
+            c = poly_codes(self.field, self.coeffs)
         except TypeError:
             bad = next(x for x in self.coeffs if not hasattr(type(x), "__index__"))
             raise TypeError(f"element encodings are integers, got {bad!r}") from None
         object.__setattr__(self, "coeffs", tuple(poly_trim(c)))
-        for x in self.coeffs:
-            if not 0 <= x < self.field.size:
-                raise ValueError(f"coefficient encoding {x} out of range for {self.field!r}")
 
     @property
     def degree(self):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .curves import L_CACHE_SIZE, HyperellipticCurve, LPolynomial
-from .ffield import FieldDescriptor, poly_mul
+from .ffield import FieldDescriptor, poly_codes, poly_mul
 
 Classification = Literal["ordinary", "supersingular", "other"]
 
@@ -35,18 +35,17 @@ class HasseWittMatrix:
 
 
 def hasse_witt_from_poly(field: FieldDescriptor, f_coeffs: list[int], genus: int) -> HasseWittMatrix:
-    """Matrix builder on raw coefficients; no smoothness check.
-    f^((p-1)/2) is formed as (p-3)/2 products by f, so p = 3 forms none.
-    They go through this module's ``poly_mul``, the name the perfbench
-    tracer wraps, with the short f first: its outer loop walks the first
-    operand."""
-    h = f = list(f_coeffs)
-    for _ in range((field.p - 3) // 2):
-        h = poly_mul(field, f, h)
+    """Matrix builder on raw coefficients; no smoothness check.  A code
+    outside [0, q) raises ValueError (``poly_codes``).  f^((p-1)/2) is one
+    call to this module's ``poly_mul``, the name the perfbench tracer wraps,
+    with (p - 1)/2 copies of f: one product of packed integers.  At p = 3
+    the power is f itself, and no product is formed."""
+    half = (field.p - 1) // 2
+    h = poly_mul(field, *[f_coeffs] * half) if half > 1 else poly_codes(field, f_coeffs)
     p, g = field.p, genus
     padded = [0] * g + h + [0] * (g * p)        # padded[m + g] = c_m, 0 off h
     # row i holds c_(ip-1), ..., c_(ip-g): padded[ip + g - 1] down to padded[ip]
-    rows = tuple(tuple(reversed(padded[i * p:i * p + g])) for i in range(1, g + 1))
+    rows = tuple([tuple(padded[i * p + g - 1:i * p - 1:-1]) for i in range(1, g + 1)])
     return HasseWittMatrix(field, g, rows)
 
 

@@ -517,6 +517,23 @@ def test_l_polynomial_from_counts_needs_g_counts():
     assert l_polynomial_from_counts(3, 2, point_counts_from(L, 2)) == L
 
 
+def test_l_check_continues_the_power_sums_of_the_counts():
+    """N_(g+1).. are checked against the power sums of N_1..N_g continued by
+    Newton's identity (``power_sums`` from a known prefix): the same sums as
+    recomputed from L, and a miscount at any k > g names that k."""
+    L = l_polynomial(make_curve(7, [3, 1, 4, 1, 5, 0, 2, 1]))   # genus 3 over F_7
+    full = power_sums(L.coeffs, 8)
+    assert all(power_sums(L.coeffs, 8, full[:j]) == full for j in range(9))
+    counts = point_counts_from(L, 8)
+    assert l_polynomial_from_counts(7, 3, counts) == L
+    for k in range(4, 9):
+        bad = list(counts)
+        bad[k - 1] += 1
+        with pytest.raises(ConsistencyError, match=re.escape(
+                f"L = {list(L.coeffs)} predicts N_{k} = {counts[k - 1]}, counted {bad[k - 1]}")):
+            l_polynomial_from_counts(7, 3, bad)
+
+
 def test_isomorphic_models_share_one_l_polynomial():
     """f(x) and its translate f(x + 1) have the same counts, so the L memo
     hands both curves the one immutable LPolynomial."""

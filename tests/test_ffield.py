@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -11,6 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
     gf_factor,
@@ -560,6 +563,103 @@ def test_zero_poly_degree_sentinel():
     z = FqPoly(field_new(3), ())
     assert z.degree == float("-inf")
     assert z.degree < 0
+
+
+# ---------------------------------------------------------------------------
+# poly_mul: one packed-integer product (Kronecker substitution)
+
+PACKED_FIELDS = [field_new(p, n) for p, n in
+                 ((3, 1), (5, 1), (7, 1), (97, 1), (3, 2), (5, 2), (3, 3), (7, 2))]
+
+
+def scalar_poly_mul(field, a, b):
+    """Schoolbook product on the descriptor's scalar add and mul: the
+    oracle for ``poly_mul`` on every field."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return poly_trim(out)
+
+
+def scalar_product(field, factors):
+    return poly_trim(list(functools.reduce(lambda a, b: scalar_poly_mul(field, a, b), factors)))
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+def test_poly_mul_matches_the_scalar_double_loop(field):
+    """1 to 6 factors of length 0 to 12, some with trailing zeros."""
+    rng, q = random.Random(field.size), field.size
+    for trial in range(150):
+        factors = []
+        for _ in range(rng.randint(1, 6)):
+            f = [rng.randrange(q) for _ in range(rng.randint(0, 12))]
+            if f and trial % 3 == 0:
+                zeros = rng.randint(1, len(f))
+                f[len(f) - zeros:] = [0] * zeros
+            factors.append(f)
+        assert poly_mul(field, *factors) == scalar_product(field, factors), factors
+    # a repeated factor (one list object) is packed once and counted k times
+    f = [rng.randrange(q) for _ in range(8)]
+    assert poly_mul(field, *[f] * 4) == scalar_product(field, [f] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PACKED_FIELDS).flatmap(lambda field: st.tuples(
+    st.just(field),
+    st.lists(st.lists(st.integers(0, field.size - 1), max_size=12), min_size=1, max_size=6))))
+def test_poly_mul_property_matches_the_scalar_double_loop(case):
+    field, factors = case
+    assert poly_mul(field, *factors) == scalar_product(field, factors)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+def test_poly_mul_slot_width_worst_case(field):
+    """Every digit p - 1 (the code q - 1): at two factors the middle
+    coefficient over Z reaches the slot bound (p - 1)^2 n min len exactly,
+    so a slot one bit narrower carries into the next."""
+    top = field.size - 1
+    for lens in ((12, 12), (5, 12), (1, 7), (8, 8, 8), (3, 6, 9, 12), (12,) * 6):
+        factors = [[top] * m for m in lens]
+        assert poly_mul(field, *factors) == scalar_product(field, factors), lens
+
+
+def test_poly_mul_slot_width_at_48_factors_over_f97():
+    """48 factors of length 8 at p = 97 (slots of 458 bits): the width
+    holds at a large k, with every digit 96 and with sparse digits."""
+    field = field_new(97)
+    rng = random.Random(97)
+    for factors in ([[96] * 8] * 48, [[96] * 8 for _ in range(48)],
+                    [[rng.choice((0, 95, 96)) for _ in range(8)] for _ in range(48)]):
+        assert poly_mul(field, *factors) == scalar_product(field, factors)
+
+
+def test_poly_mul_edge_cases():
+    field = field_new(3, 2)
+    assert poly_mul(field, [0, 4, 0, 0]) == [0, 4]
+    assert poly_mul(field, [], [1, 2]) == poly_mul(field, [0, 0], [1, 2]) == []
+    assert poly_mul(field, (1, 2), np.array([3, 1], dtype=np.int16)) == \
+        scalar_poly_mul(field, [1, 2], [3, 1])
+    with pytest.raises(ValueError, match="at least one factor"):
+        poly_mul(field)
+
+
+@pytest.mark.parametrize("field", [field_new(3), field_new(5), field_new(3, 2), field_new(5, 2)],
+                         ids=repr)
+def test_poly_mul_refuses_codes_outside_the_field(field):
+    """Codes index the field's tables, where -1 would read the last entry
+    and q would read past the end: both are refused by name, also when the
+    product is 0."""
+    q = field.size
+    for bad in (-1, q, q + 1):
+        with pytest.raises(ValueError, match=rf"encoding {bad} out of range for {re.escape(repr(field))}"):
+            poly_mul(field, [1, 1], [bad])
+        with pytest.raises(ValueError, match=rf"encoding {bad} "):
+            poly_mul(field, [], [1, bad, 1])         # refused even when the product is 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -43,6 +44,61 @@ def test_hasse_witt_of_pure_monomial_is_strictly_lower_triangular(p, g):
         for j in range(g):
             if hw.entries[i][j]:
                 assert i > j
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_hasse_witt_refuses_codes_outside_the_field(p, n):
+    """Over F_3 the power is f itself, so an unchecked code outside [0, q)
+    would come back as a matrix entry; every field refuses it by name."""
+    field = field_new(p, n)
+    for bad in (-1, field.size, field.size + 2):
+        with pytest.raises(ValueError, match=rf"encoding {bad} out of range"):
+            hasse_witt_from_poly(field, [1, 0, bad, 0, 0, 1], 2)
+
+
+def bench_genus3_families():
+    """The models of the benchmark's genus-3 workloads: every squarefree
+    monic degree-7 f over F_3, and the seeded samples of 1,000 over F_7 at
+    seeds 1 and 2, drawn as the benchmark draws them."""
+    f3, f7 = field_new(3), field_new(7)
+    yield "census", f3, [list(f.coeffs) for f in enumerate_monic(f3, 7, squarefree_only=True)]
+    for seed in (1, 2):
+        rng, models = random.Random(seed), []
+        while len(models) < 1000:
+            coeffs = [rng.randrange(7) for _ in range(7)] + [1]
+            if poly_squarefree(f7, coeffs):
+                models.append(coeffs)
+        yield f"strata{seed}", f7, models
+
+
+# sha256 of repr([A.entries for each model]), A = hasse_witt_from_poly(field,
+# f, 3), recorded with f^((p-1)/2) formed by list convolutions, before the
+# packed product
+BENCH_HASSE_WITT_DIGESTS = {
+    "census": "0b1d11bcfe3bbbd5367274b9e77f71bebf3727d384414d2133a5c74f24883706",
+    "strata1": "8eb2e3305d8529ce448d21c81c5de4b010aae5b50e6762af285a081ae5a96ca3",
+    "strata2": "164ded7ca13afbe0f80a9a03c5b1b50aaed6baafe707718ce7dd371a6162ee08",
+}
+
+
+def test_hasse_witt_matrices_of_the_bench_families_are_unchanged():
+    """Every matrix of census_g3_full and strata_g3_sampled (both seeds)
+    equals the one read off f^((p-1)/2) formed by plain convolutions mod p,
+    and the digest of each family's matrices is the pinned one."""
+    for name, field, models in bench_genus3_families():
+        p, matrices = field.p, []
+        for f in models:
+            A = hasse_witt_from_poly(field, f, 3).entries
+            power = [1]
+            for _ in range((p - 1) // 2):
+                power = [sum(power[j] * f[m - j] for j in range(len(power)) if 0 <= m - j < len(f))
+                         % p for m in range(len(power) + len(f) - 1)]
+            power += [0] * (3 * p)
+            assert A == tuple(tuple(power[i * p - j] for j in range(1, 4)) for i in range(1, 4)), f
+            matrices.append(A)
+        assert len(matrices) == {"census": 1458}.get(name, 1000)
+        digest = hashlib.sha256(repr(matrices).encode()).hexdigest()
+        assert digest == BENCH_HASSE_WITT_DIGESTS[name], name
 
 
 # ---------------------------------------------------------------------------

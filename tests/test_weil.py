@@ -628,6 +628,45 @@ def test_witness_loop_never_certifies_power_polynomials(monkeypatch):
     assert primes_read == [weil.WITNESS_PRIMES] * 34
 
 
+# A genus-4 L over F_3 (y^2 = x^9 + x^7 + x^6 + x^5 + x^2 + 1) that passes
+# every exit before the witness primes: not in Z[T^k], irreducible, and
+# neither N(h) nor disc(h) a square.
+GENUS4_OPEN_L = LPolynomial(3, 4, (1, 1, 0, -1, -2, -3, 0, 27, 81))
+
+
+@pytest.mark.parametrize("flip", [[(1, True), (1, True), (1, False), (1, False)],
+                                  [(2, True), (1, False), (1, False)]],
+                         ids=["two fixed flips", "flipped 2-cycle"])
+def test_witness_loop_needs_an_odd_weight_flip_at_even_genus(monkeypatch, flip):
+    """At even g a pure flip of even weight w (0 < w < g) does not certify
+    W_g: the index-2 subgroup {(v, s) : wt(v) = sgn(s) mod 2} has a
+    transposition, a (g-1)-cycle and such flips.  Frobenius is patched to
+    show exactly those at every good prime; the L stays "undetermined".
+    With an odd-weight flip in place of the even one, the same loop
+    certifies it, so the patch reaches the witnesses."""
+    L, g = GENUS4_OPEN_L, 4
+    assert curve_L(3, [1, 0, 1, 0, 0, 1, 1, 1, 0, 1]) == L
+    h = weil.real_weil_coeffs(L)
+    assert weil._power_step(L) == 1 and not weil.l_reducible(L)
+    assert not weil.is_perfect_square(norm_at_root(h, 4 * L.q))
+    assert not weil.is_perfect_square(weil.discriminant(h))
+    transposition = [(1, False), (1, False), (2, False)]
+    cycle = [(1, False), (3, False)]
+    odd_flip = [(1, True), (1, False), (1, False), (1, False)]
+    for witnesses, expected in (([transposition, cycle, flip], ("undetermined", None)),
+                                ([transposition, cycle, odd_flip], ("maximal", 2**g * math.factorial(g)))):
+        shown = itertools.cycle(witnesses)
+        read = []
+
+        def fed(h, q, r):
+            read.append(r)
+            return next(shown)
+
+        monkeypatch.setattr(weil, "signed_cycle_type", fed)
+        assert weil.splitting_class.__wrapped__(L) == expected
+        assert len(read) == (weil.WITNESS_PRIMES if expected[1] is None else 3)
+
+
 def test_census_pass_loads_no_sympy():
     """The whole per-curve record at genus 3 (curve, L, p-rank, Newton
     polygon, Galois certificate, absolute simplicity) runs without sympy:
