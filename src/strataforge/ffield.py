@@ -8,7 +8,11 @@ Fields are built through :func:`field_new`, which picks the canonical
 modulus (the lexicographically least monic irreducible, coefficients
 compared constant term first) so that serialized elements mean the same
 thing across runs and machines.  Products in F_{p^n} read discrete-log
-tables built with multiply-by-c matrices over F_p.
+tables built with multiply-by-c matrices over F_p.  Matrices (lists of rows
+of encodings) have two whole-matrix kernels on the descriptor, ``echelon``
+and ``mat_mul``: each runs a whole elimination or product in one call,
+inline on F_p (``% p``, ``pow(x, -1, p)``) and on the scalar ops on
+F_{p^n}.
 
 The ``zp_*`` helpers are the polynomial layer over Z/r for a prime r given
 as a plain int, because the Weil layer's witness primes may exceed
@@ -24,8 +28,9 @@ Polynomials over F_q (``FqPoly``, or coefficient lists of encodings) have
 two entry points: ``poly_mul`` and ``poly_squarefree``.  ``poly_mul`` forms
 the product of one or more factors as one product of packed integers, on
 one path for every F_q, and refuses codes outside [0, q) (``poly_codes``);
-``poly_squarefree`` runs on the Z/r layer on F_p and on the descriptor's
-scalar ops on F_{p^n}.
+the gcd route of ``poly_squarefree`` (``_gcd_squarefree``) is one
+remainder-only Euclid for every F_q, with the same split as the matrix
+kernels.
 
 Families of polynomials run in numpy blocks of int16 codes instead, on one
 path for every F_q: each field's add, mul, neg, inv and Frobenius tables
@@ -45,7 +50,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -264,30 +269,45 @@ class FieldDescriptor:
             return 0
         return 1 - 2 * (int(self.exp_log[1][a]) & 1)
 
-    # -- row operations on lists of encodings (elimination, matrix products) --
+    # -- whole-matrix kernels on lists of rows of encodings -------------------
 
-    def row_scale(self, c: int, row: list[int]) -> list[int]:
-        """c * row, entry by entry."""
-        if self.n == 1:
-            p = self.p
-            return [c * v % p for v in row]
-        return [self.mul(c, v) for v in row]
+    def echelon(self, rows) -> list[list[int]]:
+        """The nonzero rows of a row echelon form of the matrix ``rows``, a
+        basis of its row space, as new lists; ``rows`` is not changed.
 
-    def row_sub_scaled(self, a: list[int], c: int, b: list[int]) -> list[int]:
-        """a - c * b, entry by entry."""
-        if self.n == 1:
-            p = self.p
-            return [(v - c * w) % p for v, w in zip(a, b)]
-        return [self.sub(v, self.mul(c, w)) for v, w in zip(a, b)]
+        Column by column, the first row not yet used with a nonzero entry
+        there is swapped up as the next pivot row, and each row below it
+        adds the multiple of it that clears the column.  On F_p the
+        arithmetic is inline (``% p``, ``pow(x, -1, p)``); on F_{p^n} it is
+        the scalar ops."""
+        p, fp = self.p, self.n == 1
+        rows, rank = [list(r) for r in rows], 0
+        for col in range(len(rows[0]) if rows else 0):
+            for piv in range(rank, len(rows)):
+                if rows[piv][col]:
+                    break
+            else:
+                continue
+            top = rows[piv]
+            rows[piv], rows[rank] = rows[rank], top
+            rank += 1
+            minus = p - pow(top[col], -1, p) if fp else self.neg(self.inv(top[col]))
+            for r in range(rank, len(rows)):
+                row = rows[r]
+                if row[col]:
+                    c = row[col] * minus if fp else self.mul(row[col], minus)
+                    rows[r] = ([(v + c * w) % p for v, w in zip(row, top)] if fp else
+                               [self.add(v, self.mul(c, w)) for v, w in zip(row, top)])
+        return rows[:rank]
 
-    def row_dot(self, a, b) -> int:
-        """sum of a_i * b_i."""
+    def mat_mul(self, a, b) -> list[list[int]]:
+        """The product of an r x m matrix a and an m x c matrix b (rows of
+        encodings), as r new rows; inline on F_p, on the scalar ops on
+        F_{p^n}."""
+        cols = list(zip(*b))
         if self.n == 1:
-            return sum(map(operator.mul, a, b)) % self.p
-        total = 0
-        for v, w in zip(a, b):
-            total = self.add(total, self.mul(v, w))
-        return total
+            return [[sum(map(operator.mul, row, col)) % self.p for col in cols] for row in a]
+        return [[reduce(self.add, map(self.mul, row, col), 0) for col in cols] for row in a]
 
     # -- numpy views (built lazily, used by census hot loops) ----------------
 
@@ -773,24 +793,28 @@ def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
 
 
 def _gcd_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
-    """``poly_squarefree`` by gcd(a, a'), never reading a held mask: F_p
-    delegates to ``zp_squarefree``; F_{p^n} runs one remainder-only Euclid
-    on the descriptor's scalar ops."""
-    a = poly_trim(list(a))
+    """``poly_squarefree`` by gcd(a, a'), never reading a held mask: one
+    remainder-only Euclid for every F_q.  On F_p the arithmetic is inline
+    (the entries of a may be any integers, taken mod p, and each remainder
+    is reduced once); on F_{p^n} it is the descriptor's scalar ops."""
+    p, fp = field.p, field.n == 1
+    a = poly_trim([c % p for c in a] if fp else list(a))
     if not a:
         raise ValueError("squarefree is undefined for the zero polynomial")
-    if field.n == 1:
-        return zp_squarefree(a, field.p)
-    b = poly_trim([field.mul(c, k % field.p) for k, c in enumerate(a)][1:])
+    b = poly_trim([k * c % p if fp else field.mul(c, k % p) for k, c in enumerate(a)][1:])
     while b:
-        db, inv_lead = len(b) - 1, field.inv(b[-1])
+        db = len(b) - 1
+        minus = p - pow(b[-1], -1, p) if fp else field.neg(field.inv(b[-1]))
         while len(a) > db:                  # a <- a mod b
-            coef = field.mul(a.pop(), inv_lead)
-            if coef:
+            c = a.pop() * minus % p if fp else field.mul(a.pop(), minus)
+            if c:
                 shift = len(a) - db
                 for i in range(db):
-                    a[shift + i] = field.sub(a[shift + i], field.mul(coef, b[i]))
-        a, b = b, poly_trim(a)
+                    if fp:
+                        a[shift + i] += c * b[i]
+                    else:
+                        a[shift + i] = field.add(a[shift + i], field.mul(c, b[i]))
+        a, b = b, poly_trim([c % p for c in a] if fp else a)
     return len(a) == 1
 
 

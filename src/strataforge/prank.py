@@ -4,8 +4,9 @@ zeta numerators.
 The p-rank is the dimension of the stable image of the p-linear Hasse-Witt
 map x -> x^(p) A on row vectors over F_q: a row basis of the image is
 pushed through the map until its dimension stops dropping.  One path, on
-the field descriptor's row ops (one call per row of an elimination step),
-serves every F_{p^n}.
+the field descriptor's whole-matrix kernels (``echelon`` and ``mat_mul``,
+one call per elimination or product), serves every F_{p^n}.  The a-number
+g - rank A is read off the same echelon form of A.
 
 The two computations are independent routes to the same invariant: the
 p-rank equals the length of the slope-0 part of the Newton polygon.  The
@@ -53,30 +54,6 @@ def hasse_witt(curve: HyperellipticCurve) -> HasseWittMatrix:
     return hasse_witt_from_poly(curve.field, list(curve.f.coeffs), curve.genus)
 
 
-def _mat_mul(field: FieldDescriptor, a, b) -> list[list[int]]:
-    """The product a * b of an r x m and an m x c matrix over the field."""
-    cols = list(zip(*b))
-    return [[field.row_dot(row, col) for col in cols] for row in a]
-
-
-def _row_basis(field: FieldDescriptor, a) -> list[list[int]]:
-    """The nonzero rows of a row echelon form of a, a basis of its row space."""
-    rows = [list(r) for r in a]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rows[rank] = field.row_scale(field.inv(rows[rank][col]), rows[rank])
-        for r in range(rank + 1, len(rows)):
-            c = rows[r][col]
-            if c:
-                rows[r] = field.row_sub_scaled(rows[r], c, rows[rank])
-        rank += 1
-    return rows[:rank]
-
-
 def stable_rank(hw: HasseWittMatrix) -> int:
     """Dimension of the stable image of the Hasse-Witt map V: x -> x^(p) A.
 
@@ -88,17 +65,25 @@ def stable_rank(hw: HasseWittMatrix) -> int:
     A (an ordinary curve) stops after the first reduction.
     """
     field, a = hw.field, hw.entries
-    dim, basis = hw.genus, _row_basis(field, a)
+    dim, basis = hw.genus, field.echelon(a)
     while len(basis) < dim:
         dim = len(basis)
         raised = [[field.frobenius(x) for x in row] for row in basis]
-        basis = _row_basis(field, _mat_mul(field, raised, a))
+        basis = field.echelon(field.mat_mul(raised, a))
     return dim
 
 
 def p_rank(curve: HyperellipticCurve) -> int:
     """The p-rank of the Jacobian, an integer in [0, genus]."""
     return stable_rank(hasse_witt(curve))
+
+
+def a_number(curve: HyperellipticCurve) -> int:
+    """The a-number of the Jacobian, g - rank A for the Hasse-Witt matrix A
+    (the dimension of the kernel of the Cartier operator): 0 exactly on
+    ordinary curves, and a + f <= g with f the p-rank."""
+    hw = hasse_witt(curve)
+    return hw.genus - len(hw.field.echelon(hw.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -207,23 +207,68 @@ def test_frobenius_is_additive_and_fixes_elements(field):
         assert field.pow(a, q) == a  # x^q = x
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
+# the fields of the whole-matrix kernels' tests, here and in test_prank.py
+KERNEL_FIELDS = FIELDS + [field_new(97)]
+
+
+def scalar_mat_mul(field, a, b, cols):
+    """Schoolbook product of an r x m and an m x ``cols`` matrix on the
+    descriptor's scalar add and mul."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(cols):
+            acc = 0
+            for v, brow in zip(row, b):
+                acc = field.add(acc, field.mul(v, brow[j]))
+            out[-1].append(acc)
+    return out
+
+
+def seeded_matrices(field, rng):
+    """(matrix, number of columns) for every shape of 0 to 5 rows and 0 to
+    5 columns: zero, and four products through each k = 1 .. min(rows,
+    cols) inner columns (rank at most k), about half their factors'
+    entries zero."""
+    q = field.size
+    for r, c in itertools.product(range(6), repeat=2):
+        yield [[0] * c for _ in range(r)], c
+        for k in [k for k in range(1, min(r, c) + 1) for _ in range(4)]:
+            left, right = ([[rng.choice([0, rng.randrange(q)]) for _ in range(w)] for _ in range(h)]
+                           for h, w in ((r, k), (k, c)))
+            yield scalar_mat_mul(field, left, right, c), c
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_row_ops_match_the_scalar_loops(field):
-    """Each row operation equals the loop of scalar ops it stands for, on
-    seeded rows of length 0 to 6, about half their entries zero; and
-    frobenius is a^p, the identity on F_p."""
+    """The whole-matrix kernels against loops of scalar ops, on the seeded
+    matrices above and their products.  ``mat_mul`` equals the schoolbook
+    product, non-square and empty ones included.  ``echelon`` returns
+    nonzero rows of codes whose leading entries move strictly right, row by
+    row, and every input row reduces to zero against them, so they span
+    its row space (``tests/test_prank.py`` checks their number against a
+    scalar elimination).  Neither kernel changes its input.  frobenius is
+    a^p, the identity on F_p."""
     q, rng = field.size, random.Random(field.size)
-    for length in range(7):
-        for _ in range(40):
-            a, b = ([rng.choice([0, rng.randrange(q)]) for _ in range(length)] for _ in "ab")
-            c = rng.choice([0, 1, rng.randrange(q)])
-            assert field.row_scale(c, a) == [field.mul(c, v) for v in a]
-            assert field.row_sub_scaled(a, c, b) == [field.sub(v, field.mul(c, w))
-                                                     for v, w in zip(a, b)]
-            dot = 0
-            for v, w in zip(a, b):
-                dot = field.add(dot, field.mul(v, w))
-            assert field.row_dot(a, b) == dot
+    for m, cols in seeded_matrices(field, rng):
+        frozen = [list(r) for r in m]
+        for k in range(1, 4):      # m on either side; rows of codes carry no width at 0 rows
+            right = [[rng.randrange(q) for _ in range(k)] for _ in range(cols)]
+            left = [[rng.randrange(q) for _ in m] for _ in range(k)]
+            if cols:
+                assert field.mat_mul(m, right) == scalar_mat_mul(field, m, right, k)
+            if m:
+                assert field.mat_mul(left, m) == scalar_mat_mul(field, left, m, cols)
+        basis = field.echelon(m)
+        leads = [next(j for j, v in enumerate(r) if v) for r in basis]
+        assert leads == sorted(set(leads)) and all(0 <= v < q for r in basis for v in r)
+        for row in m:
+            for lead, b in zip(leads, basis):
+                c = field.mul(row[lead], field.inv(b[lead]))
+                row = [field.sub(v, field.mul(c, w)) for v, w in zip(row, b)]
+            assert not any(row), (m, basis)
+        assert m == frozen and field.echelon(tuple(map(tuple, m))) == basis
+    assert field.mat_mul([], [[1, 2]]) == [] and field.echelon([]) == []
     assert [field.frobenius(a) for a in range(q)] == [field.pow(a, field.p) for a in range(q)]
 
 
@@ -331,7 +376,7 @@ def test_squarefree_examples():
     assert poly_squarefree(f5, [0, 4, 0, 1])        # x^3 - x
     assert not poly_squarefree(f3, [0, 0, 1])       # x^2
     assert poly_squarefree(f3, [1, 0, 1, 1])        # x^3 + x^2 + 1, f' = 2x
-    for field in (f3, field_new(3, 2)):             # the Z/r path and the Euclid
+    for field in (f3, field_new(3, 2)):             # inline on F_p, scalar ops on F_9
         # trailing zeros are trimmed: the constants 1 and 2 and x are squarefree
         assert all(poly_squarefree(field, a) for a in ([1, 0], [2], [0, 1, 0]))
         assert not poly_squarefree(field, [0, 0, 1, 0])
@@ -340,7 +385,7 @@ def test_squarefree_examples():
 @pytest.mark.parametrize("field", [field_new(3), field_new(3, 2)], ids=repr)
 def test_squarefree_matches_resultant_on_all_monic_cubics(field):
     """Res(f, f') != 0 by Gaussian elimination on the Sylvester matrix, an
-    oracle apart from both the Z/r path (F_3) and the Euclid over F_9."""
+    oracle apart from the Euclid of the gcd route, on F_3 and on F_9."""
     p = field.p
     for f in enumerate_monic(field, 3):
         coeffs = list(f.coeffs)
@@ -349,10 +394,55 @@ def test_squarefree_matches_resultant_on_all_monic_cubics(field):
         assert poly_squarefree(field, coeffs) == expected, coeffs
 
 
+@pytest.mark.parametrize("p,length", [(3, 7), (5, 7), (7, 5)])
+def test_gcd_route_matches_zp_squarefree_on_every_small_polynomial(p, length):
+    """``_gcd_squarefree`` against the Z/r reference ``zp_squarefree`` on
+    every coefficient list of the given length over F_p but the zero one:
+    every polynomial of degree <= 6 over F_3 and F_5 and <= 4 over F_7,
+    monic or not, trailing zeros included.  5,000 seeded lists of length
+    7 over F_7 (every one of them takes about 20 s), the same lists with
+    entries moved by multiples of p, which the F_p route takes mod p, and
+    the seeded lists with shifted entries over F_3 and F_5 too."""
+    field, rng = field_new(p), random.Random(p)
+    for coeffs in itertools.islice(itertools.product(range(p), repeat=length), 1, None):
+        assert ffield._gcd_squarefree(field, coeffs) == zp_squarefree(list(coeffs), p), coeffs
+    for _ in range(5_000 if p == 7 else 1_000):
+        coeffs = [rng.randrange(p) for _ in range(7)]
+        shifted = [c + p * rng.randrange(-2, 3) for c in coeffs]
+        if any(coeffs):
+            assert ffield._gcd_squarefree(field, coeffs) == zp_squarefree(coeffs, p) \
+                == ffield._gcd_squarefree(field, shifted), coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gcd_route_matches_the_sieve_over_f25_and_f27(n):
+    """``_gcd_squarefree`` against ``squarefree_mask`` over F_25 and F_27:
+    every monic model of degree 2 and 3, and at degree 4 (about 20 s in
+    full) 2,000 seeded models the sieve leaves out and 2,000 it keeps.
+    Every other model goes in times a seeded unit, which keeps its answer,
+    and with a trailing zero."""
+    field = field_new(5 if n == 2 else 3, n)
+    q = field.size
+    rng = random.Random(q)
+    for d in (2, 3, 4):
+        mask = squarefree_mask(field, d)
+        index = np.arange(q**d)
+        if d == 4:
+            index = np.concatenate([rng.sample(np.flatnonzero(m).tolist(), 2_000)
+                                    for m in (~mask, mask)])
+        for i, (model, expected) in enumerate(zip(monic_codes(q, d, index).tolist(),
+                                                  mask[index].tolist())):
+            if i % 2:
+                unit = rng.randrange(1, q)
+                model = [field.mul(unit, c) for c in model] + [0]
+            assert ffield._gcd_squarefree(field, model) is expected, model
+
+
 def test_squarefree_rejects_zero():
-    """Every spelling of the zero polynomial, on both paths."""
+    """Every spelling of the zero polynomial, on F_3 and F_9; on F_3 the
+    entries are taken mod 3, so [3] and [0, -3] spell it too."""
     for field in (field_new(3), field_new(3, 2)):
-        for zero in ([], [0], [0, 0]):
+        for zero in ([], [0], [0, 0]) + (([3], [0, -3]) if field.n == 1 else ()):
             with pytest.raises(ValueError, match="zero polynomial"):
                 poly_squarefree(field, zero)
 

@@ -4,14 +4,17 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strataforge import families
 from strataforge.curves import curve_new, l_polynomial
 from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
 from strataforge.prank import (
     NewtonPolygon,
+    a_number,
     classify,
     hasse_witt,
     hasse_witt_from_poly,
@@ -321,9 +324,9 @@ def _twisted_products(field, a, k):
 
 
 def _rank(field, m):
-    """Rank of a square matrix by row reduction over the field."""
+    """Rank of a matrix by row reduction over the field."""
     rows, rank = [list(r) for r in m], 0
-    for col in range(len(rows)):
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
@@ -335,6 +338,23 @@ def _rank(field, m):
             rows[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (97, 1), (3, 2), (5, 2), (3, 3)])
+def test_echelon_keeps_as_many_rows_as_the_scalar_rank(p, n):
+    """``field.echelon`` against ``_rank`` on seeded matrices of 0 to 5 rows
+    and 0 to 5 columns: zero, and products through k = 1 .. min(rows, cols)
+    inner columns with about half their entries zero, so of rank at most k
+    (rank-deficient square matrices among them)."""
+    field, rng = field_new(p, n), random.Random(p * n)
+    q = field.size
+    for r, c in itertools.product(range(6), repeat=2):
+        assert field.echelon([[0] * c for _ in range(r)]) == []
+        for k in [k for k in range(1, min(r, c) + 1) for _ in range(6)]:
+            left, right = ([[rng.choice([0, rng.randrange(q)]) for _ in range(w)] for _ in range(h)]
+                           for h, w in ((r, k), (k, c)))
+            m = field.mat_mul(left, right)
+            assert len(field.echelon(m)) == _rank(field, m) <= k, m
 
 
 def twisted_product_ranks(c):
@@ -396,6 +416,41 @@ def test_two_route_agreement_nonordinary_extension_fields(p, n, g, count, seed):
     of A^g."""
     for c in _nonordinary_sample(field_new(p, n), g, count, seed):
         assert _assert_routes_agree(c)[-1] < g
+
+
+# (p, g): the number of models of each a-number, a = 0 .. g, among every
+# squarefree model of degree 2g + 1 over F_p; a = 0 counts the ordinary
+# ones (942 at g = 3, the f3 stratum of census_g3_full)
+A_NUMBER_COUNTS = {(3, 2): [120, 42, 0], (5, 2): [1980, 500, 20], (3, 3): [942, 516, 0, 0]}
+
+
+@pytest.mark.parametrize("p,g", list(A_NUMBER_COUNTS))
+def test_a_number_bounds_the_p_rank(p, g):
+    """On every model of genus 2 over F_3 and F_5 and genus 3 over F_3,
+    a + f <= g for the p-rank f, and a >= 1 exactly when f < g.  No
+    genus-3 model over F_3 has a >= 2."""
+    field, counts = field_new(p), [0] * (g + 1)
+    for f in enumerate_monic(field, 2 * g + 1, squarefree_only=True):
+        c = curve_new(field, f)
+        a, rank = a_number(c), p_rank(c)
+        assert a + rank <= g and (a >= 1) == (rank < g), f.coeffs
+        counts[a] += 1
+    assert counts == A_NUMBER_COUNTS[p, g]
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+def test_a_number_is_g_minus_the_batched_rank_of_A(p, n):
+    """Every model of ``families.exhaustive`` at genus 2 over F_5 and F_9:
+    ``a_number`` is g - rank A, with the rank taken by the batched
+    elimination on the field's tables (``families._rank``)."""
+    field, g, weight = field_new(p, n), 2, 0
+    for codes, w in families.exhaustive(field, g):
+        rows = codes.tolist()
+        a = np.array([hasse_witt_from_poly(field, f, g).entries for f in rows], dtype=np.int16)
+        assert [a_number(curve_new(field, FqPoly(field, tuple(f)))) for f in rows] \
+            == (g - families._rank(field.tables, a)).tolist()
+        weight += w * len(rows)
+    assert weight == field.size**5 - field.size**4
 
 
 def test_supersingular_implies_p_rank_zero():
