@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
-from .ffield import FieldDescriptor, FqPoly, field_new, poly_squarefree
+from .ffield import L_CACHE_SIZE, FieldDescriptor, FqPoly, field_new, poly_squarefree
 
 # Largest |F_{q^k}| a point count will walk, for each k it counts.  At the
 # cap one segment peaks at about 132 MB (POINTCOUNT_BYTES_PER_ELEMENT
@@ -412,21 +412,6 @@ def point_count(curve: HyperellipticCurve, k: int = 1,
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     return _count(curve, (k,), field_cap)[0]
-
-
-# Entries kept by each bounded LRU cache keyed on L or on the point counts
-# that give it: ``_l_from_counts``, ``prank.newton_polygon`` and the three
-# of ``weil`` (``l_reducible``, ``absolutely_simple``, ``splitting_class``).
-# These stages depend on L alone, and a census meets few distinct L (218
-# among the 1,458 genus-3 curves over F_3), but the caches live as long as
-# the process, so they are bounded.  Measured under tracemalloc on genus-2
-# and genus-3 L (q <= 49): an ``_l_from_counts`` entry with its key and its
-# L takes 280-412 B (909 L), an ``l_reducible`` entry with its key L 343 B,
-# and an entry of the other caches whose L is already held adds 282 B
-# (``absolutely_simple``, 1,434 L), 178-213 B (``splitting_class``, 1,038 L)
-# and 273-483 B (``newton_polygon``, its polygon with its Fractions, 909 L).
-# Five full caches with no key shared stay under 5 * 4096 * 800 B, 17 MB.
-L_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,9 @@ bytes) serve the row-wise product ``poly_mul_rows``.  ``squarefree_mask``
 sieves a whole family by marking every product u^2 k, and
 ``enumerate_monic`` lists its squarefree models off that mask.  Each field
 holds the last mask it sieved (read-only, at most ``ENUMERATE_CAP`` bytes),
-so ``poly_squarefree`` answers the models that mask covers by one lookup.
+so ``poly_squarefree`` answers the models that mask covers by one lookup;
+its verdicts on other models are kept in a bounded LRU memo
+(``L_CACHE_SIZE`` entries), so a model tested again costs one lookup too.
 The budgets (``ENUMERATE_CAP``, ``BLOCK_BYTES``, ``FIELD_TABLE_CAP``) refuse
 a family before anything is allocated or read from the held mask.  No path
 here imports sympy.
@@ -77,6 +79,24 @@ BLOCK_BYTES = 1 << 22
 # each, neg, inv and frob q each.  At the cap q is at most 2,896 (3^7 = 2187
 # and 7^4 = 2401 fit, 5^5 = 3125 does not).
 FIELD_TABLE_CAP = 1 << 25
+
+# Entries kept by each bounded LRU memo that lives as long as the process:
+# ``poly_squarefree``'s verdicts off the held mask (``_squarefree_memo``),
+# and the stages keyed on L or on the point counts that give it:
+# ``curves._l_from_counts``, ``prank.newton_polygon`` and the three of
+# ``weil`` (``l_reducible``, ``absolutely_simple``, ``splitting_class``).
+# The L stages depend on L alone, and a census meets few distinct L (218
+# among the 1,458 genus-3 curves over F_3), but the caches live as long as
+# the process, so they are bounded.  Measured under tracemalloc on genus-2
+# and genus-3 L (q <= 49): an ``_l_from_counts`` entry with its key and its
+# L takes 280-412 B (909 L), an ``l_reducible`` entry with its key L 343 B,
+# and an entry of the other caches whose L is already held adds 282 B
+# (``absolutely_simple``, 1,434 L), 178-213 B (``splitting_class``, 1,038 L)
+# and 273-483 B (``newton_polygon``, its polygon with its Fractions, 909 L).
+# A verdict entry with its key takes 252 B (4,096 degree-7 models over F_7).
+# Five full L caches with no key shared stay under 5 * 4096 * 800 B, 17 MB,
+# and a full verdict memo adds about 1 MB.
+L_CACHE_SIZE = 4096
 
 NEG_INF = float("-inf")  # degree of the zero polynomial; never -1
 
@@ -771,12 +791,27 @@ def poly_mul(field: FieldDescriptor, *factors) -> list[int]:
 
 def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
     """True iff a has no repeated factor over the field, that is gcd(a, a')
-    is constant.  Trailing zeros are trimmed first; the zero polynomial
-    raises ValueError.
+    is constant.  The entries of a are integers (numpy integers included);
+    trailing zeros are trimmed first, and the zero polynomial raises
+    ValueError.
 
-    A monic a of the degree of the field's held mask (``squarefree_mask``),
-    with every entry in [0, q) (and c_(d-1) = 0 for a cut mask), is read off
-    that mask at sum c_i q^i.  Every other a takes ``_gcd_squarefree``.
+    The answer comes from the first of three places that has it:
+
+    1. the field's held mask (``squarefree_mask``): a monic a of its
+       degree, with every entry in [0, q) (and c_(d-1) = 0 for a cut mask),
+       is read off that mask at sum c_i q^i;
+    2. the verdict memo (``_squarefree_memo``), an LRU memo of the last
+       ``L_CACHE_SIZE`` distinct (field, a) tested off the mask;
+    3. ``_gcd_squarefree``, whose verdict the memo then keeps.  A failure
+       (the zero polynomial's ValueError) is never stored.
+
+    The memo saves a Euclid only where a model is tested again within
+    ``L_CACHE_SIZE`` distinct tests, as when ``curves.curve_new`` builds a
+    model that ``families.sampled`` (or any sampler) has just kept.  On the
+    benchmark's workloads: all 1,000 ``curve_new`` calls of
+    strata_g3_sampled re-test a model of its set-up and hit the memo; none
+    of the 1,458 of census_g3_full reaches it, since the held mask answers
+    them; sp_baselines makes no call.
     """
     held = field._mask
     if held is not None:
@@ -789,7 +824,15 @@ def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
                 index = index * q + operator.index(c)
             else:
                 return bool(mask[index])
-    return _gcd_squarefree(field, a)
+    return _squarefree_memo(field, tuple(map(operator.index, a)))
+
+
+@lru_cache(maxsize=L_CACHE_SIZE)
+def _squarefree_memo(field: FieldDescriptor, a: tuple[int, ...]) -> bool:
+    """``poly_squarefree`` off the held mask: the gcd route's verdict on a
+    (plain ints), memoized on (field, a).  Its ``cache_info()`` gives the
+    hits and misses of the squarefree test for a run record."""
+    return _gcd_squarefree(field, list(a))
 
 
 def _gcd_squarefree(field: FieldDescriptor, a: list[int]) -> bool:

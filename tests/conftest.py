@@ -1,8 +1,10 @@
-"""Families of zeta numerators shared by the Weil-layer and Z/r tests."""
+"""Families of zeta numerators shared by the Weil-layer and Z/r tests, and
+the emptied squarefree verdict memo shared by the tests that count calls."""
 import random
 
 import pytest
 
+from strataforge import ffield
 from strataforge.curves import curve_new, l_polynomial
 from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
 
@@ -39,3 +41,11 @@ def sampled_Ls():
                 Ls.add(l_polynomial(curve_new(field, FqPoly(field, tuple(coeffs)))))
         out[field.size, degree] = sorted(Ls, key=lambda L: L.coeffs)
     return out
+
+
+@pytest.fixture
+def empty_verdict_memo():
+    """``poly_squarefree``'s verdict memo, emptied: a test that counts the
+    gcd route's calls reads no verdict that an earlier test left behind."""
+    ffield._squarefree_memo.cache_clear()
+    return ffield._squarefree_memo

@@ -145,10 +145,11 @@ def test_curve_new_rejects_bad_models():
         curve_new(f3, FqPoly(f3, (0, 0, 1, 1)))  # x^3 + x^2 = x^2(x+1)
 
 
-def test_curve_new_on_a_sieved_family_runs_no_gcd(monkeypatch):
+def test_curve_new_on_a_sieved_family_runs_no_gcd(monkeypatch, empty_verdict_memo):
     """Every model of the sieved genus-3 family over F_3 is checked by one
     lookup in the mask its enumeration holds: neither ``zp_squarefree`` nor
-    the gcd route runs, and a model the mask rejects is still refused."""
+    the gcd route runs, no verdict reaches the memo, and a model the mask
+    rejects is still refused."""
     field = field_new(3)
     models = list(enumerate_monic(field, 7, squarefree_only=True))
 
@@ -160,6 +161,7 @@ def test_curve_new_on_a_sieved_family_runs_no_gcd(monkeypatch):
     assert len([curve_new(field, f) for f in models]) == 1458
     with pytest.raises(ValueError, match="squarefree"):
         curve_new(field, FqPoly(field, (0, 0, 0, 0, 0, 0, 0, 1)))    # x^7
+    assert empty_verdict_memo.cache_info().currsize == 0
 
 
 def test_even_degree_model_supported():

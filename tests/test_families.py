@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from strataforge import families, ffield
+from strataforge.curves import curve_new
 from strataforge.errors import BudgetExceededError
-from strataforge.ffield import enumerate_monic, field_new, monic_codes, squarefree_mask
+from strataforge.ffield import (FqPoly, enumerate_monic, field_new, monic_codes, poly_squarefree,
+                                squarefree_mask)
 from strataforge.prank import hasse_witt_from_poly, stable_rank
 
 # Exact weighted counts at f = 0 .. g of every monic squarefree model of
@@ -127,6 +129,43 @@ def test_sampled_family_is_the_benchmark_sample(seed, counts):
     assert sum(len(codes) * w for codes, w in family) == 1000
     assert families.strata_counts(family) == counts
     assert families.strata_counts(family) == counts        # a second pass, same blocks
+
+
+def test_curve_new_on_a_sampled_family_reads_the_verdict_memo(empty_verdict_memo):
+    """``sampled`` tests each candidate once; ``curve_new`` on each kept
+    model re-tests it, and every re-test is a memo hit (no mask held)."""
+    field = field_new(7)
+    squarefree_mask(field, 2)                              # no degree-7 mask held
+    (codes, _), = families.sampled(field, 3, 1000, 1)
+    before = empty_verdict_memo.cache_info()
+    for row in codes:
+        curve_new(field, FqPoly(field, row))
+    after = empty_verdict_memo.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1000, 0)
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 1), (3, 2)])
+def test_poly_squarefree_on_numpy_rows(p, n, empty_verdict_memo):
+    """Rows of int16 or int64 codes, squarefree or not, give the answer of
+    the same list of ints on the gcd route: over F_7 and F_9 with a mask of
+    another degree held, and over F_3 after a degree-4 mask replaced the
+    one that ``exhaustive`` held for its rows."""
+    field = field_new(p, n)
+    q, g = field.size, 3 if p == 7 else 2
+    if (p, n) == (3, 1):
+        kept = next(iter(families.exhaustive(field, g)))[0][:200]
+        squarefree_mask(field, 4)
+    else:
+        kept = next(iter(families.sampled(field, g, 200, 1)))[0]
+        squarefree_mask(field, 2)
+    drawn = monic_codes(q, 2 * g + 1, np.random.default_rng(q).integers(0, q ** (2 * g + 1), 200))
+    for codes in (kept, drawn):
+        expected = [ffield._gcd_squarefree(field, c) for c in codes.tolist()]
+        for dtype in (np.int16, np.int64):
+            empty_verdict_memo.cache_clear()
+            assert [poly_squarefree(field, row) for row in codes.astype(dtype)] == expected
+    assert all(ffield._gcd_squarefree(field, c) for c in kept.tolist())
+    assert not all(expected)
 
 
 def test_sampled_blocks_continue_one_stream(monkeypatch):

@@ -916,7 +916,7 @@ MEMO_CASES = ([(3, 1, d) for d in range(1, 8)] + [(5, 1, d) for d in range(1, 6)
 
 
 @pytest.mark.parametrize("p,n,d", MEMO_CASES)
-def test_poly_squarefree_reads_the_held_mask(p, n, d, monkeypatch):
+def test_poly_squarefree_reads_the_held_mask(p, n, d, monkeypatch, empty_verdict_memo):
     """With the uncut (and at odd d the cut) mask held, ``poly_squarefree``
     equals the gcd route on every monic model of degree d, and only the
     models the mask does not cover (c_(d-1) != 0 under a cut mask) reach
@@ -936,7 +936,8 @@ def test_poly_squarefree_reads_the_held_mask(p, n, d, monkeypatch):
 
 
 @pytest.mark.parametrize("cut", [False, True])
-def test_poly_squarefree_off_the_held_mask_takes_the_gcd_route(cut, monkeypatch):
+def test_poly_squarefree_off_the_held_mask_takes_the_gcd_route(cut, monkeypatch,
+                                                             empty_verdict_memo):
     """Non-monic input, another degree, c_(d-1) != 0 under a cut mask,
     trailing zeros, and entries below 0 or at least q each miss the held
     mask of F_3 at degree 5 and give the gcd route's answer; the entries
@@ -956,8 +957,49 @@ def test_poly_squarefree_off_the_held_mask_takes_the_gcd_route(cut, monkeypatch)
             off.append(c[:4] + [rng.randrange(1, 3), 1])
         for a in off:
             misses.clear()
+            empty_verdict_memo.cache_clear()           # a repeated a is not a memo hit
             assert poly_squarefree(field, a) == gcd(field, a) and misses == [a], a
         assert poly_squarefree(field, shifted) == poly_squarefree(field, c)
+
+
+def test_the_verdict_memo_runs_the_gcd_route_once_per_model(monkeypatch, empty_verdict_memo):
+    """Off the held mask, a model tested again (as a list, a tuple or a
+    numpy row) is answered by the memo: the gcd route runs once per
+    distinct model, and the memo keeps the last ``L_CACHE_SIZE`` of them."""
+    field, gcd, calls = field_new(7), ffield._gcd_squarefree, []
+    squarefree_mask(field, 2)                            # no degree-7 mask held
+    monkeypatch.setattr(ffield, "_gcd_squarefree", lambda f, a: calls.append(a) or gcd(f, a))
+    models = monic_codes(7, 7, np.arange(0, 7**7, 7**4 + 1))
+    expected = [gcd(field, c) for c in models.tolist()]
+    assert True in expected and False in expected
+    for rows in (models.tolist(), [tuple(c) for c in models.tolist()], models):
+        assert [poly_squarefree(field, c) for c in rows] == expected
+    assert calls == models.tolist()
+    info = empty_verdict_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2 * len(models), len(models), len(models))
+    assert info.maxsize == ffield.L_CACHE_SIZE                 # the L memos' one bound
+    more = monic_codes(7, 7, np.arange(1, 7**7, 23)[:ffield.L_CACHE_SIZE]).tolist()
+    for c in more:                                         # evicts every model above
+        poly_squarefree(field, c)
+    assert empty_verdict_memo.cache_info().currsize == ffield.L_CACHE_SIZE
+    calls.clear()
+    assert poly_squarefree(field, models[0]) == expected[0] and calls == [models[0].tolist()]
+
+
+@pytest.mark.parametrize("field", [field_new(7), field_new(3, 2)], ids=repr)
+def test_the_verdict_memo_stores_no_failure(field, empty_verdict_memo):
+    """The zero polynomial raises on every call, in any spelling, and
+    leaves the memo as it was."""
+    poly_squarefree(field, [1, 0, 2])                     # not monic: no mask covers it
+    for zero in ([], [0], [0, 0, 0], np.zeros(4, dtype=np.int16)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                poly_squarefree(field, zero)
+    assert empty_verdict_memo.cache_info().currsize == 1
+    if field.n == 1:                                      # entries are read mod p
+        with pytest.raises(ValueError, match="zero polynomial"):
+            poly_squarefree(field, [7, -14])
+        assert empty_verdict_memo.cache_info().currsize == 1
 
 
 def test_the_held_mask_is_read_only_and_returned_again():
