@@ -6,7 +6,8 @@ map x -> x^(p) A on row vectors over F_q: a row basis of the image is
 pushed through the map until its dimension stops dropping.  One path, on
 the field descriptor's whole-matrix kernels (``echelon`` and ``mat_mul``,
 one call per elimination or product), serves every F_{p^n}.  The a-number
-g - rank A is read off the same echelon form of A.
+g - rank A (``nullity``) is read off the same echelon form of A, so one
+matrix from ``hasse_witt`` gives both invariants.
 
 The two computations are independent routes to the same invariant: the
 p-rank equals the length of the slope-0 part of the Newton polygon.  The
@@ -73,6 +74,14 @@ def stable_rank(hw: HasseWittMatrix) -> int:
     return dim
 
 
+def nullity(hw: HasseWittMatrix) -> int:
+    """g - rank A, the dimension of the kernel of A: the a-number of the
+    curve (``a_number``), from the echelon form of A that ``stable_rank``
+    starts from.  A record that wants the p-rank and the a-number builds A
+    once and passes it to both."""
+    return hw.genus - len(hw.field.echelon(hw.entries))
+
+
 def p_rank(curve: HyperellipticCurve) -> int:
     """The p-rank of the Jacobian, an integer in [0, genus]."""
     return stable_rank(hasse_witt(curve))
@@ -82,8 +91,7 @@ def a_number(curve: HyperellipticCurve) -> int:
     """The a-number of the Jacobian, g - rank A for the Hasse-Witt matrix A
     (the dimension of the kernel of the Cartier operator): 0 exactly on
     ordinary curves, and a + f <= g with f the p-rank."""
-    hw = hasse_witt(curve)
-    return hw.genus - len(hw.field.echelon(hw.entries))
+    return nullity(hasse_witt(curve))
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,27 @@ k >= 2, so does P, and with each root pi, zeta_k pi is a root too: a
 different one with the same k-th power.  So P_k is not squarefree, L is
 not absolutely simple (any g), and by the second fact G != W_g (g >= 2):
 both answers come at once (``_power_step``).
+
+Every answer here is the same for L and its quadratic twist L(-T) =
+(a_0, -a_1, a_2, -a_3, ...), the zeta numerator of the twist y^2 = u f(x)
+by a nonsquare u (``quadratic_twist``).  Its Frobenius polynomial is P(-T),
+with roots the -pi.  So -pi generates the same splitting field as pi, each
+Galois element sigma sends -pi to -sigma(pi), and the pair {-pi, q/(-pi)}
+is the negated pair {pi, q/pi}: G is the same subgroup of W_g.  The real
+Weil polynomial is (-1)^g h(-T), with the same disc(h) and N(h), and at
+every good prime r Frobenius is the same element of G, so
+``splitting_class`` reads the same signed cycle types and stops at the same
+prime.  P(-T) factors over Q exactly as P does, and the twist's P_d is
+P_d(-T) at odd d and P_d at even d, so every test of ``absolutely_simple``
+reads the same; indeed the twisted Jacobian is isomorphic to the original
+over F_(q^2), so one is absolutely simple exactly when the other is.  The
+three memos below therefore share each entry across a twist pair
+(``_twist_shared``): each twist class is computed once.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 
 from .curves import L_CACHE_SIZE, LPolynomial, coeffs_from_power_sums, power_sums
 from .ffield import is_prime, norm_at_root, reciprocal_trace, zp_reciprocal_blocks
@@ -77,11 +93,41 @@ def _poly_is_irreducible(coeffs: list[int]) -> bool:
     return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("T")).is_irreducible
 
 
-@lru_cache(maxsize=L_CACHE_SIZE)
+def quadratic_twist(L: LPolynomial) -> LPolynomial | None:
+    """L(-T), the zeta numerator of the quadratic twist, or None when it
+    fails ``LPolynomial``'s checks (L(-1) <= 0, so L is no Weil polynomial).
+    L in Z[T^2] is its own twist."""
+    coeffs = tuple(-a if i % 2 else a for i, a in enumerate(L.coeffs))
+    try:
+        return LPolynomial(L.q, L.genus, coeffs)
+    except ValueError:
+        return None
+
+
+def _twist_shared(compute):
+    """A bounded LRU memo of ``compute`` on L (see ``L_CACHE_SIZE``) that
+    shares each entry across a twist pair (module docstring).  On a miss,
+    an L whose twist has the smaller coefficient tuple is answered by the
+    twist's entry, read through the same memo; any other L (a self-twist,
+    or one whose twist fails ``LPolynomial``'s checks) is computed by
+    ``__wrapped__``, looked up at the miss.  So a hit costs one lookup, the
+    twist is formed only on a miss, and ``__wrapped__(L)`` is the bare
+    computation on L itself.  ``cache_info()`` counts the twist's lookup of
+    a redirected miss as well."""
+    @lru_cache(maxsize=L_CACHE_SIZE)
+    def memo(L):
+        twin = quadratic_twist(L)
+        if twin is not None and twin.coeffs < L.coeffs:
+            return memo(twin)
+        return memo.__wrapped__(L)
+    return update_wrapper(memo, compute)
+
+
+@_twist_shared
 def l_reducible(L: LPolynomial) -> bool:
     """True iff L factors over the integers, for a Weil polynomial L (all
     roots of absolute value 1/sqrt(q), as from ``l_polynomial``).  Memoized
-    on L in a bounded LRU cache (see ``L_CACHE_SIZE``), which
+    on the twist class of L (``_twist_shared``), a memo which
     ``absolutely_simple`` and ``splitting_class`` share.
 
     Genus 1: P = T^2 + a_1 T + q splits iff N(h) = a_1^2 - 4q is a square.  For
@@ -165,11 +211,12 @@ def signed_cycle_type(h: list[int], q: int, r: int) -> list[tuple[int, bool]]:
     return [(k, kind == "u") for kind, k in zp_reciprocal_blocks(h, r, q % r)]
 
 
-@lru_cache(maxsize=L_CACHE_SIZE)
+@_twist_shared
 def splitting_class(L: LPolynomial) -> tuple[str, int | None]:
     """("maximal", 2^g g!) when G is provably all of W_g, else
     ("undetermined", None).  Never guesses, given a genuine Weil polynomial
-    L (as from ``l_polynomial``).  Memoized on L (see ``L_CACHE_SIZE``).
+    L (as from ``l_polynomial``).  Memoized on the twist class of L
+    (``_twist_shared``).
 
     L must be irreducible (``l_reducible``), so h is too.  At a good prime r
     (odd, prime to q, P squarefree mod r: r does not divide q disc(h) N(h),
@@ -290,7 +337,7 @@ def _power_degrees(g: int) -> tuple[int, ...]:
     return tuple(d for d in small if not any(e != d and e % d == 0 for e in small))
 
 
-@lru_cache(maxsize=L_CACHE_SIZE)
+@_twist_shared
 def absolutely_simple(L: LPolynomial) -> bool:
     """Certificate that the abelian variety with Frobenius polynomial P is
     absolutely simple: P irreducible and, for every d with phi(d) <= 2g, the
@@ -307,7 +354,7 @@ def absolutely_simple(L: LPolynomial) -> bool:
     Squarefreeness is decided exactly on the trace polynomial h_d of P_d
     (``_power_trace``, ``_reciprocal_squarefree``), at half the degree.
     The power sums are computed once, up to g times the largest d.  Results
-    are memoized on L in a bounded LRU cache (see ``L_CACHE_SIZE``).
+    are memoized on the twist class of L (``_twist_shared``).
 
     For g >= 2 the answer is True at once when the memoized
     ``splitting_class`` of L is "maximal": if pi^d = rho^d for roots

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strataforge import families
+from strataforge import families, prank
 from strataforge.curves import curve_new, l_polynomial
 from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
 from strataforge.prank import (
@@ -19,8 +19,10 @@ from strataforge.prank import (
     hasse_witt,
     hasse_witt_from_poly,
     newton_polygon,
+    nullity,
     p_rank,
     slope_zero_length,
+    stable_rank,
 )
 
 
@@ -451,6 +453,32 @@ def test_a_number_is_g_minus_the_batched_rank_of_A(p, n):
             == (g - families._rank(field.tables, a)).tolist()
         weight += w * len(rows)
     assert weight == field.size**5 - field.size**4
+
+
+def test_one_hasse_witt_matrix_gives_the_p_rank_and_the_a_number(monkeypatch):
+    """On every model of genus 2 over F_5, one ``hasse_witt`` call forms
+    f^((p-1)/2) once, by one ``poly_mul``, and its matrix gives f by
+    ``stable_rank`` and a by ``nullity``: the values ``p_rank`` and
+    ``a_number`` give, each building A again."""
+    field, products = field_new(5), []
+    mul = prank.poly_mul
+
+    def counted(*args):
+        products.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(prank, "poly_mul", counted)
+    counts = [0, 0, 0]
+    for f in enumerate_monic(field, 5, squarefree_only=True):
+        c = curve_new(field, f)
+        products.clear()
+        hw = hasse_witt(c)
+        assert len(products) == 1
+        rank, a = stable_rank(hw), nullity(hw)
+        assert len(products) == 1                  # neither forms the power again
+        assert (rank, a) == (p_rank(c), a_number(c)), f.coeffs
+        counts[a] += 1
+    assert counts == A_NUMBER_COUNTS[5, 2]
 
 
 def test_supersingular_implies_p_rank_zero():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.ntheory.factor_ import core
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 from sympy.polys.numberfields.galoisgroups import galois_group
@@ -524,6 +525,136 @@ def test_splitting_class_genus2_certifies_exactly_splitting_degree_8(census_Ls, 
         assert certified == (galois_order(L) == 8), L
         irreducible += 1
     assert irreducible == 185
+
+
+def twisted(L):
+    """L(-T) by sympy, the oracle for ``weil.quadratic_twist``."""
+    reflected = sympy.Poly(list(reversed(L.coeffs)), T).as_expr().subs(T, -T)
+    coeffs = sympy.Poly(reflected, T).all_coeffs()[::-1]
+    return LPolynomial(L.q, L.genus, tuple(int(c) for c in coeffs))
+
+
+WEIL_MEMOS = (weil.l_reducible, weil.splitting_class, weil.absolutely_simple)
+
+
+@pytest.fixture(scope="module")
+def genus4_f3_Ls():
+    """Distinct L of every genus-4 model over F_3 (1,683 of 13,122)."""
+    field = field_new(3)
+    Ls = {l_polynomial(curve_new(field, f))
+          for f in enumerate_monic(field, 9, squarefree_only=True)}
+    return sorted(Ls, key=lambda L: L.coeffs)
+
+
+def test_quadratic_twist_gives_the_same_uncached_weil_answers(census_Ls, genus2_f7_Ls,
+                                                              genus4_f3_Ls):
+    """Negating every Frobenius eigenvalue keeps G, the factorization of P
+    and absolute simplicity (``weil`` module docstring).  On every distinct
+    L of genus 2 over F_3, F_5 and F_7 and genus 3 over F_3, and on a seeded
+    200-L subset of genus 4 over F_3, the bare computation (``__wrapped__``:
+    no memo, no redirect) of each Weil function on L(-T) equals the one on
+    L.  The twist of a genuine L passes ``LPolynomial``'s checks, its twist
+    is L again, and L is its own twist exactly in Z[T^2]."""
+    assert len(genus4_f3_Ls) == 1683
+    Ls = [*census_Ls[3, 5], *census_Ls[5, 5], *genus2_f7_Ls, *census_Ls[3, 7],
+          *random.Random(4).sample(genus4_f3_Ls, 200)]
+    self_twists = 0
+    for L in Ls:
+        twin = weil.quadratic_twist(L)
+        assert twin == twisted(L) and weil.quadratic_twist(twin) == L, L
+        assert (twin == L) == (weil._power_step(L) % 2 == 0), L
+        self_twists += twin == L
+        for memo in WEIL_MEMOS:
+            assert memo.__wrapped__(twin) == memo.__wrapped__(L), (memo.__name__, L)
+    assert self_twists >= 20 and len(Ls) - self_twists > 500
+
+
+def test_quadratic_twist_of_no_weil_polynomial_is_refused():
+    """L(-1) <= 0 fails ``LPolynomial``'s checks for the twist, so no twist
+    is formed; such an L is computed directly and raises nothing new."""
+    L = LPolynomial(3, 2, (1, 6, 0, 18, 9))   # L(-1) = -14: no Weil polynomial
+    assert weil.quadratic_twist(L) is None
+    for memo in WEIL_MEMOS:
+        memo.cache_clear()
+        assert memo(L) == memo.__wrapped__(L)
+
+
+def test_census_weil_pass_computes_each_twist_class_once(monkeypatch):
+    """With the memos cleared, the 1,458 L of genus 3 over F_3 (218 distinct,
+    112 twist classes) read ``signed_cycle_type`` 217 times and run the
+    body of ``l_reducible`` 102 times, half of what certifying each L on its
+    own took, whichever member of each twist pair is asked first; the
+    answers do not depend on that order."""
+    field = field_new(3)
+    Ls = [l_polynomial(curve_new(field, f))
+          for f in enumerate_monic(field, 7, squarefree_only=True)]
+    assert len(Ls) == 1458 and len(set(Ls)) == 218
+    assert len({min(L.coeffs, weil.quadratic_twist(L).coeffs) for L in Ls}) == 112
+    primes, bodies = [], []
+    cycle_type, body = weil.signed_cycle_type, weil.l_reducible.__wrapped__
+
+    def read(h, q, r):
+        primes.append(r)
+        return cycle_type(h, q, r)
+
+    def ran(L):
+        bodies.append(L)
+        return body(L)
+
+    monkeypatch.setattr(weil, "signed_cycle_type", read)
+    monkeypatch.setattr(weil.l_reducible, "__wrapped__", ran)
+    answers, ascending = [], sorted(Ls, key=lambda L: L.coeffs)
+    for order in (ascending, ascending[::-1]):
+        for memo in WEIL_MEMOS:
+            memo.cache_clear()
+        primes.clear()
+        bodies.clear()
+        # the census record's two Weil calls, in the bench's order
+        answers.append({L: (weil.splitting_class_g3(L), weil.absolutely_simple(L))
+                        for L in order})
+        assert (len(primes), len(bodies)) == (217, 102)
+        assert weil.absolutely_simple.cache_info().currsize == 218
+    assert answers[0] == answers[1]
+
+
+def test_genus3_L_that_read_every_witness_prime_have_a_quadratic_subfield(census_Ls, monkeypatch):
+    """Six genus-3 L over F_3 pass every exit and read all ``WITNESS_PRIMES``
+    good primes, and "undetermined" is right for each: P factors over
+    Q(sqrt D), D the squarefree part of N(h) = -48, -8, -44, into two cubics.
+    Then Gal(P/Q(sqrt D)) keeps both cubics, which hold one root of each
+    pair {pi, q/pi}, so it moves no root to its partner and acts on the
+    pairs inside S_3; |G| <= 12, and a pure flip in G has weight 0 or 3, so
+    no flip witness 0 < w < 3 exists.  The six are three twist pairs, so
+    with the memos cleared they read 60 primes, not 120."""
+    primes, cycle_type = [], weil.signed_cycle_type
+
+    def read(h, q, r):
+        primes.append(r)
+        return cycle_type(h, q, r)
+
+    monkeypatch.setattr(weil, "signed_cycle_type", read)
+    exhausted = []
+    for L in census_Ls[3, 7]:
+        primes.clear()
+        weil.splitting_class.__wrapped__(L)
+        if len(primes) == weil.WITNESS_PRIMES:
+            exhausted.append(L)
+    norms = {L: norm_at_root(weil.real_weil_coeffs(L), 4 * L.q) for L in exhausted}
+    assert sorted(norms.values()) == [-48, -48, -44, -44, -8, -8]
+    assert {weil.quadratic_twist(L) for L in exhausted} == set(exhausted)
+    for L, norm in norms.items():
+        D = -core(-norm)                          # -3, -2, -11
+        _, factors = sympy.factor_list(frobenius_expr(L), extension=sympy.sqrt(D))
+        assert sorted(sympy.degree(f, T) for f, _ in factors) == [3, 3], L
+        assert galois_order(L) == 12, L
+        assert weil.splitting_class(L) == ("undetermined", None), L
+        assert weil.absolutely_simple(L), L
+    for memo in WEIL_MEMOS:
+        memo.cache_clear()
+    primes.clear()
+    for L in exhausted:
+        weil.splitting_class(L)
+    assert len(primes) == 3 * weil.WITNESS_PRIMES
 
 
 # Irreducible Weil L of genus 4 over F_5 whose Galois group is provably
