@@ -21,6 +21,15 @@ log c; the quadratic character of f(x) is the parity of its final log
 from N_1..N_g through Newton's identities and the functional equation,
 then checked against N_{g+1}, counted in the same pass (when that field is
 within budget), so that a miscount raises instead of propagating.
+
+L is an invariant of the curve's isomorphism class over F_q, so
+``l_polynomial`` is memoized on the translation class
+(``ffield.class_memo``): where p does not divide d = deg f, the q models
+f(x + b) share one cut model, the one with c_(d-1) = 0, and the memo is
+keyed on the field, the index sum c_i q^i of that model, and ``field_cap``
+when it is passed.  A miss counts on the caller's own curve, so a
+``ConsistencyError`` or ``BudgetExceededError`` names the f it was given,
+and no failure is stored.  At p | d the count runs on every call.
 """
 from __future__ import annotations
 
@@ -32,7 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
-from .ffield import L_CACHE_SIZE, FieldDescriptor, FqPoly, field_new, poly_squarefree
+from .ffield import (L_CACHE_SIZE, FieldDescriptor, FqPoly, class_memo, field_new,
+                     poly_squarefree)
 
 # Largest |F_{q^k}| a point count will walk, for each k it counts.  At the
 # cap one segment peaks at about 132 MB (POINTCOUNT_BYTES_PER_ELEMENT
@@ -487,6 +497,7 @@ def point_counts_from(L: LPolynomial, upto: int) -> list[int]:
     return [L.q**k + 1 - p for k, p in enumerate(power_sums(L.coeffs, upto), start=1)]
 
 
+@class_memo
 def l_polynomial(curve: HyperellipticCurve,
                  field_cap: int = POINTCOUNT_FIELD_CAP) -> LPolynomial:
     """Recover L(T) from N_1..N_g via Newton's identities, checked on N_{g+1}.
@@ -498,6 +509,10 @@ def l_polynomial(curve: HyperellipticCurve,
     steps and the :class:`LPolynomial` checks (functional equation,
     L(1) > 0, Weil bound on a_1) run.  Any failure is a
     :class:`ConsistencyError` naming the counts, the field and f.
+
+    Memoized on the translation class of the curve and ``field_cap`` (see
+    the module docstring); ``l_polynomial.__wrapped__`` is the count on the
+    curve itself, and ``cache_info()`` gives the memo's hits and misses.
     """
     g = curve.genus
     top = g + 1 if curve.q ** (g + 1) <= field_cap else g

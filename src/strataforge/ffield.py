@@ -42,6 +42,9 @@ holds the last mask it sieved (read-only, at most ``ENUMERATE_CAP`` bytes),
 so ``poly_squarefree`` answers the models that mask covers by one lookup;
 its verdicts on other models are kept in a bounded LRU memo
 (``L_CACHE_SIZE`` entries), so a model tested again costs one lookup too.
+``cut_model`` is the normal form of a model under x -> x + b (the Taylor
+shift that clears c_(d-1), where p does not divide d), and ``class_memo``
+memoizes an invariant of curves on it, one entry per translation class.
 The budgets (``ENUMERATE_CAP``, ``BLOCK_BYTES``, ``FIELD_TABLE_CAP``) refuse
 a family before anything is allocated or read from the held mask.  No path
 here imports sympy.
@@ -51,8 +54,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -94,8 +98,13 @@ FIELD_TABLE_CAP = 1 << 25
 # (``absolutely_simple``, 1,434 L), 178-213 B (``splitting_class``, 1,038 L)
 # and 273-483 B (``newton_polygon``, its polygon with its Fractions, 909 L).
 # A verdict entry with its key takes 252 B (4,096 degree-7 models over F_7).
-# Five full L caches with no key shared stay under 5 * 4096 * 800 B, 17 MB,
-# and a full verdict memo adds about 1 MB.
+# The translation-class memos (``class_memo``: ``curves.l_polynomial`` and
+# ``prank.p_rank``) are keyed on (field, one int), and both memos' entries
+# for one class share that int: 972 entries for the 486 classes of the
+# genus-3 census over F_3 took 172 B each, with their share of the memos'
+# dicts (L and p-rank are held elsewhere or small).  Five full L caches with
+# no key shared stay under 5 * 4096 * 800 B, 17 MB; a full verdict memo adds
+# about 1 MB, and the two full class memos about 1.4 MB together.
 L_CACHE_SIZE = 4096
 
 NEG_INF = float("-inf")  # degree of the zero polynomial; never -1
@@ -859,6 +868,78 @@ def _gcd_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
                         a[shift + i] = field.add(a[shift + i], field.mul(c, b[i]))
         a, b = b, poly_trim([c % p for c in a] if fp else a)
     return len(a) == 1
+
+
+def cut_model(field: FieldDescriptor, coeffs) -> list[int] | None:
+    """The cut model of f (integer codes, numpy ones included, constant term
+    first, nonzero lead c_d): f(x + b) with b = -c_(d-1) / (d c_d), the one
+    translate of f with c_(d-1) = 0, as int codes; None where p divides
+    d = deg f, since there no translate moves c_(d-1).  x -> x + b is an
+    isomorphism over F_q, so the q translates of f (its translation class)
+    share one cut model, the one model of the class that
+    ``families.exhaustive`` keeps.
+
+    On F_p the Taylor shift is Horner's rule at the integer X + b,
+    X = 2^w, with b in [0, p): f(X + b) = sum g_k X^k, g_k the coefficients
+    of f(x + b) over Z, each below (d + 1) p^(d + 1) < 2^w, so each sits
+    in its own w-bit slot, read back mod p.  On F_{p^n} it is d rounds of
+    Horner steps on the scalar ops."""
+    p, d = field.p, len(coeffs) - 1
+    if d < 1 or d % p == 0:
+        return None
+    a = list(map(operator.index, coeffs))           # numpy codes become ints
+    if not a[-2]:
+        return a
+    if field.n == 1:
+        b = -a[-2] * pow(a[-1] * d, -1, p) % p
+        w = ((d + 1) * p ** (d + 1)).bit_length()
+        x = 0
+        for c in reversed(a):
+            x = x * ((1 << w) + b) + c
+        return [(x >> s & (1 << w) - 1) % p for s in range(0, (d + 1) * w, w)]
+    b = field.neg(field.mul(a[-2], field.inv(field.mul(a[-1], d % p))))
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):    # round i divides a[i:] by x - b: g_i in a[i]
+            a[j] = field.add(a[j], field.mul(b, a[j + 1]))
+    return a
+
+
+# The last curve a class memo was called on, with the index of its cut model
+# (None at p | deg f), per thread: the other class memos called on the same
+# curve reuse the index, and a miss hands the curve to the memoized function.
+_class_caller = threading.local()
+
+
+def class_memo(fn):
+    """``fn(curve, *args)`` memoized on its translation class: the key is
+    the field, the index sum c_i q^i of the cut model (``cut_model``) and
+    the other arguments, in an LRU memo of ``L_CACHE_SIZE`` entries.  fn
+    must be an invariant of the curve's isomorphism class over F_q.  A miss
+    calls fn on the caller's own curve, so an exception names the caller's
+    f, and none is stored.  Where p divides deg f there is no cut model: fn
+    runs on the curve and the memo is not read.  The wrapper's
+    ``cache_info`` and ``cache_clear`` are the memo's, and ``__wrapped__``
+    is fn."""
+    @lru_cache(maxsize=L_CACHE_SIZE)
+    def memo(field, index, *args, **kwargs):
+        return fn(_class_caller.curve, *args, **kwargs)
+
+    @wraps(fn)
+    def wrapper(curve, *args, **kwargs):
+        field, last = curve.field, _class_caller
+        if getattr(last, "curve", None) is not curve:
+            cut, index = cut_model(field, curve.f.coeffs), None
+            if cut is not None:
+                index = 0
+                for c in reversed(cut):
+                    index = index * field.size + c
+            last.curve, last.index = curve, index
+        if last.index is None:
+            return fn(curve, *args, **kwargs)
+        return memo(field, last.index, *args, **kwargs)
+
+    wrapper.cache_info, wrapper.cache_clear = memo.cache_info, memo.cache_clear
+    return wrapper
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,13 @@ matrix from ``hasse_witt`` gives both invariants.
 The two computations are independent routes to the same invariant: the
 p-rank equals the length of the slope-0 part of the Newton polygon.  The
 tests and the benchmark's output check enforce that agreement.
+
+``p_rank`` is memoized on the curve's translation class, as
+``curves.l_polynomial`` is (``ffield.class_memo``): where p does not divide
+deg f, the q models f(x + b) share the key (field, index of the cut model
+with c_(d-1) = 0), and only the first one asked forms its Hasse-Witt
+matrix.  ``stable_rank(hasse_witt(curve))`` is the bare route, and at p | d
+it runs on every call.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .curves import L_CACHE_SIZE, HyperellipticCurve, LPolynomial
-from .ffield import FieldDescriptor, poly_codes, poly_mul
+from .ffield import FieldDescriptor, class_memo, poly_codes, poly_mul
 
 Classification = Literal["ordinary", "supersingular", "other"]
 
@@ -82,8 +89,11 @@ def nullity(hw: HasseWittMatrix) -> int:
     return hw.genus - len(hw.field.echelon(hw.entries))
 
 
+@class_memo
 def p_rank(curve: HyperellipticCurve) -> int:
-    """The p-rank of the Jacobian, an integer in [0, genus]."""
+    """The p-rank of the Jacobian, an integer in [0, genus]; memoized on
+    the translation class (``cache_info()``; ``__wrapped__`` is the bare
+    route on the curve itself)."""
     return stable_rank(hasse_witt(curve))
 
 

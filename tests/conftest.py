@@ -1,10 +1,11 @@
 """Families of zeta numerators shared by the Weil-layer and Z/r tests, and
-the emptied squarefree verdict memo shared by the tests that count calls."""
+the emptied memos (squarefree verdicts, translation classes) shared by the
+tests that count calls."""
 import random
 
 import pytest
 
-from strataforge import ffield
+from strataforge import curves, ffield, prank
 from strataforge.curves import curve_new, l_polynomial
 from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
 
@@ -49,3 +50,14 @@ def empty_verdict_memo():
     gcd route's calls reads no verdict that an earlier test left behind."""
     ffield._squarefree_memo.cache_clear()
     return ffield._squarefree_memo
+
+
+@pytest.fixture
+def empty_class_memos():
+    """The translation-class memos of ``curves.l_polynomial`` and
+    ``prank.p_rank``, emptied: a test that counts their entries or calls, or
+    that feeds ``l_polynomial`` a miscount, reads no L or p-rank that an
+    earlier test left behind for the class of its curve."""
+    curves.l_polynomial.cache_clear()
+    prank.p_rank.cache_clear()
+    return curves.l_polynomial, prank.p_rank

@@ -1,13 +1,14 @@
 import itertools
 import random
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import strataforge.curves as curves
-from strataforge import ffield
+from strataforge import families, ffield, prank
 from strataforge.curves import (
     MATRIX_PASS_ENTRIES,
     POINTCOUNT_BYTES_PER_ELEMENT,
@@ -24,6 +25,12 @@ from strataforge.curves import (
 )
 from strataforge.errors import BudgetExceededError, ConsistencyError
 from strataforge.ffield import FqPoly, enumerate_monic, field_new
+
+# Every test here starts with the translation-class memos of l_polynomial and
+# p_rank empty: a test that feeds l_polynomial a miscount through
+# curves.point_counts must reach that count, not an L that a test of another
+# module left behind for the class of its curve.
+pytestmark = pytest.mark.usefixtures("empty_class_memos")
 
 
 def make_curve(p_or_field, ints, n=1):
@@ -543,6 +550,120 @@ def test_isomorphic_models_share_one_l_polynomial():
     translate = make_curve(3, [0, 1, 2, 1, 2, 1])
     assert point_counts(c, 3) == point_counts(translate, 3)
     assert l_polynomial(c) is l_polynomial(translate)
+
+
+# (p, n, genus): p prime to d = 2g + 1, so every model has a cut model; the
+# genus-2 family over F_9 shifts on the scalar ops of F_{p^n}, and its 5,832
+# classes overflow the memos' bound
+CLASS_FAMILIES = ((3, 2, 2), (3, 1, 3))
+
+
+def _every_model(field, g):
+    return [curve_new(field, f) for f in enumerate_monic(field, 2 * g + 1, squarefree_only=True)]
+
+
+@pytest.mark.parametrize("p,n,g", CLASS_FAMILIES)
+def test_cut_models_are_the_exhaustive_rows_and_key_the_class_memos(p, n, g, empty_class_memos):
+    """The cut model of every squarefree model is a row of
+    ``families.exhaustive``, and every row is the cut model of exactly q
+    models (its translation class).  A pass of ``l_polynomial`` and
+    ``p_rank`` over every model, class by class, misses once per class and
+    leaves one entry per class in each memo, up to its bound."""
+    field = field_new(p, n)
+    rows = {tuple(r) for codes, _ in families.exhaustive(field, g) for r in codes.tolist()}
+    classes = {}
+    for c in _every_model(field, g):
+        classes.setdefault(tuple(ffield.cut_model(field, c.f.coeffs)), []).append(c)
+    assert set(classes) == rows
+    assert {len(members) for members in classes.values()} == {field.size}
+    for members in classes.values():
+        for c in members:
+            l_polynomial(c)
+            prank.p_rank(c)
+    for memo in empty_class_memos:
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (
+            len(rows), (field.size - 1) * len(rows), min(len(rows), ffield.L_CACHE_SIZE))
+
+
+@pytest.mark.parametrize("p,g,sample", [(5, 2, None), (7, 3, 150)])
+def test_no_class_memo_entry_where_p_divides_the_degree(p, g, sample, empty_class_memos):
+    """At p | d no translate clears c_(d-1): there is no cut model, and
+    ``l_polynomial`` and ``p_rank`` run on the curve without reading the
+    memos (every genus-2 model over F_5, a seeded genus-3 sample over F_7)."""
+    field = field_new(p)
+    if sample is None:
+        models = _every_model(field, g)
+    else:
+        models = [curve_new(field, FqPoly(field, tuple(row)))
+                  for codes, _ in families.sampled(field, g, sample, 7) for row in codes.tolist()]
+    for c in models:
+        assert ffield.cut_model(field, c.f.coeffs) is None
+        assert l_polynomial(c) == l_polynomial.__wrapped__(c)
+        assert prank.p_rank(c) == prank.p_rank.__wrapped__(c)
+    for memo in empty_class_memos:
+        assert tuple(memo.cache_info()) == (0, 0, ffield.L_CACHE_SIZE, 0)
+
+
+@pytest.mark.parametrize("p,n,g", CLASS_FAMILIES)
+def test_class_memos_equal_the_bare_routes_on_every_model(p, n, g):
+    """On every model, the memoized L is the one of the model's own counts
+    N_1..N_(g+1), and the memoized p-rank the stable rank of the model's own
+    Hasse-Witt matrix."""
+    field = field_new(p, n)
+    for c in _every_model(field, g):
+        assert l_polynomial(c) == l_polynomial_from_counts(c.q, g, point_counts(c, g + 1)), \
+            c.f.coeffs
+        assert prank.p_rank(c) == prank.stable_rank(prank.hasse_witt(c)), c.f.coeffs
+
+
+def test_a_class_memo_miss_computes_on_the_calling_threads_curve():
+    """Two threads miss a class memo at once, on curves of two classes: each
+    hands its curve over, then waits inside the memo's key lookup until the
+    other has handed over its own.  The hand-over is per thread, so each
+    miss still computes on its caller's curve."""
+    curves_ = (make_curve(3, [1, 0, 1, 0, 0, 1]), make_curve(3, [1, 2, 0, 0, 0, 1]))
+    handed = [threading.Event(), threading.Event()]
+
+    class Handshake:
+        """An argument that the memo hashes after the curve is handed over."""
+
+        def __init__(self, i):
+            self.i = i
+
+        def __hash__(self):
+            handed[self.i].set()
+            handed[1 - self.i].wait(10)
+            return self.i
+
+    probe = ffield.class_memo(lambda curve, token: curve.f.coeffs)
+    seen = {}
+
+    def call(i):
+        seen[i] = probe(curves_[i], Handshake(i))
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+    assert seen == {i: c.f.coeffs for i, c in enumerate(curves_)}
+    assert probe.cache_info().misses == 2
+
+
+def test_refused_count_names_each_translate_and_is_never_stored(empty_class_memos):
+    """Under a ``field_cap`` that refuses N_1, ``l_polynomial`` on f and on
+    its translate f(x + 1) raises every time, naming the f it was given; the
+    refusals leave no entry, and a count within the cap still runs."""
+    c = make_curve(3, [1, 0, 1, 0, 0, 1])
+    translate = make_curve(3, [0, 1, 2, 1, 2, 1])
+    assert l_polynomial(translate) is l_polynomial(c)          # the class is memoized
+    for curve in (c, translate, translate, c):
+        f = re.escape(f"GF(3) with f = {list(curve.f.coeffs)}")
+        with pytest.raises(BudgetExceededError, match=f"at k = 1, curve over {f}"):
+            l_polynomial(curve, field_cap=2)
+    assert empty_class_memos[0].cache_info().currsize == 1
+    assert l_polynomial(translate, field_cap=9) == l_polynomial(c)
 
 
 def test_power_sums_of_integer_roots():

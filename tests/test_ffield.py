@@ -1002,6 +1002,33 @@ def test_the_verdict_memo_stores_no_failure(field, empty_verdict_memo):
         assert empty_verdict_memo.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (97, 1), (3, 2), (5, 2), (3, 3)])
+def test_cut_model_is_the_translate_with_no_term_below_the_lead(p, n):
+    """On seeded f of degrees 1..9, any lead, as ints or as a numpy row:
+    where p does not divide d, ``cut_model`` is sum_k g_k x^k,
+    g_k = sum_j C(j, k) b^(j-k) c_j (the binomial expansion of f(x + b)),
+    for the one b that makes g_(d-1) = 0; where p divides d it is None."""
+    field, rng = field_new(p, n), random.Random(p * n)
+    for _ in range(60):
+        d = rng.randrange(1, 10)
+        f = [rng.randrange(field.size) for _ in range(d)] + [rng.randrange(1, field.size)]
+        cut = ffield.cut_model(field, tuple(f))
+        assert ffield.cut_model(field, np.array(f, dtype=np.int16 if p < 97 else np.int64)) == cut
+        if d % p == 0:
+            assert cut is None
+            continue
+
+        def shifted(b, k):
+            g = 0
+            for j in range(k, d + 1):
+                term = field.mul(field.pow(b, j - k), f[j])
+                g = field.add(g, field.mul(math.comb(j, k) % p, term))
+            return g
+
+        b = next(b for b in range(field.size) if shifted(b, d - 1) == 0)
+        assert cut == [shifted(b, k) for k in range(d + 1)], f
+
+
 def test_the_held_mask_is_read_only_and_returned_again():
     field = field_new(5)
     mask = squarefree_mask(field, 3)
