@@ -157,27 +157,33 @@ class _Pass:
     same character value, and chi_{q^k}(f(x)) = chi_{q^d}(f(x))^(k/d), since
     chi_{q^k} restricted to F_{q^d} is chi_{q^d} of the norm.  So
 
-      N_k = q^k + #infinity_k + chi_q(c_0)^k + sum over d | k of d S_d,
+      N_k = q^k + 1 + chi_q(c_0)^k + chi_q(lead)^k + sum over d | k of d S_d,
 
+    the lead's term read as 0 for an odd model (one point at infinity),
     where S_d sums chi_{q^d}(f(x)) (k/d odd) or chi_{q^d}(f(x))^2 (k/d even,
     the number of x with f(x) != 0) over the set R_d of one x per orbit of
-    exact degree d (``_orbit_representatives``); #infinity_k is 1 for an odd
-    model, and for an even one 2 when chi_q(lead)^k = 1 and 0 otherwise.
-    The pass has one segment per degree d dividing some k (segment 0 is
-    d = 1), and ``reps`` lays the logs i of x = g^i in R_d (g the generator
-    of F_{q^d}) end to end.  A route supplies ``character_sums(curve)``:
-    per segment, the pair (sum of chi(f(x)), sum of chi(f(x))^2) over R_d.
-    Both routes label every x of the pass 3 seg + chi(f(x)) + 1 from one
-    int8 table (42 segments fit; a pass has at most 18, as ``field_new``
-    stops at 2^30 elements) and read all the pairs off one ``_tally``.
+    exact degree d (``_orbit_representatives``).  The pass has one segment
+    per degree d dividing some k (segment 0 is d = 1), and ``reps`` lays the
+    logs i of x = g^i in R_d (g the generator of F_{q^d}) end to end.  Both
+    routes label every x of the pass 3 seg + chi(f(x)) + 1 from one int8
+    table (42 segments fit; a pass has at most 18, as ``field_new`` stops at
+    2^30 elements), and a route supplies ``tally(curve)``, the bincount of
+    those labels: per segment, the number of x with chi(f(x)) = -1, 0 and
+    1.  The sums are linear in the tally, so the int64 matrix ``weights``,
+    one row per k and one column per label, holds them all: for each
+    segment with d | k, d in the chi = 1 column and, in the chi = -1 column,
+    -d where k/d is odd and d where it is even.  ``counts`` is then
+    ``weights @ tally`` plus the terms at 0 and at infinity.
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
         self.q, self.ks = base.size, ks
         self.degrees = _degrees(ks)
-        # per k, the (segment, d, k/d odd) terms of its sum
-        self.terms = [[(seg, d, (k // d) % 2 == 1) for seg, d in enumerate(self.degrees)
-                       if k % d == 0] for k in ks]
+        self.weights = np.zeros((len(ks), 3 * len(self.degrees)), dtype=np.int64)
+        for row, k in zip(self.weights, ks):
+            for seg, d in enumerate(self.degrees):
+                if k % d == 0:
+                    row[3 * seg:3 * seg + 3] = -d if k // d % 2 else d, 0, d
         reps = [_orbit_representatives(self.q, d) for d in self.degrees]
         self.lengths = np.array([len(r) for r in reps], dtype=np.int32)
         self.starts = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
@@ -185,25 +191,11 @@ class _Pass:
 
     def counts(self, curve: HyperellipticCurve) -> list[int]:
         """N_k of the curve for every k of the pass."""
-        sums = self.character_sums(curve)
         coeffs, log = curve.f.coeffs, curve.field.exp_log[1]
         at_zero = 1 - 2 * (int(log[coeffs[0]]) & 1) if coeffs[0] else 0   # chi_q(c_0)
-        lead_square = int(log[coeffs[-1]]) % 2 == 0                      # chi_q(lead) = 1
-        odd_model = curve.model_degree % 2 == 1
-        out = []
-        for k, terms in zip(self.ks, self.terms):
-            total = self.q**k + at_zero**k
-            total += 1 if odd_model else 2 * (lead_square or k % 2 == 0)
-            for seg, d, odd in terms:
-                total += d * sums[seg][0 if odd else 1]
-            out.append(total)
-        return out
-
-    def _tally(self, labels: np.ndarray) -> list[tuple[int, int]]:
-        """Per segment, (sum of chi, sum of chi^2) from the labels
-        3 seg + chi + 1 of its elements, in one bincount over the pass."""
-        tally = np.bincount(labels, minlength=3 * len(self.degrees)).tolist()
-        return [(plus - minus, plus + minus) for minus, plus in zip(tally[0::3], tally[2::3])]
+        at_infinity = 0 if curve.model_degree % 2 else 1 - 2 * (int(log[coeffs[-1]]) & 1)
+        sums = (self.weights @ self.tally(curve)).tolist()
+        return [self.q**k + 1 + at_zero**k + at_infinity**k + s for k, s in zip(self.ks, sums)]
 
 
 class _MatrixPass(_Pass):
@@ -257,12 +249,12 @@ class _MatrixPass(_Pass):
         self.place = (p ** np.arange(self.width)).astype(np.float32)
         self.coef_digits = (np.arange(base.size)[:, None] // p ** np.arange(n) % p).astype(np.float32)
 
-    def character_sums(self, curve: HyperellipticCurve) -> list[tuple[int, int]]:
+    def tally(self, curve: HyperellipticCurve) -> np.ndarray:
         row = self.coef_digits.take(curve.f.coeffs, axis=0).reshape(-1)
         digits = self.mod_p.take((row @ self.matrix).astype(np.intp))
         index = digits.reshape(len(self.reps), self.width) @ self.place
         index += self.shift
-        return self._tally(self.labels.take(index.astype(np.intp)))
+        return np.bincount(self.labels.take(index.astype(np.intp)), minlength=self.weights.shape[1])
 
 
 class _ExtensionPass(_Pass):
@@ -286,8 +278,8 @@ class _ExtensionPass(_Pass):
     f(x) = c_j x^j * g^u, c_j the lowest nonzero coefficient, and its
     quadratic character is (-1)^(log c_j + u + j i): ``labels[z]`` (plus i
     when j is odd) reads 3 seg + 1 + (-1)^u, or 3 seg + 1 past 3m, where
-    the zero code lands; the sign of chi(c_j) is applied per segment to the
-    tally.
+    the zero code lands.  Where chi_{q^d}(c_j) = -1, the segment's minus
+    and plus entries of the tally swap.
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
@@ -329,14 +321,15 @@ class _ExtensionPass(_Pass):
             self._x_logs[r] = out
         return self._x_logs[r]
 
-    def character_sums(self, curve: HyperellipticCurve) -> list[tuple[int, int]]:
+    def tally(self, curve: HyperellipticCurve) -> np.ndarray:
         coeffs = curve.f.coeffs
         support = [j for j, c in enumerate(coeffs) if c]
         logs = self.coef_logs[[coeffs[j] for j in support]]   # lowest degree first
-        sums = self._tally(self.labels.take(self._horner(support, logs)))
-        # times chi_{q^d}(c_j)
-        return [(-chi if odd else chi, nonzero)
-                for (chi, nonzero), odd in zip(sums, (logs[0] & 1).tolist())]
+        tally = np.bincount(self.labels.take(self._horner(support, logs)),
+                            minlength=self.weights.shape[1]).reshape(-1, 3)
+        flip = (logs[0] & 1).astype(bool)                     # chi_{q^d}(c_j) = -1
+        tally[flip] = tally[flip, ::-1]                        # swaps minus and plus
+        return tally.reshape(-1)
 
     def _horner(self, support: list[int], logs: np.ndarray) -> np.ndarray:
         """Final codes z, shifted by i when the lowest degree j is odd."""

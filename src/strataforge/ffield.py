@@ -86,25 +86,29 @@ FIELD_TABLE_CAP = 1 << 25
 
 # Entries kept by each bounded LRU memo that lives as long as the process:
 # ``poly_squarefree``'s verdicts off the held mask (``_squarefree_memo``),
-# and the stages keyed on L or on the point counts that give it:
-# ``curves._l_from_counts``, ``prank.newton_polygon`` and the three of
-# ``weil`` (``l_reducible``, ``absolutely_simple``, ``splitting_class``).
+# the stages keyed on L or on the point counts that give it:
+# ``curves._l_from_counts`` and the three of ``weil`` (``l_reducible``,
+# ``absolutely_simple``, ``splitting_class``), and the Newton polygons of
+# ``prank.newton_polygon``, keyed on (v_p(a_1), ..., v_p(a_g), n).
 # The L stages depend on L alone, and a census meets few distinct L (218
 # among the 1,458 genus-3 curves over F_3), but the caches live as long as
 # the process, so they are bounded.  Measured under tracemalloc on genus-2
 # and genus-3 L (q <= 49): an ``_l_from_counts`` entry with its key and its
 # L takes 280-412 B (909 L), an ``l_reducible`` entry with its key L 343 B,
 # and an entry of the other caches whose L is already held adds 282 B
-# (``absolutely_simple``, 1,434 L), 178-213 B (``splitting_class``, 1,038 L)
-# and 273-483 B (``newton_polygon``, its polygon with its Fractions, 909 L).
-# A verdict entry with its key takes 252 B (4,096 degree-7 models over F_7).
+# (``absolutely_simple``, 1,434 L) and 178-213 B (``splitting_class``,
+# 1,038 L).  A polygon entry with its key and its Fractions takes about
+# 670 B, but 1,833 L over F_7 and F_9 (1,294 distinct) make 51 of them.
+# A verdict entry, keyed on the field and one int, takes 180 B (4,096
+# degree-7 models over F_7).
 # The translation-class memos (``class_memo``: ``curves.l_polynomial`` and
 # ``prank.p_rank``) are keyed on (field, one int), and both memos' entries
 # for one class share that int: 972 entries for the 486 classes of the
 # genus-3 census over F_3 took 172 B each, with their share of the memos'
-# dicts (L and p-rank are held elsewhere or small).  Five full L caches with
-# no key shared stay under 5 * 4096 * 800 B, 17 MB; a full verdict memo adds
-# about 1 MB, and the two full class memos about 1.4 MB together.
+# dicts (L and p-rank are held elsewhere or small).  Four full L caches with
+# no key shared stay under 4 * 4096 * 800 B, 13 MB; a full verdict memo adds
+# about 0.7 MB, the two full class memos about 1.4 MB together, and a full
+# polygon memo, were there 4,096 valuation classes, 2.7 MB.
 L_CACHE_SIZE = 4096
 
 NEG_INF = float("-inf")  # degree of the zero polynomial; never -1
@@ -810,9 +814,13 @@ def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
        degree, with every entry in [0, q) (and c_(d-1) = 0 for a cut mask),
        is read off that mask at sum c_i q^i;
     2. the verdict memo (``_squarefree_memo``), an LRU memo of the last
-       ``L_CACHE_SIZE`` distinct (field, a) tested off the mask;
-    3. ``_gcd_squarefree``, whose verdict the memo then keeps.  A failure
-       (the zero polynomial's ValueError) is never stored.
+       ``L_CACHE_SIZE`` distinct models tested off the mask, keyed on the
+       field and the one int sum (c_i mod q) q^i: so on F_p the entries
+       are read mod p, and on F_{p^n} they must be codes in [0, q);
+    3. ``_gcd_squarefree``, on the model decoded from that int (entries
+       reduced, trailing zeros trimmed), whose verdict the memo then
+       keeps.  A failure (the zero polynomial's ValueError) is never
+       stored.
 
     The memo saves a Euclid only where a model is tested again within
     ``L_CACHE_SIZE`` distinct tests, as when ``curves.curve_new`` builds a
@@ -822,26 +830,29 @@ def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
     of the 1,458 of census_g3_full reaches it, since the held mask answers
     them; sp_baselines makes no call.
     """
-    held = field._mask
-    if held is not None:
+    q, index, held = field.size, 0, field._mask
+    for c in reversed(a):
+        if not 0 <= c < q:                  # off the mask, read mod q
+            held, c = None, c % q
+        index = index * q + operator.index(c)
+    if held:
         degree, cut, mask = held
         if len(a) == degree + 1 and a[-1] == 1 and not (cut and a[-2]):
-            q, index = field.size, 0
-            for c in reversed(a[:degree - 1 if cut else degree]):
-                if not 0 <= c < q:
-                    break
-                index = index * q + operator.index(c)
-            else:
-                return bool(mask[index])
-    return _squarefree_memo(field, tuple(map(operator.index, a)))
+            return bool(mask[index - q**degree])
+    return _squarefree_memo(field, index)
 
 
 @lru_cache(maxsize=L_CACHE_SIZE)
-def _squarefree_memo(field: FieldDescriptor, a: tuple[int, ...]) -> bool:
-    """``poly_squarefree`` off the held mask: the gcd route's verdict on a
-    (plain ints), memoized on (field, a).  Its ``cache_info()`` gives the
-    hits and misses of the squarefree test for a run record."""
-    return _gcd_squarefree(field, list(a))
+def _squarefree_memo(field: FieldDescriptor, index: int) -> bool:
+    """``poly_squarefree`` off the held mask: the gcd route's verdict on the
+    polynomial sum c_i x^i with sum c_i q^i = index, its digits decoded on a
+    miss, memoized on (field, index).  Its ``cache_info()`` gives the hits
+    and misses of the squarefree test for a run record."""
+    a = []
+    while index:
+        a.append(index % field.size)
+        index //= field.size
+    return _gcd_squarefree(field, a)
 
 
 def _gcd_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
@@ -929,7 +940,7 @@ def class_memo(fn):
         field, last = curve.field, _class_caller
         if getattr(last, "curve", None) is not curve:
             cut, index = cut_model(field, curve.f.coeffs), None
-            if cut is not None:
+            if cut:
                 index = 0
                 for c in reversed(cut):
                     index = index * field.size + c
@@ -1029,7 +1040,7 @@ def squarefree_mask(field: FieldDescriptor, degree: int, cut: bool = False) -> n
     if why:
         raise BudgetExceededError(f"monic degree {degree} over {field!r}: {why}")
     held = field._mask
-    if held is not None and held[:2] == (degree, cut):
+    if held and held[:2] == (degree, cut):
         return held[2]
     mask = np.ones(q**free, dtype=bool)
     place = q ** np.arange(free, dtype=np.int64)

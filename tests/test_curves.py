@@ -334,6 +334,25 @@ def test_point_count_at_composite_degree(p, n, ints, k, each_route):
 
 
 @pytest.mark.parametrize("p,n,ints", [
+    (3, 2, [0, None, 0, 1, 0, 1]),              # x^5 + x^3 + c_1 x
+    (3, 2, [0, None, 1, 0, 0, 0, 1]),           # even model x^6 + x^2 + c_1 x
+])
+def test_point_counts_with_a_nonsquare_lowest_coefficient(p, n, ints, each_route):
+    """With c_0 = 0 the Horner route reads f(x) = c_1 x g^u, and
+    chi_{q^d}(c_1) = chi_q(c_1)^d is -1 for a non-square c_1 of F_q at odd d
+    only: N_1..N_4 (segments d = 1, 2, 3, 4, where the tally's minus and
+    plus entries swap at d = 1 and 3) equal the double loop over (x, y) up
+    to k = 3 and the scalar loop at every k."""
+    field = field_new(p, n)
+    coeffs = [nonsquare(field) if c is None else c for c in ints]
+    c = curve_new(field, FqPoly(field, tuple(coeffs)))
+    expected = [scalar_count(c, k) for k in range(1, 5)]
+    assert expected[:3] == [brute_count(c, k) for k in range(1, 4)]
+    for route in each_route():
+        assert point_counts(c, 4) == expected, route
+
+
+@pytest.mark.parametrize("p,n,ints", [
     (3, 1, [1, 0, 1, 0, 2]),
     (5, 1, [1, 1, 0, 0, 0, 0, 2]),
     (7, 1, [3, 0, 1, 0, 3]),

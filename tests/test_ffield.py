@@ -940,8 +940,10 @@ def test_poly_squarefree_off_the_held_mask_takes_the_gcd_route(cut, monkeypatch,
                                                              empty_verdict_memo):
     """Non-monic input, another degree, c_(d-1) != 0 under a cut mask,
     trailing zeros, and entries below 0 or at least q each miss the held
-    mask of F_3 at degree 5 and give the gcd route's answer; the entries
-    out of range give the answer of the reduced model, read off the mask."""
+    mask of F_3 at degree 5 and give the gcd route's answer, which runs once
+    on the model the verdict memo decodes from its key: the entries mod 3,
+    trailing zeros trimmed.  The entries out of range give the answer of
+    the reduced model, read off the mask."""
     field, rng = field_new(3), random.Random(5)
     squarefree_mask(field, 5, cut)
     gcd, misses = ffield._gcd_squarefree, []
@@ -958,7 +960,8 @@ def test_poly_squarefree_off_the_held_mask_takes_the_gcd_route(cut, monkeypatch,
         for a in off:
             misses.clear()
             empty_verdict_memo.cache_clear()           # a repeated a is not a memo hit
-            assert poly_squarefree(field, a) == gcd(field, a) and misses == [a], a
+            decoded = poly_trim([x % 3 for x in a])
+            assert poly_squarefree(field, a) == gcd(field, a) and misses == [decoded], a
         assert poly_squarefree(field, shifted) == poly_squarefree(field, c)
 
 
@@ -984,6 +987,23 @@ def test_the_verdict_memo_runs_the_gcd_route_once_per_model(monkeypatch, empty_v
     assert empty_verdict_memo.cache_info().currsize == ffield.L_CACHE_SIZE
     calls.clear()
     assert poly_squarefree(field, models[0]) == expected[0] and calls == [models[0].tolist()]
+
+
+def test_the_verdict_memo_keys_each_model_on_one_int(monkeypatch, empty_verdict_memo):
+    """The memo's key is (field, sum (c_i mod q) q^i): on F_7 the spellings
+    of one model with trailing zeros, with entries moved by multiples of 7
+    or as a numpy row read its one entry, and the gcd route runs once, on
+    the model decoded from that int."""
+    field, gcd, calls = field_new(7), ffield._gcd_squarefree, []
+    squarefree_mask(field, 2)                            # no degree-7 mask held
+    monkeypatch.setattr(ffield, "_gcd_squarefree", lambda f, a: calls.append(a) or gcd(f, a))
+    rng = random.Random(7)
+    for c in monic_codes(7, 7, np.arange(5, 7**7, 7**5 + 3)).tolist():
+        spellings = [c, c + [0, 0], [x + 7 * rng.randrange(-2, 3) for x in c], np.array(c + [0])]
+        assert len({poly_squarefree(field, a) for a in spellings}) == 1
+        assert calls == [c], c
+        calls.clear()
+    assert empty_verdict_memo.cache_info().currsize == len(range(5, 7**7, 7**5 + 3))
 
 
 @pytest.mark.parametrize("field", [field_new(7), field_new(3, 2)], ids=repr)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strataforge import families, prank
-from strataforge.curves import curve_new, l_polynomial
+from strataforge.curves import LPolynomial, curve_new, l_polynomial
 from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
 from strataforge.prank import (
     NewtonPolygon,
@@ -195,6 +195,44 @@ def test_newton_polygon_symmetry():
         multiset = sorted((s, ln) for s, ln in np_.segments)
         mirrored = sorted((1 - s, ln) for s, ln in np_.segments)
         assert multiset == mirrored
+
+
+def test_newton_polygon_runs_the_hull_once_per_valuation_class():
+    """The memoized polygon equals the hull over all 2g + 1 coefficients
+    (``__wrapped__``) on seeded genus-3 curves over F_7 and F_9 and on L
+    with zero coefficients, and its memo misses once per distinct
+    (v_p(a_1), ..., v_p(a_g), n), a zero a_i read as None.  An L whose hull
+    has a breakpoint of odd ordinate over F_9 raises on every call and adds
+    no entry."""
+    def valuation(a, p):
+        if a == 0:
+            return None
+        return next(v for v in itertools.count() if a % p ** (v + 1))
+
+    Ls = [(LPolynomial(7, 3, (1, 0, 0, 0, 0, 0, 343)), 7, 1),      # a_1 = a_2 = a_3 = 0
+          (LPolynomial(9, 2, (1, 0, 18, 0, 81)), 3, 2)]             # a_1 = 0, v(a_2) = 2
+    for p, n, samples in ((7, 1, 150), (3, 2, 60)):
+        field, rng = field_new(p, n), random.Random(p * n)
+        while samples:
+            coeffs = [rng.randrange(field.size) for _ in range(7)] + [1]
+            if poly_squarefree(field, coeffs):
+                Ls.append((l_polynomial(curve_new(field, FqPoly(field, tuple(coeffs)))), p, n))
+                samples -= 1
+    newton_polygon.cache_clear()
+    classes = set()
+    for L, p, n in Ls:
+        assert newton_polygon(L, p, n) == newton_polygon.__wrapped__(L, p, n), L
+        classes.add((tuple(valuation(a, p) for a in L.coeffs[1:L.genus + 1]), n))
+    assert any(None in key for key, _ in classes) and {n for _, n in classes} == {1, 2}
+    info = newton_polygon.cache_info()
+    assert info.misses == info.currsize == len(classes) < len(Ls) - 100
+    odd = LPolynomial(9, 2, (1, 3, 3, 27, 81))    # hull (0, 0), (2, 1), (4, 4)
+    for _ in range(2):
+        for route in (newton_polygon, newton_polygon.__wrapped__):
+            with pytest.raises(ValueError, match="breakpoint is not integral"):
+                route(odd, 3, 2)
+    info = newton_polygon.cache_info()
+    assert (info.misses, info.currsize) == (len(classes) + 2, len(classes))
 
 
 # ---------------------------------------------------------------------------
