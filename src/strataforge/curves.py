@@ -41,8 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
-from .ffield import (L_CACHE_SIZE, FieldDescriptor, FqPoly, class_memo, field_new,
-                     poly_squarefree)
+from .ffield import FieldDescriptor, FqPoly, class_memo, field_new, poly_squarefree
 
 # Largest |F_{q^k}| a point count will walk, for each k it counts.  At the
 # cap one segment peaks at about 132 MB (POINTCOUNT_BYTES_PER_ELEMENT
@@ -519,13 +518,8 @@ def l_polynomial(curve: HyperellipticCurve,
 def l_polynomial_from_counts(q: int, genus: int, counts: Sequence[int]) -> LPolynomial:
     """L(T) from N_1..N_g; counts past N_g must match the ones L predicts.
 
-    Memoized on (q, genus, counts) (see ``L_CACHE_SIZE``): equal counts give
-    the one shared, immutable L, and a failure is never cached."""
-    return _l_from_counts(q, genus, tuple(counts))
-
-
-@lru_cache(maxsize=L_CACHE_SIZE)
-def _l_from_counts(q: int, genus: int, counts: tuple[int, ...]) -> LPolynomial:
+    Not memoized: ``l_polynomial`` holds L once per translation class, and
+    the Newton steps take about 5-12 us."""
     g = genus
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")

@@ -86,15 +86,13 @@ FIELD_TABLE_CAP = 1 << 25
 
 # Entries kept by each bounded LRU memo that lives as long as the process:
 # ``poly_squarefree``'s verdicts off the held mask (``_squarefree_memo``),
-# the stages keyed on L or on the point counts that give it:
-# ``curves._l_from_counts`` and the three of ``weil`` (``l_reducible``,
+# the three stages of ``weil`` keyed on L (``l_reducible``,
 # ``absolutely_simple``, ``splitting_class``), and the Newton polygons of
 # ``prank.newton_polygon``, keyed on (v_p(a_1), ..., v_p(a_g), n).
 # The L stages depend on L alone, and a census meets few distinct L (218
 # among the 1,458 genus-3 curves over F_3), but the caches live as long as
 # the process, so they are bounded.  Measured under tracemalloc on genus-2
-# and genus-3 L (q <= 49): an ``_l_from_counts`` entry with its key and its
-# L takes 280-412 B (909 L), an ``l_reducible`` entry with its key L 343 B,
+# and genus-3 L (q <= 49): an ``l_reducible`` entry with its key L 343 B,
 # and an entry of the other caches whose L is already held adds 282 B
 # (``absolutely_simple``, 1,434 L) and 178-213 B (``splitting_class``,
 # 1,038 L).  A polygon entry with its key and its Fractions takes about
@@ -103,11 +101,11 @@ FIELD_TABLE_CAP = 1 << 25
 # degree-7 models over F_7).
 # The translation-class memos (``class_memo``: ``curves.l_polynomial`` and
 # ``prank.p_rank``) are keyed on (field, one int), and both memos' entries
-# for one class share that int: 972 entries for the 486 classes of the
-# genus-3 census over F_3 took 172 B each, with their share of the memos'
-# dicts (L and p-rank are held elsewhere or small).  Four full L caches with
-# no key shared stay under 4 * 4096 * 800 B, 13 MB; a full verdict memo adds
-# about 0.7 MB, the two full class memos about 1.4 MB together, and a full
+# for one class share that int: over the 486 classes of the genus-3 census
+# over F_3, an ``l_polynomial`` entry with its L took 371 B and a ``p_rank``
+# entry 182 B, with their share of the memos' dicts.  Three full L caches with
+# no key shared stay under 3 * 4096 * 800 B, 10 MB; a full verdict memo adds
+# about 0.7 MB, the two full class memos about 2.3 MB together, and a full
 # polygon memo, were there 4,096 valuation classes, 2.7 MB.
 L_CACHE_SIZE = 4096
 
@@ -804,9 +802,10 @@ def poly_mul(field: FieldDescriptor, *factors) -> list[int]:
 
 def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
     """True iff a has no repeated factor over the field, that is gcd(a, a')
-    is constant.  The entries of a are integers (numpy integers included);
-    trailing zeros are trimmed first, and the zero polynomial raises
-    ValueError.
+    is constant.  The entries of a are integers (numpy integers included):
+    on F_p they are read mod p, and on F_{p^n} a code outside [0, q) raises
+    ValueError (``poly_codes``) before any lookup.  Trailing zeros are
+    trimmed first, and the zero polynomial raises ValueError.
 
     The answer comes from the first of three places that has it:
 
@@ -815,8 +814,7 @@ def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
        is read off that mask at sum c_i q^i;
     2. the verdict memo (``_squarefree_memo``), an LRU memo of the last
        ``L_CACHE_SIZE`` distinct models tested off the mask, keyed on the
-       field and the one int sum (c_i mod q) q^i: so on F_p the entries
-       are read mod p, and on F_{p^n} they must be codes in [0, q);
+       field and the one int sum (c_i mod q) q^i;
     3. ``_gcd_squarefree``, on the model decoded from that int (entries
        reduced, trailing zeros trimmed), whose verdict the memo then
        keeps.  A failure (the zero polynomial's ValueError) is never
@@ -832,7 +830,9 @@ def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
     """
     q, index, held = field.size, 0, field._mask
     for c in reversed(a):
-        if not 0 <= c < q:                  # off the mask, read mod q
+        if not 0 <= c < q:                  # off the mask, read mod p on F_p
+            if field.n > 1:
+                poly_codes(field, a)
             held, c = None, c % q
         index = index * q + operator.index(c)
     if held:

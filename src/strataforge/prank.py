@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Literal
 
-from .curves import L_CACHE_SIZE, HyperellipticCurve, LPolynomial
-from .ffield import FieldDescriptor, class_memo, poly_codes, poly_mul
+from .curves import HyperellipticCurve, LPolynomial
+from .ffield import L_CACHE_SIZE, FieldDescriptor, class_memo, poly_codes, poly_mul
 
 Classification = Literal["ordinary", "supersingular", "other"]
 

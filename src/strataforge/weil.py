@@ -60,8 +60,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache, update_wrapper
 
-from .curves import L_CACHE_SIZE, LPolynomial, coeffs_from_power_sums, power_sums
-from .ffield import is_prime, norm_at_root, reciprocal_trace, zp_reciprocal_blocks
+from .curves import LPolynomial, coeffs_from_power_sums, power_sums
+from .ffield import L_CACHE_SIZE, is_prime, norm_at_root, reciprocal_trace, zp_reciprocal_blocks
 
 WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
 

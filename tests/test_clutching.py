@@ -37,11 +37,18 @@ def test_tree_genus_and_size():
             labelings(tree, genus + 1)
         with pytest.raises(ValueError, match="length mismatch"):
             prank_compact(tree, (0,) * (size + 1))
+        for labeling in ((-1, *tree.genera[1:]), (tree.genera[0] + 1, *tree.genera[1:])):
+            with pytest.raises(ValueError, match=re.escape("0 <= f_v <= g_v")):
+                prank_compact(tree, labeling)
 
 
 def test_tree_validation():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        ClutchingTree((), ())
     with pytest.raises(ValueError):
         ClutchingTree((1, 1), ())                      # disconnected
+    with pytest.raises(ValueError, match="must be connected"):   # triangle plus a lone vertex
+        ClutchingTree((1, 1, 1, 1), ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(ValueError):
         ClutchingTree((1, 1, 1), ((0, 1), (0, 1)))     # duplicate edge
     with pytest.raises(ValueError):
@@ -141,6 +148,9 @@ def test_boundary_catalog_hand_lists():
     assert [d.name for d in boundary_catalog(4)] == ["delta_1", "delta_2", "xi_0", "xi_1"]
     with pytest.raises(ValueError):
         boundary_catalog(1)
+    for g in (1, 0):                                   # a witness path starts at genus 2 too
+        with pytest.raises(ValueError, match="genus >= 2"):
+            degeneration_witness(g, 0, field_new(3))
 
 
 def test_boundary_catalog_dimensions_and_labelings():

@@ -150,6 +150,9 @@ def test_curve_new_rejects_bad_models():
         curve_new(f3, FqPoly(f3, (0, 0, 0, 2)))  # not monic
     with pytest.raises(ValueError):
         curve_new(f3, FqPoly(f3, (0, 0, 1, 1)))  # x^3 + x^2 = x^2(x+1)
+    f5 = field_new(5)
+    with pytest.raises(ValueError, match="over a different field"):
+        curve_new(f3, FqPoly(f5, (1, 1, 0, 1)))
 
 
 def test_curve_new_on_a_sieved_family_runs_no_gcd(monkeypatch, empty_verdict_memo):
@@ -467,6 +470,11 @@ def test_point_count_budget():
     with pytest.raises(BudgetExceededError, match=re.escape("= 5764801 exceeds the point-count "
                                                             "budget 2000000 at k = 8")):
         point_counts(c, 9)
+    for k in (0, -1):                    # no extension degree, before any budget
+        with pytest.raises(ValueError, match="extension degree must be >= 1"):
+            point_count(c, k)
+        with pytest.raises(ValueError, match="extension degree must be >= 1"):
+            point_counts(c, k)
 
 
 def test_horner_pass_past_int32_is_refused_before_any_table():
@@ -707,6 +715,8 @@ def test_lpolynomial_validation():
         LPolynomial(3, 1, (1, -4, 3))      # L(1) = 0
     with pytest.raises(ValueError):
         LPolynomial(9, 1, (1, 11, 9))      # Weil bound
+    with pytest.raises(ValueError, match="degree exactly 2g"):
+        LPolynomial(3, 1, (1, 0, 0, 3))    # degree 3 at genus 1
     for genus, coeffs in ((0, (1,)), (-1, (1,)), (-1, ())):
         with pytest.raises(ValueError, match=rf"genus must be >= 1, got {genus}$"):
             LPolynomial(5, genus, coeffs)

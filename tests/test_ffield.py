@@ -196,6 +196,11 @@ def test_field_axioms_exhaustive_on_small_samples(field):
 def test_inverses(field):
     for a in range(1, field.size):
         assert field.mul(a, field.inv(a)) == 1
+        assert field.pow(a, -1) == field.inv(a)
+        assert field.pow(a, -3) == field.inv(field.pow(a, 3))
+    for zero_power in (lambda: field.inv(0), lambda: field.pow(0, -1)):
+        with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+            zero_power()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -436,6 +441,20 @@ def test_gcd_route_matches_the_sieve_over_f25_and_f27(n):
                 unit = rng.randrange(1, q)
                 model = [field.mul(unit, c) for c in model] + [0]
             assert ffield._gcd_squarefree(field, model) is expected, model
+
+
+def test_squarefree_refuses_codes_outside_the_field_over_f9(empty_verdict_memo):
+    """On F_{p^n} a code outside [0, q) raises ``poly_codes``'s ValueError,
+    naming the first such code, before the held mask or the verdict memo is
+    read: -1 is no code of F_9, where -1 is the code 2.  On F_p the entries
+    are read mod p, so [-1, 0, 1] is x^2 - 1 over F_3."""
+    f9 = field_new(3, 2)
+    squarefree_mask(f9, 2)                         # held: covers the monic quadratics
+    for a, bad in (([9, 1], 9), ([-1, 0, 1], -1), ([10, 0, 1], 10), ([1, 9, 10, 1], 9)):
+        with pytest.raises(ValueError, match=rf"encoding {bad} out of range for GF\(3\^2\)"):
+            poly_squarefree(f9, a)
+    assert empty_verdict_memo.cache_info() == (0, 0, ffield.L_CACHE_SIZE, 0)
+    assert poly_squarefree(field_new(3), [-1, 0, 1])
 
 
 def test_squarefree_rejects_zero():
@@ -779,6 +798,9 @@ def test_enumerate_monic_squarefree_cardinality(field, d):
 def test_enumerate_monic_refuses_families_over_the_budget(monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"97\^9 .* degree 9 over GF\(97\)"):
         enumerate_monic(field_new(97), 9)   # raised by the call, before any item
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            enumerate_monic(field_new(3), degree)
     assert 9**7 <= ENUMERATE_CAP < 11**7    # F_9 at degree 7 fits, F_11 does not
     monkeypatch.setattr(ffield, "ENUMERATE_CAP", 9)
     with pytest.raises(BudgetExceededError, match=r"over GF\(3\^2\)"):
@@ -1119,6 +1141,9 @@ def test_embedding_preserves_arithmetic():
 
 def test_embedding_of_extension_field():
     base, ext = field_new(3, 2), field_new(3, 4)
+    for other in (field_new(3, 3), field_new(5, 2), field_new(3)):   # n does not divide, p differs
+        with pytest.raises(ValueError, match=re.escape(f"{other!r} is not an extension of {base!r}")):
+            base.embedding_into(other)
     emb = base.embedding_into(ext)
     assert len(set(int(v) for v in emb)) == 9  # injective
     for a, b in itertools.product(range(9), repeat=2):

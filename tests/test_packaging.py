@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -49,6 +50,33 @@ def test_library_modules_read_every_import(path):
     """Library and test modules alike: a test that stops reading a name
     must stop importing it too."""
     assert unread_imports(path.read_text()) == []
+
+
+def test_every_process_memo_is_bounded():
+    """Every object of a ``strataforge`` module that exposes ``cache_info()``
+    is a memo that lives as long as the process, so each has a finite
+    ``maxsize``: ``PASS_CACHE_SIZE`` for the three pass caches and
+    ``L_CACHE_SIZE`` for every other, the class memos, the verdict memo, the
+    Weil memos and the polygon memo among them.  Two are unbounded by
+    design: ``field_new``, whose keys ``MAX_P`` and the 2^30-element limit
+    bound, and ``weil._power_degrees``, one tuple per genus."""
+    import strataforge
+    from strataforge import curves, ffield
+
+    memos = {}
+    for info in pkgutil.iter_modules(strataforge.__path__):
+        for obj in vars(importlib.import_module(f"strataforge.{info.name}")).values():
+            if callable(getattr(obj, "cache_info", None)):
+                name = f"{obj.__module__.rpartition('.')[2]}.{obj.__qualname__}"
+                memos[name] = obj.cache_info().maxsize
+    unbounded = {"ffield.field_new", "weil._power_degrees"}
+    passes = {"curves._extension_pass", "curves._matrix_pass", "curves._matrix_entries"}
+    assert {name for name, size in memos.items() if size is None} == unbounded
+    assert {name for name, size in memos.items() if size == curves.PASS_CACHE_SIZE} == passes
+    rest = {name: size for name, size in memos.items() if name not in unbounded | passes}
+    assert set(rest.values()) == {ffield.L_CACHE_SIZE}, rest
+    assert {"ffield._squarefree_memo", "curves.l_polynomial", "prank.p_rank", "weil.l_reducible",
+            "weil.absolutely_simple", "weil.splitting_class", "prank.newton_polygon"} <= set(rest)
 
 
 def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):

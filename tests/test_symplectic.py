@@ -528,8 +528,10 @@ def _first_block(g, walk_length):
     (lambda: fixed_vector_proportion(0, 3, 1), "g must be"),
     (lambda: fixed_vector_proportion(0, 3, 1, mode="montecarlo", n=5), "g must be"),
     (lambda: coset_charpoly_distribution(0, 3, 1, mode="montecarlo", n=5), "g must be"),
+    (lambda: fixed_vector_proportion(1, 3, 1, mode="sampled"), "unknown mode 'sampled'"),
+    (lambda: coset_charpoly_distribution(1, 3, 1, mode="sampled"), "unknown mode 'sampled'"),
 ], ids=["random_sp-g0", "random_sp-walk0", "random_sp-walk-neg", "exact-g0", "montecarlo-g0",
-        "charpoly-g0"])
+        "charpoly-g0", "fixed_vector-mode", "charpoly-mode"])
 def test_walks_need_a_genus_and_a_step(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -13,8 +13,15 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 from sympy.polys.numberfields.galoisgroups import galois_group
 
-from strataforge import curves, prank, weil
-from strataforge.curves import LPolynomial, curve_new, l_polynomial, point_counts_from, power_sums
+from strataforge import prank, weil
+from strataforge.curves import (
+    LPolynomial,
+    curve_new,
+    l_polynomial,
+    l_polynomial_from_counts,
+    point_counts_from,
+    power_sums,
+)
 from strataforge.ffield import (
     FqPoly,
     enumerate_monic,
@@ -138,9 +145,10 @@ def test_absolutely_simple_matches_howe_zhu_on_ordinary_surfaces(census_Ls):
 def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls, sampled_Ls):
     """The L-keyed caches return what the functions compute, across fields
     sharing one cache, and the divisor-maximal d decide absolute simplicity
-    exactly as every d with phi(d) <= 2g does.  The memos of L from counts
-    and of the Newton polygon match their functions on the sampled
-    families as well."""
+    exactly as every d with phi(d) <= 2g does.  On the sampled families as
+    well, the counts N_1..N_(g+1) that L predicts give L back, and the
+    Newton polygon memo matches its function.  That every memo is bounded
+    is ``test_packaging``'s."""
     for key in census_Ls:
         for L in census_Ls[key]:
             full = all(weil._poly_is_irreducible(weil.power_charpoly(L, d))
@@ -153,13 +161,8 @@ def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls, sam
             q, g = L.q, L.genus
             p = next(d for d in range(2, q + 1) if q % d == 0)
             n = round(math.log(q, p))
-            counts = tuple(point_counts_from(L, g + 1))
-            assert (curves._l_from_counts(q, g, counts)
-                    == curves._l_from_counts.__wrapped__(q, g, counts) == L), L
+            assert l_polynomial_from_counts(q, g, point_counts_from(L, g + 1)) == L, L
             assert prank.newton_polygon(L, p, n) == prank.newton_polygon.__wrapped__(L, p, n), L
-    for cached in (weil.absolutely_simple, weil.splitting_class, weil.l_reducible,
-                   curves._l_from_counts, prank.newton_polygon):
-        assert cached.cache_info().maxsize == curves.L_CACHE_SIZE  # bounded, one bound
 
 
 def test_splitting_degree_matches_sympy_galois_group(census_Ls):
