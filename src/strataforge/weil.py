@@ -8,16 +8,19 @@ Galois group G of an irreducible P lies in W_g = (Z/2)^g x| S_g, which
 permutes the b_i and flips pairs {pi, q/pi}.  At any genus, G = W_g is
 certified from the signed cycle types of Frobenius at small primes.
 
-Every question about P is asked of h, at half the degree.  Nothing here
-factors a polynomial at genus <= 3: L is reducible iff h has an integer
-root (or L = (1 - qT^2)^2); P is squarefree mod r iff r divides neither
+Every question about P is asked of h, at half the degree, and nothing
+here factors a polynomial over Q.  L is reducible iff h has a monic
+integer factor of some degree k <= g/2 (or L = (1 - qT^2)^2): at k = 1 an
+integer root of h, at k >= 2 an integer root of a linear resolvent formed
+from the power sums of h (``l_reducible``), so at genus <= 3 the integer
+roots of h decide.  P is squarefree mod r iff r divides neither
 q disc(h) nor N(h) = h(2 sqrt q) h(-2 sqrt q), since disc P =
 q^(g(g-1)) disc(h)^2 N(h); at such r the signed cycle types come from h
 alone, its factors mod r and the square classes of b^2 - 4q
 (``ffield.zp_reciprocal_blocks``); and absolute simplicity of an
 irreducible L needs only squarefreeness of its power polynomials P_d, the
-same exact integer test on the trace polynomials h_d.  sympy is imported
-only to decide whether h is irreducible at genus >= 4.
+same exact integer test on the trace polynomials h_d.  No path here
+imports sympy.
 
 Three Galois facts decide many L without that work.  Write delta =
 prod (pi_i - q/pi_i), one pi_i from each pair; delta^2 = prod (b_i^2 - 4q)
@@ -57,11 +60,13 @@ three memos below therefore share each entry across a twist pair
 """
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache, update_wrapper
+from functools import lru_cache, reduce, update_wrapper
 
 from .curves import LPolynomial, coeffs_from_power_sums, power_sums
-from .ffield import L_CACHE_SIZE, is_prime, norm_at_root, reciprocal_trace, zp_reciprocal_blocks
+from .ffield import (L_CACHE_SIZE, is_prime, norm_at_root, reciprocal_trace, zp_ddf,
+                     zp_reciprocal_blocks)
 
 WITNESS_PRIMES = 20  # good primes ``splitting_class`` reads before it gives up
 
@@ -84,13 +89,6 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def _poly_is_irreducible(coeffs: list[int]) -> bool:
-    """Irreducibility over Q by sympy's factorizer, constant term first."""
-    # imported here so that only genus >= 4 reducibility loads sympy
-    import sympy
-    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("T")).is_irreducible
 
 
 def quadratic_twist(L: LPolynomial) -> LPolynomial | None:
@@ -135,10 +133,29 @@ def l_reducible(L: LPolynomial) -> bool:
     L = (1 - qT^2)^2).  Proof: a root b of an irreducible h has degree g;
     for pi with pi + q/pi = b, either [Q(pi) : Q(b)] = 2 and P, of degree
     2g, is the minimal polynomial of pi, or pi lies in the totally real
-    field Q(b), so pi = +-sqrt(q), b = +-2 sqrt(q) and h = T^2 - 4q.  The
-    roots of h are real with |b| <= 2 sqrt(q), so an integer root is found
-    by scanning |b| <= isqrt(4q); at g <= 3 a reducible monic h has one.
-    Only h of degree g >= 4 goes to a factorization.
+    field Q(b), so pi = +-sqrt(q), b = +-2 sqrt(q) and h = T^2 - 4q.
+
+    A reducible h has a monic integer factor of some degree 1 <= k <= g/2,
+    and the roots b of h are real with |b| <= 2 sqrt(q).  At k = 1 the
+    factor is an integer root, found by scanning |b| <= isqrt(4q); at
+    g <= 3 no other k is left.  At g >= 4, disc(h) = 0 means h is
+    reducible.  For squarefree h and 2 <= k <= g/2, ``_has_factor`` forms
+    the linear resolvent (Soicher and McKay) R(T) = prod (T - sum_(i in S)
+    phi(b_i)) over the k-subsets S of the roots, for phi(x) = x + lam x^2
+    + ... + lam^(k-1) x^k, lam = 0, 1, ...; R is monic in Z[T].  A factor
+    of degree k has a Galois-stable S, whose sum t is a rational algebraic
+    integer: an integer root of R, with t^2 <= k sum_i phi(b_i)^2 by
+    Cauchy-Schwarz.  So no integer root means no such factor.  A simple
+    integer root t belongs to exactly one S, which Galois, fixing t, must
+    fix, so prod_(i in S) (T - b_i) is a factor over Z.  When every integer
+    root is multiple, the next lam is read, and only finitely many lam
+    fail: S != S' have equal sums for at most k - 1 values of lam, as the
+    difference is a polynomial in lam with coefficients sum_S b^j -
+    sum_S' b^j, j = 1..k, all zero only if S = S' (the b_i are distinct).
+    The resolvents run only on the k a sieve leaves: a factor of degree k
+    over Z is a product of factors mod r, so at a prime r prime to disc(h),
+    k is a sum of degrees of the factors that ``zp_ddf(h, r)`` reads.  Up
+    to g such primes are read, fewer once no k is left.
     """
     g, q, h = L.genus, L.q, real_weil_coeffs(L)
     if g == 1:
@@ -148,7 +165,63 @@ def l_reducible(L: LPolynomial) -> bool:
         return True
     if g <= 3:
         return h == [-4 * q, 0, 1]
-    return not _poly_is_irreducible(h)
+    disc = discriminant(h)
+    if disc == 0:
+        return True
+    degrees, r, good = (1 << g // 2 + 1) - 4, 2, 0   # bit k: a factor of degree k, 2 <= k <= g/2
+    while degrees and good < g:
+        good, r = good + 1, _next_prime(r)
+        while disc % r == 0:
+            r = _next_prime(r)
+        sums = 1   # bit s: s is a sum of degrees of factors mod r
+        for d, part in zp_ddf(h, r).items():
+            for _ in range((len(part) - 1) // d):
+                sums |= sums << d
+        degrees &= sums
+    return any(degrees >> k & 1 and _has_factor(h, k) for k in range(2, g // 2 + 1))
+
+
+def _has_factor(h: list[int], k: int) -> bool:
+    """True iff the monic squarefree integer h of degree g has a monic
+    integer factor of degree k, read off the linear resolvents R of
+    ``l_reducible`` (see there) at lam = 0, 1, ... until one decides.
+
+    R is formed from power sums alone.  y_m = sum_i phi(b_i)^m is the trace
+    sum_j c_j s_j of phi(x)^m = sum_j c_j x^j mod h, s_j the power sums of
+    the roots b_i of h.  As exponential series in t, e_j = sum_i exp(j
+    phi(b_i) t) has m-th coefficient j^m y_m (times m!), and E_k = sum_S
+    exp(t sum_S phi(b_i)) over the k-subsets S, whose m-th coefficient is
+    the m-th power sum of the roots of R, follows from E_0 = 1 and Newton's
+    identities i E_i = sum_(j=1..i) (-1)^(j-1) E_(i-j) e_j, where the
+    product of two such series is a binomial convolution over Z.
+    """
+    g = len(h) - 1
+    n = math.comb(g, k)
+    s = [g] + power_sums(h[::-1], g - 1)
+    pascal = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
+    for lam in itertools.count():
+        ys, power = [g], [1] + [0] * (g - 1)
+        for _ in range(n):   # power <- phi(x) power mod h, one factor x at a time
+            step, power = power, [0] * g
+            for j in range(k):
+                top = step[-1]
+                step = [-top * h[0]] + [a - top * b for a, b in zip(step, h[1:-1])]
+                power = [a + lam**j * b for a, b in zip(power, step)]
+            ys.append(sum(a * b for a, b in zip(power, s)))
+        e = [[j**m * y for m, y in enumerate(ys)] for j in range(1, k + 1)]
+        E = [[1] + [0] * n]
+        for i in range(1, k + 1):
+            E.append([sum((-1) ** (j - 1) * sum(w * a * b for w, a, b in
+                                                zip(pascal[m], E[i - j], e[j - 1][m::-1]))
+                          for j in range(1, i + 1)) // i for m in range(n + 1)])
+        R = coeffs_from_power_sums(E[k][1:])   # leading term first
+        dR = [(n - i) * a for i, a in enumerate(R[:-1])]
+        bound = math.isqrt(k * ys[2])
+        roots = [t for t in range(-bound, bound + 1) if reduce(lambda v, a: v * t + a, R, 0) == 0]
+        if not roots:
+            return False
+        if any(reduce(lambda v, a: v * t + a, dR, 0) for t in roots):
+            return True
 
 
 def discriminant(h: list[int]) -> int:

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -50,6 +51,27 @@ def test_library_modules_read_every_import(path):
     """Library and test modules alike: a test that stops reading a name
     must stop importing it too."""
     assert unread_imports(path.read_text()) == []
+
+
+def test_library_imports_no_sympy_and_declares_what_it_imports():
+    """Every import in every ``strataforge`` module, function bodies
+    included, is of the standard library, of the package itself or of a
+    dependency that pyproject.toml declares, and each declared dependency
+    is imported: numpy alone.  So no module imports sympy, which only the
+    tests read, as their oracle (the ``test`` extra).  The dependency list
+    is read by pattern, as tomllib is new in Python 3.11."""
+    imported = set()
+    for path in (ROOT / "src" / "strataforge").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    listed = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
+                       re.MULTILINE | re.DOTALL)[1]
+    declared = {re.split(r"[<>=!~;\[ ]", dep)[0] for dep in re.findall(r'"([^"]+)"', listed)}
+    assert "sympy" not in imported
+    assert imported - set(sys.stdlib_module_names) - {"strataforge"} == declared == {"numpy"}
 
 
 def test_every_process_memo_is_bounded():

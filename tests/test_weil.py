@@ -1,10 +1,6 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 import sympy
@@ -151,7 +147,7 @@ def test_cached_weil_layer_matches_uncached_and_full_degree_range(census_Ls, sam
     is ``test_packaging``'s."""
     for key in census_Ls:
         for L in census_Ls[key]:
-            full = all(weil._poly_is_irreducible(weil.power_charpoly(L, d))
+            full = all(not splits_over_q(weil.power_charpoly(L, d))
                        for d in full_power_degrees(L.genus))
             assert weil.absolutely_simple(L) == weil.absolutely_simple.__wrapped__(L) == full, L
             assert weil.l_reducible(L) == weil.l_reducible.__wrapped__(L), L
@@ -193,11 +189,16 @@ def test_splitting_degree_matches_sympy_galois_group(census_Ls):
     assert {4, 8} <= orders  # below W_2 the check rules out whole cycle types
 
 
-def factors_over_q(L):
-    """True iff sympy's factorization of L has more than one irreducible
+def splits_over_q(coeffs):
+    """True iff sympy's factorization of the integer polynomial with these
+    coefficients (constant term first) has more than one irreducible
     factor, counted with multiplicity."""
-    _, factors = sympy.factor_list(sympy.Poly(list(reversed(L.coeffs)), T).as_expr())
+    _, factors = sympy.Poly(list(reversed(coeffs)), T).factor_list()
     return sum(e for _, e in factors) > 1
+
+
+def factors_over_q(L):
+    return splits_over_q(L.coeffs)
 
 
 def genus1_Ls():
@@ -243,6 +244,103 @@ def test_l_reducible_genus2_corner(q):
     assert weil.l_reducible(L) and factors_over_q(L)
     assert weil.splitting_class(L) == ("undetermined", None)
     assert not weil.absolutely_simple(L)
+
+
+def seeded_Ls(p, g, size):
+    """Distinct L of a seeded sample of genus-g models y^2 = f(x) over F_p,
+    f monic of degree 2g + 1."""
+    field, rng, Ls = field_new(p), random.Random(p * g), set()
+    for _ in range(size):
+        coeffs = [rng.randrange(p) for _ in range(2 * g + 1)] + [1]
+        if poly_squarefree(field, coeffs):
+            Ls.add(l_polynomial(curve_new(field, FqPoly(field, tuple(coeffs)))))
+    return sorted(Ls, key=lambda L: L.coeffs)
+
+
+def test_l_reducible_matches_factorization_on_every_genus4_L_over_f3(genus4_f3_Ls):
+    """At genus 4 the integer-root scan, disc(h) = 0, the factor-degree
+    sieve and the linear resolvents together agree with sympy's
+    factor_list on every distinct L over F_3, each computed on its own
+    (``__wrapped__``: no twist shares an answer)."""
+    reducible = 0
+    for L in genus4_f3_Ls:
+        expected = factors_over_q(L)
+        assert weil.l_reducible.__wrapped__(L) == expected, L
+        reducible += expected
+    assert reducible == 613
+
+
+def test_l_reducible_matches_factorization_on_genus1_and_4_samples(genus1_and_4_Ls):
+    for L in genus1_and_4_Ls:
+        assert weil.l_reducible.__wrapped__(L) == factors_over_q(L), L
+
+
+@pytest.mark.parametrize("g,size", [(5, 200), (6, 100)])
+def test_l_reducible_matches_factorization_at_genus_5_and_6(g, size):
+    """Seeded samples over F_3, where the resolvents have degree
+    C(5, 2) = 10, C(6, 2) = 15 and C(6, 3) = 20."""
+    Ls = seeded_Ls(3, g, size)
+    assert len(Ls) > size // 2
+    for L in Ls:
+        assert weil.l_reducible.__wrapped__(L) == factors_over_q(L), L
+    assert any(factors_over_q(L) for L in Ls)
+
+
+def weil_L(q, h):
+    """The L of genus deg h whose real Weil polynomial is h, a sympy
+    polynomial in y, once sympy shows that every root of h is real and lies
+    in [-2 sqrt q, 2 sqrt q], as the roots of a real Weil polynomial do."""
+    h = sympy.Poly(h, y)
+    g, roots = h.degree(), sympy.real_roots(h)
+    assert len(roots) == g and all(sympy.Abs(b) <= 2 * sympy.sqrt(q) for b in roots), h
+    P = sympy.Poly(sympy.expand(y**g * h.as_expr().subs(y, y + sympy.Rational(q) / y)), y)
+    L = LPolynomial(q, g, tuple(int(c) for c in P.all_coeffs()))   # P(T) = T^2g L(1/T)
+    assert weil.real_weil_coeffs(L) == [int(c) for c in reversed(h.all_coeffs())]
+    return L
+
+
+# Real Weil polynomials h, each with its q, whether it is reducible and the
+# degrees of the linear resolvents l_reducible forms on it, in order.
+HAND_BUILT_H = {
+    # GENUS4_SMALL_GROUP's "even h": its roots are +-b_1, +-b_2, so both
+    # {b_i, -b_i} sum to 0, a double root of R_2 at lam = 0; at lam = 1,
+    # R_2 has no integer root
+    "V4 even h": (5, y**4 - 12 * y**2 + 1, False, [6, 6]),
+    # the same double root 0 at lam = 0; at lam = 1 the pairs sum to 2 b^2,
+    # the simple roots 4 and 6
+    "(x^2 - 2)(x^2 - 3)": (3, (y**2 - 2) * (y**2 - 3), True, [6, 6]),
+    # disc(h) = 0: no resolvent
+    "(x^2 - 3)^2": (3, (y**2 - 3) ** 2, True, []),
+    # no integer root; the factor is found at k = 2
+    "quadratic times quartic": (3, (y**2 - y - 1) * (y**4 - 4 * y**2 + 2), True, [15]),
+    # two real cubics (cyclic, of conductor 9 and 7): found at k = 3
+    "two real cubics": (3, (y**3 - 3 * y + 1) * (y**3 - y**2 - 2 * y + 1), True, [20]),
+    # two real quartics at genus 8: found at k = 4, a resolvent of degree 70
+    "two real quartics": (3, (y**4 - 4 * y**2 + 2) * (y**4 - y**3 - 4 * y**2 + 4 * y + 1),
+                          True, [70]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_H))
+def test_l_reducible_reaches_each_resolvent_branch(name, monkeypatch):
+    """Hand-built Weil L with no integer root of h, each reaching one
+    branch past the scan: disc(h) = 0, a simple integer root of R_k at
+    k = 2, 3 or 4, and a multiple root at lam = 0 that the next lam
+    decides either way.  Each answer agrees with sympy's factor_list."""
+    q, h, reducible, degrees = HAND_BUILT_H[name]
+    L = weil_L(q, h)
+    assert not any(b.is_integer for b in sympy.real_roots(sympy.Poly(h, y)))
+    formed, resolvent = [], weil.coeffs_from_power_sums
+
+    def spy(sums):
+        formed.append(len(sums))
+        return resolvent(sums)
+
+    monkeypatch.setattr(weil, "coeffs_from_power_sums", spy)
+    assert weil.l_reducible.__wrapped__(L) == reducible == factors_over_q(L)
+    assert formed == degrees
+    if name == "V4 even h":
+        assert L.coeffs == GENUS4_SMALL_GROUP["even h"][0]
 
 
 def sympy_signed_cycle_type(L, r):
@@ -801,56 +899,6 @@ def test_witness_loop_needs_an_odd_weight_flip_at_even_genus(monkeypatch, flip):
         assert len(read) == (weil.WITNESS_PRIMES if expected[1] is None else 3)
 
 
-def test_census_pass_loads_no_sympy():
-    """The whole per-curve record at genus 3 (curve, L, p-rank, Newton
-    polygon, Galois certificate, absolute simplicity) runs without sympy:
-    every curve over F_3 and a seeded sample over F_9."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = """if True:
-        import random, sys
-        from strataforge import curves, ffield, prank, weil
-        def record(field, coeffs):
-            curve = curves.curve_new(field, ffield.FqPoly(field, coeffs))
-            L = curves.l_polynomial(curve)
-            prank.p_rank(curve)
-            prank.newton_polygon(L, field.p, field.n)
-            weil.splitting_class_g3(L)
-            weil.absolutely_simple(L)
-        F3, F9 = ffield.field_new(3), ffield.field_new(3, 2)
-        for f in ffield.enumerate_monic(F3, 7, squarefree_only=True):
-            record(F3, f.coeffs)
-        rng = random.Random(9)
-        for degree in (7, 8) * 20:
-            coeffs = [rng.randrange(9) for _ in range(degree)] + [1]
-            if ffield.poly_squarefree(F9, coeffs):
-                record(F9, tuple(coeffs))
-        print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))
-    """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=300)
-    assert out.stdout.strip() == "[]"
-
-
 def test_splitting_class_g3_is_genus3_only():
     with pytest.raises(ValueError):
         weil.splitting_class_g3(LPolynomial(3, 1, (1, 1, 3)))
-
-
-def test_import_loads_no_sympy():
-    """sympy is imported by the functions that factor, not at import, so
-    code that never factors (the symplectic baselines) does not pay for it;
-    nor do the two readers of reciprocal polynomials mod r, the genus-3
-    Galois certificate and the exact charpoly distribution."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = ("import sys, strataforge.weil, strataforge.symplectic; "
-            "from strataforge.curves import LPolynomial; "
-            "L = LPolynomial(3, 3, (1, 3, 6, 12, 18, 27, 27)); "
-            "assert strataforge.weil.splitting_class(L) == ('maximal', 48); "
-            "dist = strataforge.symplectic.coset_charpoly_distribution(3, 3, 2, mode='exact'); "
-            "assert len(dist) == 27 and sum(dist.values()) == 1; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
