@@ -1,8 +1,10 @@
 import functools
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -113,6 +115,17 @@ PINNED_MODULI = {
 @pytest.mark.parametrize("p,n", sorted(PINNED_MODULI))
 def test_field_new_modulus_is_pinned(p, n):
     assert field_new(p, n).modulus == PINNED_MODULI[(p, n)]
+
+
+def test_import_does_not_load_sympy():
+    """Neither the import, nor the modulus search of field_new, nor the exact
+    charpoly distribution (which factors charpolys mod l) loads sympy."""
+    code = ("import strataforge, sys; strataforge.field_new(3, 2); strataforge.field_new(7, 3); "
+            "from strataforge.symplectic import coset_charpoly_distribution; "
+            "assert len(coset_charpoly_distribution(3, 3, 2, mode='exact')) == 27; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'sympy']")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 ODD_PRIMES_TO_97 = [p for p in range(3, 98, 2) if sympy.isprime(p)]

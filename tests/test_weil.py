@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -899,6 +903,58 @@ def test_witness_loop_needs_an_odd_weight_flip_at_even_genus(monkeypatch, flip):
         assert len(read) == (weil.WITNESS_PRIMES if expected[1] is None else 3)
 
 
+def test_census_pass_loads_no_sympy():
+    """The whole per-curve record at genus 3 (curve, L, p-rank, Newton
+    polygon, Galois certificate, absolute simplicity) runs without sympy:
+    every curve over F_3 and a seeded sample over F_9."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = """if True:
+        import random, sys
+        from strataforge import curves, ffield, prank, weil
+        def record(field, coeffs):
+            curve = curves.curve_new(field, ffield.FqPoly(field, coeffs))
+            L = curves.l_polynomial(curve)
+            prank.p_rank(curve)
+            prank.newton_polygon(L, field.p, field.n)
+            weil.splitting_class_g3(L)
+            weil.absolutely_simple(L)
+        F3, F9 = ffield.field_new(3), ffield.field_new(3, 2)
+        for f in ffield.enumerate_monic(F3, 7, squarefree_only=True):
+            record(F3, f.coeffs)
+        rng = random.Random(9)
+        for degree in (7, 8) * 20:
+            coeffs = [rng.randrange(9) for _ in range(degree)] + [1]
+            if ffield.poly_squarefree(F9, coeffs):
+                record(F9, tuple(coeffs))
+        print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "[]"
+
+
 def test_splitting_class_g3_is_genus3_only():
     with pytest.raises(ValueError):
         weil.splitting_class_g3(LPolynomial(3, 1, (1, 1, 3)))
+
+
+def test_import_loads_no_sympy():
+    """No library module imports sympy, so neither the import nor any
+    reader of L loads it: not the symplectic baselines, the genus-3 Galois
+    certificate, the exact charpoly distribution, nor the exact
+    reducibility test at genus 4, whose resolvent path the even h reaches."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, strataforge.weil, strataforge.symplectic; "
+            "from strataforge.curves import LPolynomial; "
+            "L = LPolynomial(3, 3, (1, 3, 6, 12, 18, 27, 27)); "
+            "assert strataforge.weil.splitting_class(L) == ('maximal', 48); "
+            "assert not strataforge.weil.l_reducible("
+            "LPolynomial(5, 4, (1, 0, 8, 0, 31, 0, 200, 0, 625))); "
+            "dist = strataforge.symplectic.coset_charpoly_distribution(3, 3, 2, mode='exact'); "
+            "assert len(dist) == 27 and sum(dist.values()) == 1; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
