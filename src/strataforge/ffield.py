@@ -28,9 +28,9 @@ Polynomials over F_q (``FqPoly``, or coefficient lists of encodings) have
 two entry points: ``poly_mul`` and ``poly_squarefree``.  ``poly_mul`` forms
 the product of one or more factors as one product of packed integers, on
 one path for every F_q, and refuses codes outside [0, q) (``poly_codes``);
-the gcd route of ``poly_squarefree`` (``_gcd_squarefree``) is one
-remainder-only Euclid for every F_q, with the same split as the matrix
-kernels.
+the gcd route of ``poly_squarefree`` (``_gcd_squarefree``) is
+``zp_squarefree`` on F_p and a remainder-only Euclid on the scalar ops on
+F_{p^n}.
 
 Families of polynomials run in numpy blocks of int16 codes instead, on one
 path for every F_q: each field's add, mul, neg, inv and Frobenius tables
@@ -856,28 +856,26 @@ def _squarefree_memo(field: FieldDescriptor, index: int) -> bool:
 
 
 def _gcd_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
-    """``poly_squarefree`` by gcd(a, a'), never reading a held mask: one
-    remainder-only Euclid for every F_q.  On F_p the arithmetic is inline
-    (the entries of a may be any integers, taken mod p, and each remainder
-    is reduced once); on F_{p^n} it is the descriptor's scalar ops."""
-    p, fp = field.p, field.n == 1
-    a = poly_trim([c % p for c in a] if fp else list(a))
+    """``poly_squarefree`` by gcd(a, a'), never reading a held mask: on F_p
+    ``zp_squarefree`` (the entries of a may be any integers, taken mod p),
+    on F_{p^n} one remainder-only Euclid on the descriptor's scalar ops."""
+    p = field.p
+    a = poly_trim([c % p for c in a] if field.n == 1 else list(a))
     if not a:
         raise ValueError("squarefree is undefined for the zero polynomial")
-    b = poly_trim([k * c % p if fp else field.mul(c, k % p) for k, c in enumerate(a)][1:])
+    if field.n == 1:
+        return zp_squarefree(a, p)
+    b = poly_trim([field.mul(c, k % p) for k, c in enumerate(a)][1:])
     while b:
         db = len(b) - 1
-        minus = p - pow(b[-1], -1, p) if fp else field.neg(field.inv(b[-1]))
+        minus = field.neg(field.inv(b[-1]))
         while len(a) > db:                  # a <- a mod b
-            c = a.pop() * minus % p if fp else field.mul(a.pop(), minus)
+            c = field.mul(a.pop(), minus)
             if c:
                 shift = len(a) - db
                 for i in range(db):
-                    if fp:
-                        a[shift + i] += c * b[i]
-                    else:
-                        a[shift + i] = field.add(a[shift + i], field.mul(c, b[i]))
-        a, b = b, poly_trim([c % p for c in a] if fp else a)
+                    a[shift + i] = field.add(a[shift + i], field.mul(c, b[i]))
+        a, b = b, poly_trim(a)
     return len(a) == 1
 
 

@@ -9,13 +9,11 @@ the l^g charpolys the coset can have and weights each by a product over its
 factors (``_charpoly_blocks``): those of T^2 - m split off by one gcd, the
 rest read through their trace polynomial by ``ffield.zp_reciprocal_blocks``.
 The Monte Carlo baselines advance their transvection walks in numpy blocks
-of ``SP_WALK_BLOCK`` walks, one batched update per step, and draw the same
-random codes in the same order as one walk at a time, so a seed gives the
-same matrices as products of transvection matrices, walk after walk.  A
-block draws all its codes at once, replaying randrange's getrandbits
-rejection loop on one bulk read of the stream (``_randbelow_many``), and
-reduces its matrices mod l only every few steps, as often as int64 needs
-(``_reduction_interval``).
+of ``SP_WALK_BLOCK`` walks, one batched rank-1 update per step
+(``_coset_samples``).  A block draws the vectors of all its steps at once,
+as residues mod l of the bytes of ``random.Random(seed)`` (``_residues``),
+and reduces its matrices mod l only every few steps, as often as int64
+needs (``_reduction_interval``).
 
 Every statistic of a coset element reads one kernel, ``_charpolys``: the
 characteristic polynomials mod l of a whole block of matrices by
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -53,18 +52,17 @@ from .ffield import (is_prime, reciprocal_trace, zp_gcd, zp_quo, zp_reciprocal_b
 CHARPOLY_BUDGET = 100_000
 DEFAULT_WALK_LENGTH = 50  # transvections per random-sample walk
 # Walks advanced together as one numpy block, so that the memory of a Monte
-# Carlo run is flat in n: a block holds its random codes (8 B per step, and
-# while the bulk draw runs another 8 B per step of stream words and their
-# bytes, below 2^32) and a few (block, 2g, 2g) arrays.  Without blocks,
-# n = 100,000 walks at g = 3 would need arrays of about 40 MB each.
+# Carlo run is flat in n: a block holds its draws, (walk length, block, 2g)
+# residues in words of the narrowest width that holds l (1 B each below 256),
+# and a few (block, 2g, 2g) arrays.  Without blocks, n = 100,000 walks at
+# g = 3 would need arrays of about 40 MB each.
 SP_WALK_BLOCK = 256
 # Bound on the tracemalloc peak of a fixed_vector_proportion Monte Carlo run
-# per walk of a block, at g = 3 and the default walk length.  Measured
-# 1,656 B per walk at n = SP_WALK_BLOCK and 1,945 B at n = 10 blocks (the
-# last finished block is still referenced while the next one is built);
-# 824 / 1,033 / 2,153 B at g = 1 / 2 / 4 and n = SP_WALK_BLOCK, the bulk
-# draw setting the peak at g = 1 only.  So a g = 3 run peaks near 0.5 MB
-# whatever n is.
+# per walk of a block, at g = 3, l = 3 and the default walk length.
+# Measured 1,554 B per walk at n = SP_WALK_BLOCK and 1,843 B at n = 10
+# blocks (the last finished block is still referenced while the next one is
+# built); 350 / 831 / 2,151 B at g = 1 / 2 / 4 and n = SP_WALK_BLOCK.  So a
+# g = 3 run peaks near 0.5 MB whatever n is.
 SP_WALK_BYTES_PER_WALK = 2048
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -115,14 +113,6 @@ def sp_order(g: int, l: int) -> int:
     return _sp_card(g, l)
 
 
-def _check_walk(g: int, l: int, walk_length: int) -> None:
-    _check_l(l)
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    if walk_length < 1:
-        raise ValueError(f"a walk needs walk_length >= 1 steps, got {walk_length}")
-
-
 def _entry_dtype(d: int, l: int) -> type:
     """int64 while it holds a sum of d products of residues mod l, below
     d l^2; Python ints (object arrays) past that bound."""
@@ -138,90 +128,66 @@ def _reduction_interval(d: int, l: int) -> int:
     return 1 + ((2**63 - 1) // (d * l * l) - 1) // l
 
 
-def _random_sp_blocks(g: int, l: int, rng: random.Random, n: int,
-                      walk_length: int) -> Iterator[np.ndarray]:
-    """``n`` lazy transvection walks from ``rng``, yielded as (b, 2g, 2g)
-    arrays of at most ``SP_WALK_BLOCK`` walks each, entries reduced mod l.
-    A walk takes ``walk_length`` steps, each a transvection T_v with v
-    uniform over all vectors (v = 0 contributes an identity step).  Each
-    block is built in its own call, so that its codes are freed before the
-    next block draws.
+def _residues(rng: random.Random, l: int, size: tuple[int, ...]) -> np.ndarray:
+    """An array of shape ``size`` of residues uniform mod l < 2^64, held in
+    unsigned words of the narrowest width w of 1, 2, 4 and 8 bytes with
+    l < 2^(8w).  Each is a w-byte word of ``rng.randbytes`` taken mod l,
+    kept only if below the largest multiple of l under 2^(8w); the words
+    rejected are drawn again."""
+    w = next(k for k in (1, 2, 4, 8) if l < 256**k)
+    top, kept, need = 256**w - 256**w % l, [], math.prod(size)
+    while need:
+        words = np.frombuffer(rng.randbytes(w * need), f"<u{w}")
+        kept.append(words[words < top])
+        need -= len(kept[-1])
+    return (np.concatenate(kept) % l).reshape(size)
+
+
+def _coset_samples(g: int, l: int, m: int, n: int, seed: int) -> Iterator[np.ndarray]:
+    """``n`` samples M D_m of the multiplier-m coset from
+    ``random.Random(seed)``, in blocks of at most ``SP_WALK_BLOCK``: M is a
+    lazy walk of ``DEFAULT_WALK_LENGTH`` transvections and D_m = diag(m,
+    ..., m, 1, ..., 1).  Each block is built in its own call, so that its
+    draws are freed before the next block draws.
 
     The lazy step matters: Sp_2(Z/3) is not perfect, so a fixed-length
     product of honest transvections stays inside one coset of the derived
-    subgroup and can never be uniform.
-    """
-    _check_walk(g, l, walk_length)
+    subgroup and can never be uniform."""
+    _check_l(l)
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    rng = random.Random(seed)
     for start in range(0, n, SP_WALK_BLOCK):
-        yield _random_sp_block(g, l, rng, min(SP_WALK_BLOCK, n - start), walk_length)
+        yield _coset_block(g, l, m, rng, min(SP_WALK_BLOCK, n - start))
 
 
-def _randbelow_many(rng: random.Random, top: int, count: int) -> np.ndarray:
-    """``count`` values of ``rng.randrange(top)`` from one pass over the
-    stream, equal to the scalar calls and leaving ``rng`` where they do; int64
-    for a top up to 2^63, Python ints (object) past it.
+def _coset_block(g: int, l: int, m: int, rng: random.Random, b: int) -> np.ndarray:
+    """``b`` walk samples M D_m as a (b, 2g, 2g) array reduced mod l.  The
+    block draws all its vectors at once, one (steps, b, 2g) array of
+    residues (``_residues``) whose row [t, i] is the v that walk i takes at
+    step t, uniform over all vectors; that step is the rank-1 update
+    M T_v = M + (M v)(J v)^T over the whole block (v = 0 is an identity
+    step), and M D_m scales the first g columns of M by m.
 
-    randrange repeats getrandbits(k), k = top.bit_length(), until a value is
-    below top, and getrandbits(k) is w = ceil(k/32) Mersenne Twister words,
-    least significant first, the last shifted right by (-k) % 32 bits.  So
-    getrandbits(32 w need) holds the next ``need`` draws' words in order:
-    each round keeps its values below top and draws only as many more as are
-    still missing, never past where the scalar calls stop.
-    """
-    k = top.bit_length()
-    w = -(-k // 32)
-    kept, need = [], count
-    while need:
-        words = np.frombuffer(rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little"),
-                              "<u4").reshape(need, w).copy()  # frees the int and its bytes
-        words[:, -1] >>= (-k) % 32
-        if w <= 2:  # a row is one little-endian uint32 or uint64
-            values = words.view(f"<u{4 * w}")[:, 0]
-        else:
-            values = np.array([int.from_bytes(row, "little") for row in words], dtype=object)
-        kept.append(values[values < top])
-        need -= len(kept[-1])
-    return np.concatenate(kept).astype(np.int64 if top <= 2**63 else object)
-
-
-def _random_sp_block(g: int, l: int, rng: random.Random, b: int,
-                     walk_length: int) -> np.ndarray:
-    """``b`` walks advanced together.  Walk i takes the codes
-    rng.randrange(l^2g) numbered i*walk_length to (i+1)*walk_length - 1 in
-    the stream, as b scalar walks would, all drawn by one
-    ``_randbelow_many``; code digit i (base l, least significant first) is
-    v[i].  Each step is the rank-1 update M T_v = M + (M v)(J v)^T over the
-    whole block; code 0 gives v = 0, an identity step.
-
-    c = M v is reduced at every step, M only every
-    ``_reduction_interval`` steps and at the end (Python-int blocks at the
-    end only), so M drifts from the per-step residues by multiples of l."""
+    c = M v is reduced at every step, M only every ``_reduction_interval``
+    steps and once M D_m is formed (Python-int blocks then only), so M
+    drifts from the per-step residues by multiples of l; scaling by m < l
+    stays under the int64 bound of M v."""
     d = 2 * g
     dtype = _entry_dtype(d, l)
-    codes = _randbelow_many(rng, l**d, b * walk_length).reshape(b, walk_length, 1)
-    places = np.array([l**i for i in range(d)], dtype=codes.dtype)
     sign = np.array([1] * g + [-1] * g, dtype=dtype)
-    every = _reduction_interval(d, l) or walk_length
-    m = np.zeros((b, d, d), dtype=dtype)
-    m[:, range(d), range(d)] = 1
-    for t in range(1, walk_length + 1):
-        v = (codes[:, t - 1] // places % l).astype(dtype, copy=False)
-        c = np.matmul(m, v[:, :, None]) % l
-        m += c * (v[:, None, ::-1] * sign)  # Jv[j] = +-v[d-1-j]
-        if t % every == 0 or t == walk_length:
-            m %= l
-    return m
-
-
-def _coset_sample_blocks(g: int, l: int, m: int, n: int, seed: int) -> Iterator[np.ndarray]:
-    """The blocks of ``_random_sp_blocks`` from ``seed``, each walk sample M
-    times the coset rep D_m = diag(m, ..., m, 1, ..., 1) in place: M D_m
-    scales the first g columns by m."""
-    scale = np.array([m] * g + [1] * g)
-    for block in _random_sp_blocks(g, l, random.Random(seed), n, DEFAULT_WALK_LENGTH):
-        block *= scale
-        block %= l
-        yield block
+    every = _reduction_interval(d, l) or DEFAULT_WALK_LENGTH
+    a = np.zeros((b, d, d), dtype=dtype)
+    a[:, range(d), range(d)] = 1
+    for t, step in enumerate(_residues(rng, l, (DEFAULT_WALK_LENGTH, b, d)), 1):
+        v = step.astype(dtype)
+        c = np.matmul(a, v[:, :, None]) % l
+        a += c * (v[:, None, ::-1] * sign)  # Jv[j] = +-v[d-1-j]
+        if t % every == 0:
+            a %= l
+    a[:, :, :g] *= m
+    a %= l
+    return a
 
 
 def _charpolys(a: np.ndarray, l: int) -> np.ndarray:
@@ -275,12 +241,20 @@ class MonteCarloEstimate:
                    min(1.0, max(center + half, p_hat)), n)
 
 
-def _check_samples(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"a Monte Carlo run needs n >= 1 samples, got {n}")
-
-
-def _check_multiplier(l: int, m: int) -> None:
+def _check_call(l: int, m: int, mode: str, n: int, seed: int) -> None:
+    """The argument checks of both coset statistics.  A Monte Carlo run takes
+    an int n >= 1, an int seed >= 0 and an l below 2^64, since it draws
+    residues in words of at most 8 bytes (``_residues``); l's bound is read
+    before ``is_prime``, a trial division."""
+    if mode == "montecarlo":
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"a Monte Carlo run needs an int n >= 1 samples, got {n!r}")
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"a Monte Carlo seed must be an int >= 0, got {seed!r}")
+        if l >= 2**64:
+            raise ValueError(f"Monte Carlo draws 8-byte words: l must be below 2^64, got {l}")
+    elif mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     _check_l(l)
     if not 1 <= m < l:
         raise ValueError(f"multiplier must be a unit mod {l}")
@@ -336,16 +310,13 @@ def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
     g and l are cheap); "montecarlo" samples the coset by transvection walks
     and returns a MonteCarloEstimate with a 95% Wilson interval.
     """
-    _check_multiplier(l, m)
+    _check_call(l, m, mode, n, seed)
     if mode == "exact":
         return 1 - Fraction(_fixed_point_free_count(g, l, m), sp_order(g, l))
-    if mode == "montecarlo":
-        _check_samples(n)
-        # charpoly(1) = det(1 - M): zero exactly when M fixes a vector
-        hits = sum(int((_charpolys(block, l).sum(axis=1) % l == 0).sum())
-                   for block in _coset_sample_blocks(g, l, m, n, seed))
-        return MonteCarloEstimate.from_hits(hits, n)
-    raise ValueError(f"unknown mode {mode!r}")
+    # charpoly(1) = det(1 - M): zero exactly when M fixes a vector
+    hits = sum(int((_charpolys(block, l).sum(axis=1) % l == 0).sum())
+               for block in _coset_samples(g, l, m, n, seed))
+    return MonteCarloEstimate.from_hits(hits, n)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +376,7 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
     product of ``_block_mass`` over its blocks (Steinberg's q^(2N)
     unipotents; Fulman, Neumann and Praeger, Mem. AMS 830, 2005).  l^g over
     ``CHARPOLY_BUDGET`` is refused before any work."""
-    _check_multiplier(l, m)
+    _check_call(l, m, mode, n, seed)
     if mode == "exact":
         if g < 1:
             raise ValueError("g must be >= 1")
@@ -419,10 +390,7 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
                 chi[j] = chi[2 * g - j] * pow(m, g - j, l) % l
             dist[tuple(chi)] = math.prod(_block_mass(*b, l) for b in _charpoly_blocks(chi, l, m))
         return dict(sorted(dist.items()))
-    if mode != "montecarlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    _check_samples(n)
     counts: Counter[tuple[int, ...]] = Counter()
-    for block in _coset_sample_blocks(g, l, m, n, seed):
+    for block in _coset_samples(g, l, m, n, seed):
         counts.update(map(tuple, _charpolys(block, l).tolist()))
     return {k: Fraction(v, n) for k, v in counts.items()}

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,22 +8,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from strataforge import symplectic
 from strataforge.curves import LPolynomial
 from strataforge.errors import BudgetExceededError
 from strataforge.ffield import zp_squarefree_parts
 from strataforge.symplectic import (
     CHARPOLY_BUDGET,
-    DEFAULT_WALK_LENGTH,
     SP_WALK_BLOCK,
     SP_WALK_BYTES_PER_WALK,
     MonteCarloEstimate,
     _charpoly_blocks,
     _charpolys,
-    _coset_sample_blocks,
+    _coset_samples,
     _entry_dtype,
-    _randbelow_many,
-    _random_sp_blocks,
     _reduction_interval,
+    _residues,
     _subspace_types,
     charpoly_mod,
     coset_charpoly_distribution,
@@ -108,7 +108,7 @@ def test_multiplier_rejects_non_gsp():
 
 def test_multiplier_is_multiplicative():
     for l in (3, 5):
-        a, b = _kernel_walks(1, l, random.Random(1), 2)
+        a, b = walks(1, l, 1, 2, 1)
         d2 = coset_rep(1, 2)
         for x in (a, mat_mul(a, d2, l)):
             for y in (b, mat_mul(b, d2, l)):
@@ -122,8 +122,7 @@ def test_coset_rep_has_multiplier_m():
     for g, l in [(1, 3), (2, 3), (2, 5)]:
         for m in range(1, l):
             assert multiplier(coset_rep(g, m), l) == m
-            for block in _coset_sample_blocks(g, l, m, 20, seed=m):
-                assert {multiplier(tuple(map(tuple, a)), l) for a in block.tolist()} == {m}
+            assert {multiplier(a, l) for a in walks(g, l, m, 20, m)} == {m}
 
 
 # ---------------------------------------------------------------------------
@@ -203,143 +202,136 @@ def test_group_bfs_rejects_non_symplectic_generator():
 # sampling
 
 
+def record(monkeypatch, draw=None):
+    """Keep every array of residues the walks draw, one (steps, b, 2g) array
+    a block; ``draw(l, size)``, if given, chooses them in place of the
+    seeded stream."""
+    drawn = []
+
+    def residues(rng, l, size):
+        drawn.append(draw(l, size) if draw else _residues(rng, l, size))
+        return drawn[-1]
+    monkeypatch.setattr(symplectic, "_residues", residues)
+    return drawn
+
+
+def walks(g, l, m, n, seed):
+    """The n coset samples M D_m of the block walk, as tuple matrices."""
+    return [tuple(map(tuple, a)) for block in _coset_samples(g, l, m, n, seed)
+            for a in block.tolist()]
+
+
+def product_walks(g, l, m, drawn):
+    """The reference for recorded samples: walk i of a block is the product
+    of the transvection matrices T_v over the v drawn for it, row [t, i] of
+    the block's draws at step t, times D_m."""
+    out = []
+    for block in drawn:
+        for i in range(block.shape[1]):
+            a = identity(2 * g)
+            for v in block[:, i].tolist():
+                a = mat_mul(a, transvection(v, g, l), l)
+            out.append(mat_mul(a, coset_rep(g, m), l))
+    return out
+
+
 def test_random_sp_is_symplectic_and_deterministic():
     for seed in range(5):
-        walks = _kernel_walks(2, 3, random.Random(seed), 5)
-        assert {multiplier(m, 3) for m in walks} == {1}
-        assert _kernel_walks(2, 3, random.Random(seed), 5) == walks
+        samples = walks(2, 3, 1, 5, seed)
+        assert {multiplier(a, 3) for a in samples} == {1}
+        assert walks(2, 3, 1, 5, seed) == samples
 
 
 @pytest.mark.parametrize("l", [2, 4, 9])
 def test_random_sp_rejects_a_modulus_that_is_not_an_odd_prime(l):
     with pytest.raises(ValueError, match="odd prime"):
-        next(_random_sp_blocks(2, l, random.Random(0), 1, DEFAULT_WALK_LENGTH))
+        next(_coset_samples(2, l, 1, 1, 0))
     with pytest.raises(ValueError, match="odd prime"):
         fixed_vector_proportion(2, l, 1, mode="montecarlo", n=5)
 
 
-def _product_walk(g, l, rng, walk_length):
-    """The walk as a product of transvection matrices: the rank-1 walk's
-    reference."""
-    d = 2 * g
-    m = identity(d)
-    for _ in range(walk_length):
-        code = rng.randrange(l**d)
-        if code == 0:
-            continue
-        v = []
-        for _ in range(d):
-            v.append(code % l)
-            code //= l
-        m = mat_mul(m, transvection(tuple(v), g, l), l)
-    return m
-
-
-def _kernel_walks(g, l, rng, n, walk_length=50):
-    """The n walks of the block kernel, as tuple-of-tuple matrices."""
-    return [tuple(map(tuple, m))
-            for block in _random_sp_blocks(g, l, rng, n, walk_length)
-            for m in block.tolist()]
-
-
 @pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7)])
-def test_rank1_walk_equals_transvection_product(g, l):
-    import random as _random
+def test_rank1_walk_equals_transvection_product(g, l, monkeypatch):
+    drawn = record(monkeypatch)
     for seed in range(30):
-        assert _kernel_walks(g, l, _random.Random(seed), 1) == \
-            [_product_walk(g, l, _random.Random(seed), 50)]
+        drawn.clear()
+        assert walks(g, l, 1, 1, seed) == product_walks(g, l, 1, drawn)
 
 
-# (2, 257), (3, 1009): codes of 33 and 60 bits, two Mersenne Twister words;
-# (7, 31): codes l^14 > 2^63 are split into digits as Python ints;
-# (1, 4294967311): d l^2 > 2^63, so the matrices hold Python ints too
+# (1, 4294967311): d l^2 > 2^63, so the matrices hold Python ints and the
+# residues 8-byte words; (2, 257): 2-byte words; (7, 31): a 14 x 14 walk,
+# shortened to 6 steps
 @pytest.mark.parametrize("g,l", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 7), (2, 257),
                                  (3, 1009), (7, 31), (1, 4294967311)])
 def test_walk_blocks_equal_consecutive_product_walks(g, l, monkeypatch):
-    """n walks in blocks of 3 (n = 1, one block, one block + 1) equal n
-    consecutive reference walks on one stream, and leave the stream where
-    those walks leave it."""
-    from strataforge import symplectic
+    """n samples in blocks of 3 (n = 1, one block, one block + 1) equal the
+    transvection products over their draws times D_m, each block drawing
+    one (steps, b, 2g) array."""
     monkeypatch.setattr(symplectic, "SP_WALK_BLOCK", 3)
-    walk_length = 50 if g < 7 else 6
-    for n in (1, 3, 4):
-        rng, ref = random.Random(n), random.Random(n)
-        assert _kernel_walks(g, l, rng, n, walk_length) == \
-            [_product_walk(g, l, ref, walk_length) for _ in range(n)]
-        assert rng.random() == ref.random()
-
-
-# bit lengths 1, 2, 4, 31, 32, 33, 63, 64 (2^63 is the last int64 top), 65
-# and past 70; 2^32 + 1 and 2^63 + 1 reject about half their draws, while
-# 2^32 - 1 and 2^64 - 59 fill whole words
-@pytest.mark.parametrize("top", [1, 2, 9, 2**31 - 1, 3**20, 2**32 - 1, 2**32 + 1,
-                                 257**4, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1,
-                                 2**64 - 59, 2**64 + 1, (2**32 + 15)**2, 3**50, 7**200])
-def test_bulk_draw_equals_randrange(top):
-    """The bulk draw returns rng.randrange(top) call for call and leaves the
-    stream where those calls leave it."""
-    for seed, n in [(0, 1), (1, 7), (2, 1000)]:
-        rng, ref = random.Random(seed), random.Random(seed)
-        codes = _randbelow_many(rng, top, n)
-        assert codes.dtype == (np.int64 if top <= 2**63 else object)
-        assert codes.tolist() == [ref.randrange(top) for _ in range(n)]
-        assert rng.random() == ref.random()
+    steps = 50 if g < 7 else 6
+    monkeypatch.setattr(symplectic, "DEFAULT_WALK_LENGTH", steps)
+    drawn = record(monkeypatch)
+    for n, sizes in [(1, [1]), (3, [3]), (4, [3, 1])]:
+        drawn.clear()
+        m = 1 + n % (l - 1)
+        assert walks(g, l, m, n, n) == product_walks(g, l, m, drawn)
+        assert [v.shape for v in drawn] == [(steps, b, 2 * g) for b in sizes]
 
 
 # K = 1 where d l^2 is just below 2^63; K = 5 and 3 at l near 2^20, with a
 # walk length that K does not divide and one it does; K past the walk
 @pytest.mark.parametrize("g,l,walk_length,regime", [
     (1, 2147483647, 7, "every step"), (1, 1048573, 23, "within"),
-    (2, 1048573, 50, "within"), (2, 1048573, 9, "within"), (3, 3, 50, "at the end")])
+    (2, 1048573, 50, "within"), (2, 1048573, 9, "within"), (3, 3, 50, "at the end"),
+    (1, 4294967311, 7, "Python ints")])
 def test_deferred_reduction_equals_product_walks(g, l, walk_length, regime, monkeypatch):
-    """Reducing M once every K steps gives the per-step residues, on random
-    codes and on the all-(l-1) code, whose v has the largest entries."""
-    from strataforge import symplectic
+    """Reducing M once every K steps (int64), or only at the end (Python
+    ints), gives the per-step residues, on random draws and on all-(l-1)
+    draws, the largest entries v can have, with the largest multiplier."""
     every = _reduction_interval(2 * g, l)
-    assert _entry_dtype(2 * g, l) is np.int64
+    assert (_entry_dtype(2 * g, l) is object) == (regime == "Python ints")
     assert {"every step": every == 1, "within": 1 < every < walk_length,
-            "at the end": every >= walk_length}[regime]
+            "at the end": every >= walk_length, "Python ints": every == 0}[regime]
     monkeypatch.setattr(symplectic, "SP_WALK_BLOCK", 2)
-    rng, ref = random.Random(5), random.Random(5)
-    assert _kernel_walks(g, l, rng, 3, walk_length) == \
-        [_product_walk(g, l, ref, walk_length) for _ in range(3)]
-
-    class Largest:
-        def randrange(self, top):
-            return top - 1
-    monkeypatch.setattr(symplectic, "_randbelow_many",
-                        lambda rng, top, count: np.full(count, top - 1, dtype=object))
-    assert _kernel_walks(g, l, None, 1, walk_length) == \
-        [_product_walk(g, l, Largest(), walk_length)]
+    monkeypatch.setattr(symplectic, "DEFAULT_WALK_LENGTH", walk_length)
+    for draw in (None, lambda l, size: np.full(size, l - 1)):
+        drawn = record(monkeypatch, draw)
+        assert walks(g, l, l - 1, 3, 5) == product_walks(g, l, l - 1, drawn)
 
 
-def test_walk_blocks_cross_the_real_block_boundary():
-    n = SP_WALK_BLOCK + 1
-    blocks = list(_random_sp_blocks(1, 3, random.Random(4), n, 50))
+def test_walk_blocks_cross_the_real_block_boundary(monkeypatch):
+    drawn = record(monkeypatch)
+    blocks = list(_coset_samples(1, 3, 2, SP_WALK_BLOCK + 1, 4))
     assert [len(b) for b in blocks] == [SP_WALK_BLOCK, 1]
-    rng, ref = random.Random(4), random.Random(4)
-    assert _kernel_walks(1, 3, rng, n) == [_product_walk(1, 3, ref, 50) for _ in range(n)]
-    assert rng.random() == ref.random()
+    assert [tuple(map(tuple, a)) for b in blocks for a in b.tolist()] == \
+        product_walks(1, 3, 2, drawn)
+
+
+def test_walks_reach_the_last_prime_the_words_hold(monkeypatch):
+    """At l = 2^64 - 59 the residues are 8-byte words past int64 and the
+    matrices Python ints.  The block is built directly: ``is_prime`` would
+    take 2^32 trial divisions."""
+    drawn, l = record(monkeypatch), 2**64 - 59
+    block = symplectic._coset_block(1, l, l - 1, random.Random(3), 3)
+    assert [tuple(map(tuple, a)) for a in block.tolist()] == product_walks(1, l, l - 1, drawn)
 
 
 def test_transvection_is_x_plus_pairing_times_v(monkeypatch):
-    """The one-step walk of code c, v its base-l digits, and the reference
-    T_v are both the symplectic matrix of x -> x + <x, v> v, for every v."""
-    from strataforge import symplectic
+    """The one-step walk of every v in (Z/l)^2g and the reference T_v are
+    both the symplectic matrix of x -> x + <x, v> v."""
 
     def pairing(x, y, g, l):
         """<x, y> = x^T J y for the fixed form."""
         d = 2 * g
         return sum(x[i] * y[d - 1 - i] - x[d - 1 - i] * y[i] for i in range(g)) % l
 
-    monkeypatch.setattr(symplectic, "_randbelow_many",
-                        lambda rng, top, count: np.arange(count, dtype=np.int64))
+    monkeypatch.setattr(symplectic, "DEFAULT_WALK_LENGTH", 1)
     for g, l in [(1, 3), (2, 3), (1, 5)]:
         d = 2 * g
         units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-        steps = _kernel_walks(g, l, None, l**d, 1)      # walk c takes code c
-        for code, step in enumerate(steps):
-            v = tuple(code // l**i % l for i in range(d))
+        every_v = list(itertools.product(range(l), repeat=d))
+        record(monkeypatch, lambda l, size: np.reshape(every_v, size))
+        for v, step in zip(every_v, walks(g, l, 1, l**d, 0), strict=True):
             expected = tuple(
                 tuple((int(i == j) + v[i] * pairing(units[j], v, g, l)) % l
                       for j in range(d))
@@ -348,16 +340,60 @@ def test_transvection_is_x_plus_pairing_times_v(monkeypatch):
             assert multiplier(step, l) == 1
 
 
+@pytest.mark.parametrize("g,l", [(1, 5), (2, 3)])
+def test_montecarlo_statistics_count_the_transvection_products(g, l, monkeypatch):
+    """Both Monte Carlo statistics of a seed, in every coset, are the counts
+    over the transvection products of the draws times D_m: the fixed
+    vectors by elimination and the charpolys by cofactor expansion."""
+    monkeypatch.setattr(symplectic, "SP_WALK_BLOCK", 16)
+    n, drawn = 40, record(monkeypatch)
+    for m in range(1, l):
+        drawn.clear()
+        est = fixed_vector_proportion(g, l, m, mode="montecarlo", n=n, seed=m)
+        assert est.estimate == \
+            sum(fixes_a_vector(a, l) for a in product_walks(g, l, m, drawn)) / n
+        drawn.clear()
+        dist = coset_charpoly_distribution(g, l, m, mode="montecarlo", n=n, seed=m)
+        counts = Counter(cofactor_charpoly(a, l) for a in product_walks(g, l, m, drawn))
+        assert dist == {k: Fraction(v, n) for k, v in counts.items()}
+
+
+class Stream:
+    """Stands in for random.Random: ``randbytes`` hands out chosen bytes."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def randbytes(self, k):
+        out, self.data = self.data[:k], self.data[k:]
+        return out
+
+
+# 1-byte words up to l = 251, 2-byte from 257, 4-byte from 65537 and 8-byte
+# past 2^32: the Mersenne prime 2^61 - 1 (2^64 mod l = 8) and 2^64 - 59, the
+# last prime the words hold
+@pytest.mark.parametrize("l,width", [(3, 1), (251, 1), (257, 2), (65521, 2), (65537, 4),
+                                     (4294967291, 4), (4294967311, 8), (2**61 - 1, 8),
+                                     (2**64 - 59, 8)])
+def test_residues_reject_the_words_past_the_last_multiple_of_l(l, width):
+    """The residues are the words below the largest multiple of l under
+    2^(8 width), in stream order, taken mod l; the words past it, and the
+    largest multiple itself, are drawn again."""
+    top = 256**width - 256**width % l
+    words = [top, 0, 256**width - 1, l - 1, top - 1, top, 1, top - l, 2]
+    stream = Stream(np.array(words, dtype=f"<u{width}").tobytes())
+    residues = _residues(stream, l, (2, 3))
+    assert residues.dtype.itemsize == width and stream.data == b""
+    assert residues.tolist() == [[0, l - 1, l - 1], [1, 0, 2]]
+    seeded = _residues(random.Random(1), l, (400,))
+    assert 0 <= seeded.min() and seeded.max() < l
+
+
 def test_random_sp_uniformity_chi_square():
     """20k walk samples over the 24 elements of SL_2(Z/3); fixed seed keeps
     the 3-sigma per-element check deterministic."""
-    import random as _random
-
     n = 20_000
-    rng = _random.Random(11)
-    counts: dict = {}
-    for m in _kernel_walks(1, 3, rng, n, 50):
-        counts[m] = counts.get(m, 0) + 1
+    counts = Counter(walks(1, 3, 1, n, 11))
     assert len(counts) == 24
     expected = n / 24
     sigma = math.sqrt(n * (1 / 24) * (23 / 24))
@@ -517,29 +553,40 @@ def test_montecarlo_needs_a_sample(n):
         coset_charpoly_distribution(2, 3, 1, mode="montecarlo", n=n)
 
 
-def _first_block(g, walk_length):
-    return next(_random_sp_blocks(g, 3, random.Random(1), 1, walk_length))
+# 2^64 + 13 is prime, so only the word bound refuses it, and before is_prime
+# would take its 2^32 trial divisions
+@pytest.mark.parametrize("args,match", [
+    ({"n": 2.5}, "int n >= 1 samples, got 2.5"), ({"n": "3"}, "int n >= 1 samples, got '3'"),
+    ({"seed": -1}, "int >= 0, got -1"), ({"seed": 1.0}, "int >= 0, got 1.0"),
+    ({"seed": "7"}, "int >= 0, got '7'"), ({"l": 2**64 + 13}, rf"below 2\^64, got {2**64 + 13}")],
+    ids=["n-float", "n-str", "seed-negative", "seed-float", "seed-str", "l-past-2^64"])
+def test_montecarlo_refuses_what_it_cannot_draw_before_any_walk(args, match, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a walk ran before the argument checks")
+    monkeypatch.setattr(symplectic, "_coset_samples", no_walk)
+    kwargs = {"g": 2, "l": 3, "m": 1, "mode": "montecarlo", "n": 5, "seed": 0, **args}
+    for statistic in (fixed_vector_proportion, coset_charpoly_distribution):
+        with pytest.raises(ValueError, match=match):
+            statistic(**kwargs)
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: _first_block(0, DEFAULT_WALK_LENGTH), "g must be"),
-    (lambda: _first_block(2, 0), "walk_length >= 1"),
-    (lambda: _first_block(2, -3), "walk_length >= 1"),
+    (lambda: next(_coset_samples(0, 3, 1, 1, 1)), "g must be"),
     (lambda: fixed_vector_proportion(0, 3, 1), "g must be"),
     (lambda: fixed_vector_proportion(0, 3, 1, mode="montecarlo", n=5), "g must be"),
     (lambda: coset_charpoly_distribution(0, 3, 1, mode="montecarlo", n=5), "g must be"),
     (lambda: fixed_vector_proportion(1, 3, 1, mode="sampled"), "unknown mode 'sampled'"),
     (lambda: coset_charpoly_distribution(1, 3, 1, mode="sampled"), "unknown mode 'sampled'"),
-], ids=["random_sp-g0", "random_sp-walk0", "random_sp-walk-neg", "exact-g0", "montecarlo-g0",
-        "charpoly-g0", "fixed_vector-mode", "charpoly-mode"])
+], ids=["random_sp-g0", "exact-g0", "montecarlo-g0", "charpoly-g0", "fixed_vector-mode",
+        "charpoly-mode"])
 def test_walks_need_a_genus_and_a_step(call, match):
     with pytest.raises(ValueError, match=match):
         call()
 
 
 def test_montecarlo_intervals_contain_sp4_mod_3_values():
-    for m, exact, (low, high) in [(1, Fraction(231, 640), (0.324, 0.418)),
-                                  (2, Fraction(7, 16), (0.373, 0.469))]:
+    for m, exact, (low, high) in [(1, Fraction(231, 640), (0.310, 0.403)),
+                                  (2, Fraction(7, 16), (0.377, 0.474))]:
         est = fixed_vector_proportion(2, 3, m, mode="montecarlo", n=400, seed=7)
         assert est.ci_low <= exact <= est.ci_high
         assert round(est.ci_low, 3) == low and round(est.ci_high, 3) == high
@@ -609,8 +656,7 @@ def kernel_charpolys(samples, l):
 
 def coset_walks(g, l, multipliers, n):
     """n walk samples M D_m of each multiplier-m coset, as tuple matrices."""
-    return [tuple(map(tuple, a)) for m in multipliers
-            for block in _coset_sample_blocks(g, l, m, n, seed=m) for a in block.tolist()]
+    return [a for m in multipliers for a in walks(g, l, m, n, m)]
 
 
 def test_matrix_charpoly_against_known():
@@ -619,8 +665,8 @@ def test_matrix_charpoly_against_known():
 
 
 def test_matrix_charpoly_trace_det_consistency():
-    walks = _kernel_walks(2, 3, random.Random(0), 8)
-    for m, poly in zip(walks, kernel_charpolys(walks, 3)):
+    samples = walks(2, 3, 1, 8, 0)
+    for m, poly in zip(samples, kernel_charpolys(samples, 3)):
         assert len(poly) == 5 and poly[-1] == 1
         tr = sum(m[i][i] for i in range(4)) % 3
         assert poly[3] == (-tr) % 3
@@ -813,8 +859,6 @@ def test_charpoly_blocks_match_sympy_factorization(g, l):
 
 @pytest.mark.parametrize("g,l", [(1, 4294967311), (6, 31)])
 def test_exact_charpoly_budget_refuses_up_front(g, l, monkeypatch):
-    from strataforge import symplectic
-
     def no_work(*args):
         raise AssertionError("a block was read before the budget check")
     monkeypatch.setattr(symplectic, "_charpoly_blocks", no_work)
