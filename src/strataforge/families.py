@@ -115,9 +115,18 @@ def p_ranks(field: FieldDescriptor, g: int, codes: np.ndarray) -> np.ndarray:
     The rows are taken as many at a time as keep the temporaries, measured
     at 8-18 B per coefficient of f^((p-1)/2) and 4-20 B per entry of A,
     within ``ffield.BLOCK_BYTES``.  Codes of any other shape (not 2-D, or
-    not 2g + 2 or 2g + 3 columns) raise ``ValueError``."""
+    not 2g + 2 or 2g + 3 columns) raise ``ValueError``, as do codes of a
+    non-numeric dtype and a code that is not an integer in [0, q), named;
+    the codes are checked as passed, since the int16 cast would truncate or
+    wrap them."""
     _check_family(field, g)
-    f = np.asarray(codes, dtype=np.int16)
+    raw = np.asarray(codes)
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"codes must be integers, got an array of {raw.dtype}")
+    bad = (raw < 0) | (raw >= field.size) | (raw % 1 != 0)
+    if bad.any():
+        raise ValueError(f"code {raw[bad][0].tolist()!r} is not an integer in [0, {field.size})")
+    f = raw.astype(np.int16, copy=False)
     if f.ndim != 2 or f.shape[1] not in (2 * g + 2, 2 * g + 3):
         raise ValueError(f"genus {g} needs rows of {2 * g + 2} or {2 * g + 3} codes, "
                          f"got an array of shape {f.shape}")

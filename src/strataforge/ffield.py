@@ -16,13 +16,15 @@ F_{p^n}.
 
 The ``zp_*`` helpers are the polynomial layer over Z/r for a prime r given
 as a plain int, because the Weil layer's witness primes may exceed
-``MAX_P``: products, remainders, gcds, squarefreeness, modular powers and
-the distinct-degree factorization.  A reciprocal polynomial s(T) =
-T^n h(T + m/T) is read through its trace polynomial h, at half the degree
-(``reciprocal_trace``, ``norm_at_root``): given h with r prime to
-disc(h) N(h), ``zp_reciprocal_blocks`` pairs the factors of s mod r under
-x -> m/x from the factors of h and the square classes of b^2 - 4m at
-their roots b.  The modulus search runs on the ``zp_*`` helpers.
+``MAX_P``: products (one loop, ``_convolve``), remainders (one loop,
+``zp_rem``), gcds, squarefreeness, modular powers and the distinct-degree
+factorization.  A reciprocal polynomial s(T) = T^n h(T + m/T) is read
+through its trace polynomial h, at half the degree (``reciprocal_trace``,
+``norm_at_root``): given h with r prime to disc(h) N(h),
+``zp_reciprocal_blocks`` pairs the factors of s mod r under x -> m/x from
+the factors of h and the square classes of b^2 - 4m at their roots b.  The
+modulus search, the primitivity test of the log tables and ``poly_mul``'s
+reduction by the modulus run on them too.
 
 Polynomials over F_q (``FqPoly``, or coefficient lists of encodings) have
 two entry points: ``poly_mul`` and ``poly_squarefree``.  ``poly_mul`` forms
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -127,7 +130,27 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    """True iff n is a prime integer (False for any non-integer).  Division by
+    the 13 primes up to 41 decides n < 43^2 and any n with such a factor;
+    the rest get the strong Miller-Rabin test to those bases, exact below
+    3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2017), and
+    past that bound raise ValueError."""
+    if not isinstance(n, numbers.Integral):
+        return False
+    n, bases = int(n), (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    if n < 1849:
+        return n > 1
+    if n >= 3_317_044_064_679_887_385_961_981:
+        raise ValueError(f"is_prime is exact below 3,317,044,064,679,887,385,961,981, got {n}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1          # n - 1 = d 2^s, d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
 
 
 class FieldDescriptor:
@@ -214,17 +237,6 @@ class FieldDescriptor:
             rows.append([(s - row[-1] * m) % p for s, m in zip([0] + row[:-1], self.modulus)])
         return np.array(rows, dtype=np.int64)
 
-    def _times_pow(self, c: int, e: int) -> np.ndarray:
-        """``_times(c^e)``, by square-and-multiply on the matrices (e >= 0)."""
-        p, base, result = self.p, self._times(c), np.eye(self.n, dtype=np.int64)
-        while e:
-            if e & 1:
-                result = result @ base % p
-            e >>= 1
-            if e:
-                base = base @ base % p
-        return result
-
     def _ensure_exp_log(self) -> None:
         """Discrete-log tables for a fixed generator g, built once per field.
 
@@ -235,22 +247,23 @@ class FieldDescriptor:
         raises instead of reading a value.  ``field_new`` refuses fields of
         more than 2^30 elements, so every index, up to 2(q-1), fits int32.
 
-        g is the least primitive encoding.  Every product is digits times a
-        multiply-by-c matrix (``_times_pow``): the first block g^0..g^(b-1),
-        b = isqrt(q-1) + 1, doubles in length, and each later block is the
-        one before it times the matrix of g^b.
+        g is the least primitive encoding (g^((q-1)/r) != 1, by ``zp_powmod``,
+        for every prime r | q - 1).  Every product is digits times a
+        multiply-by-c matrix (``_times``): b = isqrt(q-1) + 1 steps by g
+        give g^0..g^b, the first block is g^0..g^(b-1), and each later block
+        is the one before it times the matrix of g^b.
         """
         if self._exp is not None:
             return
-        q, p, n = self.size, self.p, self.n
-        facs, one = _prime_factors(q - 1), list(self.digits(1))
-        gen = next(g for g in range(2, q)            # row 0 holds the digits of g^((q-1)/r)
-                   if all(self._times_pow(g, (q - 1) // r)[0].tolist() != one for r in facs))
-        b = math.isqrt(q - 1) + 1
-        digits = np.eye(1, n, dtype=np.int64)                # g^0
-        while len(digits) < b:
-            digits = np.vstack([digits, digits @ self._times_pow(gen, len(digits)) % p])
-        digits, step, place = digits[:b], self._times_pow(gen, b), p ** np.arange(n)
+        q, p, n, modulus = self.size, self.p, self.n, list(self.modulus)
+        facs = _prime_factors(q - 1)
+        gen = next(g for g in range(2, q) if all(
+            zp_powmod(list(self.digits(g)), (q - 1) // r, modulus, p) != [1] for r in facs))
+        b, times_g, place = math.isqrt(q - 1) + 1, self._times(gen), p ** np.arange(n)
+        powers = [np.eye(1, n, dtype=np.int64)[0]]          # g^0
+        for _ in range(b):
+            powers.append(powers[-1] @ times_g % p)
+        digits, step = np.array(powers[:b]), self._times(int(powers[b] @ place))
         exp = np.empty(2 * (q - 1), dtype=np.int32)
         for start in range(0, q - 1, b):
             exp[start:min(start + b, q - 1)] = (digits @ place)[:q - 1 - start]
@@ -464,28 +477,33 @@ def table_refusal(field: FieldDescriptor) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
+_fields: dict[tuple[int, int], FieldDescriptor] = {}    # every descriptor built, by (p, n)
+
+
 def field_new(p: int, n: int = 1) -> FieldDescriptor:
-    """Build (or reuse) the descriptor of F_{p^n} with the canonical modulus."""
-    if not isinstance(p, int) or not is_prime(p):
+    """Build (or reuse) the descriptor of F_{p^n} with the canonical modulus:
+    one per (p, n), however the call is spelt, so its tables and held mask
+    are built once.  p and n must be ints."""
+    if not isinstance(p, int) or not isinstance(n, int):
+        raise ValueError(f"p and n must be ints, got p = {p!r}, n = {n!r}")
+    if (p, n) in _fields:
+        return _fields[p, n]
+    if p > MAX_P:
+        raise ValueError(f"p={p} exceeds the supported cap {MAX_P}")
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p == 2:
         raise ValueError("even characteristic is not supported (p must be odd)")
-    if p > MAX_P:
-        raise ValueError(f"p={p} exceeds the supported cap {MAX_P}")
     if n < 1:
         raise ValueError(f"extension degree must be >= 1, got {n}")
     if p**n > 2**30:   # the int32 exp and log tables index up to 2(q-1)
         raise ValueError(f"F_{p}^{n} has more than 2^30 elements, the limit of its int32 tables")
-    if n == 1:
-        return FieldDescriptor(p, 1, (0, 1))  # modulus x
-    # least (c_0, c_1, ..., c_{n-1}) lexicographically, constant term first;
-    # c_0 = 0 would make x a factor, so the search starts at c_0 = 1
-    for vec in itertools.product(range(1, p), *[range(p)] * (n - 1)):
-        coeffs = list(vec) + [1]
-        if list(zp_ddf(coeffs, p)) == [n]:
-            return FieldDescriptor(p, n, tuple(coeffs))
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    # x at n = 1; else the lexicographically least (c_0, ..., c_{n-1}),
+    # constant term first, from c_0 = 1 since c_0 = 0 makes x a factor
+    modulus = (0, 1) if n == 1 else next(
+        (*vec, 1) for vec in itertools.product(range(1, p), *[range(p)] * (n - 1))
+        if list(zp_ddf([*vec, 1], p)) == [n])
+    return _fields.setdefault((p, n), FieldDescriptor(p, n, modulus))   # one, even if raced
 
 
 # -- raw coefficient-list polynomial helpers (hot-loop friendly) -------------
@@ -589,23 +607,8 @@ def _monic(f: list[int], r: int) -> list[int]:
 
 def zp_mulmod(a: list[int], b: list[int], f: list[int], r: int) -> list[int]:
     """a * b mod f over Z/r, f != 0; the entries of a and b may be any
-    integers.  One loop forms the product over Z and clears its top
-    coefficients with the monic multiple of f, made monic here unless its
-    leading coefficient is already 1 (as ``zp_powmod`` and ``zp_ddf`` pass
-    it)."""
-    f = _monic(f, r)
-    n, low = len(f) - 1, f[:-1]
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    for top in range(len(out) - 1, n - 1, -1):
-        c = out[top] % r
-        if c:
-            for i, m in enumerate(low, top - n):
-                out[i] -= c * m
-    return poly_trim([c % r for c in out[:n]])
+    integers.  The product over Z (``_convolve``) reduced by ``zp_rem``."""
+    return zp_rem(_convolve(a, b), f, r)
 
 
 def zp_powmod(a: list[int], e: int, f: list[int], r: int) -> list[int]:
@@ -754,9 +757,9 @@ def poly_mul(field: FieldDescriptor, *factors) -> list[int]:
     (p - 1)^k n^(k-1) prod len / max len, and w is the bit length of that
     bound.  The alpha-degree of a product coefficient is at most
     k(n - 1) < S, so the powers of x stay apart.  The S slots of x^m are
-    read back as a polynomial in alpha, reduced over Z by the monic modulus
-    and then digit by digit mod p; on F_p that is one slot and one % p.  A
-    factor passed more than once (one object) is checked and packed once.
+    read back as a polynomial in alpha and reduced mod the modulus over Z/p
+    by ``zp_rem``; on F_p that is one slot and one % p.  A factor passed
+    more than once (one object) is checked and packed once.
     """
     if not factors:
         raise ValueError("poly_mul needs at least one factor")
@@ -787,15 +790,11 @@ def poly_mul(field: FieldDescriptor, *factors) -> list[int]:
     bits = range(0, (sum(lens) - k + 1) * span * w, w)
     if n == 1:
         return poly_trim([(prod >> s & mask) % p for s in bits])
-    slots, low, out = [prod >> s & mask for s in bits], field.modulus[:n], []
+    slots, out = [prod >> s & mask for s in bits], []
     for m in range(0, len(slots), span):
-        v = slots[m:m + span]
-        for t in range(span - 1, n - 1, -1):       # alpha^t = -sum low_i alpha^(t-n+i)
-            for i, a in enumerate(low, t - n):
-                v[i] -= v[t] * a
         code = 0
-        for d in reversed(v[:n]):
-            code = code * p + d % p
+        for d in reversed(zp_rem(slots[m:m + span], field.modulus, p)):
+            code = code * p + d
         out.append(code)
     return poly_trim(out)
 

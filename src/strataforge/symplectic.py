@@ -68,6 +68,13 @@ SP_WALK_BYTES_PER_WALK = 2048
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def _check_integers(**args) -> None:
+    """ValueError naming the first argument that is not an integer."""
+    for name, value in args.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_l(l: int) -> None:
     if l == 2 or not is_prime(l):
         raise ValueError(f"l must be an odd prime, got {l}")
@@ -107,6 +114,7 @@ def _sp_card(n: int, l: int) -> int:
 
 def sp_order(g: int, l: int) -> int:
     """|Sp_2g(Z/l)| = l^(g^2) * prod_{i=1..g} (l^(2i) - 1)."""
+    _check_integers(g=g, l=l)
     if g < 1:
         raise ValueError("g must be >= 1")
     _check_l(l)
@@ -241,11 +249,14 @@ class MonteCarloEstimate:
                    min(1.0, max(center + half, p_hat)), n)
 
 
-def _check_call(l: int, m: int, mode: str, n: int, seed: int) -> None:
-    """The argument checks of both coset statistics.  A Monte Carlo run takes
-    an int n >= 1, an int seed >= 0 and an l below 2^64, since it draws
-    residues in words of at most 8 bytes (``_residues``); l's bound is read
-    before ``is_prime``, a trial division."""
+def _check_call(g: int, l: int, m: int, mode: str, n: int, seed: int) -> None:
+    """The argument checks of both coset statistics, before any primality
+    test or walk: g, l and m are integers and g >= 1.  A Monte Carlo run
+    takes an int n >= 1, an int seed >= 0 and an l below 2^64, since it
+    draws residues in words of at most 8 bytes (``_residues``)."""
+    _check_integers(g=g, l=l, m=m)
+    if g < 1:
+        raise ValueError("g must be >= 1")
     if mode == "montecarlo":
         if not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"a Monte Carlo run needs an int n >= 1 samples, got {n!r}")
@@ -310,9 +321,9 @@ def fixed_vector_proportion(g: int, l: int, m: int, mode: str = "exact",
     g and l are cheap); "montecarlo" samples the coset by transvection walks
     and returns a MonteCarloEstimate with a 95% Wilson interval.
     """
-    _check_call(l, m, mode, n, seed)
+    _check_call(g, l, m, mode, n, seed)
     if mode == "exact":
-        return 1 - Fraction(_fixed_point_free_count(g, l, m), sp_order(g, l))
+        return 1 - Fraction(_fixed_point_free_count(g, l, m), _sp_card(g, l))
     # charpoly(1) = det(1 - M): zero exactly when M fixes a vector
     hits = sum(int((_charpolys(block, l).sum(axis=1) % l == 0).sum())
                for block in _coset_samples(g, l, m, n, seed))
@@ -376,10 +387,8 @@ def coset_charpoly_distribution(g: int, l: int, m: int, mode: str = "exact",
     product of ``_block_mass`` over its blocks (Steinberg's q^(2N)
     unipotents; Fulman, Neumann and Praeger, Mem. AMS 830, 2005).  l^g over
     ``CHARPOLY_BUDGET`` is refused before any work."""
-    _check_call(l, m, mode, n, seed)
+    _check_call(g, l, m, mode, n, seed)
     if mode == "exact":
-        if g < 1:
-            raise ValueError("g must be >= 1")
         if l**g > CHARPOLY_BUDGET:
             raise BudgetExceededError(f"exact charpolys at g = {g}, l = {l}, m = {m}: "
                                       f"l^g = {l**g} exceeds {CHARPOLY_BUDGET}")

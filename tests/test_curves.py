@@ -401,7 +401,7 @@ def test_point_count_memory_per_element():
 
 
 def test_point_counts_memory_per_element():
-    field_new.cache_clear()                # fresh descriptors: no tables built yet
+    ffield._fields.clear()                 # fresh descriptors: no tables built yet
     c = make_curve(47, [1, 1, 0, 1])
     for k in (1, 2, 3):
         field_new(47, k)
@@ -439,7 +439,7 @@ def test_matrix_pass_memory_at_the_cap():
     """The matrix route's largest passes (here 64,845 entries: F_23 up to
     F_23^3, an even model of degree 4) peak under 16 B per entry of the cap,
     with fresh field tables."""
-    field_new.cache_clear()
+    ffield._fields.clear()
     curves._matrix_pass.cache_clear()
     c = make_curve(23, [1, 0, 2, 1, 1])
     for k in (1, 2, 3):

@@ -109,6 +109,32 @@ def test_p_ranks_refuses_codes_of_another_genus():
             families.p_ranks(field, g, codes)
 
 
+@pytest.mark.parametrize("rows,bad", [
+    ([[1, 0, 0, 1, 0, 0, -1, 1]], "-1"),        # read as 2 by the int16 tables: p-rank 1
+    ([[1, 0, 0, 1, 0, 0, 3, 1]], "3"),
+    ([[1, 0, 0, 1, 0, 0, 1.5, 1]], "1.5"),      # the cast would truncate it to 1
+    ([[1, 0, 0, 1, 0, 0, float("nan"), 1]], "nan"),
+    (np.array([[1, 0, 0, 1, 0, 0, 40000, 1]], dtype=np.int32), "40000"),   # wraps in int16
+    (np.array([[1, 0, 0, 1, 0, 0, 2**16 + 2, 1]], dtype=np.uint32), "65538"),
+    ([[1, 0, 0, 1, 0, 0, None, 1]], None),
+    (np.ones((1, 8), bool), None),
+], ids=["negative", "q", "fraction", "nan", "wraps", "wraps-to-2", "object", "bool"])
+def test_p_ranks_refuse_codes_outside_the_field(rows, bad):
+    """A code that is not an integer in [0, q) is refused, named, before the
+    int16 cast that would truncate or wrap it, and so is an array of
+    non-numbers; the row with 2 in place of the bad code, whole floats
+    included, has the p-rank 2 of the scalar route."""
+    field = field_new(3)
+    message = (rf"^code {bad} is not an integer in \[0, 3\)$" if bad
+               else r"^codes must be integers, got an array of (object|bool)$")
+    with pytest.raises(ValueError, match=message):
+        families.p_ranks(field, 3, rows)
+    good = np.array([[1, 0, 0, 1, 0, 0, 2, 1]])
+    assert scalar_ranks(field, 3, good) == [2]
+    assert families.p_ranks(field, 3, good).tolist() == [2]
+    assert families.p_ranks(field, 3, good.astype(float)).tolist() == [2]
+
+
 @pytest.mark.parametrize("n", [-1, 2.5, "3", None])
 def test_sampled_refuses_a_bad_n_when_called(n):
     """The family is refused when it is made, not iterated: a negative or

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_field_new_moduli_match_sympy_search_for_every_p(n):
         assert field_new(p, n).modulus == sympy_least_irreducible(p, n), (p, n)
 
 
-def test_field_new_rejects_bad_parameters():
+def test_field_new_rejects_bad_parameters(monkeypatch):
     with pytest.raises(ValueError):
         field_new(2, 1)
     with pytest.raises(ValueError):
@@ -155,6 +156,55 @@ def test_field_new_rejects_bad_parameters():
         field_new(5, 0)
     with pytest.raises(ValueError):
         field_new(101, 1)
+    field_new(5), field_new(3, 2)       # a built field does not admit a float spelling
+    for p, n in ((5, 1.0), (3, 2.0), (5.0, 1), (5, "1"), (np.int64(5), 1)):
+        with pytest.raises(ValueError, match=re.escape(f"p = {p!r}, n = {n!r}")):
+            field_new(p, n)
+
+    def no_primality_test(n):
+        raise AssertionError("is_prime ran before the MAX_P check")
+    monkeypatch.setattr(ffield, "is_prime", no_primality_test)
+    with pytest.raises(ValueError, match=f"p={10**14 + 31} exceeds the supported cap"):
+        field_new(10**14 + 31)
+
+
+def test_field_new_makes_one_descriptor_per_field(monkeypatch):
+    """However the call is spelt, a field has one descriptor, so a mask held
+    under one spelling answers ``poly_squarefree`` under another."""
+    assert field_new(5) is field_new(5, 1) is field_new(p=5, n=1) is field_new(5, n=1)
+    assert field_new(7, 2) is field_new(p=7, n=2)
+    mask = squarefree_mask(field_new(3), 7)
+
+    def no_gcd(*args):
+        raise AssertionError("the gcd route ran on a model the held mask covers")
+    monkeypatch.setattr(ffield, "_gcd_squarefree", no_gcd)
+    for index in (0, 1, 100, 2186):
+        model = [index // 3**i % 3 for i in range(7)] + [1]
+        assert poly_squarefree(field_new(3, 1), model) == bool(mask[index])
+        assert poly_squarefree(field_new(p=3, n=1), model) == bool(mask[index])
+
+
+@pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051,
+                               318_665_857_834_031_151_167_461, 2**61 - 1, 2**64 - 59])
+def test_is_prime_on_strong_pseudoprimes_and_large_primes(n):
+    """The three strong pseudoprimes fool the Miller-Rabin bases up to 7, 23
+    and 37; the 13 bases up to 41 are not fooled."""
+    assert ffield.is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_matches_sympy_and_refuses_what_it_cannot_decide():
+    assert [n for n in range(200_001) if ffield.is_prime(n)] == \
+        [n for n in range(200_001) if sympy.isprime(n)]
+    assert ffield.is_prime(np.int64(97)) and not ffield.is_prime(-7)
+    for x in (2.5, 3.0, "7", None, Fraction(7)):
+        assert ffield.is_prime(x) is False, x
+    # the least strong pseudoprime to all 13 bases is the bound itself
+    bound = 3_317_044_064_679_887_385_961_981
+    assert not sympy.isprime(bound) and min(sympy.factorint(bound)) > 41
+    for n in (bound, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            ffield.is_prime(n)
+    assert ffield.is_prime(bound - 2) == sympy.isprime(bound - 2)
 
 
 def test_field_new_refuses_fields_past_its_int32_tables():
@@ -277,10 +327,13 @@ def test_row_ops_match_the_scalar_loops(field):
     assert [field.frobenius(a) for a in range(q)] == [field.pow(a, field.p) for a in range(q)]
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3), (3, 7)])
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3), (3, 7),
+                                 (5, 1), (17, 1), (37, 1), (7, 4)])
 def test_exp_walks_the_powers_of_the_least_primitive_element(p, n):
     """exp[1] is the least primitive encoding and exp[i+1] = exp[i] * exp[1],
-    with products taken by sympy mod the field's modulus; log inverts exp."""
+    with products taken by sympy mod the field's modulus; log inverts exp.
+    On F_5, F_17 and F_37, q - 1 = s^2, so b = s + 1 and the last block
+    holds one power; F_7^4 is the largest field the bench builds."""
     field = field_new(p, n)
     q, modulus = field.size, list(field.modulus)[::-1]
     exp, log = (t.tolist() for t in field.exp_log)

@@ -79,9 +79,10 @@ def test_every_process_memo_is_bounded():
     is a memo that lives as long as the process, so each has a finite
     ``maxsize``: ``PASS_CACHE_SIZE`` for the three pass caches and
     ``L_CACHE_SIZE`` for every other, the class memos, the verdict memo, the
-    Weil memos and the polygon memo among them.  Two are unbounded by
-    design: ``field_new``, whose keys ``MAX_P`` and the 2^30-element limit
-    bound, and ``weil._power_degrees``, one tuple per genus."""
+    Weil memos and the polygon memo among them.  One is unbounded by
+    design: ``weil._power_degrees``, one tuple per genus.  ``field_new``
+    keeps its descriptors in a dict (``ffield._fields``), keyed on (p, n),
+    which ``MAX_P`` and the 2^30-element limit bound."""
     import strataforge
     from strataforge import curves, ffield
 
@@ -91,7 +92,7 @@ def test_every_process_memo_is_bounded():
             if callable(getattr(obj, "cache_info", None)):
                 name = f"{obj.__module__.rpartition('.')[2]}.{obj.__qualname__}"
                 memos[name] = obj.cache_info().maxsize
-    unbounded = {"ffield.field_new", "weil._power_degrees"}
+    unbounded = {"weil._power_degrees"}
     passes = {"curves._extension_pass", "curves._matrix_pass", "curves._matrix_entries"}
     assert {name for name, size in memos.items() if size is None} == unbounded
     assert {name for name, size in memos.items() if size == curves.PASS_CACHE_SIZE} == passes

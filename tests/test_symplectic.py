@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -553,8 +554,7 @@ def test_montecarlo_needs_a_sample(n):
         coset_charpoly_distribution(2, 3, 1, mode="montecarlo", n=n)
 
 
-# 2^64 + 13 is prime, so only the word bound refuses it, and before is_prime
-# would take its 2^32 trial divisions
+# 2^64 + 13 is prime, so only the word bound refuses it
 @pytest.mark.parametrize("args,match", [
     ({"n": 2.5}, "int n >= 1 samples, got 2.5"), ({"n": "3"}, "int n >= 1 samples, got '3'"),
     ({"seed": -1}, "int >= 0, got -1"), ({"seed": 1.0}, "int >= 0, got 1.0"),
@@ -568,6 +568,35 @@ def test_montecarlo_refuses_what_it_cannot_draw_before_any_walk(args, match, mon
     for statistic in (fixed_vector_proportion, coset_charpoly_distribution):
         with pytest.raises(ValueError, match=match):
             statistic(**kwargs)
+
+
+NON_INTEGERS = [("g", 1.5), ("g", 2.0), ("l", 3.0), ("l", "3"), ("m", 1.5), ("m", 1.0),
+                ("m", None)]
+
+
+@pytest.mark.parametrize("call,name,value", [
+    *((call, *arg) for call in ("fixed_vector-exact", "fixed_vector-montecarlo",
+                                "charpoly-exact", "charpoly-montecarlo") for arg in NON_INTEGERS),
+    *(("sp_order", *arg) for arg in NON_INTEGERS if arg[0] != "m")])
+def test_baselines_refuse_non_integer_arguments_first(call, name, value, monkeypatch):
+    """A g, l or m that is not an integer is refused with a ValueError that
+    names it, before any primality test or walk: 1.5 is not read as m != 1,
+    and 3.0 does not give a float group order."""
+    def unreachable(*args):
+        raise AssertionError("reached past the argument checks")
+    monkeypatch.setattr(symplectic, "is_prime", unreachable)
+    monkeypatch.setattr(symplectic, "_coset_samples", unreachable)
+    args = {"g": 2, "l": 3, "m": 1, name: value}
+    if call == "sp_order":
+        run = functools.partial(sp_order, args["g"], args["l"])
+    else:
+        statistic, mode = call.split("-")
+        run = functools.partial({"fixed_vector": fixed_vector_proportion,
+                                 "charpoly": coset_charpoly_distribution}[statistic],
+                                **args, mode=mode, n=5)
+    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        run()
 
 
 @pytest.mark.parametrize("call,match", [
