@@ -17,10 +17,18 @@ passes run Horner's rule in the log domain: x runs over powers g^i of each
 field's generator, multiplying by x adds i, and adding a coefficient c is
 a lookup in a per-field Zech table (log(1 + g^n), Huber 1990) shifted by
 log c; the quadratic character of f(x) is the parity of its final log
-(``_ExtensionPass``).  The zeta numerator L(T) is recovered
-from N_1..N_g through Newton's identities and the functional equation,
-then checked against N_{g+1}, counted in the same pass (when that field is
-within budget), so that a miscount raises instead of propagating.
+(``_ExtensionPass``).  Which route a pass takes, and whether the budget
+refuses it, is decided once per (field, k range, model degree, budget) in
+``_route``.
+
+A pass yields the power sums s_k = q^k + 1 - N_k of the Frobenius
+eigenvalues, which ``point_count`` and ``point_counts`` turn into counts.
+The zeta numerator L(T) is read off s_1..s_g through Newton's identities
+and the functional equation, then checked against s_{g+1}, taken in the
+same pass (when that field is within budget), so that a miscount raises
+instead of propagating.  ``l_polynomial`` runs this on its pass's sums and
+``l_polynomial_from_counts`` on the sums of the counts it is given, both
+through ``_l_from_sums``.
 
 L is an invariant of the curve's isomorphism class over F_q, so
 ``l_polynomial`` is memoized on the translation class
@@ -34,8 +42,9 @@ and no failure is stored.  At p | d the count runs on every call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +86,8 @@ POINTCOUNT_BYTES_PER_ELEMENT = 66
 # 0.9 MB (F_23 up to F_23^3, 64,845 entries).
 MATRIX_PASS_ENTRIES = 1 << 16
 # Pass tables (see _ExtensionPass, _MatrixPass) kept per process, per
-# route; a census meets one (base field, k range, model degree) per family.
+# route, and route decisions (_route) kept per process; a census meets one
+# (base field, k range, model degree) per family.
 PASS_CACHE_SIZE = 4
 # Logs that ``_orbit_representatives`` tests at a time: its int64
 # temporaries then peak near 18 B * 32,768 = 0.6 MB.
@@ -150,7 +160,7 @@ def _orbit_representatives(q: int, d: int) -> np.ndarray:
 
 class _Pass:
     """One x per Frobenius orbit for a pass that counts N_k, k in ``ks``,
-    and the N_k from its character sums.
+    and the power sums s_k = q^k + 1 - N_k from its character sums.
 
     An x of exact degree d over F_q (d | k) has d conjugates, all with the
     same character value, and chi_{q^k}(f(x)) = chi_{q^d}(f(x))^(k/d), since
@@ -171,30 +181,34 @@ class _Pass:
     1.  The sums are linear in the tally, so the int64 matrix ``weights``,
     one row per k and one column per label, holds them all: for each
     segment with d | k, d in the chi = 1 column and, in the chi = -1 column,
-    -d where k/d is odd and d where it is even.  ``counts`` is then
-    ``weights @ tally`` plus the terms at 0 and at infinity.
+    -d where k/d is odd and d where it is even.  ``sums`` is then minus
+    ``weights @ tally`` minus the terms at 0 and at infinity (``ends``):
+    the power sums s_k = q^k + 1 - N_k.
     """
 
     def __init__(self, base: FieldDescriptor, ks: tuple[int, ...]):
-        self.q, self.ks = base.size, ks
+        self.q, self.ks, self.log = base.size, ks, base.exp_log[1]
         self.degrees = _degrees(ks)
         self.weights = np.zeros((len(ks), 3 * len(self.degrees)), dtype=np.int64)
         for row, k in zip(self.weights, ks):
             for seg, d in enumerate(self.degrees):
                 if k % d == 0:
                     row[3 * seg:3 * seg + 3] = -d if k // d % 2 else d, 0, d
+        # ends[z + 1, i + 1] = -(z^k + i^k), z and i the terms at 0 and at infinity
+        self.ends = -np.array([[[z**k + i**k for k in ks] for i in (-1, 0, 1)] for z in (-1, 0, 1)],
+                              dtype=np.int64)
         reps = [_orbit_representatives(self.q, d) for d in self.degrees]
         self.lengths = np.array([len(r) for r in reps], dtype=np.int32)
         self.starts = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
         self.reps = np.concatenate(reps)
 
-    def counts(self, curve: HyperellipticCurve) -> list[int]:
-        """N_k of the curve for every k of the pass."""
-        coeffs, log = curve.f.coeffs, curve.field.exp_log[1]
+    def sums(self, curve: HyperellipticCurve) -> list[int]:
+        """s_k = q^k + 1 - N_k of the curve for every k of the pass."""
+        coeffs, log = curve.f.coeffs, self.log
         at_zero = 1 - 2 * (int(log[coeffs[0]]) & 1) if coeffs[0] else 0   # chi_q(c_0)
-        at_infinity = 0 if curve.model_degree % 2 else 1 - 2 * (int(log[coeffs[-1]]) & 1)
-        sums = (self.weights @ self.tally(curve)).tolist()
-        return [self.q**k + 1 + at_zero**k + at_infinity**k + s for k, s in zip(self.ks, sums)]
+        # chi_q(lead) for an even model (odd length), 0 for an odd one
+        at_infinity = 1 - 2 * (int(log[coeffs[-1]]) & 1) if len(coeffs) % 2 else 0
+        return (self.ends[at_zero + 1, at_infinity + 1] - self.weights.dot(self.tally(curve))).tolist()
 
 
 class _MatrixPass(_Pass):
@@ -364,7 +378,6 @@ def _degrees(ks: tuple[int, ...]) -> list[int]:
     return sorted({d for k in ks for d in range(1, k + 1) if k % d == 0})
 
 
-@lru_cache(maxsize=PASS_CACHE_SIZE)
 def _matrix_entries(base: FieldDescriptor, ks: tuple[int, ...], degree: int) -> int:
     """Entries of the larger of a _MatrixPass's matrix and its mod-p table,
     from |R_d| = (elements of exact degree d) / d, less x = 0 at d = 1."""
@@ -376,22 +389,52 @@ def _matrix_entries(base: FieldDescriptor, ks: tuple[int, ...], degree: int) -> 
     return max(rows * reps * base.n * degrees[-1], rows * (base.p - 1) ** 2 + 1)
 
 
-def _count(curve: HyperellipticCurve, ks: tuple[int, ...], field_cap: int) -> list[int]:
+@lru_cache(maxsize=PASS_CACHE_SIZE)
+def _route(base: FieldDescriptor, ks: tuple[int, ...], degree: int, field_cap: int,
+           matrix_cap: int) -> partial | str:
+    """The pass that counts N_k, k in ks, on models of this degree under
+    ``field_cap``, with ``matrix_cap`` the current ``MATRIX_PASS_ENTRIES``:
+    the call that returns the pass, or the reason it is refused (which the
+    caller completes with the curve)."""
     for k in ks:
-        ext_size = curve.q**k
-        if ext_size > field_cap:
-            raise BudgetExceededError(
-                f"|F_q^k| = {ext_size} exceeds the point-count budget {field_cap} "
-                f"at k = {k}, {_describe(curve)}")
-    base, degree = curve.field, curve.model_degree
-    if _matrix_entries(base, ks, degree) <= MATRIX_PASS_ENTRIES:
-        return _matrix_pass(base, ks, degree).counts(curve)
-    zech = 5 * sum(curve.q**d - 1 for d in _degrees(ks))     # the int32 Horner index bound
+        if base.size**k > field_cap:
+            return (f"|F_q^k| = {base.size**k} exceeds the point-count budget {field_cap} "
+                    f"at k = {k}")
+    if _matrix_entries(base, ks, degree) <= matrix_cap:
+        return partial(_matrix_pass, base, ks, degree)
+    zech = 5 * sum(base.size**d - 1 for d in _degrees(ks))  # the int32 Horner index bound
     if zech >= 2**31:
-        raise BudgetExceededError(
-            f"the Horner pass for k in {ks} indexes {zech} Zech entries, past int32, "
-            f"{_describe(curve)}")
-    return _extension_pass(base, ks).counts(curve)
+        return f"the Horner pass for k in {ks} indexes {zech} Zech entries, past int32"
+    return partial(_extension_pass, base, ks)
+
+
+def _sums(curve: HyperellipticCurve, ks: tuple[int, ...], field_cap: int) -> list[int]:
+    """s_k = q^k + 1 - N_k for every k in ks, all from one pass."""
+    route = _route(curve.field, ks, curve.model_degree, field_cap, MATRIX_PASS_ENTRIES)
+    if isinstance(route, str):
+        raise BudgetExceededError(f"{route}, {_describe(curve)}")
+    return route().sums(curve)
+
+
+def _count(curve: HyperellipticCurve, ks: tuple[int, ...], field_cap: int) -> list[int]:
+    return [curve.q**k + 1 - s for k, s in zip(ks, _sums(curve, ks, field_cap))]
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int (numpy ints included); anything else is
+    refused with a ``ValueError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _degree(name: str, k: int) -> int:
+    """An extension degree k >= 1, refused by name when it is not an integer."""
+    k = _integer(name, k)
+    if k < 1:
+        raise ValueError("extension degree must be >= 1")
+    return k
 
 
 def point_counts(curve: HyperellipticCurve, upto: int,
@@ -402,26 +445,24 @@ def point_counts(curve: HyperellipticCurve, upto: int,
     Raises :class:`BudgetExceededError` at the first k with q^k above
     ``field_cap``.
     """
-    if upto < 1:
-        raise ValueError("extension degree must be >= 1")
-    return _count(curve, tuple(range(1, upto + 1)), field_cap)
+    return _count(curve, tuple(range(1, _degree("upto", upto) + 1)), field_cap)
 
 
 def point_count(curve: HyperellipticCurve, k: int = 1,
                 field_cap: int = POINTCOUNT_FIELD_CAP) -> int:
     """N_k: number of points of the smooth model over F_{q^k}; the
     one-segment case of :func:`point_counts`."""
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    return _count(curve, (k,), field_cap)[0]
+    return _count(curve, (_degree("k", k),), field_cap)[0]
 
 
 @dataclass(frozen=True)
 class LPolynomial:
     """Zeta numerator: degree-2g integer polynomial with a_0 = 1.
 
-    Coefficients are plain Python integers (arbitrary precision), constant
-    term first.  Construction enforces the functional equation
+    q, the genus and the coefficients are plain Python integers (arbitrary
+    precision; any integer type is read through ``operator.index``, and
+    anything else is refused with a ``ValueError`` naming it), coefficients
+    constant term first.  Construction enforces the functional equation
     a_{2g-i} = q^{g-i} a_i and positivity of L(1).
     """
 
@@ -430,20 +471,29 @@ class LPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        g = self.genus
+        try:                                # numpy integers become plain ints
+            q, g, a = operator.index(self.q), operator.index(self.genus), tuple(
+                map(operator.index, self.coeffs))
+        except TypeError:                   # name the first value that is no integer
+            _integer("q", self.q)
+            _integer("genus", self.genus)
+            raise ValueError(f"coefficients must be integers, got {self.coeffs!r}") from None
+        object.__setattr__(self, "coeffs", a)
+        if q is not self.q or g is not self.genus:     # index() returns an int as it is
+            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "genus", g)
         if g < 1:
             raise ValueError(f"genus must be >= 1, got {g}")
-        if len(self.coeffs) != 2 * g + 1:
+        if len(a) != 2 * g + 1:
             raise ValueError("L must have degree exactly 2g")
-        if self.coeffs[0] != 1:
+        if a[0] != 1:
             raise ValueError("a_0 must be 1")
         for i in range(g + 1):
-            if self.coeffs[2 * g - i] != self.q ** (g - i) * self.coeffs[i]:
+            if a[2 * g - i] != q ** (g - i) * a[i]:
                 raise ValueError("functional equation violated")
-        if sum(self.coeffs) <= 0:
+        if sum(a) <= 0:
             raise ValueError("L(1) must be positive")
-        s1 = -self.coeffs[1]
-        if s1 * s1 > 4 * g * g * self.q:
+        if a[1] * a[1] > 4 * g * g * q:
             raise ValueError("|a_1| violates the Weil bound")
 
     def __call__(self, t: int) -> int:
@@ -458,12 +508,10 @@ def power_sums(a: Sequence[int], upto: int, known: Sequence[int] = ()) -> list[i
     = a_0 + ... + a_n T^n, a_0 = 1 (for L.coeffs, the Frobenius eigenvalues),
     by Newton's identities; past k = n the k a_k term drops out.  The sums
     continue from ``known`` = [p_1, ..., p_j] when given."""
-    n, ps = len(a) - 1, list(known)
+    n, ps, tail = len(a) - 1, list(known), a[1:]
     for k in range(len(ps) + 1, upto + 1):
-        s = k * a[k] if k <= n else 0
-        for i in range(1, min(k - 1, n) + 1):
-            s += a[i] * ps[k - i - 1]
-        ps.append(-s)
+        s = sum(map(operator.mul, tail, reversed(ps)))     # a_i p_(k-i), i = 1..min(k-1, n)
+        ps.append(-s - k * a[k] if k <= n else -s)
     return ps
 
 
@@ -475,9 +523,7 @@ def coeffs_from_power_sums(ps: list[int]) -> list[int]:
     first a_k that is not an integer."""
     a = [1]
     for k in range(1, len(ps) + 1):
-        total = 0
-        for x, y in zip(ps, reversed(a)):   # p_i a_(k-i), i = 1..k
-            total -= x * y
+        total = -sum(map(operator.mul, ps, reversed(a)))   # p_i a_(k-i), i = 1..k
         if total % k:
             raise ArithmeticError(f"Newton identity gave a non-integer a_{k}")
         a.append(total // k)
@@ -495,51 +541,71 @@ def l_polynomial(curve: HyperellipticCurve,
     """Recover L(T) from N_1..N_g via Newton's identities, checked on N_{g+1}.
 
     N_1..N_g determine L.  Whenever q^(g+1) <= ``field_cap``, N_{g+1} is
-    counted as well, in the same :func:`point_counts` pass, and must equal
-    the count L predicts, so a miscount raises instead of returning a
-    valid-looking L.  Above that budget only the integrality of the Newton
-    steps and the :class:`LPolynomial` checks (functional equation,
-    L(1) > 0, Weil bound on a_1) run.  Any failure is a
-    :class:`ConsistencyError` naming the counts, the field and f.
+    counted as well, in the same pass, and must equal the count L predicts,
+    so a miscount raises instead of returning a valid-looking L.  Above
+    that budget only the integrality of the Newton steps and the
+    :class:`LPolynomial` checks (functional equation, L(1) > 0, Weil bound
+    on a_1) run.  L is read off the power sums s_k = q^k + 1 - N_k that the
+    pass yields, on the Newton path that :func:`l_polynomial_from_counts`
+    takes from counts, so no N_k is formed unless a check fails.  Any
+    failure is a :class:`ConsistencyError` naming the counts, the field and
+    f.
 
     Memoized on the translation class of the curve and ``field_cap`` (see
     the module docstring); ``l_polynomial.__wrapped__`` is the count on the
     curve itself, and ``cache_info()`` gives the memo's hits and misses.
     """
-    g = curve.genus
-    top = g + 1 if curve.q ** (g + 1) <= field_cap else g
-    counts = point_counts(curve, top, field_cap)
+    g, q = curve.genus, curve.q
+    ks = tuple(range(1, g + 2 if q ** (g + 1) <= field_cap else g + 1))
+    sums = _sums(curve, ks, field_cap)
     try:
-        return l_polynomial_from_counts(curve.q, g, counts)
+        return _l_from_sums(q, g, sums)
     except ConsistencyError as exc:
+        counts = [q**k + 1 - s for k, s in zip(ks, sums)]
         raise ConsistencyError(f"{exc}: counts {counts}, {_describe(curve)}") from exc
 
 
 def l_polynomial_from_counts(q: int, genus: int, counts: Sequence[int]) -> LPolynomial:
     """L(T) from N_1..N_g; counts past N_g must match the ones L predicts.
 
-    Not memoized: ``l_polynomial`` holds L once per translation class, and
-    the Newton steps take about 5-12 us."""
-    g = genus
+    q, the genus and every count must be integers (numpy ints are read as
+    ints); anything else is refused with a ``ValueError`` before any Newton
+    step.  Not memoized: ``l_polynomial`` holds L once per translation
+    class, and takes the same Newton path from the sums of its pass.  From
+    counts the path takes about 6-8 us at genus 2-4 (CPython 3.11, one core
+    of a 2-core x86 machine)."""
+    q, g = _integer("q", q), _integer("genus", genus)
+    counts = [_integer(f"N_{k}", n) for k, n in enumerate(counts, start=1)]
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     if len(counts) < g:
         raise ValueError(f"genus {g} needs the counts N_1..N_{g}, got {len(counts)}")
     # sum of alpha^k over the Frobenius eigenvalues: q^k + 1 - N_k
-    ps = [q**k + 1 - n_k for k, n_k in enumerate(counts[:g], start=1)]
+    return _l_from_sums(q, g, [q**k + 1 - n for k, n in enumerate(counts, start=1)])
+
+
+def _l_from_sums(q: int, g: int, sums: list[int]) -> LPolynomial:
+    """L(T) from the power sums s_1..s_top (top >= g) of its Frobenius
+    eigenvalues: a_1..a_g from s_1..s_g by Newton's identities, a_(g+1)..
+    a_2g by the functional equation, and the :class:`LPolynomial` checks;
+    every s_k past s_g must equal the sum L continues to.  Any failure is a
+    :class:`ConsistencyError`."""
+    head = sums[:g]
     try:
-        a = coeffs_from_power_sums(ps) + [0] * g
+        a = coeffs_from_power_sums(head)
     except ArithmeticError as exc:
         raise ConsistencyError(str(exc)) from exc
-    for i in range(g):
-        a[2 * g - i] = q ** (g - i) * a[i]
+    power = 1
+    for j in range(1, g + 1):               # a_(g+j) = q^j a_(g-j)
+        power *= q
+        a.append(power * a[g - j])
     try:
         L = LPolynomial(q, g, tuple(a))
     except ValueError as exc:
         raise ConsistencyError(f"the counts give no valid L ({exc})") from exc
-    ps = power_sums(a, len(counts), ps)     # N_(g+1).. from the sums in hand
-    for k in range(g + 1, len(counts) + 1):
-        predicted = q**k + 1 - ps[k - 1]
-        if predicted != counts[k - 1]:
-            raise ConsistencyError(f"L = {a} predicts N_{k} = {predicted}, counted {counts[k - 1]}")
+    predicted = power_sums(a, len(sums), head)      # s_(g+1).. from the sums in hand
+    for k in range(g + 1, len(sums) + 1):
+        if predicted[k - 1] != sums[k - 1]:
+            raise ConsistencyError(f"L = {a} predicts N_{k} = {q**k + 1 - predicted[k - 1]}, "
+                                   f"counted {q**k + 1 - sums[k - 1]}")
     return L

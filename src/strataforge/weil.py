@@ -263,9 +263,12 @@ def _power_step(L: LPolynomial) -> int:
 
 
 def _next_prime(r: int) -> int:
-    r += 1
+    """The least prime above r, testing odd numbers only past 2."""
+    if r < 2:
+        return 2
+    r += 1 + r % 2
     while not is_prime(r):
-        r += 1
+        r += 2
     return r
 
 

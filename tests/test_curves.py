@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import strataforge.curves as curves
-from strataforge import families, ffield, prank
+from strataforge import families, ffield, prank, weil
 from strataforge.curves import (
     MATRIX_PASS_ENTRIES,
     POINTCOUNT_BYTES_PER_ELEMENT,
@@ -28,8 +28,8 @@ from strataforge.ffield import FqPoly, enumerate_monic, field_new
 
 # Every test here starts with the translation-class memos of l_polynomial and
 # p_rank empty: a test that feeds l_polynomial a miscount through
-# curves.point_counts must reach that count, not an L that a test of another
-# module left behind for the class of its curve.
+# curves._sums must reach that count, not an L that a test of another module
+# left behind for the class of its curve.
 pytestmark = pytest.mark.usefixtures("empty_class_memos")
 
 
@@ -115,12 +115,25 @@ def full_field_count(curve, k=1):
 @pytest.fixture
 def each_route(monkeypatch):
     """Iterate a check over both point-count routes: with the matrix cap at
-    0 every pass runs Horner steps, and above every case, matrix products."""
+    0 every pass runs Horner steps, and above every case, matrix products.
+    Each leg starts with both pass caches empty and checks, when the check
+    asks for the next leg, that it built passes of its own route only, so a
+    route decision left over from the other leg shows."""
     def routes():
         for route, cap in (("horner", 0), ("matrix", 1 << 62)):
             monkeypatch.setattr(curves, "MATRIX_PASS_ENTRIES", cap)
+            curves._extension_pass.cache_clear()
+            curves._matrix_pass.cache_clear()
             yield route
+            built = {"horner": curves._extension_pass.cache_info().misses,
+                     "matrix": curves._matrix_pass.cache_info().misses}
+            assert built.pop(route) > 0 and set(built.values()) == {0}, (route, built)
     return routes
+
+
+def power_sums_of(q, counts):
+    """s_k = q^k + 1 - N_k, k = 1, 2, ...: what a pass hands l_polynomial."""
+    return [q**k + 1 - n for k, n in enumerate(counts, start=1)]
 
 
 def nonsquare(field):
@@ -490,6 +503,21 @@ def test_horner_pass_past_int32_is_refused_before_any_table():
     assert curves._extension_pass.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("call,name,value", [
+    (point_count, "k", 2.0), (point_count, "k", "2"), (point_count, "k", None),
+    (point_counts, "upto", 3.0), (point_counts, "upto", 1.5), (point_counts, "upto", "3"),
+])
+def test_extension_degree_must_be_an_integer(monkeypatch, call, name, value):
+    """A k or ``upto`` that is not an integer is refused by name before any
+    budget check or pass build; numpy integers are read as ints."""
+    c = make_curve(7, [3, 2, 0, 1])
+    expected = call(c, np.int64(2))
+    assert expected == call(c, 2) and type(expected) is type(call(c, 2))
+    monkeypatch.setattr(curves, "_route", lambda *args: pytest.fail("route decided"))
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(c, value)
+
+
 # ---------------------------------------------------------------------------
 # L-polynomials
 
@@ -513,7 +541,8 @@ def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
     true_counts = curves.point_counts
     # N_2 off by one makes a_2 = (s_1^2 + s_2) / 2 a non-integer
     bad = [n + (k == 2) for k, n in enumerate(true_counts(c, 3, POINTCOUNT_FIELD_CAP), start=1)]
-    monkeypatch.setattr(curves, "point_counts", lambda curve, upto, cap: list(bad))
+    # l_polynomial reads the power sums s_k = q^k + 1 - N_k of its pass
+    monkeypatch.setattr(curves, "_sums", lambda curve, ks, cap: power_sums_of(3, bad))
     # the L memo caches no failure: every call raises again and names its
     # own curve, also a second curve (the translate f(x + 1)) with the same
     # counts
@@ -530,9 +559,10 @@ def test_l_polynomial_consistency_error_names_the_curve(monkeypatch):
 ])
 def test_l_polynomial_miscounted_n1_raises(monkeypatch, delta, cause):
     c = make_curve(3, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1 over F_3
-    true_counts = curves.point_counts
-    monkeypatch.setattr(curves, "point_counts", lambda curve, upto, cap: [
-        n + delta * (k == 1) for k, n in enumerate(true_counts(curve, upto, cap), start=1)])
+    true_sums = curves._sums
+    # N_1 + delta is s_1 - delta in the power sums that l_polynomial reads
+    monkeypatch.setattr(curves, "_sums", lambda curve, ks, cap: [
+        s - delta * (k == 1) for k, s in zip(ks, true_sums(curve, ks, cap))])
     with pytest.raises(ConsistencyError,
                        match=re.escape(cause) + ".*" + re.escape("GF(3) with f = [1, 0, 1, 0, 0, 1]")):
         l_polynomial(c)
@@ -568,6 +598,95 @@ def test_l_check_continues_the_power_sums_of_the_counts():
         with pytest.raises(ConsistencyError, match=re.escape(
                 f"L = {list(L.coeffs)} predicts N_{k} = {counts[k - 1]}, counted {bad[k - 1]}")):
             l_polynomial_from_counts(7, 3, bad)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LPolynomial(5.0, 2, (1, 0, 10, 0, 25)), "q must be an integer, got 5.0"),
+    (lambda: LPolynomial(5, 2.0, (1, 0, 10, 0, 25)), "genus must be an integer, got 2.0"),
+    (lambda: LPolynomial(5, 2, (1, 0, 10.0, 0, 25)),
+     "coefficients must be integers, got (1, 0, 10.0, 0, 25)"),
+    (lambda: LPolynomial(5, 2, None), "coefficients must be integers, got None"),
+    (lambda: l_polynomial_from_counts(5, 2, [7, 31.0]), "N_2 must be an integer, got 31.0"),
+    (lambda: l_polynomial_from_counts(5, 2.0, [7, 31]), "genus must be an integer, got 2.0"),
+    (lambda: l_polynomial_from_counts(5.0, 2, [7, 31]), "q must be an integer, got 5.0"),
+    (lambda: l_polynomial_from_counts(5, 2, [7, "31"]), "N_2 must be an integer, got '31'"),
+])
+def test_l_inputs_must_be_integers(monkeypatch, build, message):
+    """L is built from integers only: a q, genus, coefficient or count of
+    another type is refused by name, and ``l_polynomial_from_counts``
+    refuses it before any Newton step."""
+    monkeypatch.setattr(curves, "_l_from_sums", lambda *args: pytest.fail("Newton step"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_l_from_numpy_integers_is_the_l_of_python_ints():
+    """numpy integers and lists become a tuple of Python ints, so the L is
+    equal, hashes alike and goes through the Weil layer: with np.int64
+    coefficients the power sums behind ``absolutely_simple`` overflowed."""
+    L = l_polynomial(make_curve(7, [3, 1, 4, 1, 5, 0, 2, 1]))   # genus 3 over F_7
+    for coeffs in (np.array(L.coeffs, dtype=np.int64), list(L.coeffs)):
+        copy = LPolynomial(np.int64(L.q), np.int32(L.genus), coeffs)
+        assert copy == L and hash(copy) == hash(L)
+        assert {type(x) for x in (copy.q, copy.genus, *copy.coeffs)} == {int}
+        assert type(copy.coeffs) is tuple
+        weil.absolutely_simple.cache_clear()
+        assert weil.absolutely_simple(copy) == weil.absolutely_simple.__wrapped__(L)
+    counts = point_counts_from(L, 4)
+    assert l_polynomial_from_counts(np.int64(7), np.int64(3), np.array(counts)) == L
+
+
+# genus-2 families over F_3, F_5 and F_9 and the genus-3 family over F_3,
+# as (p, n, genus); every squarefree model of degree 2g + 1, and over F_3
+# and F_5 of degree 2g + 2 as well (two points or none at infinity)
+ORACLE_FAMILIES = ((3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3))
+
+
+@pytest.mark.parametrize("top_is_g", [False, True])
+@pytest.mark.parametrize("p,n,g", ORACLE_FAMILIES)
+def test_l_from_the_pass_sums_is_the_l_of_the_counts(p, n, g, top_is_g, each_route):
+    """On both routes, the L that ``l_polynomial`` reads off its pass's power
+    sums is the L of ``l_polynomial_from_counts`` on N_1..N_top of the same
+    curve, top = g + 1 under the default budget and g at a ``field_cap`` of
+    q^g, where the N_(g+1) check is skipped."""
+    field = field_new(p, n)
+    cap = field.size**g if top_is_g else POINTCOUNT_FIELD_CAP
+    top = g if top_is_g else g + 1
+    degrees = (2 * g + 1, 2 * g + 2) if n == 1 and p**g < 100 else (2 * g + 1,)
+    models = [curve_new(field, f) for d in degrees
+              for f in enumerate_monic(field, d, squarefree_only=True)]
+    for route in each_route():
+        for c in models:
+            assert l_polynomial.__wrapped__(c, cap) == l_polynomial_from_counts(
+                c.q, g, point_counts(c, top, cap)), (route, c.f.coeffs)
+
+
+def test_l_polynomial_refuses_q_to_the_g_over_the_budget():
+    """Under a ``field_cap`` below q^g no L can be read: the refusal names
+    the first k over the budget, the field and f, before any pass."""
+    c = make_curve(7, [1, 0, 1, 0, 0, 1])     # genus 2 over F_7
+    built = curves._matrix_pass.cache_info().misses, curves._extension_pass.cache_info().misses
+    for cap, k in ((48, 2), (6, 1)):
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                f"|F_q^k| = {7**k} exceeds the point-count budget {cap} at k = {k}, "
+                "curve over GF(7) with f = [1, 0, 1, 0, 0, 1]")):
+            l_polynomial(c, field_cap=cap)
+    assert (curves._matrix_pass.cache_info().misses,
+            curves._extension_pass.cache_info().misses) == built
+
+
+def test_l_polynomial_refuses_a_horner_pass_past_int32():
+    """A genus-8 L over F_9 under a ``field_cap`` of 9^9 needs N_1..N_9 in
+    one Horner pass, whose codes pass int32: refused by name before any
+    table."""
+    field = field_new(3, 2)
+    c = make_curve(field, [1, 0, 1] + [0] * 14 + [1])   # x^17 + x^2 + 1
+    misses = curves._extension_pass.cache_info().misses
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "the Horner pass for k in (1, 2, 3, 4, 5, 6, 7, 8, 9) indexes 2179240200 Zech "
+            f"entries, past int32, curve over {field!r} with f = {list(c.f.coeffs)}")):
+        l_polynomial(c, field_cap=9**9)
+    assert curves._extension_pass.cache_info().misses == misses
 
 
 def test_isomorphic_models_share_one_l_polynomial():

@@ -77,9 +77,10 @@ def test_library_imports_no_sympy_and_declares_what_it_imports():
 def test_every_process_memo_is_bounded():
     """Every object of a ``strataforge`` module that exposes ``cache_info()``
     is a memo that lives as long as the process, so each has a finite
-    ``maxsize``: ``PASS_CACHE_SIZE`` for the three pass caches and
-    ``L_CACHE_SIZE`` for every other, the class memos, the verdict memo, the
-    Weil memos and the polygon memo among them.  One is unbounded by
+    ``maxsize``: ``PASS_CACHE_SIZE`` for the two pass caches and the route
+    memo (``curves._route``), and ``L_CACHE_SIZE`` for every other, the
+    class memos, the verdict memo, the Weil memos and the polygon memo among
+    them.  One is unbounded by
     design: ``weil._power_degrees``, one tuple per genus.  ``field_new``
     keeps its descriptors in a dict (``ffield._fields``), keyed on (p, n),
     which ``MAX_P`` and the 2^30-element limit bound."""
@@ -93,7 +94,7 @@ def test_every_process_memo_is_bounded():
                 name = f"{obj.__module__.rpartition('.')[2]}.{obj.__qualname__}"
                 memos[name] = obj.cache_info().maxsize
     unbounded = {"weil._power_degrees"}
-    passes = {"curves._extension_pass", "curves._matrix_pass", "curves._matrix_entries"}
+    passes = {"curves._extension_pass", "curves._matrix_pass", "curves._route"}
     assert {name for name, size in memos.items() if size is None} == unbounded
     assert {name for name, size in memos.items() if size == curves.PASS_CACHE_SIZE} == passes
     rest = {name: size for name, size in memos.items() if name not in unbounded | passes}

@@ -481,6 +481,21 @@ def test_square_discriminant_leaves_no_transposition_witness(census_Ls, sampled_
     assert square >= 14
 
 
+def test_next_prime_matches_sympy_and_tests_no_even_number(monkeypatch):
+    """``_next_prime(r)`` is the least prime above r, from 0 to 10,000; past
+    2 it asks ``is_prime`` about odd numbers only."""
+    asked = []
+
+    def counting(n):
+        asked.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(weil, "is_prime", counting)
+    assert [weil._next_prime(r) for r in range(10_001)] == [
+        sympy.nextprime(r) for r in range(10_001)]
+    assert asked and all(n % 2 for n in asked)
+
+
 def every_fixture_L(census_Ls, sampled_Ls, genus1_and_4_Ls):
     return [L for Ls in (*census_Ls.values(), *sampled_Ls.values()) for L in Ls] + genus1_and_4_Ls
 
