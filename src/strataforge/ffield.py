@@ -29,8 +29,13 @@ reduction by the modulus run on them too.
 Polynomials over F_q (``FqPoly``, or coefficient lists of encodings) have
 two entry points: ``poly_mul`` and ``poly_squarefree``.  ``poly_mul`` forms
 the product of one or more factors as one product of packed integers, on
-one path for every F_q, and refuses codes outside [0, q) (``poly_codes``);
-the gcd route of ``poly_squarefree`` (``_gcd_squarefree``) is
+one path for every F_q, and refuses codes outside [0, q) (``poly_codes``).
+Given ``at``, it reads back only the coefficients at those exponents, off
+the same product: the Hasse-Witt matrix wants g^2 of the
+(2g + 1)(p - 1)/2 + 1 coefficients of f^((p-1)/2) (``prank``).  k copies
+of one object are packed once and raised by one power, and a single
+factor is read straight off its codes.  The gcd route of
+``poly_squarefree`` (``_gcd_squarefree``) is
 ``zp_squarefree`` on F_p and a remainder-only Euclid on the scalar ops on
 F_{p^n}.
 
@@ -736,67 +741,88 @@ def poly_codes(field: FieldDescriptor, coeffs) -> list[int]:
     return codes
 
 
-def poly_mul(field: FieldDescriptor, *factors) -> list[int]:
+def poly_mul(field: FieldDescriptor, *factors, at=None) -> list[int]:
     """The product of one or more polynomials over the field (sequences of
     codes, constant term first, trailing zeros allowed), trimmed, as one
-    product of packed integers (Kronecker substitution).  A code outside
-    [0, q) raises ValueError (``poly_codes``).
+    product of packed integers (Kronecker substitution).  Given ``at``, a
+    sequence of ints, it is instead the list of the product's coefficients
+    at those exponents, 0 outside [0, deg], untrimmed, read off the same
+    product: the Hasse-Witt matrix needs only its g^2 entries c_(ip-j) of
+    f^((p-1)/2) (``prank.hasse_witt_from_poly``), not every coefficient of
+    the power.  A code outside [0, q) raises ValueError (``poly_codes``),
+    with ``at`` or without.
 
     A code c = sum d_j p^j stands for the polynomial sum d_j alpha^j over
     Z, alpha the root of the modulus, so each of the k factors is a
     polynomial in x and alpha with digits in [0, p).  Its coefficient of
     x^i alpha^j goes in slot i S + j, of w bits, of one integer, with
-    S = k(n - 1) + 1.  The product of the k integers holds the product over
-    Z[x, alpha] in the same slots as long as no slot overflows into the
-    next.  The coefficient of x^m alpha^t of that product is a sum of
-    products d_1 ... d_k, one per pair of index tuples (i_1, ..., i_k)
-    with sum m and (j_1, ..., j_k) with sum t.  Each product is at most
-    (p - 1)^k.  The indices into all factors but the longest fix the last
-    one, so there are at most prod len / max len i-tuples; likewise at most
-    n^(k-1) j-tuples.  So every coefficient is at most
-    (p - 1)^k n^(k-1) prod len / max len, and w is the bit length of that
-    bound.  The alpha-degree of a product coefficient is at most
-    k(n - 1) < S, so the powers of x stay apart.  The S slots of x^m are
-    read back as a polynomial in alpha and reduced mod the modulus over Z/p
-    by ``zp_rem``; on F_p that is one slot and one % p.  A factor passed
-    more than once (one object) is checked and packed once.
+    S = k(n - 1) + 1 (``_packed``).  The product of the k integers holds
+    the product over Z[x, alpha] in the same slots as long as no slot
+    overflows into the next.  The coefficient of x^m alpha^t of that
+    product is a sum of products d_1 ... d_k, one per pair of index tuples
+    (i_1, ..., i_k) with sum m and (j_1, ..., j_k) with sum t.  Each
+    product is at most (p - 1)^k.  The indices into all factors but the
+    first fix the first one, so there are at most len_2 ... len_k
+    i-tuples; likewise at most n^(k-1) j-tuples.  So every coefficient is
+    at most (p - 1)^k n^(k-1) len_2 ... len_k, and w is the bit length of
+    that bound (at least 1).  The alpha-degree of a product coefficient is
+    at most k(n - 1) < S, so the powers of x stay apart.  The S slots of
+    x^m are read back as a polynomial in alpha and reduced mod the modulus
+    over Z/p by ``zp_rem``; on F_p that is one slot and one % p.  Slots
+    past the product read 0.  k copies of one object (f^k) are checked
+    and packed once and raised by one power, and a single factor is read
+    straight off its codes, unpacked.
     """
     if not factors:
         raise ValueError("poly_mul needs at least one factor")
     p, n, k = field.p, field.n, len(factors)
-    lens, packed = [len(f) for f in factors], {}
-    for f in factors:
-        if id(f) not in packed:
-            packed[id(f)] = poly_codes(field, f)
-    if 0 in lens:
-        return []
-    w = ((p - 1) ** k * n ** (k - 1) * math.prod(lens) // max(lens)).bit_length()
-    span = k * (n - 1) + 1
-    for key, f in packed.items():
-        x = 0
-        if n == 1:                                  # the code is its one digit
-            for c in reversed(f):
-                x = x << w | c
-        else:
-            for c in reversed(f):
-                x <<= span * w
-                for shift in range(0, n * w, w):
-                    c, d = divmod(c, p)
-                    x |= d << shift
-        packed[key] = x
-    prod, mask = 1, (1 << w) - 1
-    for f in factors:
-        prod *= packed[id(f)]
-    bits = range(0, (sum(lens) - k + 1) * span * w, w)
+    if k == 1:                                      # read straight off the codes
+        f = poly_codes(field, factors[0])
+        return poly_trim(f) if at is None else [f[m] if 0 <= m < len(f) else 0 for m in at]
+    f, e = factors[0], 1
+    while e < k and factors[e] is f:                # the leading run of one object
+        e += 1
+    span, bound = k * (n - 1) + 1, (p - 1) ** k * n ** (k - 1)
+    if e == k:                                      # one object: checked and packed once
+        f = poly_codes(field, f)
+        w = (bound * len(f) ** (k - 1)).bit_length() or 1
+        prod, top = _packed(field, f, w, span) ** k, k * len(f) - k + 1
+    else:
+        codes = [poly_codes(field, g) for g in factors]
+        lens = [*map(len, codes)]
+        w = (bound * math.prod(lens[1:])).bit_length() or 1
+        prod, top = 1, sum(lens) - k + 1
+        for f in codes:
+            prod *= _packed(field, f, w, span)
+    mask, wanted = (1 << w) - 1, range(top) if at is None else at
     if n == 1:
-        return poly_trim([(prod >> s & mask) % p for s in bits])
-    slots, out = [prod >> s & mask for s in bits], []
-    for m in range(0, len(slots), span):
-        code = 0
-        for d in reversed(zp_rem(slots[m:m + span], field.modulus, p)):
-            code = code * p + d
-        out.append(code)
-    return poly_trim(out)
+        out = [(prod >> m * w & mask) % p if m >= 0 else 0 for m in wanted]
+    else:
+        out, step = [], span * w
+        for m in wanted:
+            code = 0
+            if m >= 0:
+                slots = [prod >> s & mask for s in range(m * step, m * step + step, w)]
+                for d in reversed(zp_rem(slots, field.modulus, p)):
+                    code = code * p + d
+            out.append(code)
+    return poly_trim(out) if at is None else out
+
+
+def _packed(field: FieldDescriptor, codes: list[int], w: int, span: int) -> int:
+    """The codes as one integer for ``poly_mul``: digit j of the code of
+    x^i in the w-bit slot i * span + j."""
+    p, n, x = field.p, field.n, 0
+    if n == 1:                                      # the code is its one digit
+        for c in reversed(codes):
+            x = x << w | c
+        return x
+    for c in reversed(codes):
+        x <<= span * w
+        for shift in range(0, n * w, w):
+            c, d = divmod(c, p)
+            x |= d << shift
+    return x
 
 
 def poly_squarefree(field: FieldDescriptor, a: list[int]) -> bool:
@@ -912,9 +938,10 @@ def cut_model(field: FieldDescriptor, coeffs) -> list[int] | None:
     return a
 
 
-# The last curve a class memo was called on, with the index of its cut model
-# (None at p | deg f), per thread: the other class memos called on the same
-# curve reuse the index, and a miss hands the curve to the memoized function.
+# The last curve a class memo was called on, with the index of its cut model,
+# per thread (never set at p | deg f): the other class memos called on the
+# same curve reuse the index, and a miss hands the curve to the memoized
+# function.
 _class_caller = threading.local()
 
 
@@ -924,8 +951,9 @@ def class_memo(fn):
     the other arguments, in an LRU memo of ``L_CACHE_SIZE`` entries.  fn
     must be an invariant of the curve's isomorphism class over F_q.  A miss
     calls fn on the caller's own curve, so an exception names the caller's
-    f, and none is stored.  Where p divides deg f there is no cut model: fn
-    runs on the curve and the memo is not read.  The wrapper's
+    f, and none is stored.  Where p divides deg f there is no cut model:
+    fn runs on the curve at once, before ``cut_model`` or the per-thread
+    hand-over is touched, and the memo is not read.  The wrapper's
     ``cache_info`` and ``cache_clear`` are the memo's, and ``__wrapped__``
     is fn."""
     @lru_cache(maxsize=L_CACHE_SIZE)
@@ -934,16 +962,15 @@ def class_memo(fn):
 
     @wraps(fn)
     def wrapper(curve, *args, **kwargs):
-        field, last = curve.field, _class_caller
-        if getattr(last, "curve", None) is not curve:
-            cut, index = cut_model(field, curve.f.coeffs), None
-            if cut:
-                index = 0
-                for c in reversed(cut):
-                    index = index * field.size + c
-            last.curve, last.index = curve, index
-        if last.index is None:
+        field = curve.field
+        if (len(curve.f.coeffs) - 1) % field.p == 0:     # no cut model
             return fn(curve, *args, **kwargs)
+        last = _class_caller
+        if getattr(last, "curve", None) is not curve:
+            index, q = 0, field.size
+            for c in reversed(cut_model(field, curve.f.coeffs)):
+                index = index * q + c
+            last.curve, last.index = curve, index
         return memo(field, last.index, *args, **kwargs)
 
     wrapper.cache_info, wrapper.cache_clear = memo.cache_info, memo.cache_clear

@@ -7,7 +7,10 @@ pushed through the map until its dimension stops dropping.  One path, on
 the field descriptor's whole-matrix kernels (``echelon`` and ``mat_mul``,
 one call per elimination or product), serves every F_{p^n}.  The a-number
 g - rank A (``nullity``) is read off the same echelon form of A, so one
-matrix from ``hasse_witt`` gives both invariants.
+matrix from ``hasse_witt`` gives both invariants.  A itself is read off
+f^((p-1)/2) at its g^2 exponents ip - j only, by one ``ffield.poly_mul``
+call with ``at``: one packed power, of which no other coefficient is
+unpacked, and at p = 3 f's own codes.
 
 The two computations are independent routes to the same invariant: the
 p-rank equals the length of the slope-0 part of the Newton polygon.  The
@@ -33,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, Sequence
 
 from .curves import HyperellipticCurve, LPolynomial
-from .ffield import L_CACHE_SIZE, FieldDescriptor, class_memo, poly_codes, poly_mul
+from .ffield import L_CACHE_SIZE, FieldDescriptor, class_memo, poly_mul
 
 Classification = Literal["ordinary", "supersingular", "other"]
 
@@ -51,23 +54,24 @@ class HasseWittMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-def hasse_witt_from_poly(field: FieldDescriptor, f_coeffs: list[int], genus: int) -> HasseWittMatrix:
+def hasse_witt_from_poly(field: FieldDescriptor, f_coeffs: Sequence[int], genus: int) -> HasseWittMatrix:
     """Matrix builder on raw coefficients; no smoothness check.  A code
-    outside [0, q) raises ValueError (``poly_codes``).  f^((p-1)/2) is one
-    call to this module's ``poly_mul``, the name the perfbench tracer wraps,
-    with (p - 1)/2 copies of f: one product of packed integers.  At p = 3
-    the power is f itself, and no product is formed."""
-    half = (field.p - 1) // 2
-    h = poly_mul(field, *[f_coeffs] * half) if half > 1 else poly_codes(field, f_coeffs)
+    outside [0, q) raises ValueError (``poly_codes``).  The g^2 entries
+    c_(ip-j) of f^((p-1)/2) come from one call to this module's
+    ``poly_mul``, the name the perfbench tracer wraps, with (p - 1)/2
+    copies of f and ``at`` the exponents ip - j, row by row: one product of
+    packed integers read back at those g^2 slots only (0 where ip - j lies
+    below 0 or past the degree), cut into the g rows of A.  At p = 3 the
+    power is f itself, read straight off its codes, and no product is
+    formed."""
     p, g = field.p, genus
-    padded = [0] * g + h + [0] * (g * p)        # padded[m + g] = c_m, 0 off h
-    # row i holds c_(ip-1), ..., c_(ip-g): padded[ip + g - 1] down to padded[ip]
-    rows = tuple([tuple(padded[i * p + g - 1:i * p - 1:-1]) for i in range(1, g + 1)])
-    return HasseWittMatrix(field, g, rows)
+    c = poly_mul(field, *[f_coeffs] * ((p - 1) // 2),
+                 at=[i * p - j for i in range(1, g + 1) for j in range(1, g + 1)])
+    return HasseWittMatrix(field, g, tuple([tuple(c[i:i + g]) for i in range(0, g * g, g)]))
 
 
 def hasse_witt(curve: HyperellipticCurve) -> HasseWittMatrix:
-    return hasse_witt_from_poly(curve.field, list(curve.f.coeffs), curve.genus)
+    return hasse_witt_from_poly(curve.field, curve.f.coeffs, curve.genus)
 
 
 def stable_rank(hw: HasseWittMatrix) -> int:

@@ -108,15 +108,20 @@ def _twist_shared(compute):
     an L whose twist has the smaller coefficient tuple is answered by the
     twist's entry, read through the same memo; any other L (a self-twist,
     or one whose twist fails ``LPolynomial``'s checks) is computed by
-    ``__wrapped__``, looked up at the miss.  So a hit costs one lookup, the
-    twist is formed only on a miss, and ``__wrapped__(L)`` is the bare
-    computation on L itself.  ``cache_info()`` counts the twist's lookup of
-    a redirected miss as well."""
+    ``__wrapped__``, looked up at the miss.  The tuples are compared before
+    any twist is built: L(-T) negates the odd a_i, so its tuple is the
+    smaller one exactly when the first nonzero odd a_i is positive, and
+    only then is the twist formed (``quadratic_twist``).  So a hit costs
+    one lookup, the twist is formed only on a miss that may redirect, and
+    ``__wrapped__(L)`` is the bare computation on L itself.
+    ``cache_info()`` counts the twist's lookup of a redirected miss as
+    well."""
     @lru_cache(maxsize=L_CACHE_SIZE)
     def memo(L):
-        twin = quadratic_twist(L)
-        if twin is not None and twin.coeffs < L.coeffs:
-            return memo(twin)
+        if next((a for a in L.coeffs[1::2] if a), 0) > 0:
+            twin = quadratic_twist(L)
+            if twin is not None:
+                return memo(twin)
         return memo.__wrapped__(L)
     return update_wrapper(memo, compute)
 

@@ -751,6 +751,33 @@ def test_no_class_memo_entry_where_p_divides_the_degree(p, g, sample, empty_clas
         assert tuple(memo.cache_info()) == (0, 0, ffield.L_CACHE_SIZE, 0)
 
 
+def test_class_memos_at_p_dividing_the_degree_read_no_cut_model(monkeypatch, empty_class_memos):
+    """The models of strata_g3_sampled, drawn as the benchmark draws them
+    at seed 1 (degree 7 over F_7): p | d, so ``l_polynomial`` and
+    ``p_rank`` run on the curve at once.  Neither calls ``cut_model`` nor
+    touches the per-thread hand-over, hits and misses stay 0, and every
+    answer is the bare route's."""
+    field, rng, models = field_new(7), random.Random(1), []
+    while len(models) < 1000:
+        coeffs = [rng.randrange(7) for _ in range(7)] + [1]
+        if ffield.poly_squarefree(field, coeffs):
+            models.append(curve_new(field, FqPoly(field, tuple(coeffs))))
+
+    def no_cut_model(*args):
+        raise AssertionError("cut_model called at p | d")
+
+    handed_over = object()
+    monkeypatch.setattr(ffield, "cut_model", no_cut_model)
+    monkeypatch.setattr(ffield._class_caller, "curve", handed_over, raising=False)
+    for c in models:
+        assert l_polynomial(c) == l_polynomial.__wrapped__(c), c.f.coeffs
+        assert prank.p_rank(c) == prank.p_rank.__wrapped__(c), c.f.coeffs
+    assert ffield._class_caller.curve is handed_over
+    for memo in empty_class_memos:
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("p,n,g", CLASS_FAMILIES)
 def test_class_memos_equal_the_bare_routes_on_every_model(p, n, g):
     """On every model, the memoized L is the one of the model's own counts

@@ -755,9 +755,35 @@ def scalar_product(field, factors):
     return poly_trim(list(functools.reduce(lambda a, b: scalar_poly_mul(field, a, b), factors)))
 
 
+def exponents_around(product, rng=None):
+    """An ``at`` for ``poly_mul``: every exponent of the product, exponents
+    below 0 and past the degree, and repeats (shuffled by rng if given)."""
+    top = len(product)
+    at = [-3, -1, *range(top + 3), 0, top - 1, top + 7, -1]
+    if rng:
+        rng.shuffle(at)
+    return at
+
+
+def read_at(product, at):
+    """The oracle's answer to ``at``: its coefficients there, 0 off it."""
+    return [product[m] if 0 <= m < len(product) else 0 for m in at]
+
+
+def assert_poly_mul(field, factors, rng=None):
+    """``poly_mul`` on the factors, whole and at the exponents of
+    ``exponents_around``, against the scalar double loop."""
+    expected = scalar_product(field, factors)
+    assert poly_mul(field, *factors) == expected, factors
+    at = exponents_around(expected, rng)
+    got = poly_mul(field, *factors, at=at)
+    assert got == read_at(expected, at) and all(type(c) is int for c in got), (factors, at)
+
+
 @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
-def test_poly_mul_matches_the_scalar_double_loop(field):
-    """1 to 6 factors of length 0 to 12, some with trailing zeros."""
+def test_poly_mul_matches_the_scalar_double_loop(field, monkeypatch):
+    """1 to 6 factors of length 0 to 12, some with trailing zeros, some
+    passed more than once; every product also read at ``at``."""
     rng, q = random.Random(field.size), field.size
     for trial in range(150):
         factors = []
@@ -766,51 +792,83 @@ def test_poly_mul_matches_the_scalar_double_loop(field):
             if f and trial % 3 == 0:
                 zeros = rng.randint(1, len(f))
                 f[len(f) - zeros:] = [0] * zeros
-            factors.append(f)
-        assert poly_mul(field, *factors) == scalar_product(field, factors), factors
-    # a repeated factor (one list object) is packed once and counted k times
-    f = [rng.randrange(q) for _ in range(8)]
-    assert poly_mul(field, *[f] * 4) == scalar_product(field, [f] * 4)
+            factors.append(f if trial % 4 or not factors else rng.choice(factors))
+        assert_poly_mul(field, factors, rng)
+    # k copies of one list object are checked and packed once and raised
+    # by one power
+    f, checked, packed = [rng.randrange(q) for _ in range(8)], [], []
+    codes, pack = ffield.poly_codes, ffield._packed
+    monkeypatch.setattr(ffield, "poly_codes", lambda *a: checked.append(a) or codes(*a))
+    monkeypatch.setattr(ffield, "_packed", lambda *a: packed.append(a) or pack(*a))
+    for k in (2, 4):
+        checked.clear(), packed.clear()
+        assert poly_mul(field, *[f] * k, at=[3, 40, -1]) == read_at(scalar_product(field, [f] * k),
+                                                                   [3, 40, -1])
+        assert (len(checked), len(packed)) == (1, 1)
+    checked.clear(), packed.clear()
+    assert poly_mul(field, f, at=[7, 8]) == [f[7], 0]        # one factor: read off its codes
+    assert (len(checked), len(packed)) == (1, 0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(PACKED_FIELDS).flatmap(lambda field: st.tuples(
     st.just(field),
-    st.lists(st.lists(st.integers(0, field.size - 1), max_size=12), min_size=1, max_size=6))))
+    st.lists(st.lists(st.integers(0, field.size - 1), max_size=12), min_size=1, max_size=6),
+    st.lists(st.integers(-5, 80), max_size=20))))
 def test_poly_mul_property_matches_the_scalar_double_loop(case):
-    field, factors = case
-    assert poly_mul(field, *factors) == scalar_product(field, factors)
+    field, factors, at = case
+    expected = scalar_product(field, factors)
+    assert poly_mul(field, *factors) == expected
+    assert poly_mul(field, *factors, at=at) == read_at(expected, at)
+    assert poly_mul(field, *[factors[0]] * len(factors), at=at) == \
+        read_at(scalar_product(field, [factors[0]] * len(factors)), at)
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
 def test_poly_mul_slot_width_worst_case(field):
     """Every digit p - 1 (the code q - 1): at two factors the middle
     coefficient over Z reaches the slot bound (p - 1)^2 n min len exactly,
-    so a slot one bit narrower carries into the next."""
+    so a slot one bit narrower carries into the next.  The longest factor
+    first or last, and k copies of one object, whole and at ``at``."""
     top = field.size - 1
-    for lens in ((12, 12), (5, 12), (1, 7), (8, 8, 8), (3, 6, 9, 12), (12,) * 6):
-        factors = [[top] * m for m in lens]
-        assert poly_mul(field, *factors) == scalar_product(field, factors), lens
+    for lens in ((12, 12), (5, 12), (12, 5), (1, 7), (8, 8, 8), (3, 6, 9, 12), (12,) * 6):
+        assert_poly_mul(field, [[top] * m for m in lens])
+        f = [top] * lens[-1]
+        assert_poly_mul(field, [f] * len(lens))
 
 
 def test_poly_mul_slot_width_at_48_factors_over_f97():
     """48 factors of length 8 at p = 97 (slots of 458 bits): the width
-    holds at a large k, with every digit 96 and with sparse digits."""
+    holds at a large k, with every digit 96 and with sparse digits, one
+    object 48 times or 48 objects, whole and at ``at``."""
     field = field_new(97)
     rng = random.Random(97)
     for factors in ([[96] * 8] * 48, [[96] * 8 for _ in range(48)],
                     [[rng.choice((0, 95, 96)) for _ in range(8)] for _ in range(48)]):
-        assert poly_mul(field, *factors) == scalar_product(field, factors)
+        assert_poly_mul(field, factors, rng)
 
 
 def test_poly_mul_edge_cases():
     field = field_new(3, 2)
     assert poly_mul(field, [0, 4, 0, 0]) == [0, 4]
+    assert poly_mul(field, [0, 4, 0, 0], at=[-1, 0, 1, 2, 3, 9, 1]) == [0, 0, 4, 0, 0, 0, 4]
     assert poly_mul(field, [], [1, 2]) == poly_mul(field, [0, 0], [1, 2]) == []
-    assert poly_mul(field, (1, 2), np.array([3, 1], dtype=np.int16)) == \
-        scalar_poly_mul(field, [1, 2], [3, 1])
+    zero = []
+    for factors in ([zero], [zero, zero], [[], [1, 2]], [[1, 2], []], [[0, 0], [1, 2]],
+                    [[1, 2], [1, 2], []]):
+        assert poly_mul(field, *factors) == []
+        assert poly_mul(field, *factors, at=[-1, 0, 1, 5]) == [0, 0, 0, 0], factors
+    assert poly_mul(field, [1, 2], [3], at=[]) == []
+    a = np.array([3, 1], dtype=np.int16)
+    assert poly_mul(field, (1, 2), a) == scalar_poly_mul(field, [1, 2], [3, 1])
+    for factors in ([(1, 2), a], [a, a, a], [a]):
+        expected = scalar_product(field, [list(map(int, f)) for f in factors])
+        got = poly_mul(field, *factors, at=[2, 0, -1, 1, 9])
+        assert got == read_at(expected, [2, 0, -1, 1, 9]) and all(type(c) is int for c in got)
     with pytest.raises(ValueError, match="at least one factor"):
         poly_mul(field)
+    with pytest.raises(ValueError, match="at least one factor"):
+        poly_mul(field, at=[0])
 
 
 @pytest.mark.parametrize("field", [field_new(3), field_new(5), field_new(3, 2), field_new(5, 2)],
@@ -818,13 +876,18 @@ def test_poly_mul_edge_cases():
 def test_poly_mul_refuses_codes_outside_the_field(field):
     """Codes index the field's tables, where -1 would read the last entry
     and q would read past the end: both are refused by name, also when the
-    product is 0."""
+    product is 0, when one object is passed k times, when there is one
+    factor, and when ``at`` asks for no coefficient the bad code touches."""
     q = field.size
     for bad in (-1, q, q + 1):
         with pytest.raises(ValueError, match=rf"encoding {bad} out of range for {re.escape(repr(field))}"):
             poly_mul(field, [1, 1], [bad])
         with pytest.raises(ValueError, match=rf"encoding {bad} "):
             poly_mul(field, [], [1, bad, 1])         # refused even when the product is 0
+        f = [1, 0, 0, 0, bad]
+        for factors in ([[1, 1], [bad]], [[], [1, bad, 1]], [f], [f, f, f], [[1], f, [1]]):
+            with pytest.raises(ValueError, match=rf"encoding {bad} "):
+                poly_mul(field, *factors, at=[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from strataforge import families, prank
 from strataforge.curves import LPolynomial, curve_new, l_polynomial
-from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_squarefree
+from strataforge.ffield import FqPoly, enumerate_monic, field_new, poly_codes, poly_mul, poly_squarefree
 from strataforge.prank import (
     NewtonPolygon,
     a_number,
@@ -494,29 +494,61 @@ def test_a_number_is_g_minus_the_batched_rank_of_A(p, n):
 
 
 def test_one_hasse_witt_matrix_gives_the_p_rank_and_the_a_number(monkeypatch):
-    """On every model of genus 2 over F_5, one ``hasse_witt`` call forms
-    f^((p-1)/2) once, by one ``poly_mul``, and its matrix gives f by
-    ``stable_rank`` and a by ``nullity``: the values ``p_rank`` and
-    ``a_number`` give, each building A again."""
-    field, products = field_new(5), []
-    mul = prank.poly_mul
+    """On every model of genus 2 over F_3 and F_5, one ``hasse_witt`` call
+    makes one ``poly_mul`` call: (p - 1)/2 copies of f (f alone at p = 3)
+    and ``at`` exactly the g^2 exponents ip - j of A's entries, row by
+    row, so no other coefficient of the power is read back.  Its matrix
+    gives f by ``stable_rank`` and a by ``nullity``: the values ``p_rank``
+    and ``a_number`` give, each building A again."""
+    g, calls, mul = 2, [], prank.poly_mul
 
-    def counted(*args):
-        products.append(args)
-        return mul(*args)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return mul(*args, **kwargs)
 
     monkeypatch.setattr(prank, "poly_mul", counted)
-    counts = [0, 0, 0]
-    for f in enumerate_monic(field, 5, squarefree_only=True):
-        c = curve_new(field, f)
-        products.clear()
-        hw = hasse_witt(c)
-        assert len(products) == 1
-        rank, a = stable_rank(hw), nullity(hw)
-        assert len(products) == 1                  # neither forms the power again
-        assert (rank, a) == (p_rank(c), a_number(c)), f.coeffs
-        counts[a] += 1
-    assert counts == A_NUMBER_COUNTS[5, 2]
+    for p in (3, 5):
+        field, counts = field_new(p), [0] * (g + 1)
+        exponents = [i * p - j for i in range(1, g + 1) for j in range(1, g + 1)]
+        for f in enumerate_monic(field, 2 * g + 1, squarefree_only=True):
+            c = curve_new(field, f)
+            calls.clear()
+            hw = hasse_witt(c)
+            [(args, kwargs)] = calls
+            assert args[0] is field and len(args) == 1 + (p - 1) // 2
+            assert all(a is args[1] for a in args[2:]) and tuple(args[1]) == f.coeffs
+            assert kwargs == {"at": exponents}
+            rank, a = stable_rank(hw), nullity(hw)
+            assert len(calls) == 1                 # neither forms the power again
+            assert (rank, a) == (p_rank(c), a_number(c)), f.coeffs
+            counts[a] += 1
+        assert counts == A_NUMBER_COUNTS[p, 2]
+
+
+def whole_power_hasse_witt(field, f, g):
+    """A by the route before ``at``: the whole power f^((p-1)/2) (f's own
+    codes at p = 3), read through a list padded with g zeros below and gp
+    above, so that padded[m + g] = c_m."""
+    p, half = field.p, (field.p - 1) // 2
+    h = poly_mul(field, *[f] * half) if half > 1 else poly_codes(field, f)
+    padded = [0] * g + h + [0] * (g * p)
+    return tuple(tuple(padded[i * p + g - 1:i * p - 1:-1]) for i in range(1, g + 1))
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (13, 1), (5, 2), (7, 2), (3, 3)])
+def test_hasse_witt_matrix_is_read_off_the_whole_power(p, n):
+    """Seeded models of degree 2g + 1 and 2g + 2 at g = 1..4 over F_11,
+    F_13, F_25, F_49 and F_27, some with a zero constant term or zero low
+    coefficients: A read at its g^2 exponents is A read off the whole
+    power.  At p = 3 and g = 4 the exponent p - g is negative, and ip - j
+    passes deg f^((p-1)/2) = (2g + 1)(p - 1)/2 where 2g > p + 1: at g >= 3
+    over F_27 and at g = 4 over F_25."""
+    field, rng = field_new(p, n), random.Random(p * 10 + n)
+    for g in range(1, 5):
+        for trial in range(30):
+            f = [rng.randrange(field.size) for _ in range(2 * g + 1 + trial % 2)] + [1]
+            f[:trial % 3] = [0] * (trial % 3)
+            assert hasse_witt_from_poly(field, f, g).entries == whole_power_hasse_witt(field, f, g), f
 
 
 def test_supersingular_implies_p_rank_zero():

@@ -699,6 +699,33 @@ def test_quadratic_twist_of_no_weil_polynomial_is_refused():
         assert memo(L) == memo.__wrapped__(L)
 
 
+def test_twist_memos_build_the_twin_only_when_they_redirect(census_Ls, monkeypatch):
+    """On the 218 distinct L of genus 3 over F_3 (106 twist pairs and 6
+    self-twists), asked in either order: each Weil memo builds L(-T) only
+    for the 106 L whose twist has the smaller coefficient tuple, and reads
+    it; every answer is the bare computation's on L; and each memo misses
+    once per L and hits once per redirect."""
+    Ls, twins = census_Ls[3, 7], []
+    assert len(Ls) == 218 and set(map(weil.quadratic_twist, Ls)) == set(Ls)
+    smaller = [L for L in Ls if weil.quadratic_twist(L).coeffs < L.coeffs]
+    assert len(smaller) == 106 and sum(weil.quadratic_twist(L) == L for L in Ls) == 6
+    twist = weil.quadratic_twist
+
+    def built(L):
+        twins.append(L)
+        return twist(L)
+
+    monkeypatch.setattr(weil, "quadratic_twist", built)
+    for order in (Ls, Ls[::-1]):
+        for memo in WEIL_MEMOS:
+            memo.cache_clear()
+            twins.clear()
+            assert [memo(L) for L in order] == [memo.__wrapped__(L) for L in order], memo.__name__
+            assert sorted(twins, key=lambda L: L.coeffs) == smaller
+            info = memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (218, 106, 218), memo.__name__
+
+
 def test_census_weil_pass_computes_each_twist_class_once(monkeypatch):
     """With the memos cleared, the 1,458 L of genus 3 over F_3 (218 distinct,
     112 twist classes) read ``signed_cycle_type`` 217 times and run the
